@@ -36,7 +36,7 @@ from .designer import (
     enforce_anadromic,
     validate_table,
 )
-from .dme import SweepReport, SweepRow, dme_mse, gaussian_inputs, sphere_inputs, sweep_bias_variance
+from .dme import SweepReport, SweepRow, dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, TrainResult, client_update, generate_synthetic, train_fl
 from .mechanism import (
     ClipConfig,
@@ -50,10 +50,8 @@ from .mechanism import (
     moments,
     mvu_dither_moments,
     mvu_dither_pmf,
-    natural_params,
     pmf,
     privatize_vector,
-    sample,
     sample_batch,
     scale_input,
 )

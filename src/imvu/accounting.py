@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import InterpolatedMechanism, MechanismTable, _table_of
+from .mechanism import InterpolatedMechanism, MechanismTable, _logits, _softmax, _table_of
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
@@ -44,16 +44,6 @@ class AnadromicityError(AccountingError):
 
 class MissingConstantsError(RuntimeError):
     """An operation needs accounting constants that were never attached."""
-
-
-@dataclass(frozen=True)
-class AccountingConstants:
-    """Certified constants with their certification parameters."""
-
-    eps_prime: float | None
-    fisher_m: float | None
-    grid_points_per_interval: int
-    lipschitz_pad: float
 
 
 @dataclass(frozen=True)
@@ -107,11 +97,7 @@ def _eps_prime_impl(
         seg_hi = (i + 1) / nseg if i < nseg - 1 else hi_dom
         theta = logs[i + 1] - logs[i]
         xs = np.linspace(seg_lo, seg_hi, grid_points_per_interval)
-        t = xs * nseg - i
-        eta = (1.0 - t)[:, None] * logs[i] + t[:, None] * logs[i + 1]
-        eta -= eta.max(axis=1, keepdims=True)
-        z = np.exp(eta)
-        sm = z / z.sum(axis=1, keepdims=True)
+        sm = _softmax(logs, i, xs * nseg - i)
         h = np.abs(sm @ theta)
         lip = nseg * (theta.max() - theta.min()) ** 2 / 4.0
         step = (seg_hi - seg_lo) / (grid_points_per_interval - 1)
@@ -159,19 +145,14 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
     if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
         raise ValueError("natural parameters must be finite")
     theta = eta2 - eta1
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = np.outer(1.0 - xs, eta1) + np.outer(xs, eta2)
-    eta -= eta.max(axis=1, keepdims=True)
-    z = np.exp(eta)
-    sm = z / z.sum(axis=1, keepdims=True)
+    sm = _softmax(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
     vals = sm @ theta**2 - (sm @ theta) ** 2
     vals = np.maximum(vals, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _group_mass(eta1, eta2, x: float, group: np.ndarray) -> float:
-    eta = (1.0 - x) * eta1 + x * eta2
-    z = np.exp(eta - eta.max())
+def _group_mass(rows: np.ndarray, x: float, group: np.ndarray) -> float:
+    z = np.exp(_logits(rows, 0, np.array([x]))[0])
     return float(z[group].sum() / z.sum())
 
 
@@ -203,6 +184,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
             "run enforce_anadromic on the table first"
         )
     theta = eta2 - eta1
+    rows = np.stack((eta1, eta2))
     t_abs = float(np.max(np.abs(theta)))
     if t_abs == 0.0:
         diag = FisherDiagnostics(0.0, 0.5, 0.5, 1, 0, 0.0)
@@ -222,7 +204,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
         )
 
     evals = 1
-    if _group_mass(eta1, eta2, 0.5, group) >= sigma_target:
+    if _group_mass(rows, 0.5, group) >= sigma_target:
         x_max = 0.5
     else:
         hi, step = 0.5, 0.5
@@ -230,7 +212,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
             hi += step
             step *= 2.0
             evals += 1
-            if _group_mass(eta1, eta2, hi, group) >= sigma_target:
+            if _group_mass(rows, hi, group) >= sigma_target:
                 break
         else:
             raise AccountingError("argmax mass never reached the tail threshold")
@@ -244,7 +226,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
             if mid <= lo or mid >= hi:
                 break
             evals += 1
-            if _group_mass(eta1, eta2, mid, group) < sigma_target:
+            if _group_mass(rows, mid, group) < sigma_target:
                 lo = mid
             else:
                 hi = mid
@@ -351,6 +333,19 @@ class PrivacyLedger:
                 raise ValueError("alphas must be ascending and all exceed 1")
             if costs.shape != alphas.shape or np.any(costs < 0):
                 raise ValueError("per_round must be non-negative, one entry per alpha")
+
+
+def imvu_ledger(mech: InterpolatedMechanism, mode: str, rounds: int, sens: float,
+                delta: float, alphas: tuple[float, ...]) -> PrivacyLedger:
+    """Ledger of an attached mechanism: eps' route in pure mode, Fisher route in rdp mode."""
+    if mode == "pure":
+        return PrivacyLedger("pure", l1_round_eps(mech, sens), rounds, delta=delta)
+    if mech.fisher_m is None:
+        raise MissingConstantsError(
+            "fisher_m not attached; run attach_accounting on an anadromic table"
+        )
+    per_round = l2_round_rdp(mech.fisher_m, sens, alphas)
+    return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))
 
 
 def compose(ledger: PrivacyLedger):
@@ -486,9 +481,8 @@ def accounting_report(
         value, pad = _eps_prime_impl(
             table, domain_for_beta(mech.beta), grid_points_per_interval
         )
-        mech = replace(mech, eps_prime=value)
-        per_round = l1_round_eps(mech, sens)
-        ledger = PrivacyLedger("pure", per_round, rounds, delta=delta)
+        ledger = imvu_ledger(replace(mech, eps_prime=value), "pure", rounds, sens, delta, alphas)
+        per_round = ledger.per_round
         composed = compose(ledger)
         return {
             "mechanism_file": mechanism_file,
@@ -508,8 +502,8 @@ def accounting_report(
         }
     if mode == "rdp":
         m_value, diag = fisher_constant(table, tol=fisher_tol)
-        per_round = l2_round_rdp(m_value, sens, alphas)
-        ledger = PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))
+        ledger = imvu_ledger(replace(mech, fisher_m=m_value), "rdp", rounds, sens, delta, alphas)
+        per_round = ledger.per_round
         composed = compose(ledger)
         eps_dp, alpha_star = rdp_to_dp(composed, delta, alphas)
         return {

@@ -1,4 +1,8 @@
-"""Non-compressed and sign-compressed reference mechanisms."""
+"""The mechanism kinds the harnesses run, and the reference mechanisms.
+
+The one place that knows the kinds: their names, each baseline's sampling
+function, the wire bits per coordinate and the per-round privacy ledger.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import ClipConfig, clip
+from .accounting import MissingConstantsError, PrivacyLedger, baseline_budgets, imvu_ledger
+from .mechanism import ClipConfig, InterpolatedMechanism, clip
+
+KINDS = ("identity", "imvu", "laplace", "gaussian", "signsgd")
 
 
 @dataclass(frozen=True)
@@ -19,7 +26,7 @@ class BaselineConfig:
     noise: float
 
     def __post_init__(self):
-        if self.kind not in ("laplace", "gaussian", "signsgd"):
+        if self.kind not in BASELINES:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.kind == "laplace" and self.clip.norm != "l1":
             raise ValueError("laplace requires an l1 clip")
@@ -57,3 +64,39 @@ def signsgd(u: np.ndarray, cfg: BaselineConfig, rng: np.random.Generator) -> np.
         raise ValueError("config is not a signsgd config")
     noisy = gaussian_mech(u, cfg, rng)
     return np.where(noisy >= 0.0, 1.0, -1.0)
+
+
+BASELINES = {"laplace": laplace_mech, "gaussian": gaussian_mech, "signsgd": signsgd}
+
+
+def wire_bits(kind: str, mech: InterpolatedMechanism | None = None) -> float:
+    """Bits per coordinate on the wire: the table's index width for imvu, a
+    sign for signsgd, and an uncompressed 32-bit float otherwise."""
+    if kind == "imvu":
+        return float(mech.table.bits)
+    return 1.0 if kind == "signsgd" else 32.0
+
+
+def round_ledger(kind: str, rounds: int, delta: float, alphas: tuple[float, ...],
+                 mech: InterpolatedMechanism | None = None,
+                 noise: float | None = None) -> PrivacyLedger | None:
+    """Per-round privacy cost over ``rounds`` rounds; None for identity.
+
+    imvu is charged at sensitivity beta through eps' under an l1 clip and
+    the Fisher constant under an l2 clip.  ``noise`` is the laplace epsilon
+    or the gaussian/signsgd noise multiplier (signsgd is post-processing).
+    """
+    if kind == "identity":
+        return None
+    if kind == "imvu":
+        if mech is None:
+            raise MissingConstantsError("imvu needs a mechanism with attached constants")
+        mode = "pure" if mech.clip.norm == "l1" else "rdp"
+        return imvu_ledger(mech, mode, rounds, mech.beta, delta, alphas)
+    if noise is None or noise <= 0:
+        raise ValueError(f"{kind} needs a positive noise parameter")
+    if kind == "laplace":
+        return PrivacyLedger("pure", baseline_budgets("laplace_pure", eps=noise), rounds,
+                             delta=delta)
+    per_round = baseline_budgets("gaussian_rdp", sigma=noise, alphas=alphas)
+    return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))

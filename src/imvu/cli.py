@@ -26,7 +26,7 @@ from .accounting import (
     accounting_report,
     attach_accounting,
 )
-from .baselines import BaselineConfig
+from .baselines import BASELINES, KINDS, BaselineConfig
 from .designer import DesignError, DesignSpec, design_mvu, enforce_anadromic, validate_table
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
@@ -144,7 +144,7 @@ def _cmd_dme(args, argv) -> int:
         cfg = InterpolatedMechanism(
             table=mech.table, beta=args.beta, clip=ClipConfig(args.clip_norm, args.clip_c)
         )
-    elif args.mechanism in ("laplace", "gaussian", "signsgd"):
+    elif args.mechanism in BASELINES:
         cfg = BaselineConfig(
             args.mechanism, ClipConfig(args.clip_norm, args.clip_c), args.noise
         )
@@ -182,7 +182,6 @@ def _cmd_train(args, argv) -> int:
         mechanism=args.mechanism,
         mech=mech,
         noise=args.noise,
-        beta=args.beta,
         seed=args.seed,
         delta=args.delta,
         n_train=args.n,
@@ -250,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dme", help="distributed mean estimation experiment")
-    p.add_argument("--mechanism", required=True,
-                   choices=["identity", "imvu", "laplace", "gaussian", "signsgd"])
+    p.add_argument("--mechanism", required=True, choices=KINDS)
     p.add_argument("--mech", default=None, help="mechanism file (imvu)")
     p.add_argument("--n-clients", type=int, default=100, dest="n_clients")
     p.add_argument("--d", type=int, default=16)
@@ -266,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dme)
 
     p = sub.add_parser("train", help="federated training on synthetic data")
-    p.add_argument("--mechanism", required=True,
-                   choices=["identity", "imvu", "laplace", "gaussian", "signsgd"])
+    p.add_argument("--mechanism", required=True, choices=KINDS)
     p.add_argument("--mech", default=None, help="mechanism file (imvu)")
     p.add_argument("--rounds", type=int, default=40)
     p.add_argument("--cohort", type=int, default=60)

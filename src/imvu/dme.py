@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineConfig, gaussian_mech, laplace_mech, signsgd
+from .baselines import BASELINES, BaselineConfig, wire_bits
 from .mechanism import (
-    ClipConfig,
     InterpolatedMechanism,
-    MechanismTable,
     clip,
     decode,
     moments,
@@ -20,9 +16,9 @@ from .mechanism import (
     privatize_vector,
     scale_input,
 )
+from .table_io import write_csv
 
 SWEEP_POINTS = 201
-UNCOMPRESSED_BITS = 32.0
 
 
 @dataclass(frozen=True)
@@ -52,24 +48,12 @@ class SweepReport:
 
     def to_csv(self, path_or_buffer) -> None:
         """CSV with header mechanism,b_in,x,mean,bias,variance,laplace_ref."""
-        own = isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__")
-        handle = open(path_or_buffer, "w", newline="") if own else path_or_buffer
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(["mechanism", "b_in", "x", "mean", "bias", "variance", "laplace_ref"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.mechanism, r.b_in, repr(r.x), repr(r.mean), repr(r.bias),
-                     repr(r.variance), repr(self.laplace_variance)]
-                )
-        finally:
-            if own:
-                handle.close()
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        write_csv(
+            path_or_buffer,
+            ["mechanism", "b_in", "x", "mean", "bias", "variance", "laplace_ref"],
+            ([r.mechanism, r.b_in, repr(r.x), repr(r.mean), repr(r.bias),
+              repr(r.variance), repr(self.laplace_variance)] for r in self.rows),
+        )
 
 
 def sweep_bias_variance(tables, eps: float, x_grid=None) -> SweepReport:
@@ -110,22 +94,12 @@ def gaussian_inputs(scale: float = 0.1):
     return draw
 
 
-def sphere_inputs(radius: float = 1.0):
-    """Client vectors uniform on the radius-``radius`` sphere."""
-
-    def draw(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-        g = rng.normal(size=(n, d))
-        return radius * g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    return draw
-
-
 def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Generator):
     """(decoded client messages, bits per coordinate) for one cohort."""
     n, d = u.shape
     if mechanism == "identity":
         if cfg is None:
-            return u.copy(), UNCOMPRESSED_BITS
+            return u.copy(), wire_bits(mechanism)
         # plumbing mode: exercise clip -> scale -> decode without sampling
         out = np.empty_like(u)
         for i in range(n):
@@ -135,23 +109,20 @@ def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Genera
                                 cfg.clip.clip_c, cfg.beta)
             else:
                 out[i] = clipped
-        return out, UNCOMPRESSED_BITS
-    if mechanism == "imvu":
+    elif mechanism == "imvu":
         if not isinstance(cfg, InterpolatedMechanism):
             raise ValueError("imvu needs an InterpolatedMechanism config")
         out = np.empty_like(u)
         for i in range(n):
             seed = int(rng.integers(0, 2**63 - 1))
             _, out[i] = privatize_vector(cfg, u[i], seed)
-        return out, float(cfg.table.bits)
-    if mechanism in ("laplace", "gaussian", "signsgd"):
+    elif mechanism in BASELINES:
         if not isinstance(cfg, BaselineConfig):
             raise ValueError(f"{mechanism} needs a BaselineConfig")
-        fn = {"laplace": laplace_mech, "gaussian": gaussian_mech, "signsgd": signsgd}[mechanism]
-        out = np.stack([fn(u[i], cfg, rng) for i in range(n)])
-        bits = 1.0 if mechanism == "signsgd" else UNCOMPRESSED_BITS
-        return out, bits
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+        out = np.stack([BASELINES[mechanism](u[i], cfg, rng) for i in range(n)])
+    else:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    return out, wire_bits(mechanism, cfg)
 
 
 def dme_mse(
@@ -173,7 +144,6 @@ def dme_mse(
     if n_clients < 1 or trials < 1:
         raise ValueError("n_clients and trials must be at least 1")
     errors = np.empty(trials)
-    bits = UNCOMPRESSED_BITS
     for t in range(trials):
         u = input_dist(rng, n_clients, d)
         decoded, bits = _privatize_clients(mechanism, cfg, u, rng)

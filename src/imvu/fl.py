@@ -8,24 +8,15 @@ trends, not paper-scale accuracies.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import (
-    DEFAULT_ALPHAS,
-    DEFAULT_DELTA,
-    MissingConstantsError,
-    PrivacyLedger,
-    baseline_budgets,
-    l1_round_eps,
-    l2_round_rdp,
-    spent_epsilon,
-)
-from .baselines import BaselineConfig, gaussian_mech, laplace_mech, signsgd
+from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
+from .baselines import BASELINES, KINDS, BaselineConfig, round_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, clip, privatize_vector
 from .rng import substream
+from .table_io import write_csv
 
 
 @dataclass(frozen=True)
@@ -37,16 +28,14 @@ class FlConfig:
     dims: int
     lr: float
     clip: ClipConfig
-    mechanism: str = "identity"          # identity | imvu | laplace | gaussian | signsgd
+    mechanism: str = "identity"          # one of baselines.KINDS
     mech: InterpolatedMechanism | None = None
     noise: float | None = None           # sigma / laplace eps for baselines
     momentum: float = 0.5
-    beta: float = 1.0
     seed: int = 0
     delta: float = DEFAULT_DELTA
     client_samples: int = 1
     n_train: int = 600
-    n_classes: int = 2
     separation: float = 4.0
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     server_lr_scale: float = 1.0          # signsgd runs with a reduced scale
@@ -60,7 +49,7 @@ class FlConfig:
             raise ValueError("lr must be positive and momentum in [0, 1)")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.mechanism not in ("identity", "imvu", "laplace", "gaussian", "signsgd"):
+        if self.mechanism not in KINDS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
 
 
@@ -72,16 +61,12 @@ class TrainResult:
     ledger: PrivacyLedger | None
 
     def to_csv(self, path_or_buffer) -> None:
-        own = isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__")
-        handle = open(path_or_buffer, "w", newline="") if own else path_or_buffer
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(["round", "accuracy", "eps"])
-            for t, (acc, eps) in enumerate(zip(self.accuracy, self.spent_eps), start=1):
-                writer.writerow([t, repr(float(acc)), repr(float(eps))])
-        finally:
-            if own:
-                handle.close()
+        write_csv(
+            path_or_buffer,
+            ["round", "accuracy", "eps"],
+            ([t, repr(float(acc)), repr(float(eps))]
+             for t, (acc, eps) in enumerate(zip(self.accuracy, self.spent_eps), start=1)),
+        )
 
     def summary(self) -> dict:
         return {
@@ -135,32 +120,6 @@ def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     return (coeff[:, None] * x).mean(axis=0)
 
 
-def _build_ledger(cfg: FlConfig) -> PrivacyLedger | None:
-    """Per-round cost of the configured mechanism; None for identity."""
-    if cfg.mechanism == "identity":
-        return None
-    if cfg.mechanism == "imvu":
-        mech = cfg.mech
-        if mech is None:
-            raise MissingConstantsError("imvu training needs a mechanism with constants")
-        if mech.clip.norm == "l1":
-            per_round = l1_round_eps(mech, mech.beta)   # raises if eps' missing
-            return PrivacyLedger("pure", per_round, cfg.rounds, delta=cfg.delta)
-        if mech.fisher_m is None:
-            raise MissingConstantsError(
-                "fisher_m not attached; run attach_accounting on an anadromic table"
-            )
-        per_round = l2_round_rdp(mech.fisher_m, mech.beta, cfg.alphas)
-        return PrivacyLedger("rdp", per_round, cfg.rounds, delta=cfg.delta, alphas=cfg.alphas)
-    if cfg.noise is None or cfg.noise <= 0:
-        raise ValueError(f"{cfg.mechanism} needs a positive noise parameter")
-    if cfg.mechanism == "laplace":
-        per_round = baseline_budgets("laplace_pure", eps=cfg.noise)
-        return PrivacyLedger("pure", per_round, cfg.rounds, delta=cfg.delta)
-    per_round = baseline_budgets("gaussian_rdp", sigma=cfg.noise, alphas=cfg.alphas)
-    return PrivacyLedger("rdp", per_round, cfg.rounds, delta=cfg.delta, alphas=cfg.alphas)
-
-
 def _client_message(cfg: FlConfig, baseline: BaselineConfig | None, grad: np.ndarray,
                     round_idx: int, client_idx: int,
                     rng: np.random.Generator) -> np.ndarray:
@@ -170,8 +129,7 @@ def _client_message(cfg: FlConfig, baseline: BaselineConfig | None, grad: np.nda
         seed = int(substream(cfg.seed, "privatize", round_idx, client_idx).integers(2**62))
         _, decoded = privatize_vector(cfg.mech, grad, seed)
         return decoded
-    fn = {"laplace": laplace_mech, "gaussian": gaussian_mech, "signsgd": signsgd}[cfg.mechanism]
-    return fn(grad, baseline, rng)
+    return BASELINES[cfg.mechanism](grad, baseline, rng)
 
 
 def train_fl(cfg: FlConfig) -> TrainResult:
@@ -182,21 +140,16 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     momentum SGD step.  The server update is exactly the mean message times
     the learning rate (times the SignSGD scale) plus the momentum term.
     """
-    if cfg.n_classes != 2:
-        raise ValueError("the linear training head is binary; use n_classes=2")
-    if cfg.mechanism == "imvu":
-        if cfg.mech is None:
-            raise MissingConstantsError("imvu training needs cfg.mech")
-        if cfg.mech.table.bits < 1:
-            raise ValueError("mechanism table has no output bits")
-    ledger = _build_ledger(cfg)
+    ledger = round_ledger(cfg.mechanism, cfg.rounds, cfg.delta, cfg.alphas,
+                          mech=cfg.mech, noise=cfg.noise)
     # baseline configs validate clip-norm pairings; fail before training
     baseline = None
-    if cfg.mechanism in ("laplace", "gaussian", "signsgd"):
+    if cfg.mechanism in BASELINES:
         baseline = BaselineConfig(cfg.mechanism, cfg.clip, cfg.noise)
 
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
-    x, y = generate_synthetic(cfg.n_train, cfg.dims, cfg.n_classes, cfg.separation, data_seed)
+    # the linear training head is binary
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, data_seed)
     y_signed = _signed_labels(y)
     client_slices = np.array_split(np.arange(cfg.n_train), cfg.n_train // cfg.client_samples)
 

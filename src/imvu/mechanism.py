@@ -7,7 +7,8 @@ probabilities.  Two samplers extend the table to continuous inputs:
 * classic dithering, which mixes the probability rows of the bracketing grid
   points and is unbiased everywhere on [0, 1];
 * natural-parameter interpolation, which mixes the log-probability rows and
-  stays well defined for every real input at the cost of a small bias.
+  stays well defined for every real input at the cost of a small bias; one
+  kernel, ``_logits``, evaluates it for the sampler and both certifiers.
 """
 
 from __future__ import annotations
@@ -226,14 +227,39 @@ def _table_of(mech) -> MechanismTable:
     return mech.table if isinstance(mech, InterpolatedMechanism) else mech
 
 
-def natural_params(table: MechanismTable) -> np.ndarray:
-    """Natural parameters of the table's categorical rows: eta_i = log p_i."""
-    return np.array(_table_of(table).log_probs, copy=True)
-
-
 def _check_finite_inputs(x: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")
+
+
+def _bracket(b_in: int, x):
+    """Grid interval i and offset t of each input, x = (i + t) / (b_in - 1);
+    outside [0, 1] the boundary interval is kept and t leaves [0, 1]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_finite_inputs(xs)
+    nseg = b_in - 1
+    t = xs * nseg
+    i = np.clip(np.floor(t).astype(int), 0, nseg - 1)
+    return i, t - i
+
+
+def _lerp(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """(1 - t) rows[i] + t rows[i + 1] per entry of t; ``i`` may be one shared index."""
+    return (1.0 - t)[:, None] * rows[i] + t[:, None] * rows[i + 1]
+
+
+def _logits(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """Interpolated natural parameters shifted to row maximum 0: the kernel
+    through which the sampler, eps' and the Fisher supremum evaluate the mechanism."""
+    eta = _lerp(rows, i, t)
+    eta -= eta.max(axis=1, keepdims=True)
+    return eta
+
+
+def _softmax(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """Probabilities at the interpolated natural parameters; rows sum to 1 within 1e-12."""
+    z = np.exp(_logits(rows, i, t))
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def interpolate_eta(mech, x) -> np.ndarray:
@@ -245,22 +271,15 @@ def interpolate_eta(mech, x) -> np.ndarray:
     of x returns one row per input.
     """
     table = _table_of(mech)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_finite_inputs(xs)
-    nseg = table.b_in - 1
-    t = xs * nseg
-    i = np.clip(np.floor(t).astype(int), 0, nseg - 1)
-    frac = t - i
-    eta = (1.0 - frac)[:, None] * table.log_probs[i] + frac[:, None] * table.log_probs[i + 1]
-    return eta[0] if np.isscalar(x) or np.ndim(x) == 0 else eta
+    eta = _lerp(table.log_probs, *_bracket(table.b_in, x))
+    return eta[0] if np.ndim(x) == 0 else eta
 
 
 def log_pmf(mech, x) -> np.ndarray:
     """Log probabilities of the interpolated mechanism at x (full precision)."""
-    eta = np.atleast_2d(interpolate_eta(mech, np.atleast_1d(np.asarray(x, dtype=float))))
-    m = eta.max(axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(eta - m), axis=1, keepdims=True))
-    out = eta - lse
+    table = _table_of(mech)
+    s = _logits(table.log_probs, *_bracket(table.b_in, x))
+    out = s - np.log(np.sum(np.exp(s), axis=1, keepdims=True))
     return out[0] if np.ndim(x) == 0 else out
 
 
@@ -270,9 +289,8 @@ def pmf(mech, x) -> np.ndarray:
     Softmax of the interpolated natural parameter, computed with
     max-subtraction; rows sum to 1 within 1e-12.
     """
-    eta = np.atleast_2d(interpolate_eta(mech, np.atleast_1d(np.asarray(x, dtype=float))))
-    z = np.exp(eta - eta.max(axis=1, keepdims=True))
-    out = z / z.sum(axis=1, keepdims=True)
+    table = _table_of(mech)
+    out = _softmax(table.log_probs, *_bracket(table.b_in, x))
     return out[0] if np.ndim(x) == 0 else out
 
 
@@ -299,15 +317,11 @@ def mvu_dither_pmf(table, x) -> np.ndarray:
     every grid row is unbiased and the mix is linear.
     """
     table = _table_of(table)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_finite_inputs(xs)
+    i, t = _bracket(table.b_in, x)
+    xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("dithering requires x in [0, 1]")
-    nseg = table.b_in - 1
-    t = xs * nseg
-    i = np.clip(np.floor(t).astype(int), 0, nseg - 1)
-    frac = t - i
-    p = (1.0 - frac)[:, None] * table.probs[i] + frac[:, None] * table.probs[i + 1]
+    p = _lerp(table.probs, i, t)
     return p[0] if np.ndim(x) == 0 else p
 
 
@@ -322,26 +336,18 @@ def mvu_dither_moments(table, x):
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    # Strict comparison: j is the first index with u < cdf_j, so ties in the
-    # cumulative sums resolve deterministically.
-    cdf = np.cumsum(probs, axis=1)
-    j = np.sum(uniforms[:, None] >= cdf, axis=1)
-    return np.minimum(j, probs.shape[1] - 1)
+    """First j with u < cdf_j for each uniform, so ties resolve deterministically.
 
-
-def sample(mech, x: float, rng: np.random.Generator):
-    """Draw one output at x; returns (index, alphabet value)."""
-    p = pmf(mech, float(x))
-    j = int(_inverse_cdf(p[None, :], np.array([rng.random()]))[0])
-    return j, float(_table_of(mech).alphabet[j])
+    ``probs`` is one row per uniform, or one row that every uniform shares.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    j = np.sum(uniforms[:, None] >= cdf, axis=-1)
+    return np.minimum(j, probs.shape[-1] - 1)
 
 
 def sample_batch(mech, x: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent output indices at a fixed x."""
-    p = pmf(mech, float(x))
-    cdf = np.cumsum(p)
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), p.shape[0] - 1)
+    return _inverse_cdf(pmf(mech, float(x)), rng.random(n))
 
 
 def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
@@ -352,6 +358,10 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     norm = float(np.linalg.norm(u.ravel(), ord=order))
     if norm <= cfg.clip_c:
         return u
+    if not np.isfinite(norm):
+        # the norm of a finite vector overflowed: rescale by max|u| first
+        u = u / np.max(np.abs(u))
+        norm = float(np.linalg.norm(u.ravel(), ord=order))
     return u * (cfg.clip_c / norm)
 
 
@@ -396,7 +406,6 @@ def privatize_vector(
     x = scale_input(clipped, mech.clip.clip_c, mech.beta)
     lo, hi = (0, u.size) if coord_range is None else coord_range
     uniforms = coordinate_uniforms(seed, lo, hi, u.size)
-    probs = pmf(mech, x[lo:hi])
-    indices = _inverse_cdf(np.atleast_2d(probs), uniforms)
+    indices = _inverse_cdf(pmf(mech, x[lo:hi]), uniforms)
     decoded = decode(table.alphabet[indices], mech.clip.clip_c, mech.beta)
     return indices, decoded

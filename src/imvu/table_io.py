@@ -1,14 +1,16 @@
-"""Mechanism file format: a single self-describing JSON document.
+"""Mechanism file format: a single self-describing JSON document; CSV tables.
 
 Fields: format_version (1), b_in, b_out, metric ("l1"), design_eps, grid,
 alphabet, log_probs (row-major, natural log), and an accounting block
 {eps_prime, fisher_m, beta, clip_norm, clip_c} with null for constants that
 were never attached.  The loader revalidates every invariant and recomputes
-any stored constants, rejecting the file on mismatch.
+any stored constants, rejecting the file on mismatch.  ``write_csv`` writes
+the harnesses' result tables.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -88,3 +90,13 @@ def load_mechanism(path, verify: bool = True) -> InterpolatedMechanism:
     with open(path) as handle:
         doc = json.load(handle)
     return mechanism_from_dict(doc, verify=verify)
+
+
+def write_csv(path_or_buffer, header, rows) -> None:
+    """Write a header row and ``rows`` as CSV to a path or to an open text buffer."""
+    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
+        with open(path_or_buffer, "w", newline="") as handle:
+            return write_csv(handle, header, rows)
+    writer = csv.writer(path_or_buffer)
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -275,7 +275,6 @@ def test_c10_federated_training_plumbing():
             mechanism=mechanism,
             mech=mech,
             momentum=0.5,
-            beta=1.0,
             seed=seed,
             data_seed=1234,
             n_train=600,

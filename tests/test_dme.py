@@ -1,5 +1,7 @@
 """Sweep and distributed-mean-estimation harness."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,9 @@ def test_sweep_bias_definition(fig2_tables):
 
 def test_sweep_csv_format(fig2_tables):
     report = sweep_bias_variance(fig2_tables[:1], eps=5.0)
-    text = report.to_csv_string()
+    buf = io.StringIO()
+    report.to_csv(buf)
+    text = buf.getvalue()
     lines = text.strip().splitlines()
     assert lines[0] == "mechanism,b_in,x,mean,bias,variance,laplace_ref"
     assert len(lines) == 1 + 2 * 201

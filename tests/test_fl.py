@@ -14,7 +14,7 @@ from imvu import (
     l1_round_eps,
     train_fl,
 )
-from imvu.fl import _build_ledger
+from imvu.baselines import round_ledger
 
 from conftest import get_table
 
@@ -172,8 +172,10 @@ def test_signsgd_ledger_equals_gaussian():
     cfg_g = _cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0), noise=1.5)
     cfg_s = _cfg(mechanism="signsgd", clip=ClipConfig("l2", 1.0), noise=1.5,
                  server_lr_scale=0.01)
-    ledger_g = _build_ledger(cfg_g)
-    ledger_s = _build_ledger(cfg_s)
+    ledger_g = round_ledger(cfg_g.mechanism, cfg_g.rounds, cfg_g.delta, cfg_g.alphas,
+                            noise=cfg_g.noise)
+    ledger_s = round_ledger(cfg_s.mechanism, cfg_s.rounds, cfg_s.delta, cfg_s.alphas,
+                            noise=cfg_s.noise)
     np.testing.assert_array_equal(ledger_g.per_round, ledger_s.per_round)
     assert ledger_g.rounds == ledger_s.rounds
 
