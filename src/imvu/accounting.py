@@ -423,18 +423,25 @@ def attach_accounting(
     mech: InterpolatedMechanism,
     grid_points_per_interval: int = GRID_POINTS_PER_INTERVAL,
     fisher_tol: float = FISHER_TOL,
+    report: dict | None = None,
 ) -> InterpolatedMechanism:
     """Return a copy of ``mech`` with certified constants attached.
 
     eps' is computed over the beta-scaled input range.  The Fisher constant
     is attached only for two-row anadromic tables.  Mechanism files are
     re-verified against the default certification parameters on load, so use
-    the defaults for anything that will be saved.
+    the defaults for anything that will be saved.  ``report``, an
+    ``accounting_report`` of this ``mech`` at the same certification
+    parameters, supplies the constant it certified, which is then not
+    computed again.
     """
     table = mech.table
-    ep = eps_prime(table, domain_for_beta(mech.beta), grid_points_per_interval)
-    fm = None
-    if table.b_in == 2:
+    known = report or {}
+    ep = known.get("eps_prime")
+    if ep is None:
+        ep = eps_prime(table, domain_for_beta(mech.beta), grid_points_per_interval)
+    fm = known.get("fisher_m")
+    if fm is None and table.b_in == 2:
         resid = float(np.max(np.abs(table.log_probs[0] - table.log_probs[1, ::-1])))
         if resid <= ANADROMIC_TOL:
             fm, _ = fisher_sup(table.log_probs[0], table.log_probs[1], tol=fisher_tol)

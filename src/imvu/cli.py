@@ -31,7 +31,7 @@ from .designer import DesignError, DesignSpec, design_mvu, enforce_anadromic, va
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
 from .mechanism import ClipConfig, InterpolatedMechanism, TableInvariantError
-from .table_io import load_mechanism, save_mechanism
+from .table_io import load_mechanism, save_mechanism, write_csv
 
 _FAILURE_TYPES = (
     TableInvariantError,
@@ -39,6 +39,7 @@ _FAILURE_TYPES = (
     AccountingError,
     MissingConstantsError,
     ValueError,
+    OSError,
 )
 
 
@@ -118,7 +119,7 @@ def _cmd_account(args, argv) -> int:
     else:
         sys.stdout.write(text)
     if args.attach:
-        save_mechanism(args.mech, attach_accounting(mech))
+        save_mechanism(args.mech, attach_accounting(mech, report=report))
         print(f"constants attached -> {args.mech}")
     return 0
 
@@ -136,11 +137,18 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
+def _imvu_file(args) -> InterpolatedMechanism:
+    """The mechanism file of an imvu run; leaving out --mech is a usage error."""
+    if args.mech is None:
+        args.usage_error("--mechanism imvu requires --mech FILE")
+    return load_mechanism(args.mech)
+
+
 def _cmd_dme(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
     cfg = None
     if args.mechanism == "imvu":
-        mech = load_mechanism(args.mech)
+        mech = _imvu_file(args)
         cfg = InterpolatedMechanism(
             table=mech.table, beta=args.beta, clip=ClipConfig(args.clip_norm, args.clip_c)
         )
@@ -154,10 +162,8 @@ def _cmd_dme(args, argv) -> int:
         args.n_clients, args.d, gaussian_inputs(args.input_scale),
         args.mechanism, cfg, rng, trials=args.trials,
     )
-    with open(args.out, "w") as handle:
-        handle.write("mechanism,n_clients,d,trials,mse,bits_per_coord\n")
-        handle.write(f"{args.mechanism},{args.n_clients},{args.d},{args.trials},"
-                     f"{mse!r},{bits!r}\n")
+    write_csv(args.out, ["mechanism", "n_clients", "d", "trials", "mse", "bits_per_coord"],
+              [[args.mechanism, args.n_clients, args.d, args.trials, repr(mse), repr(bits)]])
     _write_manifest(args.out, argv, args.seed, [args.out])
     print(f"dme {args.mechanism}: mse={mse:.6g} bits/coord={bits} -> {args.out}")
     return 0
@@ -166,7 +172,7 @@ def _cmd_dme(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     mech = None
     if args.mechanism == "imvu":
-        mech = load_mechanism(args.mech)
+        mech = _imvu_file(args)
         if (mech.clip.norm, mech.clip.clip_c, mech.beta) != (args.clip_norm, args.clip_c, args.beta):
             raise AccountingError(
                 "mechanism file accounting (beta/clip) does not match the train flags; "
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-scale", type=float, default=0.1, dest="input_scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dme)
+    p.set_defaults(func=_cmd_dme, usage_error=p.error)
 
     p = sub.add_parser("train", help="federated training on synthetic data")
     p.add_argument("--mechanism", required=True, choices=KINDS)
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, usage_error=p.error)
     return parser
 
 
@@ -290,10 +296,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args, argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
-    try:
-        return args.func(args, argv)
     except _FAILURE_TYPES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -112,10 +112,8 @@ def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Genera
     elif mechanism == "imvu":
         if not isinstance(cfg, InterpolatedMechanism):
             raise ValueError("imvu needs an InterpolatedMechanism config")
-        out = np.empty_like(u)
-        for i in range(n):
-            seed = int(rng.integers(0, 2**63 - 1))
-            _, out[i] = privatize_vector(cfg, u[i], seed)
+        seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(n)]
+        _, out = privatize_vector(cfg, u, seeds)
     elif mechanism in BASELINES:
         if not isinstance(cfg, BaselineConfig):
             raise ValueError(f"{mechanism} needs a BaselineConfig")

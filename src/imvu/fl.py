@@ -120,18 +120,6 @@ def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     return (coeff[:, None] * x).mean(axis=0)
 
 
-def _client_message(cfg: FlConfig, baseline: BaselineConfig | None, grad: np.ndarray,
-                    round_idx: int, client_idx: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    if cfg.mechanism == "identity":
-        return clip(grad, cfg.clip)
-    if cfg.mechanism == "imvu":
-        seed = int(substream(cfg.seed, "privatize", round_idx, client_idx).integers(2**62))
-        _, decoded = privatize_vector(cfg.mech, grad, seed)
-        return decoded
-    return BASELINES[cfg.mechanism](grad, baseline, rng)
-
-
 def train_fl(cfg: FlConfig) -> TrainResult:
     """Run the training loop; deterministic under cfg.seed.
 
@@ -163,11 +151,17 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     for t in range(cfg.rounds):
         chosen = cohort_rng.choice(len(client_slices), size=min(cfg.cohort, len(client_slices)),
                                    replace=False)
-        messages = np.empty((chosen.size, cfg.dims))
-        for slot, ci in enumerate(chosen):
-            rows = client_slices[ci]
-            grad = client_update(weights, x[rows], y_signed[rows])
-            messages[slot] = _client_message(cfg, baseline, grad, t, int(ci), noise_rng)
+        grads = np.stack([client_update(weights, x[client_slices[ci]], y_signed[client_slices[ci]])
+                          for ci in chosen])
+        if cfg.mechanism == "imvu":
+            seeds = [int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
+                     for ci in chosen]
+            _, messages = privatize_vector(cfg.mech, grads, seeds)
+        elif cfg.mechanism == "identity":
+            messages = np.stack([clip(grad, cfg.clip) for grad in grads])
+        else:
+            messages = np.stack([BASELINES[cfg.mechanism](grad, baseline, noise_rng)
+                                 for grad in grads])
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity

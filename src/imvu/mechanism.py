@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import coordinate_uniforms
+from .rng import COORD_CHUNK, coordinate_uniforms
 
 # Construction tolerances for the table invariants.
 ROW_SUM_TOL = 1e-9
@@ -386,26 +386,47 @@ def decode(a, clip_c: float, beta: float):
 def privatize_vector(
     mech: InterpolatedMechanism,
     u: np.ndarray,
-    seed: int,
+    seed,
     coord_range: tuple[int, int] | None = None,
 ):
-    """Privatize a client vector: clip, scale, sample each coordinate.
+    """Privatize a client vector, or a cohort of them: clip, scale, sample each coordinate.
 
-    Returns (indices, decoded values).  The indices are the wire form, one
-    ``table.bits``-wide symbol per coordinate.  Randomness is a pure function
-    of (seed, coordinate), so a worker evaluating only ``coord_range`` (a
-    chunk-aligned [lo, hi) slice) produces exactly the slice a single worker
-    would; results are independent of the worker count.
+    ``u`` is one vector with an integer ``seed``, or an (n, d) cohort with a
+    sequence of n seeds, one per row.  Returns (indices, decoded values) for
+    the coordinates in ``coord_range``, one row per client for a cohort.  The
+    indices are the wire form, one ``table.bits``-wide symbol per coordinate.
+    Randomness is a pure function of (seed, coordinate), so row k of a cohort
+    is bit for bit the vector call on ``u[k]`` with ``seed[k]``, and a worker
+    evaluating only ``coord_range`` (a chunk-aligned [lo, hi) slice) produces
+    exactly the slice a single worker would; results are independent of the
+    worker count.  Each row is clipped on its own; sampling then walks
+    [lo, hi) one ``COORD_CHUNK`` block at a time over all rows together.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("u must be a non-empty 1-D vector")
+    if u.ndim not in (1, 2) or u.size == 0:
+        raise ValueError("u must be a non-empty 1-D vector or (n, d) cohort")
+    cohort = u.ndim == 2
+    if np.ndim(seed) != u.ndim - 1:
+        raise ValueError("a vector takes one integer seed, a cohort a sequence of seeds")
+    rows, seeds = (u, list(seed)) if cohort else (u[None, :], [seed])
+    n, d = rows.shape
+    if len(seeds) != n:
+        raise ValueError(f"need one seed per row: got {len(seeds)} seeds for {n} rows")
     _check_finite_inputs(u)
-    table = mech.table
-    clipped = clip(u, mech.clip)
-    x = scale_input(clipped, mech.clip.clip_c, mech.beta)
-    lo, hi = (0, u.size) if coord_range is None else coord_range
-    uniforms = coordinate_uniforms(seed, lo, hi, u.size)
-    indices = _inverse_cdf(pmf(mech, x[lo:hi]), uniforms)
-    decoded = decode(table.alphabet[indices], mech.clip.clip_c, mech.beta)
-    return indices, decoded
+    lo, hi = (0, d) if coord_range is None else coord_range
+    if not 0 <= lo <= hi <= d:
+        raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
+    table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
+    # per row: a norm over the whole cohort differs from the vector norm in the last bit
+    clipped = np.stack([clip(row, mech.clip) for row in rows])
+    x = scale_input(clipped[:, lo:hi], clip_c, beta)
+    indices = np.empty((n, hi - lo), dtype=np.intp)
+    c0 = lo
+    while c0 < hi:
+        c1 = min(hi, (c0 // COORD_CHUNK + 1) * COORD_CHUNK)
+        uniforms = np.concatenate([coordinate_uniforms(s, c0, c1, d) for s in seeds])
+        block = x[:, c0 - lo : c1 - lo].ravel()
+        indices[:, c0 - lo : c1 - lo] = _inverse_cdf(pmf(mech, block), uniforms).reshape(n, -1)
+        c0 = c1
+    decoded = decode(table.alphabet[indices], clip_c, beta)
+    return (indices, decoded) if cohort else (indices[0], decoded[0])

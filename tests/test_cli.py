@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from imvu import load_mechanism
+from imvu import accounting, load_mechanism
 from imvu.cli import main
 
 from conftest import LN3
@@ -138,3 +138,57 @@ def test_train_imvu_via_files(tmp_path):
     assert len(lines) == 3
     eps_col = [float(line.split(",")[2]) for line in lines[1:]]
     assert eps_col[1] == pytest.approx(2 * eps_col[0])
+
+
+@pytest.mark.parametrize("mode, certifier", [("rdp", "fisher_sup"), ("pure", "_eps_prime_impl")])
+def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode, certifier):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+               "--clip-norm", "l2", "--out", mech_path) == 0
+    fresh = accounting.attach_accounting(load_mechanism(mech_path))
+    calls = []
+    original = getattr(accounting, certifier)
+
+    def counting(*args, **kwargs):
+        calls.append(certifier)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(accounting, certifier, counting)
+    assert run("account", "--mech", mech_path, "--mode", mode, "--clip-norm", "l2",
+               "--clip-c", "1.0", "--rounds", "7", "--attach",
+               "--out", str(tmp_path / "r.json")) == 0
+    assert len(calls) == 1
+    # the attached constants are those a fresh certification gives
+    attached = load_mechanism(mech_path, verify=False)
+    assert (attached.eps_prime, attached.fisher_m) == (fresh.eps_prime, fresh.fisher_m)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["eps_prime" if mode == "pure" else "fisher_m"] == (
+        fresh.eps_prime if mode == "pure" else fresh.fisher_m)
+
+
+def test_csv_outputs_share_one_line_ending(tmp_path):
+    outs = [str(tmp_path / name) for name in ("dme.csv", "train.csv", "sweep.csv")]
+    assert run("dme", "--mechanism", "gaussian", "--n-clients", "5", "--d", "4",
+               "--trials", "2", "--out", outs[0]) == 0
+    assert run("train", "--mechanism", "identity", "--rounds", "2", "--cohort", "5",
+               "--d", "3", "--n", "20", "--out", outs[1]) == 0
+    assert run("sweep", "--eps", "1.0", "--bits", "1", "--b-in-list", "2",
+               "--out", outs[2]) == 0
+    for out in outs:
+        data = (tmp_path / out).read_bytes()
+        assert data.count(b"\n") == data.count(b"\r\n") >= 2, out
+
+
+@pytest.mark.parametrize("command", ["dme", "train"])
+def test_imvu_without_mechanism_file_is_a_usage_error(tmp_path, capsys, command):
+    assert run(command, "--mechanism", "imvu", "--out", str(tmp_path / "o.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: imvu " + command) and "--mech" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_validate_missing_file_exits_one(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert run("validate", "--mech", missing) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.json" in err

@@ -1,8 +1,8 @@
 """Property tests: the shared interpolation kernel and sampler against their formulas.
 
-Each reference is the formula written out inline, so the comparisons are
-exact (``np.array_equal``), not within a tolerance.  Tables come from the
-session cache; no LP is solved inside a hypothesis loop.
+Each reference is the formula, or the per-client loop, written out inline,
+so the comparisons are exact (``np.array_equal``), not within a tolerance.
+Tables come from the session cache; no LP is solved inside a hypothesis loop.
 """
 
 import numpy as np
@@ -10,8 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imvu import fisher_info, pmf
+from imvu import (
+    ClipConfig,
+    FlConfig,
+    InterpolatedMechanism,
+    attach_accounting,
+    dme_mse,
+    fisher_info,
+    generate_synthetic,
+    gaussian_inputs,
+    pmf,
+    privatize_vector,
+    train_fl,
+)
+from imvu import fl
 from imvu.mechanism import _inverse_cdf
+from imvu.rng import COORD_CHUNK, substream
 
 from conftest import LN3, get_table
 
@@ -101,3 +115,101 @@ def test_inverse_cdf_matches_searchsorted(data):
     us = np.array([uniform(cdf[0]) for _ in range(n)])
     shared = _inverse_cdf(probs[0], us)
     assert np.array_equal(shared, [_searchsorted_formula(probs[0], u) for u in us])
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cohort_privatize_matches_row_calls(prop_tables, data):
+    table = data.draw(st.sampled_from(prop_tables))
+    mech = InterpolatedMechanism(table, beta=data.draw(st.sampled_from([1.0, 3.0])),
+                                 clip=ClipConfig(data.draw(st.sampled_from(["l1", "l2"])), 1.0))
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.one_of(st.integers(1, 40),
+                            st.integers(COORD_CHUNK - 2, 3 * COORD_CHUNK + 2)))
+    scale = data.draw(st.sampled_from([0.0, 0.01, 1.0 / np.sqrt(d), 5.0]))
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32))).normal(0.0, scale, (n, d))
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+
+    idx, dec = privatize_vector(mech, u, seeds)
+    rows = [privatize_vector(mech, u[k], seeds[k]) for k in range(n)]
+    assert np.array_equal(idx, np.stack([r[0] for r in rows]))
+    assert np.array_equal(dec, np.stack([r[1] for r in rows]))
+    # chunk-aligned workers reproduce the single call
+    cuts = sorted(data.draw(st.sets(st.sampled_from(range(0, d + 1, COORD_CHUNK)))) | {0, d})
+    parts = [privatize_vector(mech, u, seeds, (lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1), idx)
+    assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), dec)
+
+
+def test_cohort_privatize_needs_one_seed_per_row(prop_tables):
+    mech = InterpolatedMechanism(prop_tables[0])
+    u = np.zeros((3, 5))
+    for seeds in ([1, 2], [1, 2, 3, 4], 7):
+        with pytest.raises(ValueError, match="seed"):
+            privatize_vector(mech, u, seeds)
+    with pytest.raises(ValueError, match="seed"):
+        privatize_vector(mech, u[0], [1])
+
+
+def _train_fl_per_client(cfg, weights_seen):
+    """train_fl's imvu loop with one privatize_vector call per client; records
+    the weights each client's gradient is taken at."""
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
+    y_signed = np.where(y == 0, -1.0, 1.0)
+    client_slices = np.array_split(np.arange(cfg.n_train), cfg.n_train // cfg.client_samples)
+    weights, velocity = np.zeros(cfg.dims), np.zeros(cfg.dims)
+    cohort_rng = substream(cfg.seed, "cohort")
+    accuracy = np.empty(cfg.rounds)
+    for t in range(cfg.rounds):
+        chosen = cohort_rng.choice(len(client_slices), size=min(cfg.cohort, len(client_slices)),
+                                   replace=False)
+        messages = np.empty((chosen.size, cfg.dims))
+        for slot, ci in enumerate(chosen):
+            rows = client_slices[ci]
+            weights_seen.append(weights.copy())
+            grad = fl.client_update(weights, x[rows], y_signed[rows])
+            seed = int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
+            _, messages[slot] = privatize_vector(cfg.mech, grad, seed)
+        velocity = cfg.momentum * velocity + messages.mean(axis=0)
+        weights = weights - cfg.lr * cfg.server_lr_scale * velocity
+        accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
+    return accuracy
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
+    table = get_table(2, 4, 1.0, symmetrize=True)
+    mech = attach_accounting(InterpolatedMechanism(table, clip=ClipConfig(norm, 1.0)))
+    cfg = FlConfig(rounds=8, cohort=25, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
+                   mechanism="imvu", mech=mech, seed=3, n_train=200)
+    expected_weights = []
+    expected = _train_fl_per_client(cfg, expected_weights)
+
+    seen = []
+    update = fl.client_update
+
+    def recording(weights, x, y):
+        seen.append(weights.copy())
+        return update(weights, x, y)
+
+    monkeypatch.setattr(fl, "client_update", recording)
+    result = train_fl(cfg)
+    assert np.array_equal(result.accuracy, expected)
+    assert np.array_equal(np.array(seen), np.array(expected_weights))
+
+
+def test_dme_cohort_call_matches_per_client_loop(table_factory):
+    mech = InterpolatedMechanism(table_factory(4, 4, 1.0))
+    n, d, trials = 3, 2 * COORD_CHUNK + 5, 2
+    rng = np.random.default_rng(17)
+    errors = []
+    for _ in range(trials):
+        u = gaussian_inputs(0.3)(rng, n, d)
+        out = np.empty_like(u)
+        for k in range(n):
+            _, out[k] = privatize_vector(mech, u[k], int(rng.integers(0, 2**63 - 1)))
+        errors.append(float(np.mean((out.mean(axis=0) - u.mean(axis=0)) ** 2)))
+    mse, bits = dme_mse(n, d, gaussian_inputs(0.3), "imvu", mech,
+                        np.random.default_rng(17), trials=trials)
+    assert mse == float(np.mean(errors))
+    assert bits == 2.0
