@@ -12,7 +12,6 @@ from .accounting import (
     PrivacyLedger,
     accounting_report,
     attach_accounting,
-    baseline_budgets,
     compose,
     domain_for_beta,
     eps_prime,

@@ -26,6 +26,7 @@ DEFAULT_DELTA = 1e-5
 GRID_POINTS_PER_INTERVAL = 10_000
 FISHER_TOL = 1e-9
 ANADROMIC_TOL = 1e-9
+VERIFY_TOL = 1e-9
 _TIE_MARGIN = 1e-12
 
 # Refinement schedule of the certified line search: points per segment and a
@@ -68,11 +69,7 @@ def domain_for_beta(beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _eps_prime_impl(
-    table: MechanismTable,
-    domain: tuple[float, float],
-    grid_points_per_interval: int,
-) -> tuple[float, float]:
+def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple[float, float]:
     """(eps', max pad used).  Scans every interval densely.
 
     On interval i the interpolated parameter moves along theta_i = eta_{i+1}
@@ -82,8 +79,6 @@ def _eps_prime_impl(
     certified supremum.  The boundary intervals are extended to cover the
     accounting domain, matching the sampler's extrapolation rule.
     """
-    if grid_points_per_interval < 2:
-        raise ValueError("grid_points_per_interval must be at least 2")
     logs = table.log_probs
     if not np.all(np.isfinite(logs)):
         raise ValueError("natural parameters must be finite")
@@ -96,24 +91,20 @@ def _eps_prime_impl(
         seg_lo = i / nseg if i > 0 else lo_dom
         seg_hi = (i + 1) / nseg if i < nseg - 1 else hi_dom
         theta = logs[i + 1] - logs[i]
-        xs = np.linspace(seg_lo, seg_hi, grid_points_per_interval)
+        xs = np.linspace(seg_lo, seg_hi, GRID_POINTS_PER_INTERVAL)
         sm = _softmax(logs, i, xs * nseg - i)
         h = np.abs(sm @ theta)
         lip = nseg * (theta.max() - theta.min()) ** 2 / 4.0
-        step = (seg_hi - seg_lo) / (grid_points_per_interval - 1)
+        step = (seg_hi - seg_lo) / (GRID_POINTS_PER_INTERVAL - 1)
         pad = lip * step / 2.0
         best = max(best, float(h.max()) + pad)
         worst_pad = max(worst_pad, pad)
-    return nseg * best, nseg * worst_pad
+    return float(nseg * best), float(nseg * worst_pad)
 
 
-def eps_prime(
-    table,
-    domain: tuple[float, float] = (0.0, 1.0),
-    grid_points_per_interval: int = GRID_POINTS_PER_INTERVAL,
-) -> float:
+def eps_prime(table, domain: tuple[float, float] = (0.0, 1.0)) -> float:
     """Certified log-partition correction for the L1 divergence bound."""
-    value, _ = _eps_prime_impl(_table_of(table), domain, grid_points_per_interval)
+    value, _ = _eps_prime_impl(_table_of(table), domain)
     return value
 
 
@@ -151,12 +142,17 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
+def _anadromic_residual(eta1, eta2) -> float:
+    """max |eta1 - reversed eta2|; two rows are anadromic when it is at most ANADROMIC_TOL."""
+    return float(np.max(np.abs(np.asarray(eta1) - np.asarray(eta2)[::-1])))
+
+
 def _group_mass(rows: np.ndarray, x: float, group: np.ndarray) -> float:
     z = np.exp(_logits(rows, 0, np.array([x]))[0])
     return float(z[group].sum() / z.sum())
 
 
-def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagnostics]:
+def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
     """Certified supremum of the Fisher information over the whole real line.
 
     Anadromic parameters make x = 1/2 a stationary point and the information
@@ -167,7 +163,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
     mass is strictly increasing in x, so x_max is found by bisection.  The
     line search refines a padded grid (|I'| <= 6 max|theta|^3) and prunes
     segments whose padded bound cannot beat the best value, until the pad is
-    below tol everywhere.
+    below FISHER_TOL everywhere.
 
     Ties in the argmax of theta are handled by using the total mass of the
     tied group, which leaves the tail bound intact and reduces to the single
@@ -177,7 +173,7 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
     eta2 = np.asarray(eta2, dtype=float)
     if eta1.shape != eta2.shape or eta1.ndim != 1:
         raise ValueError("eta1 and eta2 must be equal-length vectors")
-    resid = float(np.max(np.abs(eta1 - eta2[::-1])))
+    resid = _anadromic_residual(eta1, eta2)
     if resid > ANADROMIC_TOL:
         raise AnadromicityError(
             f"natural parameters are not anadromic (residual {resid:.3e}); "
@@ -253,26 +249,26 @@ def fisher_sup(eta1, eta2, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
             pos += _SEG_POINTS
             width = (b - a) / (_SEG_POINTS - 1)
             pad = lip * width / 2.0
-            if pad <= tol:
+            if pad <= FISHER_TOL:
                 continue
             upper = np.maximum(v[:-1], v[1:]) + pad
-            for idx in np.nonzero(upper > best + tol)[0]:
+            for idx in np.nonzero(upper > best + FISHER_TOL)[0]:
                 new_segments.append((float(seg_xs[idx]), float(seg_xs[idx + 1])))
         segments = new_segments
 
-    m_value = best + tol
+    m_value = best + FISHER_TOL
     diag = FisherDiagnostics(
         i_star=i_star,
         x_max=x_max,
         sigma_target=sigma_target,
         evaluations=evals,
         rounds=rounds,
-        pad=tol,
+        pad=FISHER_TOL,
     )
     return m_value, diag
 
 
-def fisher_constant(table, tol: float = FISHER_TOL) -> tuple[float, FisherDiagnostics]:
+def fisher_constant(table) -> tuple[float, FisherDiagnostics]:
     """Fisher supremum of a two-row table (the route needs a global line)."""
     table = _table_of(table)
     if table.b_in != 2:
@@ -280,7 +276,7 @@ def fisher_constant(table, tol: float = FISHER_TOL) -> tuple[float, FisherDiagno
             "the Fisher route needs b_in=2: the interpolated log density is "
             "non-differentiable at interior grid points otherwise"
         )
-    return fisher_sup(table.log_probs[0], table.log_probs[1], tol=tol)
+    return fisher_sup(table.log_probs[0], table.log_probs[1])
 
 
 def l2_round_rdp(m_constant: float, c2_sens: float, alphas=DEFAULT_ALPHAS) -> np.ndarray:
@@ -395,74 +391,56 @@ def spent_trajectory(ledger: PrivacyLedger) -> np.ndarray:
     return np.array([spent_epsilon(ledger, t) for t in range(1, ledger.rounds + 1)])
 
 
-def baseline_budgets(kind: str, *, sigma: float | None = None, eps: float | None = None,
-                     alphas=DEFAULT_ALPHAS):
-    """Per-round cost of the non-compressed baselines.
-
-    gaussian_rdp: noise std sigma * C at sensitivity C gives
-    eps_alpha = alpha / (2 sigma^2), independent of C.  laplace_pure: scale
-    C1/eps at sensitivity C1 gives pure eps.
-    """
-    if kind == "gaussian_rdp":
-        if sigma is None or sigma <= 0:
-            raise ValueError("gaussian_rdp needs a positive noise multiplier sigma")
-        return np.asarray(alphas, dtype=float) / (2.0 * sigma**2)
-    if kind == "laplace_pure":
-        if eps is None or eps <= 0:
-            raise ValueError("laplace_pure needs a positive epsilon")
-        return float(eps)
-    raise ValueError(f"unknown baseline kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Attachment and verification of mechanism constants
 # ---------------------------------------------------------------------------
 
 
+def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
+    """(value, certification record) of ``eps_prime`` or ``fisher_m``.
+
+    The one place a constant is certified, always at GRID_POINTS_PER_INTERVAL
+    and FISHER_TOL, so attached, verified and reported constants agree.  eps'
+    covers the beta-scaled input range; M needs a two-row anadromic table.
+    """
+    table = mech.table
+    if name == "eps_prime":
+        value, pad = _eps_prime_impl(table, domain_for_beta(mech.beta))
+        return value, {"grid_points": GRID_POINTS_PER_INTERVAL * (table.b_in - 1), "pad": pad}
+    value, diag = fisher_constant(table)
+    return value, {"grid_points": diag.evaluations, "pad": diag.pad}
+
+
 def attach_accounting(
-    mech: InterpolatedMechanism,
-    grid_points_per_interval: int = GRID_POINTS_PER_INTERVAL,
-    fisher_tol: float = FISHER_TOL,
-    report: dict | None = None,
+    mech: InterpolatedMechanism, report: dict | None = None
 ) -> InterpolatedMechanism:
     """Return a copy of ``mech`` with certified constants attached.
 
-    eps' is computed over the beta-scaled input range.  The Fisher constant
-    is attached only for two-row anadromic tables.  Mechanism files are
-    re-verified against the default certification parameters on load, so use
-    the defaults for anything that will be saved.  ``report``, an
-    ``accounting_report`` of this ``mech`` at the same certification
-    parameters, supplies the constant it certified, which is then not
-    computed again.
+    The Fisher constant is attached only for two-row anadromic tables.
+    ``report``, an ``accounting_report`` of this ``mech``, supplies the
+    constant it certified, which is then not computed again.
     """
     table = mech.table
     known = report or {}
     ep = known.get("eps_prime")
     if ep is None:
-        ep = eps_prime(table, domain_for_beta(mech.beta), grid_points_per_interval)
+        ep, _ = _certify(mech, "eps_prime")
     fm = known.get("fisher_m")
-    if fm is None and table.b_in == 2:
-        resid = float(np.max(np.abs(table.log_probs[0] - table.log_probs[1, ::-1])))
-        if resid <= ANADROMIC_TOL:
-            fm, _ = fisher_sup(table.log_probs[0], table.log_probs[1], tol=fisher_tol)
+    if fm is None and table.b_in == 2 and _anadromic_residual(*table.log_probs) <= ANADROMIC_TOL:
+        fm, _ = _certify(mech, "fisher_m")
     return replace(mech, eps_prime=ep, fisher_m=fm)
 
 
-def verify_accounting(mech: InterpolatedMechanism, tol: float = 1e-9) -> None:
-    """Check stored constants against a fresh computation; raise on mismatch."""
-    if mech.eps_prime is not None:
-        fresh = eps_prime(mech.table, domain_for_beta(mech.beta))
-        if abs(fresh - mech.eps_prime) > tol:
+def verify_accounting(mech: InterpolatedMechanism) -> None:
+    """Check stored constants against a fresh certification; raise on mismatch."""
+    for name in ("eps_prime", "fisher_m"):
+        stored = getattr(mech, name)
+        if stored is None:
+            continue
+        fresh, _ = _certify(mech, name)
+        if abs(fresh - stored) > VERIFY_TOL:
             raise AccountingError(
-                f"stored eps_prime {mech.eps_prime!r} does not match "
-                f"recomputation {fresh!r}"
-            )
-    if mech.fisher_m is not None:
-        fresh, _ = fisher_constant(mech.table)
-        if abs(fresh - mech.fisher_m) > tol:
-            raise AccountingError(
-                f"stored fisher_m {mech.fisher_m!r} does not match "
-                f"recomputation {fresh!r}"
+                f"stored {name} {stored!r} does not match recomputation {fresh!r}"
             )
 
 
@@ -474,56 +452,41 @@ def accounting_report(
     delta: float = DEFAULT_DELTA,
     c_sens: float | None = None,
     alphas=DEFAULT_ALPHAS,
-    grid_points_per_interval: int = GRID_POINTS_PER_INTERVAL,
-    fisher_tol: float = FISHER_TOL,
 ) -> dict:
     """Full accounting run emitted as a plain document.
 
     The default sensitivity is beta: after beta-scaling, two clipped inputs
-    differ by at most beta in the relevant norm.
+    differ by at most beta in the clip's norm.  The pure route charges the
+    l1 distance, which an l2 clip bounds only by beta * sqrt(d), so pure
+    mode under an l2 clip needs an explicit ``c_sens``.
     """
-    table = mech.table
-    sens = mech.beta if c_sens is None else float(c_sens)
-    if mode == "pure":
-        value, pad = _eps_prime_impl(
-            table, domain_for_beta(mech.beta), grid_points_per_interval
+    if mode not in ("pure", "rdp"):
+        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    if mode == "pure" and c_sens is None and mech.clip.norm != "l1":
+        raise ValueError(
+            "the pure route charges l1 sensitivity, which an l2 clip bounds only by "
+            "beta * sqrt(d); give it with --c-sens (c_sens)"
         )
-        ledger = imvu_ledger(replace(mech, eps_prime=value), "pure", rounds, sens, delta, alphas)
-        per_round = ledger.per_round
-        composed = compose(ledger)
-        return {
-            "mechanism_file": mechanism_file,
-            "mode": "pure",
-            "eps_prime": value,
-            "c_sens": sens,
-            "rounds": rounds,
-            "per_round": per_round,
-            "composed": composed,
-            "delta": 0.0,
-            "eps_dp": composed,
-            "argmin_alpha": None,
-            "certification": {
-                "grid_points": grid_points_per_interval * (table.b_in - 1),
-                "pad": pad,
-            },
-        }
-    if mode == "rdp":
-        m_value, diag = fisher_constant(table, tol=fisher_tol)
-        ledger = imvu_ledger(replace(mech, fisher_m=m_value), "rdp", rounds, sens, delta, alphas)
-        per_round = ledger.per_round
-        composed = compose(ledger)
+    sens = mech.beta if c_sens is None else float(c_sens)
+    name = "eps_prime" if mode == "pure" else "fisher_m"
+    value, certification = _certify(mech, name)
+    ledger = imvu_ledger(replace(mech, **{name: value}), mode, rounds, sens, delta, alphas)
+    composed = compose(ledger)
+    if mode == "pure":
+        per_round, delta, eps_dp, alpha_star = ledger.per_round, 0.0, composed, None
+    else:
         eps_dp, alpha_star = rdp_to_dp(composed, delta, alphas)
-        return {
-            "mechanism_file": mechanism_file,
-            "mode": "rdp",
-            "fisher_m": m_value,
-            "c_sens": sens,
-            "rounds": rounds,
-            "per_round": list(map(float, per_round)),
-            "composed": list(map(float, composed)),
-            "delta": delta,
-            "eps_dp": eps_dp,
-            "argmin_alpha": alpha_star,
-            "certification": {"grid_points": diag.evaluations, "pad": diag.pad},
-        }
-    raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+        per_round, composed = list(map(float, ledger.per_round)), list(map(float, composed))
+    return {
+        "mechanism_file": mechanism_file,
+        "mode": mode,
+        name: value,
+        "c_sens": sens,
+        "rounds": rounds,
+        "per_round": per_round,
+        "composed": composed,
+        "delta": delta,
+        "eps_dp": eps_dp,
+        "argmin_alpha": alpha_star,
+        "certification": certification,
+    }

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import MissingConstantsError, PrivacyLedger, baseline_budgets, imvu_ledger
+from .accounting import MissingConstantsError, PrivacyLedger, imvu_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, clip
 
 KINDS = ("identity", "imvu", "laplace", "gaussian", "signsgd")
@@ -84,7 +84,9 @@ def round_ledger(kind: str, rounds: int, delta: float, alphas: tuple[float, ...]
 
     imvu is charged at sensitivity beta through eps' under an l1 clip and
     the Fisher constant under an l2 clip.  ``noise`` is the laplace epsilon
-    or the gaussian/signsgd noise multiplier (signsgd is post-processing).
+    (scale C1/eps at l1 sensitivity C1 costs pure eps) or the gaussian/signsgd
+    noise multiplier sigma (std sigma * C2 at l2 sensitivity C2 costs
+    eps_alpha = alpha / (2 sigma^2); signsgd is post-processing).
     """
     if kind == "identity":
         return None
@@ -96,7 +98,6 @@ def round_ledger(kind: str, rounds: int, delta: float, alphas: tuple[float, ...]
     if noise is None or noise <= 0:
         raise ValueError(f"{kind} needs a positive noise parameter")
     if kind == "laplace":
-        return PrivacyLedger("pure", baseline_budgets("laplace_pure", eps=noise), rounds,
-                             delta=delta)
-    per_round = baseline_budgets("gaussian_rdp", sigma=noise, alphas=alphas)
+        return PrivacyLedger("pure", float(noise), rounds, delta=delta)
+    per_round = np.asarray(alphas, dtype=float) / (2.0 * noise**2)
     return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))

@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, required=True, help="output bit budget b (b_out = 2^b)")
     p.add_argument("--b-in", type=int, required=True, dest="b_in")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--metric", choices=["l1"], default="l1")
     p.add_argument("--out", required=True)
     p.add_argument("--lp-tol", type=float, default=1e-6, dest="lp_tol")
     p.add_argument("--symmetrize", action="store_true")

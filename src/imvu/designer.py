@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .accounting import ANADROMIC_TOL, _anadromic_residual
 from .mechanism import (
     PROB_FLOOR,
     MechanismTable,
@@ -366,8 +367,7 @@ def enforce_anadromic(table: MechanismTable, tol: float = 1e-6) -> MechanismTabl
     except TableInvariantError as exc:
         raise SymmetryError(f"symmetrized table failed validation: {exc}") from exc
 
-    logs = out.log_probs
-    resid = float(np.max(np.abs(logs[0] - logs[-1, ::-1]))) if table.b_in == 2 else 0.0
-    if resid > 1e-9:
-        raise SymmetryError(f"anadromic residual {resid:.3e} exceeds 1e-9")
+    resid = _anadromic_residual(*out.log_probs) if table.b_in == 2 else 0.0
+    if resid > ANADROMIC_TOL:
+        raise SymmetryError(f"anadromic residual {resid:.3e} exceeds {ANADROMIC_TOL:g}")
     return out

@@ -294,20 +294,19 @@ def pmf(mech, x) -> np.ndarray:
     return out[0] if np.ndim(x) == 0 else out
 
 
-def _moments_from_probs(probs: np.ndarray, alphabet: np.ndarray):
-    mean = probs @ alphabet
-    var = probs @ (alphabet**2) - mean**2
-    return mean, np.maximum(var, 0.0)
+def _moments(probs_of, table: MechanismTable, x):
+    """Mean and variance at x of the output whose probabilities ``probs_of`` gives."""
+    p = np.atleast_2d(probs_of(table, np.atleast_1d(np.asarray(x, dtype=float))))
+    mean = p @ table.alphabet
+    var = np.maximum(p @ (table.alphabet**2) - mean**2, 0.0)
+    if np.ndim(x) == 0:
+        return float(mean[0]), float(var[0])
+    return mean, var
 
 
 def moments(mech, x):
     """Mean and variance of the interpolated mechanism's output at x."""
-    table = _table_of(mech)
-    p = np.atleast_2d(pmf(mech, np.atleast_1d(np.asarray(x, dtype=float))))
-    mean, var = _moments_from_probs(p, table.alphabet)
-    if np.ndim(x) == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _moments(pmf, _table_of(mech), x)
 
 
 def mvu_dither_pmf(table, x) -> np.ndarray:
@@ -327,12 +326,7 @@ def mvu_dither_pmf(table, x) -> np.ndarray:
 
 def mvu_dither_moments(table, x):
     """Mean and variance of the dithered mechanism at x in [0, 1]."""
-    table = _table_of(table)
-    p = np.atleast_2d(mvu_dither_pmf(table, np.atleast_1d(np.asarray(x, dtype=float))))
-    mean, var = _moments_from_probs(p, table.alphabet)
-    if np.ndim(x) == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _moments(mvu_dither_pmf, _table_of(table), x)
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Accountant contracts: certified constants, composition, conversion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from imvu import (
     PrivacyLedger,
     accounting_report,
     attach_accounting,
-    baseline_budgets,
     compose,
     domain_for_beta,
     eps_prime,
@@ -24,9 +25,11 @@ from imvu import (
     fisher_sup,
     l1_round_eps,
     l2_round_rdp,
+    load_mechanism,
     log_pmf,
     pmf,
     rdp_to_dp,
+    save_mechanism,
     spent_trajectory,
     verify_accounting,
 )
@@ -352,32 +355,6 @@ def test_spent_trajectory_rdp_non_decreasing():
 
 
 # ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_budgets_gaussian():
-    costs = baseline_budgets("gaussian_rdp", sigma=1.0, alphas=[2.0])
-    assert costs[0] == pytest.approx(1.0)
-    np.testing.assert_allclose(
-        baseline_budgets("gaussian_rdp", sigma=2.0, alphas=[2.0, 4.0]), [0.25, 0.5]
-    )
-
-
-def test_baseline_budgets_laplace():
-    assert baseline_budgets("laplace_pure", eps=5.0) == 5.0
-
-
-def test_baseline_budgets_errors():
-    with pytest.raises(ValueError):
-        baseline_budgets("gaussian_rdp", sigma=0.0)
-    with pytest.raises(ValueError):
-        baseline_budgets("laplace_pure", eps=-1.0)
-    with pytest.raises(ValueError):
-        baseline_budgets("skellam")
-
-
-# ---------------------------------------------------------------------------
 # attach / verify / report
 # ---------------------------------------------------------------------------
 
@@ -434,3 +411,28 @@ def test_accounting_report_rdp_needs_two_rows():
     table = get_table(4, 4, 1.0)
     with pytest.raises(AccountingError, match="b_in=2"):
         accounting_report("t.json", InterpolatedMechanism(table), "rdp", rounds=5)
+
+
+def test_load_rejects_tampered_file_with_plain_floats(tmp_path, table_2x4):
+    path = tmp_path / "m.json"
+    save_mechanism(path, attach_accounting(_mech(table_2x4)))
+    doc = json.loads(path.read_text())
+    doc["accounting"]["eps_prime"] += 1e-3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AccountingError, match="stored eps_prime") as info:
+        load_mechanism(path)
+    assert "np.float64" not in str(info.value)
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+def test_attach_report_and_file_agree_on_constants(tmp_path, rr_table, table_2x4, beta):
+    for table in (rr_table, table_2x4):
+        mech = _mech(table, beta=beta)
+        attached = attach_accounting(mech)
+        pure = accounting_report("t.json", mech, "pure", rounds=3)
+        rdp = accounting_report("t.json", mech, "rdp", rounds=3)
+        save_mechanism(tmp_path / "t.json", attached)
+        loaded = load_mechanism(tmp_path / "t.json")
+        assert attached.eps_prime == pure["eps_prime"] == loaded.eps_prime
+        assert attached.fisher_m == rdp["fisher_m"] == loaded.fisher_m
+        assert type(pure["eps_prime"]) is float and type(rdp["fisher_m"]) is float

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from imvu import BaselineConfig, ClipConfig, gaussian_mech, laplace_mech, signsgd
+from imvu import DEFAULT_ALPHAS, BaselineConfig, ClipConfig, gaussian_mech, laplace_mech, signsgd
+from imvu.baselines import round_ledger
 
 
 def test_config_validation():
@@ -88,3 +89,24 @@ def test_baselines_deterministic_under_seed():
     s2 = signsgd(u, BaselineConfig("signsgd", ClipConfig("l2", 1.0), 2.0),
                  np.random.default_rng(9))
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_round_ledger_laplace_charges_its_epsilon():
+    ledger = round_ledger("laplace", 7, 1e-5, DEFAULT_ALPHAS, noise=5.0)
+    assert (ledger.mode, ledger.per_round, ledger.rounds) == ("pure", 5.0, 7)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "signsgd"])
+def test_round_ledger_gaussian_family_rdp(kind):
+    ledger = round_ledger(kind, 3, 1e-5, (2.0,), noise=1.0)
+    assert ledger.mode == "rdp" and ledger.per_round[0] == pytest.approx(1.0)
+    ledger = round_ledger(kind, 3, 1e-5, (2.0, 4.0), noise=2.0)
+    np.testing.assert_allclose(ledger.per_round, [0.25, 0.5])
+    assert ledger.alphas == (2.0, 4.0)
+
+
+def test_round_ledger_rejects_non_positive_noise():
+    for kind in ("laplace", "gaussian", "signsgd"):
+        for noise in (None, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                round_ledger(kind, 3, 1e-5, DEFAULT_ALPHAS, noise=noise)

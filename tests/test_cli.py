@@ -154,7 +154,9 @@ def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode
         return original(*args, **kwargs)
 
     monkeypatch.setattr(accounting, certifier, counting)
-    assert run("account", "--mech", mech_path, "--mode", mode, "--clip-norm", "l2",
+    # the pure route charges l1 sensitivity, so its default needs an l1 clip
+    clip_norm = "l1" if mode == "pure" else "l2"
+    assert run("account", "--mech", mech_path, "--mode", mode, "--clip-norm", clip_norm,
                "--clip-c", "1.0", "--rounds", "7", "--attach",
                "--out", str(tmp_path / "r.json")) == 0
     assert len(calls) == 1
@@ -164,6 +166,20 @@ def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["eps_prime" if mode == "pure" else "fisher_m"] == (
         fresh.eps_prime if mode == "pure" else fresh.fisher_m)
+
+
+def test_account_pure_under_l2_clip_needs_c_sens(tmp_path, capsys):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--out", mech_path) == 0
+    argv = ["account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l2",
+            "--clip-c", "1.0", "--beta", "2.0", "--rounds", "3"]
+    assert run(*argv) == 1
+    assert "--c-sens" in capsys.readouterr().err
+    # two clipped 4-vectors can differ by beta * sqrt(4) = 4 in l1
+    assert run(*argv, "--c-sens", "4.0") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["c_sens"] == 4.0
+    assert report["per_round"] == pytest.approx(4.0 * (1.0 + report["eps_prime"]))
 
 
 def test_csv_outputs_share_one_line_ending(tmp_path):
