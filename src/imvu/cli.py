@@ -65,7 +65,6 @@ def _cmd_design(args, argv) -> int:
         b_in=args.b_in,
         b_out=2**args.bits,
         eps=args.eps,
-        lp_tol=args.lp_tol,
         symmetrize=args.symmetrize,
     )
     table = design_mvu(spec)
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-in", type=int, required=True, dest="b_in")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lp-tol", type=float, default=1e-6, dest="lp_tol")
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--clip-norm", choices=["l1", "l2"], default="l2", dest="clip_norm")

@@ -3,9 +3,10 @@
 For a fixed affine output alphabet the design problem is a linear program in
 the row probabilities: minimize the summed output variance over the grid
 subject to the row simplex, exact unbiasedness at every grid point, and the
-pairwise metric-DP ratio constraints.  A golden-section search over the
-alphabet scale sits on top; for one-bit tables it recovers the
-randomized-response closed form.
+metric-DP ratio constraints between adjacent rows, which telescope to every
+pair because the grid is uniform.  A golden-section search over the alphabet
+scale sits on top; for one-bit tables it recovers the randomized-response
+closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .mechanism import (
 
 MAX_TABLE_CELLS = 4096
 GOLDEN_ITERS = 64
+REPAIR_CYCLES = 3
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # HiGHS enforces constraints to an absolute tolerance, which near the
@@ -50,15 +52,13 @@ class DesignSpec:
 
     ``eps`` is the L1-metric-DP budget of the table itself.  The alphabet is
     the affine family a_j = 1/2 + s * (2(j-1)/(b_out-1) - 1) with the scale s
-    searched over ``alphabet_scale_range`` (default brackets the
-    randomized-response solution).
+    searched over ``scale_range()``, which brackets the randomized-response
+    solution.
     """
 
     b_in: int
     b_out: int
     eps: float
-    alphabet_scale_range: tuple[float, float] | None = None
-    lp_tol: float = 1e-6
     symmetrize: bool = False
 
     def __post_init__(self):
@@ -66,17 +66,18 @@ class DesignSpec:
             raise ValueError("b_in and b_out must both be at least 2")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
-        if not (0 < self.lp_tol <= 1e-4):
-            raise ValueError("lp_tol must lie in (0, 1e-4]")
-        if self.alphabet_scale_range is not None:
-            lo, hi = self.alphabet_scale_range
-            if not (0 < lo < hi):
-                raise ValueError("alphabet_scale_range must be an increasing positive interval")
+        if not np.isfinite(self.scale_range()[1]):
+            raise ValueError(
+                f"eps={self.eps!r} is too small: e^eps rounds to 1, "
+                "so the alphabet scale bracket is unbounded"
+            )
 
     def scale_range(self) -> tuple[float, float]:
-        if self.alphabet_scale_range is not None:
-            return self.alphabet_scale_range
-        return 0.5, float(np.exp(self.eps) / (np.exp(self.eps) - 1.0) + 1.0)
+        # From eps = 40 on, e^eps / (e^eps - 1) is exactly 1.0 in double
+        # precision, so the cap changes no bracket and avoids overflow.
+        growth = np.exp(min(self.eps, 40.0))
+        with np.errstate(divide="ignore"):
+            return 0.5, float(growth / (growth - 1.0) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,6 @@ class ValidationReport:
 
     def failures(self, tol: float) -> list[str]:
         return [name for name, v in self.checks.items() if v > tol]
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.checks, key=self.checks.get)
-        return name, self.checks[name]
 
 
 def validate_table(table, tol: float = 1e-6) -> ValidationReport:
@@ -126,49 +123,38 @@ def _alphabet(b_out: int, scale: float) -> np.ndarray:
     return 0.5 + scale * (2.0 * j / (b_out - 1) - 1.0)
 
 
-def _lp_matrices(b_in: int, b_out: int, eps: float, alphabet: np.ndarray):
-    grid = np.arange(b_in, dtype=float) / (b_in - 1)
-    n = b_in * b_out
-    cost = np.tile(alphabet**2, b_in)
+def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
+    """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found.
 
-    a_eq = np.zeros((2 * b_in, n))
-    b_eq = np.zeros(2 * b_in)
-    for i in range(b_in):
-        a_eq[i, i * b_out : (i + 1) * b_out] = 1.0
-        b_eq[i] = 1.0
-        a_eq[b_in + i, i * b_out : (i + 1) * b_out] = alphabet
-        b_eq[b_in + i] = grid[i]
+    The variables are the row-major probabilities p[i, j].  The ratio rows
+    are p[i, j] <= e^(eps/(b_in-1)) p[i+1, j] (forward) followed by
+    p[i+1, j] <= e^(eps/(b_in-1)) p[i, j] (backward).
+    """
+    alphabet = _alphabet(b_out, scale)
+    grid = np.arange(b_in, dtype=float) / (b_in - 1)
+    rows = np.eye(b_in)
+    a_eq = np.vstack([np.kron(rows, np.ones(b_out)), np.kron(rows, alphabet)])
+    b_eq = np.concatenate([np.ones(b_in), grid])
 
     # Ratio rows with growth >= 1/PROB_FLOOR are implied by the variable
     # bounds (p <= 1 <= growth * floor) and would overflow the solver's
     # coefficient range, so they are dropped.
-    pairs = [
-        (i, k, np.exp(eps * abs(grid[i] - grid[k])))
-        for i in range(b_in)
-        for k in range(b_in)
-        if i != k and eps * abs(grid[i] - grid[k]) < np.log(1.0 / PROB_FLOOR)
-    ]
-    a_ub = np.zeros((len(pairs) * b_out, n))
-    row = 0
-    for i, k, growth in pairs:
-        for j in range(b_out):
-            a_ub[row, i * b_out + j] = 1.0
-            a_ub[row, k * b_out + j] = -growth
-            row += 1
-    return cost, a_ub, a_eq, b_eq, grid
+    step = eps / (b_in - 1)
+    if step < np.log(1.0 / PROB_FLOOR):
+        here, ahead = np.eye(b_in - 1, b_in), np.eye(b_in - 1, b_in, k=1)
+        growth = np.exp(step)
+        pairs = np.vstack([here - growth * ahead, ahead - growth * here])
+        a_ub = np.kron(pairs, np.eye(b_out))
+    else:
+        a_ub = np.zeros((0, b_in * b_out))
 
-
-def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
-    """LP optimum at one alphabet scale; (inf, None, alphabet) if infeasible."""
-    alphabet = _alphabet(b_out, scale)
-    cost, a_ub, a_eq, b_eq, grid = _lp_matrices(b_in, b_out, eps, alphabet)
     res = linprog(
-        cost,
+        np.tile(alphabet**2, b_in),
         A_ub=a_ub,
         b_ub=np.zeros(a_ub.shape[0]),
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=[(PROB_FLOOR, 1.0)] * (b_in * b_out),
+        bounds=(PROB_FLOOR, 1.0),
         method="highs",
         options=_LP_OPTIONS,
     )
@@ -178,7 +164,7 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
     return variance, res.x.reshape(b_in, b_out), alphabet
 
 
-def _repair_probs(probs: np.ndarray, eps: float, cycles: int = 3) -> np.ndarray:
+def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
     """Restore exact feasibility of an LP solution in log space.
 
     Floors the probabilities, then alternates row renormalization with a
@@ -190,7 +176,7 @@ def _repair_probs(probs: np.ndarray, eps: float, cycles: int = 3) -> np.ndarray:
     b_in = probs.shape[0]
     step = eps / (b_in - 1)
     p = np.maximum(probs, PROB_FLOOR)
-    for _ in range(cycles):
+    for _ in range(REPAIR_CYCLES):
         p = p / p.sum(axis=1, keepdims=True)
         logs = np.log(p)
         for i in range(b_in - 1):
@@ -199,7 +185,7 @@ def _repair_probs(probs: np.ndarray, eps: float, cycles: int = 3) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
+def _golden_section(f, lo: float, hi: float):
     """Minimize f over [lo, hi]; returns the best evaluated point.
 
     Infeasible scales evaluate to inf.  The optimum often sits exactly on the
@@ -220,7 +206,7 @@ def _golden_section(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = ev(c), ev(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -232,81 +218,34 @@ def _golden_section(f, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     return best_val, best_arg
 
 
-def _diagnose_infeasibility(spec: DesignSpec, scale: float) -> str:
-    """Phase-1 style diagnosis: how far is unbiasedness from satisfiable?
-
-    The simplex and DP constraints are always jointly feasible (uniform
-    rows), so the binding constraint is unbiasedness at some grid point.
-    """
-    b_in, b_out = spec.b_in, spec.b_out
-    alphabet = _alphabet(b_out, scale)
-    cost, a_ub, a_eq, b_eq, grid = _lp_matrices(b_in, b_out, spec.eps, alphabet)
-    n = b_in * b_out
-    # elastic unbiasedness rows: add +s - t slack per grid point
-    n_slack = 2 * b_in
-    a_eq2 = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_slack))])
-    for i in range(b_in):
-        a_eq2[b_in + i, n + 2 * i] = 1.0
-        a_eq2[b_in + i, n + 2 * i + 1] = -1.0
-    cost2 = np.concatenate([np.zeros(n), np.ones(n_slack)])
-    a_ub2 = np.hstack([a_ub, np.zeros((a_ub.shape[0], n_slack))])
-    res = linprog(
-        cost2,
-        A_ub=a_ub2,
-        b_ub=np.zeros(a_ub2.shape[0]),
-        A_eq=a_eq2,
-        b_eq=b_eq,
-        bounds=[(PROB_FLOOR, 1.0)] * n + [(0, None)] * n_slack,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        return "infeasible even with elastic unbiasedness (simplex/DP conflict)"
-    slacks = res.x[n:].reshape(b_in, 2).sum(axis=1)
-    i = int(np.argmax(slacks))
-    return (
-        f"tightest violated constraint: unbiasedness at grid point {i} "
-        f"(x={i / (b_in - 1):.4f}), residual {slacks[i]:.3e} at scale {scale:.4f}"
-    )
-
-
 def design_mvu(spec: DesignSpec) -> MechanismTable:
     """Design a table for the given spec.
 
     Runs the golden-section scale search over the LP optimum, repairs the
     winning solution in log space, optionally symmetrizes it, and constructs
-    the (fully validated) MechanismTable.
+    the MechanismTable, whose construction validates every invariant.
     """
     if spec.b_in * spec.b_out > MAX_TABLE_CELLS:
         raise DesignError(
             f"table has {spec.b_in * spec.b_out} cells; "
             f"the dense designer is limited to {MAX_TABLE_CELLS}"
         )
+    # The upper end of the bracket is always feasible: the two-letter linear
+    # table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  A search
+    # with no finite value therefore means the solver failed.
     lo, hi = spec.scale_range()
     best_val, best_scale = _golden_section(
         lambda s: _solve_lp(spec.b_in, spec.b_out, spec.eps, s)[0], lo, hi
     )
     if not np.isfinite(best_val):
-        detail = _diagnose_infeasibility(spec, 0.5 * (lo + hi))
-        raise DesignError(
-            f"design LP infeasible at every scale in [{lo:.4f}, {hi:.4f}]; {detail}"
-        )
+        raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
     _, raw_probs, alphabet = _solve_lp(spec.b_in, spec.b_out, spec.eps, best_scale)
     probs = _repair_probs(raw_probs, spec.eps)
     grid = np.arange(spec.b_in, dtype=float) / (spec.b_in - 1)
     if spec.symmetrize:
-        probs = _anadromic_average(probs)
-        report = validate_table(
-            {"grid": grid, "alphabet": alphabet, "probs": probs, "design_eps": spec.eps},
-            tol=spec.lp_tol,
-        )
-        if not report.passed(spec.lp_tol):
-            name, viol = report.worst()
-            raise SymmetryError(
-                f"symmetrization broke check '{name}' (violation {viol:.3e})"
-            )
+        return _symmetrized(probs, grid, alphabet, spec.eps)
     try:
-        table = MechanismTable(
+        return MechanismTable(
             b_in=spec.b_in,
             b_out=spec.b_out,
             grid=grid,
@@ -317,57 +256,39 @@ def design_mvu(spec: DesignSpec) -> MechanismTable:
     except TableInvariantError as exc:
         raise DesignError(f"designed table failed validation: {exc}") from exc
 
-    report = validate_table(table, tol=spec.lp_tol)
-    if not report.passed(spec.lp_tol):
-        name, viol = report.worst()
-        raise DesignError(f"designed table failed check '{name}' at {viol:.3e}")
-    return table
 
+def _symmetrized(probs, grid, alphabet, eps: float) -> MechanismTable:
+    """Average probs with their anadromic reversal and build the table.
 
-def _anadromic_average(probs: np.ndarray) -> np.ndarray:
-    # Simultaneous row and column reversal leaves the constraint set
-    # invariant (symmetric grid, alphabet with a_j + a_rev = 1), so the
-    # average of a feasible table with its reversal stays feasible.
-    avg = 0.5 * (probs + probs[::-1, ::-1])
-    return avg / avg.sum(axis=1, keepdims=True)
-
-
-def enforce_anadromic(table: MechanismTable, tol: float = 1e-6) -> MechanismTable:
-    """Symmetrize a table so reversed-index natural parameters match.
-
-    Already-anadromic tables pass through unchanged (the averaging is their
-    fixed point).  The symmetrized probabilities are re-verified against
-    every design constraint rather than assumed valid.
+    Simultaneous row and column reversal leaves the constraint set invariant
+    (symmetric grid, alphabet with a_j + a_rev = 1), so the average of a
+    feasible table with its reversal stays feasible; construction re-verifies
+    every design constraint rather than assuming it.
     """
-    probs = _anadromic_average(np.array(table.probs))
-    report = validate_table(
-        {
-            "grid": table.grid,
-            "alphabet": table.alphabet,
-            "probs": probs,
-            "design_eps": table.design_eps,
-        },
-        tol=tol,
-    )
-    bad = [name for name in report.failures(tol) if name in ("metric_dp", "unbiasedness")]
-    if bad:
-        name = bad[0]
-        raise SymmetryError(
-            f"anadromic averaging violates '{name}' at {report.checks[name]:.3e}"
-        )
+    avg = 0.5 * (probs + probs[::-1, ::-1])
+    avg = avg / avg.sum(axis=1, keepdims=True)
     try:
-        out = MechanismTable(
-            b_in=table.b_in,
-            b_out=table.b_out,
-            grid=np.array(table.grid),
-            alphabet=np.array(table.alphabet),
-            log_probs=np.log(probs),
-            design_eps=table.design_eps,
+        table = MechanismTable(
+            b_in=avg.shape[0],
+            b_out=avg.shape[1],
+            grid=grid,
+            alphabet=alphabet,
+            log_probs=np.log(avg),
+            design_eps=eps,
         )
     except TableInvariantError as exc:
         raise SymmetryError(f"symmetrized table failed validation: {exc}") from exc
 
-    resid = _anadromic_residual(*out.log_probs) if table.b_in == 2 else 0.0
+    resid = _anadromic_residual(*table.log_probs) if table.b_in == 2 else 0.0
     if resid > ANADROMIC_TOL:
         raise SymmetryError(f"anadromic residual {resid:.3e} exceeds {ANADROMIC_TOL:g}")
-    return out
+    return table
+
+
+def enforce_anadromic(table: MechanismTable) -> MechanismTable:
+    """Symmetrize a table so reversed-index natural parameters match.
+
+    Already-anadromic tables pass through unchanged (the averaging is their
+    fixed point).
+    """
+    return _symmetrized(table.probs, table.grid, table.alphabet, table.design_eps)

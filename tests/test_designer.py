@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from imvu import (
     DesignError,
@@ -14,7 +17,9 @@ from imvu import (
     moments,
     validate_table,
 )
-from imvu.designer import _anadromic_average
+from imvu import designer
+from imvu.designer import _alphabet, _solve_lp, _symmetrized
+from imvu.mechanism import PROB_FLOOR
 
 from conftest import LN3, get_table
 
@@ -58,26 +63,39 @@ def test_design_lp_optimal_over_scale_grid():
     table = get_table(2, 2, LN3)
     best = table_variance(table)
     for scale in np.linspace(0.5, 2.5, 41):
-        spec = DesignSpec(2, 2, LN3, alphabet_scale_range=(scale, scale * (1 + 1e-9)))
-        try:
-            other = design_mvu(spec)
-        except DesignError:
-            continue
-        assert table_variance(other) >= best - 1e-6
+        assert _solve_lp(2, 2, LN3, scale)[0] >= best - 1e-6
 
 
-def test_no_privacy_limit():
-    table = design_mvu(DesignSpec(2, 2, 50.0))
+def assert_no_privacy_table(table):
     np.testing.assert_allclose(table.alphabet, [0.0, 1.0], atol=1e-4)
     assert table.probs[0, 0] >= 1.0 - 1e-6
     assert table.probs[1, 1] >= 1.0 - 1e-6
     assert table_variance(table) <= 1e-6
 
 
+def test_no_privacy_limit():
+    assert_no_privacy_table(design_mvu(DesignSpec(2, 2, 50.0)))
+
+
+@pytest.mark.parametrize("eps", [800.0, 1e6])
+def test_no_privacy_limit_at_extreme_eps(eps):
+    # e^eps overflows here; the bracket must still be the eps = 50 one
+    assert DesignSpec(2, 2, eps).scale_range() == DesignSpec(2, 2, 50.0).scale_range()
+    assert_no_privacy_table(design_mvu(DesignSpec(2, 2, eps)))
+
+
 def test_variance_non_increasing_in_eps():
     for b_in, b_out in ((2, 2), (4, 4)):
         values = [table_variance(get_table(b_in, b_out, eps)) for eps in (0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_three_row_design_at_large_eps():
+    # An all-pairs LP, whose end-to-end ratio row has growth e^25.4, made
+    # HiGHS fail at some scales here and the search settle on a table with
+    # variance 0.17, against 4.5e-5 at eps = 20.
+    values = [table_variance(design_mvu(DesignSpec(3, 5, eps))) for eps in (20.0, 25.43352729340266)]
+    assert values[1] <= values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +108,23 @@ def test_design_size_guard():
         design_mvu(DesignSpec(b_in=70, b_out=64, eps=1.0))
 
 
-def test_design_infeasible_reports_constraint():
-    # alphabet too narrow to reach the grid endpoints in expectation
-    spec = DesignSpec(2, 2, 1.0, alphabet_scale_range=(0.01, 0.02))
-    with pytest.raises(DesignError, match="unbiasedness"):
-        design_mvu(spec)
+def test_design_reports_solver_failure(monkeypatch):
+    class Failed:
+        success = False
+
+    monkeypatch.setattr(designer, "linprog", lambda *args, **kwargs: Failed())
+    with pytest.raises(DesignError, match="solver failed at every scale"):
+        design_mvu(DesignSpec(2, 2, 1.0))
+
+
+@pytest.mark.parametrize("b_in", [2, 3, 4, 8, 16, 32])
+def test_lp_feasible_at_bracket_upper_end(b_in):
+    # the search relies on hi being feasible for every spec it may see
+    for b_out in (2, 3, 4, 8, 16):
+        for eps in (0.01, 0.1, 0.5, 1.0, 5.0, 20.0, 40.0):
+            _, hi = DesignSpec(b_in, b_out, eps).scale_range()
+            value = _solve_lp(b_in, b_out, eps, hi)[0]
+            assert np.isfinite(value), (b_in, b_out, eps)
 
 
 def test_spec_validation():
@@ -102,8 +132,70 @@ def test_spec_validation():
         DesignSpec(1, 2, 1.0)
     with pytest.raises(ValueError):
         DesignSpec(2, 2, -1.0)
-    with pytest.raises(ValueError):
-        DesignSpec(2, 2, 1.0, lp_tol=1e-3)
+    with pytest.raises(ValueError, match="eps=1e-17 is too small"):
+        DesignSpec(2, 2, 1e-17)
+
+
+def _all_pairs_lp(b_in, b_out, eps, scale):
+    """Reference LP with a ratio row for every ordered pair of grid points.
+
+    Returns the variance, inf if infeasible, or None if the solver failed.
+    """
+    alphabet = _alphabet(b_out, scale)
+    grid = np.arange(b_in, dtype=float) / (b_in - 1)
+    n = b_in * b_out
+    a_eq = np.zeros((2 * b_in, n))
+    for i in range(b_in):
+        a_eq[i, i * b_out : (i + 1) * b_out] = 1.0
+        a_eq[b_in + i, i * b_out : (i + 1) * b_out] = alphabet
+    rows = []
+    for i in range(b_in):
+        for k in range(b_in):
+            gap = eps * abs(grid[i] - grid[k])
+            if i == k or gap >= np.log(1.0 / PROB_FLOOR):
+                continue
+            for j in range(b_out):
+                row = np.zeros(n)
+                row[i * b_out + j] = 1.0
+                row[k * b_out + j] = -np.exp(gap)
+                rows.append(row)
+    a_ub = np.array(rows).reshape(-1, n)
+    res = linprog(
+        np.tile(alphabet**2, b_in),
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=a_eq,
+        b_eq=np.concatenate([np.ones(b_in), grid]),
+        bounds=[(PROB_FLOOR, 1.0)] * n,
+        method="highs",
+        options=designer._LP_OPTIONS,
+    )
+    if res.status not in (0, 2):
+        return None
+    return float(res.fun - np.sum(grid**2)) if res.success else np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 8),
+    log_eps=st.floats(np.log(0.05), np.log(30.0)),
+    frac=st.floats(0.0, 1.0),
+)
+def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
+    # On a uniform grid the adjacent ratio rows telescope to every pair.
+    # HiGHS can fail on the all-pairs LP once a non-adjacent growth nears
+    # 1/PROB_FLOOR (it called the bounded 3x5 LP at eps = 25.4 unbounded);
+    # such a draw says nothing about the reduction.
+    eps = float(np.exp(log_eps))
+    lo, hi = DesignSpec(b_in, b_out, eps).scale_range()
+    scale = lo + frac * (hi - lo)
+    reference = _all_pairs_lp(b_in, b_out, eps, scale)
+    assume(reference is not None)
+    adjacent = _solve_lp(b_in, b_out, eps, scale)[0]
+    assert np.isfinite(adjacent) == np.isfinite(reference)
+    if np.isfinite(reference):
+        assert abs(adjacent - reference) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +215,18 @@ def test_enforce_anadromic_idempotent():
 
 
 def test_anadromic_average_formula():
+    # the alphabet has a_0 + a_1 = 1 and makes the averaged rows unbiased
     probs = np.array([[0.8, 0.2], [0.25, 0.75]])
-    avg = _anadromic_average(probs)
-    np.testing.assert_allclose(avg, [[0.775, 0.225], [0.225, 0.775]], atol=1e-15)
+    table = _symmetrized(probs, [0.0, 1.0], [-9.0 / 22.0, 31.0 / 22.0], 1.4)
+    np.testing.assert_allclose(table.probs, [[0.775, 0.225], [0.225, 0.775]], atol=1e-15)
+
+
+@pytest.mark.parametrize("b_out", [2, 4, 8])
+def test_symmetrize_spec_agrees_with_enforce_anadromic(b_out):
+    designed = design_mvu(DesignSpec(2, b_out, 1.0, symmetrize=True))
+    enforced = enforce_anadromic(get_table(2, b_out, 1.0))
+    np.testing.assert_array_equal(designed.alphabet, enforced.alphabet)
+    np.testing.assert_allclose(designed.probs, enforced.probs, rtol=0, atol=1e-12)
 
 
 def test_enforce_anadromic_rejects_asymmetric_alphabet():
