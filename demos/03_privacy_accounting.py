@@ -33,7 +33,8 @@ table = enforce_anadromic(design_mvu(DesignSpec(2, 2, eps)))
 mech = attach_accounting(InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l1", 1.0)))
 
 print(f"design eps = ln 3 = {eps:.5f}")
-print(f"certified eps' = {mech.eps_prime:.6f} (supremum ln3/2 = {np.log(3)/2:.6f} plus pad)")
+print(f"certified eps' = {mech.eps_prime:.6f} (supremum ln3/2 = {np.log(3)/2:.6f}, "
+      "from the interval endpoints plus a rounding pad)")
 
 rate = table.design_eps + mech.eps_prime
 rng = np.random.default_rng(0)

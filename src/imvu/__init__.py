@@ -56,6 +56,7 @@ from .mechanism import (
 )
 from .oracles import (
     exact_max_divergence,
+    eps_prime_grid_max,
     exact_renyi,
     fisher_grid_max,
     joint_divergence_bruteforce,

@@ -7,9 +7,11 @@ route bounds the order-alpha Renyi divergence by alpha * M * (x - x')^2 / 2,
 where M is the supremum of the mechanism's Fisher information over the whole
 real line; it requires a two-row table with anadromic natural parameters.
 
-Both constants are *certified upper bounds*: dense-grid maxima padded by a
-bound on the integrand's derivative, never bare estimates.  Composition is
-plain additivity; there is no subsampling amplification.
+Both constants are *certified upper bounds* from cumulant identities of the
+exponential family exp(eta + t theta), never bare estimates: eps' from
+interval endpoints plus a rounding pad, M from a line search with a
+closed-form curvature pad.  Composition is plain additivity; there is no
+subsampling amplification.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ from .mechanism import InterpolatedMechanism, MechanismTable, _logits, _softmax,
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
 
-GRID_POINTS_PER_INTERVAL = 10_000
 FISHER_TOL = 1e-9
 ANADROMIC_TOL = 1e-9
 VERIFY_TOL = 1e-9
 _TIE_MARGIN = 1e-12
 
-# Refinement schedule of the certified line search: points per segment and a
-# hard cap on total evaluations before giving up.
+# Refinement schedule of the certified line search: points per segment, a
+# hard cap on total evaluations before giving up, and segments per evaluation.
 _SEG_POINTS = 129
 _MAX_EVALS = 50_000_000
+_CHUNK_SEGMENTS = 64
 
 
 class AccountingError(RuntimeError):
@@ -53,10 +55,8 @@ class FisherDiagnostics:
 
     i_star: float
     x_max: float
-    sigma_target: float
     evaluations: int
     rounds: int
-    pad: float
 
 
 def domain_for_beta(beta: float) -> tuple[float, float]:
@@ -70,36 +70,30 @@ def domain_for_beta(beta: float) -> tuple[float, float]:
 
 
 def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple[float, float]:
-    """(eps', max pad used).  Scans every interval densely.
+    """(eps', rounding pad), from the two endpoints of every interval.
 
-    On interval i the interpolated parameter moves along theta_i = eta_{i+1}
-    - eta_i, and h(xi) = |softmax(eta(xi)) . theta_i|.  |dh/dxi| is
-    (b_in - 1) |Var_softmax(theta_i)| <= (b_in - 1)(max theta - min theta)^2/4
-    (variance of a bounded variable), which pads the grid maximum into a
-    certified supremum.  The boundary intervals are extended to cover the
-    accounting domain, matching the sampler's extrapolation rule.
+    On interval i the natural parameter is eta_i + t theta_i, so d/dt
+    E_t[theta_i] = Var_t(theta_i) >= 0 and |E_t[theta_i]| peaks at an
+    endpoint; the boundary intervals are stretched over the accounting
+    domain.  The pad covers rounding: lerp and shift move each logit by at
+    most 3 eps_mach S, S = (|1 - t| + |t|) max|eta| bounding |eta| before the
+    shift, so the mean by range(theta_i) times that; exp, sum and dot
+    product add (b_out + 3) eps_mach max|theta_i|.  8 eps_mach (b_out + S)
+    max|theta_i| bounds both, with room for the final product by b_in - 1.
     """
     logs = table.log_probs
     if not np.all(np.isfinite(logs)):
         raise ValueError("natural parameters must be finite")
     nseg = table.b_in - 1
-    lo_dom = min(float(domain[0]), 0.0)
-    hi_dom = max(float(domain[1]), 1.0)
-    best = 0.0
-    worst_pad = 0.0
-    for i in range(nseg):
-        seg_lo = i / nseg if i > 0 else lo_dom
-        seg_hi = (i + 1) / nseg if i < nseg - 1 else hi_dom
-        theta = logs[i + 1] - logs[i]
-        xs = np.linspace(seg_lo, seg_hi, GRID_POINTS_PER_INTERVAL)
-        sm = _softmax(logs, i, xs * nseg - i)
-        h = np.abs(sm @ theta)
-        lip = nseg * (theta.max() - theta.min()) ** 2 / 4.0
-        step = (seg_hi - seg_lo) / (GRID_POINTS_PER_INTERVAL - 1)
-        pad = lip * step / 2.0
-        best = max(best, float(h.max()) + pad)
-        worst_pad = max(worst_pad, pad)
-    return float(nseg * best), float(nseg * worst_pad)
+    i = np.repeat(np.arange(nseg), 2)
+    t = np.tile([0.0, 1.0], nseg)
+    t[0] = min(0.0, nseg * float(domain[0]))
+    t[-1] = max(1.0, nseg * float(domain[1]) - (nseg - 1))
+    theta = np.diff(logs, axis=0)[i]
+    h = np.abs(np.sum(_softmax(logs, i, t) * theta, axis=1))
+    size = (np.abs(1.0 - t) + np.abs(t)) * np.max(np.abs(logs))
+    pad = 8.0 * np.finfo(float).eps * (table.b_out + size) * np.max(np.abs(theta), axis=1)
+    return float(nseg * np.max(h + pad)), float(nseg * np.max(pad))
 
 
 def eps_prime(table, domain: tuple[float, float] = (0.0, 1.0)) -> float:
@@ -137,8 +131,7 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
         raise ValueError("natural parameters must be finite")
     theta = eta2 - eta1
     sm = _softmax(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
-    vals = sm @ theta**2 - (sm @ theta) ** 2
-    vals = np.maximum(vals, 0.0)
+    vals = np.maximum(sm @ theta**2 - (sm @ theta) ** 2, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -160,10 +153,11 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
     from the tail bound I(x) <= 4 theta_max^2 s (1 - s) with s the softmax
     mass of the argmax-theta letters: once that mass passes the level where
     the bound drops below I(1/2), no larger value can occur further out.  The
-    mass is strictly increasing in x, so x_max is found by bisection.  The
-    line search refines a padded grid (|I'| <= 6 max|theta|^3) and prunes
-    segments whose padded bound cannot beat the best value, until the pad is
-    below FISHER_TOL everywhere.
+    mass is strictly increasing in x, so x_max is found by bisection.  As
+    I = Var_x(theta) <= R^2/4, R the range of theta, and |I''| = |kappa_4| <=
+    R^4/4, I on a step of width w is at most min(R^2/4, larger endpoint value
+    + R^4 w^2/32).  The line search refines the steps whose bound beats the
+    best value, until the pad is below FISHER_TOL everywhere.
 
     Ties in the argmax of theta are handled by using the total mass of the
     tied group, which leaves the tail bound intact and reduces to the single
@@ -181,10 +175,8 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
         )
     theta = eta2 - eta1
     rows = np.stack((eta1, eta2))
-    t_abs = float(np.max(np.abs(theta)))
-    if t_abs == 0.0:
-        diag = FisherDiagnostics(0.0, 0.5, 0.5, 1, 0, 0.0)
-        return 0.0, diag
+    if not theta.any():
+        return 0.0, FisherDiagnostics(0.0, 0.5, 1, 0)
 
     t_max = float(theta.max())
     group = theta >= t_max - _TIE_MARGIN
@@ -228,44 +220,31 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
                 hi = mid
         x_max = hi  # right endpoint keeps the tail certificate valid
 
-    lip = 6.0 * t_abs**3
+    spread = float(theta.max() - theta.min())
+    cap = spread**2 / 4.0
     best = i_star
-    segments = [(0.5, x_max)] if x_max > 0.5 else []
+    segments = np.array([[0.5, x_max]]) if x_max > 0.5 else np.empty((0, 2))
     rounds = 0
-    while segments:
+    while segments.size:
         rounds += 1
-        xs_parts = [np.linspace(a, b, _SEG_POINTS) for a, b in segments]
-        xs = np.concatenate(xs_parts)
-        evals += xs.size
-        if evals > _MAX_EVALS:
-            raise AccountingError("line search exceeded its evaluation budget")
-        vals = fisher_info(eta1, eta2, xs)
-        best = max(best, float(vals.max()))
-        new_segments = []
-        pos = 0
-        for a, b in segments:
-            v = vals[pos : pos + _SEG_POINTS]
-            seg_xs = xs[pos : pos + _SEG_POINTS]
-            pos += _SEG_POINTS
-            width = (b - a) / (_SEG_POINTS - 1)
-            pad = lip * width / 2.0
-            if pad <= FISHER_TOL:
-                continue
-            upper = np.maximum(v[:-1], v[1:]) + pad
-            for idx in np.nonzero(upper > best + FISHER_TOL)[0]:
-                new_segments.append((float(seg_xs[idx]), float(seg_xs[idx + 1])))
-        segments = new_segments
+        evals += segments.shape[0] * _SEG_POINTS
+        kept, n_kept = [], 0
+        for start in range(0, segments.shape[0], _CHUNK_SEGMENTS):
+            a, b = segments[start : start + _CHUNK_SEGMENTS].T
+            xs = np.linspace(a, b, _SEG_POINTS, axis=1)
+            vals = fisher_info(eta1, eta2, xs.ravel()).reshape(xs.shape)
+            best = max(best, float(vals.max()))
+            pad = spread**4 * ((b - a) / (_SEG_POINTS - 1)) ** 2 / 32.0
+            upper = np.minimum(np.maximum(vals[:, :-1], vals[:, 1:]) + pad[:, None], cap)
+            live = (upper > best + FISHER_TOL) & (pad > FISHER_TOL)[:, None]
+            kept.append(np.stack((xs[:, :-1][live], xs[:, 1:][live]), axis=1))
+            n_kept += len(kept[-1])
+            # checked before the next round's segments grow any further
+            if evals + n_kept * _SEG_POINTS > _MAX_EVALS:
+                raise AccountingError("line search exceeded its evaluation budget")
+        segments = np.concatenate(kept)
 
-    m_value = best + FISHER_TOL
-    diag = FisherDiagnostics(
-        i_star=i_star,
-        x_max=x_max,
-        sigma_target=sigma_target,
-        evaluations=evals,
-        rounds=rounds,
-        pad=FISHER_TOL,
-    )
-    return m_value, diag
+    return best + FISHER_TOL, FisherDiagnostics(i_star, x_max, evals, rounds)
 
 
 def fisher_constant(table) -> tuple[float, FisherDiagnostics]:
@@ -399,16 +378,17 @@ def spent_trajectory(ledger: PrivacyLedger) -> np.ndarray:
 def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
     """(value, certification record) of ``eps_prime`` or ``fisher_m``.
 
-    The one place a constant is certified, always at GRID_POINTS_PER_INTERVAL
-    and FISHER_TOL, so attached, verified and reported constants agree.  eps'
-    covers the beta-scaled input range; M needs a two-row anadromic table.
+    The one place a constant is certified, so attached, verified and reported
+    constants agree.  eps' covers the beta-scaled input range; M needs a
+    two-row anadromic table.  The record holds the number of evaluations and
+    the pad added to the largest evaluated value.
     """
     table = mech.table
     if name == "eps_prime":
         value, pad = _eps_prime_impl(table, domain_for_beta(mech.beta))
-        return value, {"grid_points": GRID_POINTS_PER_INTERVAL * (table.b_in - 1), "pad": pad}
+        return value, {"evaluations": 2 * (table.b_in - 1), "pad": pad}
     value, diag = fisher_constant(table)
-    return value, {"grid_points": diag.evaluations, "pad": diag.pad}
+    return value, {"evaluations": diag.evaluations, "pad": FISHER_TOL}
 
 
 def attach_accounting(

@@ -103,3 +103,16 @@ def fisher_grid_max(eta1, eta2, x_range: tuple[float, float], n: int) -> float:
         vals = fisher_info(eta1, eta2, edges[start : start + chunk])
         best = max(best, float(np.max(vals)))
     return best
+
+
+def eps_prime_grid_max(table, domain: tuple[float, float], n: int) -> float:
+    """Dense-grid eps': (b_in - 1) max |E_x[theta_i]| over n >= 10^4 points per
+    interval i, the boundary intervals stretched over ``domain``."""
+    if n < 10_000:
+        raise ValueError("eps_prime_grid_max needs at least 10^4 points per interval")
+    nseg = table.b_in - 1
+    edges = np.linspace(0.0, 1.0, nseg + 1)
+    edges[0], edges[-1] = min(0.0, domain[0]), max(1.0, domain[1])
+    theta = np.diff(table.log_probs, axis=0)
+    probs = (np.exp(log_pmf(table, np.linspace(edges[i], edges[i + 1], n))) for i in range(nseg))
+    return nseg * max(float(np.max(np.abs(p @ th))) for p, th in zip(probs, theta))

@@ -1,11 +1,11 @@
 """Mechanism file format: a single self-describing JSON document; CSV tables.
 
-Fields: format_version (1), b_in, b_out, metric ("l1"), design_eps, grid,
+Fields: format_version (2), b_in, b_out, metric ("l1"), design_eps, grid,
 alphabet, log_probs (row-major, natural log), and an accounting block
 {eps_prime, fisher_m, beta, clip_norm, clip_c} with null for constants that
 were never attached.  The loader revalidates every invariant and recomputes
-any stored constants, rejecting the file on mismatch.  ``write_csv`` writes
-the harnesses' result tables.
+any stored constants, rejecting the file on mismatch (version 1 files carry
+an older, larger eps').  ``write_csv`` writes the harnesses' result tables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .accounting import verify_accounting
 from .mechanism import ClipConfig, InterpolatedMechanism, MechanismTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _REQUIRED = ("format_version", "b_in", "b_out", "metric", "design_eps",
              "grid", "alphabet", "log_probs", "accounting")
@@ -53,14 +53,19 @@ def save_mechanism(path, mech: InterpolatedMechanism) -> None:
 
 
 def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism:
+    if not isinstance(doc, dict):
+        raise ValueError(f"mechanism document must be a JSON object, got {type(doc).__name__}")
     for key in _REQUIRED:
         if key not in doc:
             raise ValueError(f"mechanism document missing field {key!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}"
+            f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}: "
+            "write the table again with `imvu design` and re-run `imvu account --attach`"
         )
     acct = doc["accounting"]
+    if not isinstance(acct, dict):
+        raise ValueError(f"field 'accounting' must be a JSON object, got {type(acct).__name__}")
     for key in _REQUIRED_ACCOUNTING:
         if key not in acct:
             raise ValueError(f"accounting block missing field {key!r}")

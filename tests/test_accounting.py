@@ -1,9 +1,13 @@
 """Accountant contracts: certified constants, composition, conversion."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imvu import (
     AccountingError,
@@ -18,9 +22,11 @@ from imvu import (
     compose,
     domain_for_beta,
     eps_prime,
+    eps_prime_grid_max,
     exact_max_divergence,
     exact_renyi,
     fisher_constant,
+    fisher_grid_max,
     fisher_info,
     fisher_sup,
     l1_round_eps,
@@ -33,6 +39,7 @@ from imvu import (
     spent_trajectory,
     verify_accounting,
 )
+from imvu.cli import main
 
 from conftest import LN3, get_table
 
@@ -51,9 +58,12 @@ def _mech(table, norm="l1", c=1.0, beta=1.0):
 
 def test_eps_prime_rr_value(rr_table):
     value = eps_prime(rr_table)
-    # grid max plus Lipschitz pad: must sit just above the exact supremum
-    assert RR_EPS_PRIME_EXACT <= value <= RR_EPS_PRIME_EXACT + 2e-4
-    assert value == pytest.approx(0.54931, abs=2e-4)
+    # the table's own endpoint value |E[theta]| plus a few-ulp rounding pad;
+    # the designed probabilities put it 1.8e-11 below the ideal ln 3 / 2
+    theta = rr_table.log_probs[1] - rr_table.log_probs[0]
+    own = max(abs(float(row @ theta)) for row in rr_table.probs)
+    assert own <= value <= own + 1e-9
+    assert value == pytest.approx(RR_EPS_PRIME_EXACT, abs=1e-9)
 
 
 def test_eps_prime_certifies_dense_grid(rr_table):
@@ -200,6 +210,78 @@ def test_fisher_tail_bound_tied_argmax_group():
         if mass >= 0.5:
             bound = 4 * theta.max() ** 2 * mass * (1 - mass)
             assert fisher_info(eta1, eta2, x) <= bound + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against the dense-grid oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+@pytest.mark.parametrize("b_in,b_out,eps", [
+    (2, 2, LN3), (2, 4, 1.0), (2, 8, 5.0), (3, 4, 2.0), (4, 4, 1.0), (8, 4, 2.0), (16, 4, 3.0),
+])
+def test_eps_prime_matches_dense_grid(b_in, b_out, eps, beta):
+    table = get_table(b_in, b_out, eps)
+    domain = domain_for_beta(beta)
+    grid = eps_prime_grid_max(table, domain, 10_000)
+    assert grid <= eps_prime(table, domain) <= grid + 1e-9 * (1.0 + grid)
+
+
+@pytest.mark.parametrize("domain", [(-2.0, 1.0), (0.0, 3.0)])
+def test_eps_prime_one_sided_domain(domain):
+    # designed tables are near point-symmetric, so a symmetric domain cannot
+    # tell the two stretched boundary intervals apart
+    table = get_table(4, 4, 1.0)
+    grid = eps_prime_grid_max(table, domain, 10_000)
+    assert grid <= eps_prime(table, domain) <= grid + 1e-9 * (1.0 + grid)
+
+
+def _fisher_grid(table):
+    return fisher_grid_max(table.log_probs[0], table.log_probs[1], (-20.0, 21.0), 1_000_000)
+
+
+@pytest.mark.parametrize("b_out,eps", [(8, 2.0), (16, 1.0), (16, 10.0)])
+def test_fisher_sup_floor_heavy_tables(b_out, eps):
+    # letters at the probability floor make |theta| large and push the tail
+    # bound's x_max out to about 10^12; the R^2/4 cap still ends the search
+    table = get_table(2, b_out, eps, symmetrize=True)
+    m_value, diag = fisher_constant(table)
+    assert diag.evaluations <= 10_000
+    grid = _fisher_grid(table)
+    assert grid <= m_value <= grid * (1.0 + 1e-6)
+
+
+def test_fisher_sup_off_center_peak():
+    # an anadromic pair whose information peaks near x = 1.19, not at the
+    # symmetry point, so the line search itself must find the supremum
+    eta1 = np.log([0.2, 0.7, 0.0999, 0.0001])
+    eta2 = eta1[::-1].copy()
+    m_value, diag = fisher_sup(eta1, eta2)
+    assert diag.i_star < m_value / 1.5
+    grid = fisher_grid_max(eta1, eta2, (-20.0, 21.0), 1_000_000)
+    assert grid <= m_value <= grid * (1.0 + 1e-6)
+
+
+def test_fisher_sup_unsymmetrized_rr_is_cheap(rr_table):
+    _, diag = fisher_constant(rr_table)
+    assert diag.evaluations < 1_000
+
+
+@settings(max_examples=10, deadline=None)
+@given(bits=st.integers(1, 4), log_eps=st.floats(np.log(0.1), np.log(20.0)))
+def test_fisher_certifies_designed_two_row_files(bits, log_eps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        assert main(["design", "--bits", str(bits), "--b-in", "2",
+                     "--eps", repr(float(np.exp(log_eps))), "--symmetrize",
+                     "--clip-norm", "l2", "--out", path]) == 0
+        assert main(["account", "--mech", path, "--mode", "rdp", "--clip-norm", "l2",
+                     "--clip-c", "1.0", "--rounds", "1", "--attach",
+                     "--out", os.path.join(tmp, "r.json")]) == 0
+        mech = load_mechanism(path)
+    grid = _fisher_grid(mech.table)
+    assert grid <= mech.fisher_m <= grid * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +473,7 @@ def test_accounting_report_pure(rr_table):
     assert report["composed"] == pytest.approx(10 * report["per_round"])
     assert report["eps_dp"] == report["composed"]
     assert report["argmin_alpha"] is None
-    assert report["certification"]["grid_points"] == 10_000
+    assert report["certification"]["evaluations"] == 2  # the interval's two endpoints
     assert report["certification"]["pad"] > 0
 
 

@@ -77,6 +77,21 @@ def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     assert "invariant" in captured.err or "error" in captured.err
 
 
+@pytest.mark.parametrize("edit", ["top-level number", "null accounting"])
+def test_validate_malformed_document_exits_one(tmp_path, capsys, edit):
+    mech_path = tmp_path / "bad.json"
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
+               "--out", str(mech_path)) == 0
+    doc = json.loads(mech_path.read_text())
+    doc["accounting"] = None
+    mech_path.write_text("5" if edit == "top-level number" else json.dumps(doc))
+    capsys.readouterr()
+    assert run("validate", "--mech", str(mech_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert ("JSON object" if edit == "top-level number" else "'accounting'") in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run("design", "--no-such-flag") == 2
     assert run("no-such-command") == 2

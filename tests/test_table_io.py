@@ -12,9 +12,11 @@ from imvu import (
     TableInvariantError,
     attach_accounting,
     load_mechanism,
+    mechanism_from_dict,
     mechanism_to_dict,
     save_mechanism,
 )
+from imvu.table_io import FORMAT_VERSION
 
 
 @pytest.fixture()
@@ -50,7 +52,7 @@ def test_null_constants_roundtrip(tmp_path, rr_table):
 def test_document_shape(saved):
     path, _ = saved
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == FORMAT_VERSION
     assert doc["metric"] == "l1"
     for key in ("b_in", "b_out", "design_eps", "grid", "alphabet", "log_probs", "accounting"):
         assert key in doc
@@ -61,10 +63,34 @@ def test_document_shape(saved):
 def test_reject_wrong_version(saved):
     path, _ = saved
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = FORMAT_VERSION + 1
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         load_mechanism(path)
+
+
+def test_reject_previous_version_asks_for_reattach(saved):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["format_version"] = FORMAT_VERSION - 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="re-run `imvu account --attach`"):
+        load_mechanism(path)
+
+
+@pytest.mark.parametrize("doc", [5, None, [1, 2], "mechanism"])
+def test_reject_non_object_document(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        mechanism_from_dict(doc)
+
+
+@pytest.mark.parametrize("accounting", [None, 5, []])
+def test_reject_non_object_accounting(saved, accounting):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["accounting"] = accounting
+    with pytest.raises(ValueError, match="'accounting'"):
+        mechanism_from_dict(doc)
 
 
 def test_reject_missing_field(saved):
