@@ -61,4 +61,10 @@ from .oracles import (
     fisher_grid_max,
     joint_divergence_bruteforce,
 )
-from .table_io import load_mechanism, mechanism_from_dict, mechanism_to_dict, save_mechanism
+from .table_io import (
+    load_mechanism,
+    load_table,
+    mechanism_from_dict,
+    mechanism_to_dict,
+    save_mechanism,
+)

@@ -31,7 +31,7 @@ from .designer import DesignError, DesignSpec, design_mvu, enforce_anadromic, va
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
 from .mechanism import ClipConfig, InterpolatedMechanism, TableInvariantError
-from .table_io import load_mechanism, save_mechanism, write_csv
+from .table_io import load_mechanism, load_table, save_mechanism, write_csv
 
 _FAILURE_TYPES = (
     TableInvariantError,
@@ -94,9 +94,9 @@ def _cmd_validate(args, argv) -> int:
 
 
 def _cmd_account(args, argv) -> int:
-    mech = load_mechanism(args.mech)
+    # the stored constants are replaced, so only the table is read
     mech = InterpolatedMechanism(
-        table=mech.table,
+        table=load_table(args.mech),
         beta=args.beta,
         clip=ClipConfig(args.clip_norm, args.clip_c),
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
 from .baselines import BASELINES, KINDS, BaselineConfig, round_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, clip, privatize_vector
-from .rng import substream
+from .rng import substream, substream_seeds
 from .table_io import write_csv
 
 
@@ -154,8 +154,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
         grads = np.stack([client_update(weights, x[client_slices[ci]], y_signed[client_slices[ci]])
                           for ci in chosen])
         if cfg.mechanism == "imvu":
-            seeds = [int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
-                     for ci in chosen]
+            seeds = substream_seeds(cfg.seed, "privatize", t, chosen)
             _, messages = privatize_vector(cfg.mech, grads, seeds)
         elif cfg.mechanism == "identity":
             messages = np.stack([clip(grad, cfg.clip) for grad in grads])

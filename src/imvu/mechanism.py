@@ -13,11 +13,14 @@ probabilities.  Two samplers extend the table to continuous inputs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import COORD_CHUNK, coordinate_uniforms
+from .rng import COORD_CHUNK, coordinate_states, stream_uniforms
+# the single-seed helper stays an attribute here, where bench/tracing.py wraps it
+from .rng import coordinate_uniforms  # noqa: F401
 
 # Construction tolerances for the table invariants.
 ROW_SUM_TOL = 1e-9
@@ -348,14 +351,24 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     """Project u onto the configured norm ball; inputs inside pass unchanged."""
     u = np.asarray(u, dtype=float)
     _check_finite_inputs(u)
-    order = 1 if cfg.norm == "l1" else 2
-    norm = float(np.linalg.norm(u.ravel(), ord=order))
+    return _clip_finite(u, cfg)
+
+
+def _norm(u: np.ndarray, norm: str) -> float:
+    """The l1 or l2 norm of a float array, by the reductions ``np.linalg.norm`` uses."""
+    u = u.ravel()
+    return float(np.add.reduce(np.abs(u))) if norm == "l1" else math.sqrt(u.dot(u))
+
+
+def _clip_finite(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
+    """``clip`` of a float array already checked to be finite."""
+    norm = _norm(u, cfg.norm)
     if norm <= cfg.clip_c:
         return u
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         # the norm of a finite vector overflowed: rescale by max|u| first
         u = u / np.max(np.abs(u))
-        norm = float(np.linalg.norm(u.ravel(), ord=order))
+        norm = _norm(u, cfg.norm)
     return u * (cfg.clip_c / norm)
 
 
@@ -394,33 +407,39 @@ def privatize_vector(
     evaluating only ``coord_range`` (a chunk-aligned [lo, hi) slice) produces
     exactly the slice a single worker would; results are independent of the
     worker count.  Each row is clipped on its own; sampling then walks
-    [lo, hi) one ``COORD_CHUNK`` block at a time over all rows together.
+    [lo, hi) one ``COORD_CHUNK`` block at a time over all rows together,
+    with the streams of every (row, block) derived in one batch up front.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.size == 0:
         raise ValueError("u must be a non-empty 1-D vector or (n, d) cohort")
     cohort = u.ndim == 2
-    if np.ndim(seed) != u.ndim - 1:
+    if cohort == isinstance(seed, (int, np.integer)):
         raise ValueError("a vector takes one integer seed, a cohort a sequence of seeds")
-    rows, seeds = (u, list(seed)) if cohort else (u[None, :], [seed])
-    n, d = rows.shape
-    if len(seeds) != n:
-        raise ValueError(f"need one seed per row: got {len(seeds)} seeds for {n} rows")
+    seeds = list(seed) if cohort else [seed]
+    d = u.shape[-1]
+    n = len(seeds)
+    if cohort and n != len(u):
+        raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
     _check_finite_inputs(u)
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
     table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
     # per row: a norm over the whole cohort differs from the vector norm in the last bit
-    clipped = np.stack([clip(row, mech.clip) for row in rows])
-    x = scale_input(clipped[:, lo:hi], clip_c, beta)
-    indices = np.empty((n, hi - lo), dtype=np.intp)
-    c0 = lo
-    while c0 < hi:
-        c1 = min(hi, (c0 // COORD_CHUNK + 1) * COORD_CHUNK)
-        uniforms = np.concatenate([coordinate_uniforms(s, c0, c1, d) for s in seeds])
-        block = x[:, c0 - lo : c1 - lo].ravel()
-        indices[:, c0 - lo : c1 - lo] = _inverse_cdf(pmf(mech, block), uniforms).reshape(n, -1)
-        c0 = c1
-    decoded = decode(table.alphabet[indices], clip_c, beta)
-    return (indices, decoded) if cohort else (indices[0], decoded[0])
+    if cohort:
+        clipped = np.empty((n, hi - lo))
+        for k, row in enumerate(u):
+            clipped[k] = _clip_finite(row, mech.clip)[lo:hi]
+    else:
+        clipped = _clip_finite(u, mech.clip)[lo:hi]
+    x = scale_input(clipped, clip_c, beta)
+    indices = np.empty(x.shape, dtype=np.intp)
+    bases = range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK) if lo < hi else range(0)
+    for base, states in zip(bases, coordinate_states(seeds, bases)):
+        c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
+        uniforms = stream_uniforms(states, c0 - base, c1 - c0)
+        block = x[..., c0 - lo:c1 - lo]
+        indices[..., c0 - lo:c1 - lo] = _inverse_cdf(
+            pmf(mech, block.ravel()), uniforms.ravel()).reshape(block.shape)
+    return indices, decode(table.alphabet[indices], clip_c, beta)

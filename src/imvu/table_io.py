@@ -5,7 +5,9 @@ alphabet, log_probs (row-major, natural log), and an accounting block
 {eps_prime, fisher_m, beta, clip_norm, clip_c} with null for constants that
 were never attached.  The loader revalidates every invariant and recomputes
 any stored constants, rejecting the file on mismatch (version 1 files carry
-an older, larger eps').  ``write_csv`` writes the harnesses' result tables.
+an older, larger eps').  ``load_table`` reads the table alone, from either
+version, for commands that certify their own constants.  ``write_csv``
+writes the harnesses' result tables.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from .mechanism import ClipConfig, InterpolatedMechanism, MechanismTable
 
 FORMAT_VERSION = 2
 
-_REQUIRED = ("format_version", "b_in", "b_out", "metric", "design_eps",
-             "grid", "alphabet", "log_probs", "accounting")
+_TABLE_FIELDS = ("b_in", "b_out", "metric", "design_eps", "grid", "alphabet", "log_probs")
+_REQUIRED = ("format_version",) + _TABLE_FIELDS + ("accounting",)
+# versions whose table fields read as this one's; they differ in stored constants only
+_TABLE_VERSIONS = (1, FORMAT_VERSION)
 _REQUIRED_ACCOUNTING = ("eps_prime", "fisher_m", "beta", "clip_norm", "clip_c")
 
 
@@ -52,12 +56,28 @@ def save_mechanism(path, mech: InterpolatedMechanism) -> None:
         handle.write("\n")
 
 
-def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism:
+def _require(doc, fields) -> None:
     if not isinstance(doc, dict):
         raise ValueError(f"mechanism document must be a JSON object, got {type(doc).__name__}")
-    for key in _REQUIRED:
+    for key in fields:
         if key not in doc:
             raise ValueError(f"mechanism document missing field {key!r}")
+
+
+def _table(doc: dict) -> MechanismTable:
+    return MechanismTable(
+        b_in=int(doc["b_in"]),
+        b_out=int(doc["b_out"]),
+        grid=np.asarray(doc["grid"], dtype=float),
+        alphabet=np.asarray(doc["alphabet"], dtype=float),
+        log_probs=np.asarray(doc["log_probs"], dtype=float),
+        design_eps=float(doc["design_eps"]),
+        metric=str(doc["metric"]),
+    )
+
+
+def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism:
+    _require(doc, _REQUIRED)
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(
             f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}: "
@@ -70,17 +90,8 @@ def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism
         if key not in acct:
             raise ValueError(f"accounting block missing field {key!r}")
 
-    table = MechanismTable(
-        b_in=int(doc["b_in"]),
-        b_out=int(doc["b_out"]),
-        grid=np.asarray(doc["grid"], dtype=float),
-        alphabet=np.asarray(doc["alphabet"], dtype=float),
-        log_probs=np.asarray(doc["log_probs"], dtype=float),
-        design_eps=float(doc["design_eps"]),
-        metric=str(doc["metric"]),
-    )
     mech = InterpolatedMechanism(
-        table=table,
+        table=_table(doc),
         beta=float(acct["beta"]),
         clip=ClipConfig(str(acct["clip_norm"]), float(acct["clip_c"])),
         eps_prime=None if acct["eps_prime"] is None else float(acct["eps_prime"]),
@@ -95,6 +106,18 @@ def load_mechanism(path, verify: bool = True) -> InterpolatedMechanism:
     with open(path) as handle:
         doc = json.load(handle)
     return mechanism_from_dict(doc, verify=verify)
+
+
+def load_table(path) -> MechanismTable:
+    """The table of a mechanism file of any version in ``_TABLE_VERSIONS``,
+    validated; the stored accounting block is neither read nor verified."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    _require(doc, ("format_version",) + _TABLE_FIELDS)
+    if doc["format_version"] not in _TABLE_VERSIONS:
+        raise ValueError(f"unsupported format_version {doc['format_version']!r}; "
+                         f"expected one of {_TABLE_VERSIONS}")
+    return _table(doc)
 
 
 def write_csv(path_or_buffer, header, rows) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from imvu import accounting, load_mechanism
 from imvu.cli import main
+from imvu.table_io import FORMAT_VERSION
 
 from conftest import LN3
 
@@ -223,3 +224,48 @@ def test_validate_missing_file_exits_one(tmp_path, capsys):
     assert run("validate", "--mech", missing) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.json" in err
+
+
+@pytest.mark.parametrize("mode, clip_norm", [("rdp", "l2"), ("pure", "l1")])
+def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_norm):
+    mech_path = tmp_path / "m.json"
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+               "--clip-norm", clip_norm, "--out", str(mech_path)) == 0
+    attached = accounting.attach_accounting(load_mechanism(mech_path))
+    doc = json.loads(mech_path.read_text())
+    # a version 1 file: the same table with older, larger constants
+    doc["format_version"] = 1
+    doc["accounting"].update(eps_prime=attached.eps_prime + 0.01,
+                             fisher_m=attached.fisher_m + 0.01)
+    mech_path.write_text(json.dumps(doc))
+    assert run("validate", "--mech", str(mech_path)) == 1
+    assert "format_version" in capsys.readouterr().err
+
+    assert run("account", "--mech", str(mech_path), "--mode", mode, "--clip-norm", clip_norm,
+               "--clip-c", "1.0", "--rounds", "3", "--attach",
+               "--out", str(tmp_path / "r.json")) == 0
+    assert json.loads(mech_path.read_text())["format_version"] == FORMAT_VERSION
+    reattached = load_mechanism(mech_path)   # verifies the new constants
+    if mode == "rdp":
+        assert reattached.fisher_m == attached.fisher_m
+    else:
+        assert reattached.eps_prime == attached.eps_prime
+
+
+def test_account_reattach_does_not_certify_stored_constants(tmp_path, monkeypatch):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+               "--clip-norm", "l2", "--out", mech_path) == 0
+    argv = ["account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
+            "--clip-c", "1.0", "--rounds", "3", "--attach", "--out", str(tmp_path / "r.json")]
+    assert run(*argv) == 0
+    calls = []
+    original = accounting.fisher_sup
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(accounting, "fisher_sup", counting)
+    assert run(*argv) == 0
+    assert len(calls) == 1

@@ -1,0 +1,196 @@
+"""Random streams: golden output bytes and the batched SeedSequence -> PCG64 derivation.
+
+The golden digests were recorded from the per-stream numpy implementation
+(one ``SeedSequence`` and ``Generator`` per client message and per
+``COORD_CHUNK`` block).  Any change to how streams are derived must leave
+them unchanged.  The table is built by hand so the digests do not depend on
+the designer or the certifiers.
+"""
+
+import hashlib
+import io
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imvu import ClipConfig, FlConfig, InterpolatedMechanism, MechanismTable, train_fl
+from imvu.mechanism import privatize_vector
+from imvu.rng import (
+    _COORD_TAG,
+    COORD_CHUNK,
+    _as_entropy,
+    coordinate_uniforms,
+    pcg64_states,
+    stream_uniforms,
+    substream,
+    substream_seeds,
+)
+
+GOLDEN_SEEDS = (0, 2**32 - 1, 2**32, 2**62 + 5, -3)
+
+
+def _hand_mech(norm="l1") -> InterpolatedMechanism:
+    # rows are mirror images, alphabet -1..2 makes both grid rows unbiased
+    probs = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+    table = MechanismTable(2, 4, np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0, 2.0]),
+                           np.log(probs), design_eps=1.4)
+    return InterpolatedMechanism(table, beta=1.5, clip=ClipConfig(norm, 1.0),
+                                 eps_prime=0.25, fisher_m=0.75)
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _cohort_digest(seed: int) -> str:
+    d = 2 * COORD_CHUNK + 37
+    u = np.random.default_rng(11).normal(scale=0.02, size=(3, d))
+    mech = _hand_mech()
+    seeds = [seed, seed + 1, seed - 1]
+    full, _ = privatize_vector(mech, u, seeds)
+    parts = [privatize_vector(mech, u, seeds, coord_range=r)[0]
+             for r in ((0, COORD_CHUNK), (COORD_CHUNK, d), (COORD_CHUNK, 2 * COORD_CHUNK))]
+    vec, _ = privatize_vector(mech, u[1], seed + 1, coord_range=(2 * COORD_CHUNK, d))
+    return _sha(full, *parts, vec)
+
+
+def _train_digest(seed: int, norm: str) -> str:
+    cfg = FlConfig(rounds=6, cohort=20, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
+                   mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120)
+    buf = io.StringIO()
+    train_fl(cfg).to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+COHORT_GOLDEN = {
+    0: "0545f95c8635b29a25f413c6f8deb6f2390655825a01ef81829fe05051d9e928",
+    2**32 - 1: "32836ad041ef442d3605b5b97f29967506fb622f08c8e3a75e7b340094434047",
+    2**32: "42f0d920005ef0eacb1183d09af0de2568d96fd20a45112db01d98fa6d59f442",
+    2**62 + 5: "d25519be6b45b5873a572e1d26d39938c18b86718a12ac86e93aaae44636db96",
+    -3: "b20ea4fab57cb719d299f9e46cc2265a409e78cdba8538d11ad9055dcdaf6ae3",
+}
+
+TRAIN_GOLDEN = {
+    (0, "l1"): "1724897fd2200623944f6970587be960fa8ab651436c1879c9f328569b8b1f57",
+    (0, "l2"): "6b87e068c15c837b81413125984ca5299c057ae36cd3b1a4a83729a451d0b2b8",
+    (2**32, "l1"): "f057409a3576b44a712b207aeacf294cc93a2f98f9d9352461ab5854f0f3016d",
+    (2**32, "l2"): "1a34e0ad57cd690897dec83b5e02725e95813872c0952f9c95c6317b2699d4cd",
+    (-3, "l1"): "8d36d3f74665face7edf3c67f673b4591936b0a4c1bda7e560b28188a0d9afcd",
+    (-3, "l2"): "7f383eaca46b4c60325d232973dcc912b5db9ce3853a0e33fb2f5d9b0a8947b4",
+}
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_privatize_indices_golden(seed):
+    assert _cohort_digest(seed) == COHORT_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed,norm", sorted(TRAIN_GOLDEN))
+def test_train_fl_csv_golden(seed, norm):
+    assert _train_digest(seed, norm) == TRAIN_GOLDEN[(seed, norm)]
+
+
+# ---------------------------------------------------------------------------
+# the batched derivation against numpy's SeedSequence -> PCG64
+# ---------------------------------------------------------------------------
+
+ORACLE_SETTINGS = settings(max_examples=80, deadline=None)
+
+# entropy parts around numpy's one-word / two-word split, negative ints
+# (taken modulo 2**64) and str labels (their crc32)
+parts = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -3]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(-(2**63), -1),
+    st.text(max_size=8),
+)
+
+
+def _numpy_state(entropy) -> tuple[int, int]:
+    state = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
+    return state["state"], state["inc"]
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_pcg64_states_match_numpy(data):
+    n = data.draw(st.integers(1, 64))
+    width = data.draw(st.integers(1, 6))
+    # each column is one part every stream shares, or one part per stream
+    columns = [data.draw(st.one_of(parts.map(lambda p: [p]),
+                                   st.lists(parts, min_size=n, max_size=n)))
+               for _ in range(width)]
+    # a batch of shared parts only is one stream
+    n = max(len(col) for col in columns)
+    entropy = [[_as_entropy(col[k % len(col)]) for col in columns] for k in range(n)]
+    batch = [np.array([_as_entropy(p) for p in col], dtype=np.uint64) if len(col) > 1
+             else _as_entropy(col[0]) for col in columns]
+    assert pcg64_states(batch) == [_numpy_state(e) for e in entropy]
+
+
+@ORACLE_SETTINGS
+@given(seed=parts, label=parts, path=st.lists(st.integers(-(2**63), 2**63 - 1),
+                                              min_size=1, max_size=64))
+def test_substream_seeds_match_generator_integers(seed, label, path):
+    expected = [int(substream(seed, label, p).integers(2**62)) for p in path]
+    assert substream_seeds(seed, label, np.array(path, dtype=np.int64)) == expected
+
+
+@ORACLE_SETTINGS
+@given(entropy=st.lists(st.lists(parts, min_size=1, max_size=4), min_size=1, max_size=8),
+       skip=st.integers(0, 40), width=st.integers(0, 40))
+def test_stream_uniforms_match_generator_random(entropy, skip, width):
+    entropy = [tuple(_as_entropy(p) for p in e) for e in entropy]
+    # one batch per stream: the entropy tuples may differ in length
+    states = [pcg64_states(list(e))[0] for e in entropy]
+    drawn = stream_uniforms(states, skip, width)
+    expected = [np.random.default_rng(np.random.SeedSequence(e)).random(skip + width)[skip:]
+                for e in entropy]
+    assert np.array_equal(drawn, np.array(expected).reshape(len(entropy), width))
+
+
+@ORACLE_SETTINGS
+@given(seed=st.integers(-(2**63), 2**64 - 1), data=st.data())
+def test_coordinate_uniforms_match_one_generator_per_chunk(seed, data):
+    dim = data.draw(st.integers(1, 3 * COORD_CHUNK + 5))
+    start = data.draw(st.integers(0, dim))
+    stop = data.draw(st.integers(start, dim))
+    expected = np.concatenate([np.zeros(0)] + [
+        np.random.default_rng(np.random.SeedSequence((_COORD_TAG, _as_entropy(seed), c0)))
+        .random(min(COORD_CHUNK, dim - c0))[max(start, c0) - c0:stop - c0]
+        for c0 in range(start - start % COORD_CHUNK, stop, COORD_CHUNK)])
+    assert np.array_equal(coordinate_uniforms(seed, start, stop, dim), expected)
+
+
+def test_stream_uniforms_from_many_threads_match_one_thread():
+    # the draws share one bit generator; a set-then-draw pair split by a
+    # thread switch would hand one thread another's stream
+    states = pcg64_states([_COORD_TAG, np.arange(2**40, 2**40 + 6, dtype=np.uint64), 0])
+    expected = stream_uniforms(states, 5, 300)
+    mismatches = []
+
+    def worker():
+        for _ in range(150):
+            if not np.array_equal(stream_uniforms(states, 5, 300), expected):
+                mismatches.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not mismatches
