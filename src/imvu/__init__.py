@@ -55,6 +55,7 @@ from .mechanism import (
     scale_input,
 )
 from .oracles import (
+    design_variance_grid_min,
     exact_max_divergence,
     eps_prime_grid_max,
     exact_renyi,

@@ -4,9 +4,11 @@ For a fixed affine output alphabet the design problem is a linear program in
 the row probabilities: minimize the summed output variance over the grid
 subject to the row simplex, exact unbiasedness at every grid point, and the
 metric-DP ratio constraints between adjacent rows, which telescope to every
-pair because the grid is uniform.  A golden-section search over the alphabet
-scale sits on top; for one-bit tables it recovers the randomized-response
-closed form.
+pair because the grid is uniform.  The alphabet scale s is searched exactly:
+in r = 1/s the LP's optimal value is convex and piecewise linear, so a few
+LP solves find all of its linear pieces, and the variance on each piece is
+a quadratic in s with a closed-form minimum.  For one-bit tables the design
+recovers the randomized-response closed form.
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ from .mechanism import (
 )
 
 MAX_TABLE_CELLS = 4096
-GOLDEN_ITERS = 64
 REPAIR_CYCLES = 3
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Relative tolerance of the scale search: a point within it of a tangent
+# line lies on that line's piece, and variances within it tie.
+_PIECE_TOL = 1e-9
+# A scale or 1/scale whose LP fails moves inward by a relative 1e-12 * 4^k,
+# k < 16 (so by at most about 1e-3).
+_BACKOFF = 1e-12
+_BACKOFF_TRIES = 16
 
 # HiGHS enforces constraints to an absolute tolerance, which near the
 # probability floor is a large *ratio* error; the log-space repair below
@@ -51,9 +58,11 @@ class DesignSpec:
     """Parameters of one design run.
 
     ``eps`` is the L1-metric-DP budget of the table itself.  The alphabet is
-    the affine family a_j = 1/2 + s * (2(j-1)/(b_out-1) - 1) with the scale s
-    searched over ``scale_range()``, which brackets the randomized-response
-    solution.
+    the affine family a_j = 1/2 + s * c_j, c_j = 2j/(b_out-1) - 1 for
+    j = 0 .. b_out-1, and ``design_mvu`` returns the table of least variance
+    over every scale s in ``scale_range()``.  The bracket's upper end is
+    always feasible and its lower end 1/2 never is (it would need a
+    deterministic table), so the optimum lies inside it.
     """
 
     b_in: int
@@ -118,24 +127,24 @@ def validate_table(table, tol: float = 1e-6) -> ValidationReport:
     return ValidationReport(checks=checks, where=where)
 
 
+def _letters(b_out: int) -> np.ndarray:
+    """Alphabet shape c_j = 2j/(b_out - 1) - 1, so a_j = 1/2 + s c_j."""
+    return 2.0 * np.arange(b_out, dtype=float) / (b_out - 1) - 1.0
+
+
 def _alphabet(b_out: int, scale: float) -> np.ndarray:
-    j = np.arange(b_out, dtype=float)
-    return 0.5 + scale * (2.0 * j / (b_out - 1) - 1.0)
+    return 0.5 + scale * _letters(b_out)
 
 
-def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
-    """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found.
+def _constraints(b_in: int, b_out: int, eps: float, letters: np.ndarray):
+    """Equality rows (row simplex, then row mean over ``letters``) and ratio rows.
 
     The variables are the row-major probabilities p[i, j].  The ratio rows
     are p[i, j] <= e^(eps/(b_in-1)) p[i+1, j] (forward) followed by
     p[i+1, j] <= e^(eps/(b_in-1)) p[i, j] (backward).
     """
-    alphabet = _alphabet(b_out, scale)
-    grid = np.arange(b_in, dtype=float) / (b_in - 1)
     rows = np.eye(b_in)
-    a_eq = np.vstack([np.kron(rows, np.ones(b_out)), np.kron(rows, alphabet)])
-    b_eq = np.concatenate([np.ones(b_in), grid])
-
+    a_eq = np.vstack([np.kron(rows, np.ones(b_out)), np.kron(rows, letters)])
     # Ratio rows with growth >= 1/PROB_FLOOR are implied by the variable
     # bounds (p <= 1 <= growth * floor) and would overflow the solver's
     # coefficient range, so they are dropped.
@@ -144,20 +153,39 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
         here, ahead = np.eye(b_in - 1, b_in), np.eye(b_in - 1, b_in, k=1)
         growth = np.exp(step)
         pairs = np.vstack([here - growth * ahead, ahead - growth * here])
-        a_ub = np.kron(pairs, np.eye(b_out))
-    else:
-        a_ub = np.zeros((0, b_in * b_out))
+        return a_eq, np.kron(pairs, np.eye(b_out))
+    return a_eq, np.zeros((0, b_in * b_out))
 
-    res = linprog(
-        np.tile(alphabet**2, b_in),
-        A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(PROB_FLOOR, 1.0),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
+
+def _linprog(cost, a_eq, b_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
+    """HiGHS on one design LP, retried once without presolve if it fails.
+
+    Presolve calls LPs infeasible that sit on the feasibility boundary
+    within the solver's tolerances (2x2 at eps = 25, at the largest
+    feasible 1/scale), which is where the optimum often lies.
+    """
+    for presolve in (True, False):
+        res = linprog(
+            cost,
+            A_ub=a_ub,
+            b_ub=np.zeros(a_ub.shape[0]),
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method="highs",
+            options={**_LP_OPTIONS, "presolve": presolve},
+        )
+        if res.success:
+            break
+    return res
+
+
+def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
+    """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found."""
+    alphabet = _alphabet(b_out, scale)
+    grid = np.arange(b_in, dtype=float) / (b_in - 1)
+    a_eq, a_ub = _constraints(b_in, b_out, eps, alphabet)
+    res = _linprog(np.tile(alphabet**2, b_in), a_eq, np.concatenate([np.ones(b_in), grid]), a_ub)
     if not res.success:
         return np.inf, None, alphabet
     variance = float(res.fun - np.sum(grid**2))
@@ -167,11 +195,19 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
 def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
     """Restore exact feasibility of an LP solution in log space.
 
-    Floors the probabilities, then alternates row renormalization with a
-    forward clamp of adjacent log differences to eps/(b_in-1).  Adjacent
-    feasibility telescopes to every pair because the grid is uniform.  The
-    clamp only moves entries by the solver's residuals, so unbiasedness is
-    preserved far below its tolerance.
+    HiGHS meets each ratio row p[i+1, j] <= e^step p[i, j], step =
+    eps/(b_in-1), only to an absolute tolerance, which next to the
+    probability floor can be a ratio several times too large.  The repair
+    floors the probabilities, then alternates row renormalization with a
+    forward and a backward pass of logs[k] = max(logs[k], logs[k -/+ 1] -
+    step), after which every adjacent pair is within step; adjacent
+    feasibility telescopes to every pair because the grid is uniform.  Only
+    the smaller entry of a violated pair is raised, by about the solver's
+    residual: lowering the larger one would carry the error up a chain of
+    tight ratio rows, growing by e^step per row until it moved the large
+    entries and broke unbiasedness.  The raises keep every row sum within a
+    few 1e-12 of 1, so the final renormalization moves adjacent log ratios
+    by far less than METRIC_DP_TOL.
     """
     b_in = probs.shape[0]
     step = eps / (b_in - 1)
@@ -180,66 +216,140 @@ def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
         p = p / p.sum(axis=1, keepdims=True)
         logs = np.log(p)
         for i in range(b_in - 1):
-            logs[i + 1] = np.clip(logs[i + 1], logs[i] - step, logs[i] + step)
+            logs[i + 1] = np.maximum(logs[i + 1], logs[i] - step)
+        for i in range(b_in - 2, -1, -1):
+            logs[i] = np.maximum(logs[i], logs[i + 1] - step)
         p = np.exp(logs)
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _golden_section(f, lo: float, hi: float):
-    """Minimize f over [lo, hi]; returns the best evaluated point.
+def _first_solved(solve, x: float, direction: float):
+    """solve(x), else the first result of solve(x (1 + direction * 1e-12 * 4^k))
+    for k = 0, 1, ...; None if every call returns None."""
+    for shift in (0.0, *(_BACKOFF * 4.0 ** np.arange(_BACKOFF_TRIES))):
+        out = solve(x * (1.0 + direction * shift))
+        if out is not None:
+            return out
+    return None
 
-    Infeasible scales evaluate to inf.  The optimum often sits exactly on the
-    feasibility boundary, so the best evaluated point (never the bracket
-    midpoint, which may be infeasible) is returned.
+
+def _best_scale(spec: DesignSpec) -> float | None:
+    """Alphabet scale of least LP variance over ``spec.scale_range()``.
+
+    With a_j = 1/2 + s c_j and r = 1/s, unbiasedness reads
+    sum_j p[i, j] c_j = (x_i - 1/2) r, and the variance at scale s is
+    s^2 g(1/s) - sum_i (x_i - 1/2)^2, where g(r) = min sum p[i, j] c_j^2
+    over the simplex, floor and ratio rows, none of which depends on r.
+    Only the right-hand side moves with r, so g is convex and piecewise
+    linear on its feasible interval (Bertsimas & Tsitsiklis, Introduction
+    to Linear Optimization, 5.2), with the mean rows' duals as slopes.
+
+    One LP with r as a variable gives the largest feasible r.  A tangent
+    sandwich over [1/hi, min(r_max, 1/lo)] then finds every linear piece of
+    g: if the tangent at either end of an interval passes through the other
+    end, g is that line; otherwise g is solved where the two end tangents
+    meet, and either lies on them there (two pieces) or that point splits
+    the interval.  On a piece g = alpha + gamma r the variance is
+    alpha s^2 + gamma s - const, minimized in closed form.
+
+    A search end whose LP fails (HiGHS can call the LP at the free LP's
+    r_max infeasible, or fail outright at 1/hi) moves inward by a relative
+    1e-12 * 4^k until it solves; a failed interior point leaves its
+    interval unrefined.  Variances within ``_PIECE_TOL`` of the least tie,
+    and the smallest of their scales is returned.  None if no LP solved.
     """
-    best_val, best_arg = np.inf, None
+    b_in, b_out = spec.b_in, spec.b_out
+    letters = _letters(b_out)
+    offsets = np.arange(b_in, dtype=float) / (b_in - 1) - 0.5
+    ones, n = np.ones(b_in), b_in * b_out
+    cost = np.tile(letters**2, b_in)
+    a_eq, a_ub = _constraints(b_in, b_out, spec.eps, letters)
+    lo, hi = spec.scale_range()
+    r_lo, r_hi = 1.0 / hi, 1.0 / lo
 
-    def ev(s):
-        nonlocal best_val, best_arg
-        v = f(s)
-        if v < best_val:
-            best_val, best_arg = v, s
-        return v
+    def tangent(r):
+        res = _linprog(cost, a_eq, np.concatenate([ones, offsets * r]), a_ub)
+        if not res.success:
+            return None
+        return r, float(res.fun), float(res.eqlin.marginals[b_in:] @ offsets)
 
-    ev(lo)
-    ev(hi)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = ev(c), ev(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = ev(c)
+    free = _linprog(
+        np.append(np.zeros(n), -1.0),
+        np.hstack([a_eq, np.concatenate([np.zeros(b_in), -offsets])[:, None]]),
+        np.concatenate([ones, np.zeros(b_in)]),
+        np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))]),
+        bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
+    )
+    r_top = float(free.x[-1]) if free.success else r_lo
+    ends = [_first_solved(tangent, r_lo, 1.0)]
+    if r_top > r_lo:
+        ends.append(_first_solved(tangent, r_top, -1.0))
+    points = [p for p in ends if p is not None]
+    lines = []
+    stack = [tuple(points)] if len(points) == 2 else []
+    while stack:
+        (ra, ga, da), (rb, gb, db) = a, b = stack.pop()
+        tol = _PIECE_TOL * max(1.0, abs(ga), abs(gb))
+        if gb - ga - da * (rb - ra) <= tol:
+            lines.append((ra, rb, ga - da * ra, da))
+            continue
+        if ga - gb - db * (ra - rb) <= tol:
+            lines.append((ra, rb, gb - db * rb, db))
+            continue
+        # each tangent passes strictly below the other end, so da < db and
+        # the tangents meet strictly inside (ra, rb)
+        rc = (gb - ga + da * ra - db * rb) / (da - db)
+        c = tangent(rc)
+        if c is None:
+            continue
+        points.append(c)
+        if c[1] - ga - da * (rc - ra) <= tol:
+            lines += [(ra, rc, ga - da * ra, da), (rc, rb, gb - db * rb, db)]
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = ev(d)
-    return best_val, best_arg
+            stack += [(a, c), (c, b)]
+
+    const = float(offsets @ offsets)
+    candidates = [(g / r**2 - const, 1.0 / r) for r, g, _ in points]
+    for ra, rb, alpha, gamma in lines:
+        if alpha > 0.0 and 1.0 / rb < -gamma / (2.0 * alpha) < 1.0 / ra:
+            s = -gamma / (2.0 * alpha)
+            candidates.append((alpha * s**2 + gamma * s - const, s))
+    if not candidates:
+        return None
+    best = min(candidates)[0]
+    return min(s for v, s in candidates if v <= best + _PIECE_TOL * abs(best))
 
 
 def design_mvu(spec: DesignSpec) -> MechanismTable:
     """Design a table for the given spec.
 
-    Runs the golden-section scale search over the LP optimum, repairs the
-    winning solution in log space, optionally symmetrizes it, and constructs
-    the MechanismTable, whose construction validates every invariant.
+    Finds the alphabet scale of least variance over the whole bracket with
+    the exact parametric LP search (``_best_scale``, about 2 LP solves per
+    linear piece of the LP value), solves the design LP at that scale
+    (raising it by a relative 1e-12 * 4^k, toward the always feasible upper
+    end, should the solver fail there), repairs the solution in log space,
+    optionally symmetrizes it, and constructs the MechanismTable, whose
+    construction validates every invariant.
     """
     if spec.b_in * spec.b_out > MAX_TABLE_CELLS:
         raise DesignError(
             f"table has {spec.b_in * spec.b_out} cells; "
             f"the dense designer is limited to {MAX_TABLE_CELLS}"
         )
-    # The upper end of the bracket is always feasible: the two-letter linear
-    # table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  A search
-    # with no finite value therefore means the solver failed.
-    lo, hi = spec.scale_range()
-    best_val, best_scale = _golden_section(
-        lambda s: _solve_lp(spec.b_in, spec.b_out, spec.eps, s)[0], lo, hi
-    )
-    if not np.isfinite(best_val):
+
+    def solved(scale):
+        out = _solve_lp(spec.b_in, spec.b_out, spec.eps, scale)
+        return out if np.isfinite(out[0]) else None
+
+    scale = _best_scale(spec)
+    found = None if scale is None else _first_solved(solved, scale, 1.0)
+    # The upper end of the scale bracket is always feasible: the two-letter
+    # linear table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  No
+    # solved LP therefore means the solver failed.
+    if found is None:
+        lo, hi = spec.scale_range()
         raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
-    _, raw_probs, alphabet = _solve_lp(spec.b_in, spec.b_out, spec.eps, best_scale)
+    _, raw_probs, alphabet = found
     probs = _repair_probs(raw_probs, spec.eps)
     grid = np.arange(spec.b_in, dtype=float) / (spec.b_in - 1)
     if spec.symmetrize:

@@ -235,11 +235,16 @@ def _check_finite_inputs(x: np.ndarray):
         raise ValueError("inputs must be finite")
 
 
-def _bracket(b_in: int, x):
-    """Grid interval i and offset t of each input, x = (i + t) / (b_in - 1);
-    outside [0, 1] the boundary interval is kept and t leaves [0, 1]."""
+def _finite_inputs(x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite_inputs(xs)
+    return xs
+
+
+def _bracket(b_in: int, xs: np.ndarray):
+    """Grid interval i and offset t of each finite input in the 1-D array xs,
+    x = (i + t) / (b_in - 1); outside [0, 1] the boundary interval is kept
+    and t leaves [0, 1]."""
     nseg = b_in - 1
     t = xs * nseg
     i = np.clip(np.floor(t).astype(int), 0, nseg - 1)
@@ -274,14 +279,14 @@ def interpolate_eta(mech, x) -> np.ndarray:
     of x returns one row per input.
     """
     table = _table_of(mech)
-    eta = _lerp(table.log_probs, *_bracket(table.b_in, x))
+    eta = _lerp(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
     return eta[0] if np.ndim(x) == 0 else eta
 
 
 def log_pmf(mech, x) -> np.ndarray:
     """Log probabilities of the interpolated mechanism at x (full precision)."""
     table = _table_of(mech)
-    s = _logits(table.log_probs, *_bracket(table.b_in, x))
+    s = _logits(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
     out = s - np.log(np.sum(np.exp(s), axis=1, keepdims=True))
     return out[0] if np.ndim(x) == 0 else out
 
@@ -293,7 +298,7 @@ def pmf(mech, x) -> np.ndarray:
     max-subtraction; rows sum to 1 within 1e-12.
     """
     table = _table_of(mech)
-    out = _softmax(table.log_probs, *_bracket(table.b_in, x))
+    out = _softmax(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
     return out[0] if np.ndim(x) == 0 else out
 
 
@@ -319,8 +324,8 @@ def mvu_dither_pmf(table, x) -> np.ndarray:
     every grid row is unbiased and the mix is linear.
     """
     table = _table_of(table)
-    i, t = _bracket(table.b_in, x)
-    xs = np.asarray(x, dtype=float)
+    xs = _finite_inputs(x)
+    i, t = _bracket(table.b_in, xs)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("dithering requires x in [0, 1]")
     p = _lerp(table.probs, i, t)
@@ -440,6 +445,7 @@ def privatize_vector(
         c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
         uniforms = stream_uniforms(states, c0 - base, c1 - c0)
         block = x[..., c0 - lo:c1 - lo]
-        indices[..., c0 - lo:c1 - lo] = _inverse_cdf(
-            pmf(mech, block.ravel()), uniforms.ravel()).reshape(block.shape)
+        # u was checked once above, and clipping and scaling keep x finite
+        probs = _softmax(table.log_probs, *_bracket(table.b_in, block.ravel()))
+        indices[..., c0 - lo:c1 - lo] = _inverse_cdf(probs, uniforms.ravel()).reshape(block.shape)
     return indices, decode(table.alphabet[indices], clip_c, beta)

@@ -1,8 +1,9 @@
 """Exact brute-force computations over the finite output space.
 
-These are the ground truth for every certified bound: divergences are
-evaluated by direct log-domain enumeration, never sampled, and the joint
-computations enumerate the full product outcome space.
+These are the ground truth for every certified bound and for the designer's
+scale search: divergences are evaluated by direct log-domain enumeration,
+never sampled, the joint computations enumerate the full product outcome
+space, and the design optimum is scanned over a dense scale grid.
 """
 
 from __future__ import annotations
@@ -116,3 +117,15 @@ def eps_prime_grid_max(table, domain: tuple[float, float], n: int) -> float:
     theta = np.diff(table.log_probs, axis=0)
     probs = (np.exp(log_pmf(table, np.linspace(edges[i], edges[i + 1], n))) for i in range(nseg))
     return nseg * max(float(np.max(np.abs(p @ th))) for p, th in zip(probs, theta))
+
+
+def design_variance_grid_min(b_in: int, b_out: int, eps: float, n: int) -> float:
+    """Least design-LP variance over n evenly spaced alphabet scales spanning
+    the whole bracket ``DesignSpec.scale_range()``, both ends included; inf if
+    the LP solves at none.  Brute-force counterpart of the exact scale search."""
+    from .designer import DesignSpec, _solve_lp
+
+    if n < 2:
+        raise ValueError("design_variance_grid_min needs at least 2 scales")
+    lo, hi = DesignSpec(b_in, b_out, eps).scale_range()
+    return min(_solve_lp(b_in, b_out, eps, s)[0] for s in np.linspace(lo, hi, n))

@@ -12,6 +12,7 @@ from imvu import (
     MechanismTable,
     SymmetryError,
     design_mvu,
+    design_variance_grid_min,
     enforce_anadromic,
     fisher_constant,
     moments,
@@ -88,6 +89,37 @@ def test_variance_non_increasing_in_eps():
     for b_in, b_out in ((2, 2), (4, 4)):
         values = [table_variance(get_table(b_in, b_out, eps)) for eps in (0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("b_in,b_out", [(3, 4), (5, 8)])
+def test_variance_non_increasing_in_eps_wide_range(b_in, b_out):
+    # a larger eps only widens the feasible set; golden section broke this
+    # on both shapes (3x4: 0.130 at eps = 5, then 0.260 at eps = 10)
+    epss = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
+    values = [table_variance(get_table(b_in, b_out, eps)) for eps in epss]
+    assert all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "b_in,b_out,eps,bound",
+    [
+        (3, 4, 10.0, 0.0351),  # golden section: 0.260, a local optimum at scale 1.51
+        (8, 2, 0.1, 870.0),  # golden section: 1058.7, at the bracket end
+    ],
+)
+def test_scale_search_finds_global_optimum(b_in, b_out, eps, bound):
+    assert table_variance(get_table(b_in, b_out, eps)) <= bound
+
+
+@pytest.mark.parametrize("b_out", [2, 3])
+def test_two_row_design_at_eps_25(b_out):
+    # HiGHS calls the LP at the largest feasible 1/scale infeasible here
+    # (2x2) or fails outright at the bracket end (2x3); the design must
+    # still reach the randomized-response variance 2 e^eps / (e^eps - 1)^2.
+    table = design_mvu(DesignSpec(2, b_out, 25.0))
+    rr = 2.0 * np.exp(25.0) / np.expm1(25.0) ** 2
+    assert table_variance(table) <= 1.02 * rr
+    np.testing.assert_allclose(table.alphabet[[0, -1]], [0.0, 1.0], atol=1e-9)
 
 
 def test_three_row_design_at_large_eps():
@@ -196,6 +228,38 @@ def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
     assert np.isfinite(adjacent) == np.isfinite(reference)
     if np.isfinite(reference):
         assert abs(adjacent - reference) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 8),
+    log_eps=st.floats(np.log(0.05), np.log(30.0)),
+)
+def test_design_variance_at_most_scale_grid_min(b_in, b_out, log_eps):
+    # the parametric search is exact, so no scale of a dense grid over the
+    # whole bracket (both ends included) may beat the designed table
+    eps = float(np.exp(log_eps))
+    value = table_variance(design_mvu(DesignSpec(b_in, b_out, eps)))
+    oracle = design_variance_grid_min(b_in, b_out, eps, 61)
+    assert value <= oracle + 1e-8 * max(1.0, abs(value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 8),
+    log_eps=st.floats(np.log(0.05), np.log(30.0)),
+)
+def test_repair_keeps_adjacent_ratios_and_means(b_in, b_out, log_eps):
+    # _repair_probs ends with a renormalization that shifts each row's logs
+    # by the log of its sum; on designed tables that must not break the
+    # adjacent ratio bound beyond 1e-10, far inside METRIC_DP_TOL = 1e-9
+    eps = float(np.exp(log_eps))
+    table = design_mvu(DesignSpec(b_in, b_out, eps))
+    excess = np.max(np.abs(np.diff(table.log_probs, axis=0))) - eps / (b_in - 1)
+    assert excess <= 1e-10
+    assert np.max(np.abs(table.probs @ table.alphabet - table.grid)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_interpolate_eta_rejects_non_finite(rr_table):
         interpolate_eta(rr_table, np.inf)
 
 
+@pytest.mark.parametrize("evaluate", [pmf, log_pmf, mvu_dither_pmf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluators_reject_non_finite(rr_table, evaluate, bad):
+    # the sampler skips this check per block; the public evaluators keep it
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(rr_table, bad)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(rr_table, np.array([0.5, bad]))
+
+
 def test_interpolation_affine_within_interval(table_2x4):
     # eta is affine on each interval, so midpoints must average exactly
     rng = np.random.default_rng(3)
