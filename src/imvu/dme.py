@@ -9,7 +9,7 @@ import numpy as np
 from .baselines import BASELINES, BaselineConfig, wire_bits
 from .mechanism import (
     InterpolatedMechanism,
-    clip,
+    _clip_rows,
     decode,
     moments,
     mvu_dither_moments,
@@ -101,14 +101,11 @@ def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Genera
         if cfg is None:
             return u.copy(), wire_bits(mechanism)
         # plumbing mode: exercise clip -> scale -> decode without sampling
-        out = np.empty_like(u)
-        for i in range(n):
-            clipped = clip(u[i], cfg.clip if isinstance(cfg, InterpolatedMechanism) else cfg)
-            if isinstance(cfg, InterpolatedMechanism):
-                out[i] = decode(scale_input(clipped, cfg.clip.clip_c, cfg.beta),
-                                cfg.clip.clip_c, cfg.beta)
-            else:
-                out[i] = clipped
+        if isinstance(cfg, InterpolatedMechanism):
+            clip_c, beta = cfg.clip.clip_c, cfg.beta
+            out = decode(scale_input(_clip_rows(u, cfg.clip), clip_c, beta), clip_c, beta)
+        else:
+            out = _clip_rows(u, cfg)
     elif mechanism == "imvu":
         if not isinstance(cfg, InterpolatedMechanism):
             raise ValueError("imvu needs an InterpolatedMechanism config")

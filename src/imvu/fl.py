@@ -14,7 +14,9 @@ import numpy as np
 
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
 from .baselines import BASELINES, KINDS, BaselineConfig, round_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, clip, privatize_vector
+from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows, privatize_vector
+# ``clip`` stays an attribute here, where bench/tracing.py wraps it
+from .mechanism import clip  # noqa: F401
 from .rng import substream, substream_seeds
 from .table_io import write_csv
 
@@ -107,17 +109,23 @@ def _signed_labels(y: np.ndarray) -> np.ndarray:
 
 
 def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
-    """Logistic-loss gradient for one client's sample(s).
+    """Logistic-loss gradient for one client's sample(s), or for a stack of clients.
 
-    With a single local step the transmitted pseudo-gradient equals the raw
-    gradient, so this is what the client sends before privatization.
+    ``x`` is one sample (d,), one client's samples (k, d), or m clients of k
+    samples each (m, k, d), with ``y`` shaped like ``x`` without its last
+    axis; a stack returns one (m, d) row per client.  Row i of a stack is
+    bit for bit the call on ``x[i], y[i]``: the stacked matmul runs one
+    matrix-vector product per client (one product over all m·k rows, or
+    ``einsum``, would differ in the last bit).  With a single local step the
+    transmitted pseudo-gradient equals the raw gradient, so this is what the
+    client sends before privatization.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_signed = np.atleast_1d(np.asarray(y, dtype=float))
     margins = y_signed * (x @ weights)
-    # d/dw log(1 + exp(-y w.x)) averaged over the client's samples
+    # d/dw log(1 + exp(-y w.x)) averaged over each client's samples
     coeff = -y_signed / (1.0 + np.exp(margins))
-    return (coeff[:, None] * x).mean(axis=0)
+    return (coeff[..., None] * x).mean(axis=-2)
 
 
 def train_fl(cfg: FlConfig) -> TrainResult:
@@ -139,7 +147,11 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     # the linear training head is binary
     x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, data_seed)
     y_signed = _signed_labels(y)
-    client_slices = np.array_split(np.arange(cfg.n_train), cfg.n_train // cfg.client_samples)
+    # np.array_split's clients: the first n_train % n_clients hold one sample more
+    n_clients = cfg.n_train // cfg.client_samples
+    sizes = np.full(n_clients, cfg.n_train // n_clients)
+    sizes[:cfg.n_train % n_clients] += 1
+    starts = np.cumsum(sizes) - sizes
 
     weights = np.zeros(cfg.dims)
     velocity = np.zeros(cfg.dims)
@@ -149,15 +161,19 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     accuracy = np.empty(cfg.rounds)
     spent = np.empty(cfg.rounds)
     for t in range(cfg.rounds):
-        chosen = cohort_rng.choice(len(client_slices), size=min(cfg.cohort, len(client_slices)),
-                                   replace=False)
-        grads = np.stack([client_update(weights, x[client_slices[ci]], y_signed[client_slices[ci]])
-                          for ci in chosen])
+        chosen = cohort_rng.choice(n_clients, size=min(cfg.cohort, n_clients), replace=False)
+        # one stacked gradient call per client size, at most two
+        chosen_sizes = sizes[chosen]
+        grads = np.empty((chosen.size, cfg.dims))
+        for size in np.unique(chosen_sizes):
+            group = chosen_sizes == size
+            rows = starts[chosen[group], None] + np.arange(size)
+            grads[group] = client_update(weights, x[rows], y_signed[rows])
         if cfg.mechanism == "imvu":
             seeds = substream_seeds(cfg.seed, "privatize", t, chosen)
             _, messages = privatize_vector(cfg.mech, grads, seeds)
         elif cfg.mechanism == "identity":
-            messages = np.stack([clip(grad, cfg.clip) for grad in grads])
+            messages = _clip_rows(grads, cfg.clip)
         else:
             messages = np.stack([BASELINES[cfg.mechanism](grad, baseline, noise_rng)
                                  for grad in grads])

@@ -356,17 +356,6 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     """Project u onto the configured norm ball; inputs inside pass unchanged."""
     u = np.asarray(u, dtype=float)
     _check_finite_inputs(u)
-    return _clip_finite(u, cfg)
-
-
-def _norm(u: np.ndarray, norm: str) -> float:
-    """The l1 or l2 norm of a float array, by the reductions ``np.linalg.norm`` uses."""
-    u = u.ravel()
-    return float(np.add.reduce(np.abs(u))) if norm == "l1" else math.sqrt(u.dot(u))
-
-
-def _clip_finite(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
-    """``clip`` of a float array already checked to be finite."""
     norm = _norm(u, cfg.norm)
     if norm <= cfg.clip_c:
         return u
@@ -375,6 +364,37 @@ def _clip_finite(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
         u = u / np.max(np.abs(u))
         norm = _norm(u, cfg.norm)
     return u * (cfg.clip_c / norm)
+
+
+def _norm(u: np.ndarray, norm: str) -> float:
+    """The l1 or l2 norm of a float array, by the reductions ``np.linalg.norm`` uses."""
+    u = u.ravel()
+    return float(np.add.reduce(np.abs(u))) if norm == "l1" else math.sqrt(u.dot(u))
+
+
+def _clip_rows(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
+    """``clip`` of each row of an (n, d) float array, bit for bit, in one pass.
+
+    The row norms come from per-row reductions that equal ``_norm`` of each
+    row: ``add.reduce`` along the rows for l1 and one dot product per row,
+    as a stacked matmul, for l2 (one gemv over all rows, or ``einsum``,
+    differs in the last bit).  A finite norm proves its row finite; rows
+    whose norm is not finite go through ``clip``, which rescales a finite
+    row whose norm overflowed and raises on a non-finite one.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    with np.errstate(over="ignore"):  # ``clip`` handles a norm that overflows
+        if cfg.norm == "l1":
+            norms = np.add.reduce(np.abs(u), axis=-1)
+        else:
+            norms = np.sqrt((u[:, None, :] @ u[:, :, None]).ravel())
+        # before the scaling below, so that a non-finite row raises, not warns
+        overflowed = [(k, clip(u[k], cfg)) for k in np.flatnonzero(~np.isfinite(norms))]
+    # rows inside the ball are multiplied by c / c = 1.0 exactly
+    out = u * (cfg.clip_c / np.maximum(norms, cfg.clip_c))[:, None]
+    for k, row in overflowed:
+        out[k] = row
+    return out
 
 
 def scale_input(u, clip_c: float, beta: float):
@@ -411,9 +431,10 @@ def privatize_vector(
     is bit for bit the vector call on ``u[k]`` with ``seed[k]``, and a worker
     evaluating only ``coord_range`` (a chunk-aligned [lo, hi) slice) produces
     exactly the slice a single worker would; results are independent of the
-    worker count.  Each row is clipped on its own; sampling then walks
-    [lo, hi) one ``COORD_CHUNK`` block at a time over all rows together,
-    with the streams of every (row, block) derived in one batch up front.
+    worker count.  All rows are clipped in one pass whose row norms equal
+    the vector norms bit for bit; sampling then walks [lo, hi) one
+    ``COORD_CHUNK`` block at a time over all rows together, with the
+    streams of every (row, block) derived in one batch up front.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.size == 0:
@@ -426,26 +447,22 @@ def privatize_vector(
     n = len(seeds)
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
-    _check_finite_inputs(u)
+    # both raise on a non-finite row
+    clipped = _clip_rows(u, mech.clip) if cohort else clip(u, mech.clip)[None]
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
     table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
-    # per row: a norm over the whole cohort differs from the vector norm in the last bit
-    if cohort:
-        clipped = np.empty((n, hi - lo))
-        for k, row in enumerate(u):
-            clipped[k] = _clip_finite(row, mech.clip)[lo:hi]
-    else:
-        clipped = _clip_finite(u, mech.clip)[lo:hi]
-    x = scale_input(clipped, clip_c, beta)
+    x = scale_input(clipped[:, lo:hi], clip_c, beta)
     indices = np.empty(x.shape, dtype=np.intp)
     bases = range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK) if lo < hi else range(0)
     for base, states in zip(bases, coordinate_states(seeds, bases)):
         c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
         uniforms = stream_uniforms(states, c0 - base, c1 - c0)
-        block = x[..., c0 - lo:c1 - lo]
-        # u was checked once above, and clipping and scaling keep x finite
+        block = x[:, c0 - lo:c1 - lo]
+        # clipping checked u, and clipping and scaling keep x finite
         probs = _softmax(table.log_probs, *_bracket(table.b_in, block.ravel()))
-        indices[..., c0 - lo:c1 - lo] = _inverse_cdf(probs, uniforms.ravel()).reshape(block.shape)
+        indices[:, c0 - lo:c1 - lo] = _inverse_cdf(probs, uniforms.ravel()).reshape(block.shape)
+    if not cohort:
+        indices = indices[0]
     return indices, decode(table.alphabet[indices], clip_c, beta)

@@ -103,6 +103,19 @@ def test_dme_identity_pipeline_mode_roundtrip(table_2x4):
     assert mse <= 1e-28
 
 
+@pytest.mark.parametrize("clip_norm", ["l1", "l2"])
+def test_dme_identity_rejects_a_non_finite_input(table_2x4, clip_norm):
+    def with_inf(rng, n, d):
+        u = rng.normal(0.0, 0.1, size=(n, d))
+        u[n // 2, d - 1] = np.inf
+        return u
+
+    for cfg in (ClipConfig(clip_norm, 1.0),
+                InterpolatedMechanism(table_2x4, clip=ClipConfig(clip_norm, 1.0))):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            dme_mse(5, 8, with_inf, "identity", cfg, np.random.default_rng(3))
+
+
 def test_dme_mse_scales_inversely_with_clients():
     # unbiased gaussian baseline: per-coordinate error of the mean of n
     # clients is (sigma C)^2 / n

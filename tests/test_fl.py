@@ -203,6 +203,23 @@ def test_server_update_is_mean_message_times_lr():
     assert result.accuracy[0] == accuracy
 
 
+@pytest.mark.parametrize("mechanism", ["identity", "imvu"])
+def test_train_rejects_a_non_finite_gradient(mechanism, monkeypatch):
+    from imvu import fl
+
+    update = fl.client_update
+
+    def poisoned(weights, x, y):
+        grads = update(weights, x, y)
+        grads[-1, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(fl, "client_update", poisoned)
+    cfg = _cfg(mechanism=mechanism, mech=_imvu_mech() if mechanism == "imvu" else None)
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        train_fl(cfg)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         _cfg(rounds=0)

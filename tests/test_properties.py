@@ -24,7 +24,7 @@ from imvu import (
     train_fl,
 )
 from imvu import fl
-from imvu.mechanism import _inverse_cdf
+from imvu.mechanism import _clip_rows, _inverse_cdf, _norm, clip
 from imvu.rng import COORD_CHUNK, substream
 
 from conftest import LN3, get_table
@@ -189,7 +189,8 @@ def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
     update = fl.client_update
 
     def recording(weights, x, y):
-        seen.append(weights.copy())
+        # one call may serve a stack of clients
+        seen.extend([weights.copy()] * len(x))
         return update(weights, x, y)
 
     monkeypatch.setattr(fl, "client_update", recording)
@@ -213,3 +214,74 @@ def test_dme_cohort_call_matches_per_client_loop(table_factory):
                         np.random.default_rng(17), trials=trials)
     assert mse == float(np.mean(errors))
     assert bits == 2.0
+
+
+# magnitudes from 1e-3 to 1e3; the largest saturate the margins, where exp overflows
+MAGNITUDES = st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e3])
+
+
+def _gradient_formula(weights, x, y):
+    """One client's (k, d) samples: logistic-loss gradient averaged over the samples."""
+    coeff = -y / (1.0 + np.exp(y * (x @ weights)))
+    return (coeff[:, None] * x).mean(axis=0)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stacked_client_update_matches_per_client_calls(data):
+    m, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 23))
+    d = data.draw(st.integers(1, 69))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    weights = rng.normal(size=d) * data.draw(MAGNITUDES)
+    x = rng.normal(size=(m, k, d)) * data.draw(MAGNITUDES)
+    y = rng.choice([-1.0, 1.0], size=(m, k))
+    with np.errstate(over="ignore"):
+        stacked = fl.client_update(weights, x, y)
+        clients = [fl.client_update(weights, x[i], y[i]) for i in range(m)]
+        samples = [fl.client_update(weights, x[i, 0], y[i, 0]) for i in range(m)]
+        formula = [_gradient_formula(weights, x[i], y[i]) for i in range(m)]
+    assert stacked.shape == (m, d)
+    assert np.array_equal(stacked, np.stack(clients))
+    assert np.array_equal(stacked, np.stack(formula))
+    if k == 1:
+        # the one-sample form is the one-client form of a single sample
+        assert np.array_equal(stacked, np.stack(samples))
+
+
+def _ball_rows(data, n, d):
+    """Rows from zero to far beyond the unit ball, each at its own scale."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    scales = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]),
+                                min_size=n, max_size=n))
+    return rng.normal(size=(n, d)) * np.array(scales)[:, None]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_clip_rows_matches_per_row_clip(data):
+    norm = data.draw(st.sampled_from(["l1", "l2"]))
+    n = data.draw(st.integers(1, 8))
+    d = data.draw(st.one_of(st.integers(2, 70), st.integers(1000, 20_000)))
+    u = _ball_rows(data, n, d)
+    # the norm of a finite row that overflows: rescaled by max|u| first
+    overflow = np.array([1e300, 1.0]) if norm == "l2" else np.array([1e308, 1e308])
+    for k in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        u[k] = 0.0
+        u[k, :2] = overflow
+    with np.errstate(over="ignore"):
+        norms = [_norm(row, norm) for row in u]
+        # a radius equal to a row's norm puts that row exactly on the ball
+        radius = data.draw(st.sampled_from([r for r in norms if 0.0 < r < np.inf]
+                                           + [0.5, 1.0, 3.0]))
+        cfg = ClipConfig(norm, radius)
+        expected = np.stack([clip(row, cfg) for row in u])
+    assert np.array_equal(_clip_rows(u, cfg), expected)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_rows_rejects_a_non_finite_row(norm, bad):
+    u = np.full((3, 4), 0.25)
+    u[1, 2] = bad
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="inputs must be finite"):
+        _clip_rows(u, ClipConfig(norm, 1.0))

@@ -3,8 +3,11 @@
 The golden digests were recorded from the per-stream numpy implementation
 (one ``SeedSequence`` and ``Generator`` per client message and per
 ``COORD_CHUNK`` block).  Any change to how streams are derived must leave
-them unchanged.  The table is built by hand so the digests do not depend on
-the designer or the certifiers.
+them unchanged.  The cohort goldens (``SLICED_GOLDEN``, ``IDENTITY_GOLDEN``,
+``DME_IDENTITY_GOLDEN``) were recorded from the per-client gradient and
+per-row clip loops; batching either must leave them unchanged too.  The
+table is built by hand so the digests do not depend on the designer or the
+certifiers.
 """
 
 import hashlib
@@ -17,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imvu import ClipConfig, FlConfig, InterpolatedMechanism, MechanismTable, train_fl
+from imvu import (
+    ClipConfig,
+    FlConfig,
+    InterpolatedMechanism,
+    MechanismTable,
+    dme_mse,
+    train_fl,
+)
+from imvu.dme import _privatize_clients
 from imvu.mechanism import privatize_vector
 from imvu.rng import (
     _COORD_TAG,
@@ -61,12 +72,47 @@ def _cohort_digest(seed: int) -> str:
     return _sha(full, *parts, vec)
 
 
-def _train_digest(seed: int, norm: str) -> str:
-    cfg = FlConfig(rounds=6, cohort=20, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
-                   mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120)
+def _csv_digest(cfg: FlConfig) -> str:
     buf = io.StringIO()
     train_fl(cfg).to_csv(buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _train_digest(seed: int, norm: str) -> str:
+    return _csv_digest(FlConfig(rounds=6, cohort=20, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
+                                mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120))
+
+
+def _sliced_digest(seed: int, norm: str) -> str:
+    # 125 samples in 41 clients: two hold 4 samples, the rest 3
+    return _csv_digest(FlConfig(rounds=5, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, 1.0),
+                                mechanism="imvu", mech=_hand_mech(norm), seed=seed,
+                                client_samples=3, n_train=125))
+
+
+def _identity_digest(norm: str) -> str:
+    # some gradients are clipped and some pass
+    # (the CSV holds accuracies only; close classes make them move round by round)
+    radius = {"l1": 2.0, "l2": 0.5}[norm]
+    return _csv_digest(FlConfig(rounds=12, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, radius),
+                                mechanism="identity", seed=5, client_samples=3, n_train=125,
+                                separation=1.0))
+
+
+def _spread_inputs(rng, n, d):
+    # rows from well inside to far outside the unit ball
+    return rng.normal(0.0, 0.3, size=(n, d)) * np.geomspace(0.01, 3.0, n)[:, None]
+
+
+def _dme_identity_digest(norm: str) -> str:
+    mech = _hand_mech(norm)
+    mse, bits = dme_mse(7, 13, _spread_inputs, "identity", mech, np.random.default_rng(9),
+                        trials=3)
+    rng = np.random.default_rng(10)
+    decoded, _ = _privatize_clients("identity", mech, _spread_inputs(rng, 7, 13), rng)
+    h = hashlib.sha256(repr((mse, bits)).encode())
+    h.update(np.ascontiguousarray(decoded).tobytes())
+    return h.hexdigest()
 
 
 COHORT_GOLDEN = {
@@ -86,6 +132,25 @@ TRAIN_GOLDEN = {
     (-3, "l2"): "7f383eaca46b4c60325d232973dcc912b5db9ce3853a0e33fb2f5d9b0a8947b4",
 }
 
+SLICED_GOLDEN = {
+    (0, "l1"): "f3c5339b9fd0d3effd434370485c0918e81bce077db6d48890c2b47814b36d2f",
+    (0, "l2"): "c9bebed19b18e7357b543ffe0522a19454f34d55adc0cf2d35bfeef2f7291800",
+    (2**32, "l1"): "8ead5f714f35cd8c340783c24256547ae7111a07ffc007d4fda06a9b59ae4d4a",
+    (2**32, "l2"): "1a772cfa35ab5eb23f8a3744cf6f4ff2d4453a536c9f0f74caf0c27edc978ad1",
+    (-3, "l1"): "ccc2b8edeaf88a9b3950c4c7214386d9b2989bbc16b26971fa6eea9177faab0f",
+    (-3, "l2"): "aee71d13d5e789c68bcd8f0baa619cef7234c7c314b9b935cc61769556e39a17",
+}
+
+IDENTITY_GOLDEN = {
+    "l1": "eb4567b2bad01e06fd373ebab056c55b63d42e3935b0c5f47dd7002f31cbaff2",
+    "l2": "705f9a89c17e2e3cd9fe10c96b767ca23b128d0bcf0f68c297ad5720a6d882e7",
+}
+
+DME_IDENTITY_GOLDEN = {
+    "l1": "139ca75468dfbc65c4edabe8116fdbcea97ae1e2611e6976dd2e1dc8d72934d4",
+    "l2": "69459710093f78b7f62798a30be5f05ba068c91eb0c50521b8189289e99ec8b6",
+}
+
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 def test_privatize_indices_golden(seed):
@@ -95,6 +160,21 @@ def test_privatize_indices_golden(seed):
 @pytest.mark.parametrize("seed,norm", sorted(TRAIN_GOLDEN))
 def test_train_fl_csv_golden(seed, norm):
     assert _train_digest(seed, norm) == TRAIN_GOLDEN[(seed, norm)]
+
+
+@pytest.mark.parametrize("seed,norm", sorted(SLICED_GOLDEN))
+def test_train_fl_uneven_client_slices_golden(seed, norm):
+    assert _sliced_digest(seed, norm) == SLICED_GOLDEN[(seed, norm)]
+
+
+@pytest.mark.parametrize("norm", sorted(IDENTITY_GOLDEN))
+def test_train_fl_identity_golden(norm):
+    assert _identity_digest(norm) == IDENTITY_GOLDEN[norm]
+
+
+@pytest.mark.parametrize("norm", sorted(DME_IDENTITY_GOLDEN))
+def test_dme_identity_plumbing_golden(norm):
+    assert _dme_identity_digest(norm) == DME_IDENTITY_GOLDEN[norm]
 
 
 # ---------------------------------------------------------------------------
