@@ -25,7 +25,7 @@ from .accounting import (
     spent_trajectory,
     verify_accounting,
 )
-from .baselines import BaselineConfig, gaussian_mech, laplace_mech, signsgd
+from .baselines import BaselineConfig, privatize_baseline
 from .designer import (
     DesignError,
     DesignSpec,

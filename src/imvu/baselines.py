@@ -1,7 +1,7 @@
 """The mechanism kinds the harnesses run, and the reference mechanisms.
 
-The one place that knows the kinds: their names, each baseline's sampling
-function, the wire bits per coordinate and the per-round privacy ledger.
+The one place that knows the kinds: their names, the baselines' sampler,
+the wire bits per coordinate and the per-round privacy ledger.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import MissingConstantsError, PrivacyLedger, imvu_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, clip
+from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows
 
-KINDS = ("identity", "imvu", "laplace", "gaussian", "signsgd")
+BASELINE_KINDS = ("laplace", "gaussian", "signsgd")
+KINDS = ("identity", "imvu") + BASELINE_KINDS
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class BaselineConfig:
     noise: float
 
     def __post_init__(self):
-        if self.kind not in BASELINES:
+        if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.kind == "laplace" and self.clip.norm != "l1":
             raise ValueError("laplace requires an l1 clip")
@@ -36,37 +37,29 @@ class BaselineConfig:
             raise ValueError("noise parameter must be positive and finite")
 
 
-def laplace_mech(u: np.ndarray, cfg: BaselineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Clip to the L1 ball and add iid Laplace(C1/eps) noise per coordinate."""
-    if cfg.kind != "laplace":
-        raise ValueError("config is not a laplace config")
-    clipped = clip(u, cfg.clip)
-    scale = cfg.clip.clip_c / cfg.noise
-    return clipped + rng.laplace(0.0, scale, size=clipped.shape)
+def privatize_baseline(u: np.ndarray, cfg: BaselineConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Clip a client vector, or each row of an (n, d) cohort, and add iid noise.
 
-
-def gaussian_mech(u: np.ndarray, cfg: BaselineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Clip to the L2 ball and add iid N(0, (sigma C2)^2) noise per coordinate."""
-    if cfg.kind not in ("gaussian", "signsgd"):
-        raise ValueError("config is not a gaussian-family config")
-    clipped = clip(u, cfg.clip)
-    std = cfg.noise * cfg.clip.clip_c
-    return clipped + rng.normal(0.0, std, size=clipped.shape)
-
-
-def signsgd(u: np.ndarray, cfg: BaselineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Coordinate-wise sign of the Gaussian mechanism's output.
-
-    Post-processing, so the privacy cost is exactly the Gaussian one.  Exact
-    zeros map to +1 to keep runs deterministic.
+    laplace clips to the L1 ball and adds Laplace(C1/eps) noise per
+    coordinate; gaussian clips to the L2 ball and adds N(0, (sigma C2)^2).
+    signsgd sends the coordinate-wise sign of the gaussian output, exact
+    zeros as +1 to keep runs deterministic; it is post-processing, so its
+    privacy cost is exactly the Gaussian one.  The noise is one draw of the
+    cohort's shape, which takes the same numbers in the same order as one
+    draw per row: row k is bit for bit the vector call on ``u[k]`` after
+    the calls on rows 0..k-1, and the generator ends in the same state.
     """
-    if cfg.kind != "signsgd":
-        raise ValueError("config is not a signsgd config")
-    noisy = gaussian_mech(u, cfg, rng)
-    return np.where(noisy >= 0.0, 1.0, -1.0)
-
-
-BASELINES = {"laplace": laplace_mech, "gaussian": gaussian_mech, "signsgd": signsgd}
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2):
+        raise ValueError("u must be a 1-D vector or (n, d) cohort")
+    clipped = _clip_rows(np.atleast_2d(u), cfg.clip).reshape(u.shape)
+    if cfg.kind == "laplace":
+        noise = rng.laplace(0.0, cfg.clip.clip_c / cfg.noise, size=u.shape)
+    else:
+        noise = rng.normal(0.0, cfg.noise * cfg.clip.clip_c, size=u.shape)
+    noisy = clipped + noise
+    return np.where(noisy >= 0.0, 1.0, -1.0) if cfg.kind == "signsgd" else noisy
 
 
 def wire_bits(kind: str, mech: InterpolatedMechanism | None = None) -> float:

@@ -26,7 +26,7 @@ from .accounting import (
     accounting_report,
     attach_accounting,
 )
-from .baselines import BASELINES, KINDS, BaselineConfig
+from .baselines import BASELINE_KINDS, KINDS, BaselineConfig
 from .designer import DesignError, DesignSpec, design_mvu, enforce_anadromic, validate_table
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
@@ -145,17 +145,16 @@ def _imvu_file(args) -> InterpolatedMechanism:
 
 def _cmd_dme(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
-    cfg = None
     if args.mechanism == "imvu":
         mech = _imvu_file(args)
         cfg = InterpolatedMechanism(
             table=mech.table, beta=args.beta, clip=ClipConfig(args.clip_norm, args.clip_c)
         )
-    elif args.mechanism in BASELINES:
+    elif args.mechanism in BASELINE_KINDS:
         cfg = BaselineConfig(
             args.mechanism, ClipConfig(args.clip_norm, args.clip_c), args.noise
         )
-    elif args.mechanism == "identity" and args.clip_c is not None:
+    else:  # identity
         cfg = ClipConfig(args.clip_norm, args.clip_c)
     mse, bits = dme_mse(
         args.n_clients, args.d, gaussian_inputs(args.input_scale),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BASELINES, BaselineConfig, wire_bits
+from .baselines import BASELINE_KINDS, BaselineConfig, privatize_baseline, wire_bits
 from .mechanism import (
     InterpolatedMechanism,
     _clip_rows,
@@ -96,7 +96,7 @@ def gaussian_inputs(scale: float = 0.1):
 
 def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Generator):
     """(decoded client messages, bits per coordinate) for one cohort."""
-    n, d = u.shape
+    n, _ = u.shape
     if mechanism == "identity":
         if cfg is None:
             return u.copy(), wire_bits(mechanism)
@@ -109,12 +109,11 @@ def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Genera
     elif mechanism == "imvu":
         if not isinstance(cfg, InterpolatedMechanism):
             raise ValueError("imvu needs an InterpolatedMechanism config")
-        seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(n)]
-        _, out = privatize_vector(cfg, u, seeds)
-    elif mechanism in BASELINES:
-        if not isinstance(cfg, BaselineConfig):
-            raise ValueError(f"{mechanism} needs a BaselineConfig")
-        out = np.stack([BASELINES[mechanism](u[i], cfg, rng) for i in range(n)])
+        _, out = privatize_vector(cfg, u, rng.integers(0, 2**63 - 1, size=n))
+    elif mechanism in BASELINE_KINDS:
+        if not (isinstance(cfg, BaselineConfig) and cfg.kind == mechanism):
+            raise ValueError(f"{mechanism} needs a {mechanism} BaselineConfig")
+        out = privatize_baseline(u, cfg, rng)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     return out, wire_bits(mechanism, cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
-from .baselines import BASELINES, KINDS, BaselineConfig, round_ledger
+from .baselines import BASELINE_KINDS, KINDS, BaselineConfig, privatize_baseline, round_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows, privatize_vector
 # ``clip`` stays an attribute here, where bench/tracing.py wraps it
 from .mechanism import clip  # noqa: F401
@@ -139,9 +139,8 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     ledger = round_ledger(cfg.mechanism, cfg.rounds, cfg.delta, cfg.alphas,
                           mech=cfg.mech, noise=cfg.noise)
     # baseline configs validate clip-norm pairings; fail before training
-    baseline = None
-    if cfg.mechanism in BASELINES:
-        baseline = BaselineConfig(cfg.mechanism, cfg.clip, cfg.noise)
+    baseline = (BaselineConfig(cfg.mechanism, cfg.clip, cfg.noise)
+                if cfg.mechanism in BASELINE_KINDS else None)
 
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
     # the linear training head is binary
@@ -175,8 +174,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
         elif cfg.mechanism == "identity":
             messages = _clip_rows(grads, cfg.clip)
         else:
-            messages = np.stack([BASELINES[cfg.mechanism](grad, baseline, noise_rng)
-                                 for grad in grads])
+            messages = privatize_baseline(grads, baseline, noise_rng)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity

@@ -447,8 +447,8 @@ def privatize_vector(
     n = len(seeds)
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
-    # both raise on a non-finite row
-    clipped = _clip_rows(u, mech.clip) if cohort else clip(u, mech.clip)[None]
+    # raises on a non-finite row
+    clipped = _clip_rows(u if cohort else u[None], mech.clip)
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -192,16 +192,21 @@ def _all_pairs_lp(b_in, b_out, eps, scale):
                 row[k * b_out + j] = -np.exp(gap)
                 rows.append(row)
     a_ub = np.array(rows).reshape(-1, n)
-    res = linprog(
-        np.tile(alphabet**2, b_in),
-        A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=a_eq,
-        b_eq=np.concatenate([np.ones(b_in), grid]),
-        bounds=[(PROB_FLOOR, 1.0)] * n,
-        method="highs",
-        options=designer._LP_OPTIONS,
-    )
+    # retried once without presolve, as the designer does: presolve can call
+    # a feasible LP on the feasibility boundary infeasible
+    for presolve in (True, False):
+        res = linprog(
+            np.tile(alphabet**2, b_in),
+            A_ub=a_ub,
+            b_ub=np.zeros(a_ub.shape[0]),
+            A_eq=a_eq,
+            b_eq=np.concatenate([np.ones(b_in), grid]),
+            bounds=[(PROB_FLOOR, 1.0)] * n,
+            method="highs",
+            options={**designer._LP_OPTIONS, "presolve": presolve},
+        )
+        if res.success:
+            break
     if res.status not in (0, 2):
         return None
     return float(res.fun - np.sum(grid**2)) if res.success else np.inf
@@ -214,6 +219,8 @@ def _all_pairs_lp(b_in, b_out, eps, scale):
     log_eps=st.floats(np.log(0.05), np.log(30.0)),
     frac=st.floats(0.0, 1.0),
 )
+# presolve called this feasible boundary LP infeasible
+@example(b_in=2, b_out=2, log_eps=3.25, frac=0.0)
 def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
     # On a uniform grid the adjacent ratio rows telescope to every pair.
     # HiGHS can fail on the all-pairs LP once a non-adjacent growth nears

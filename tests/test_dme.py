@@ -160,3 +160,7 @@ def test_dme_input_validation():
         dme_mse(5, 4, gaussian_inputs(), "imvu", None, np.random.default_rng(0))
     with pytest.raises(ValueError):
         dme_mse(5, 4, gaussian_inputs(), "warp", None, np.random.default_rng(0))
+    # the config names the kind the sampler draws, so it must match the harness's
+    signsgd = BaselineConfig("signsgd", ClipConfig("l2", 1.0), 1.0)
+    with pytest.raises(ValueError, match="gaussian BaselineConfig"):
+        dme_mse(5, 4, gaussian_inputs(), "gaussian", signsgd, np.random.default_rng(0))

@@ -203,7 +203,7 @@ def test_server_update_is_mean_message_times_lr():
     assert result.accuracy[0] == accuracy
 
 
-@pytest.mark.parametrize("mechanism", ["identity", "imvu"])
+@pytest.mark.parametrize("mechanism", ["identity", "imvu", "laplace", "gaussian", "signsgd"])
 def test_train_rejects_a_non_finite_gradient(mechanism, monkeypatch):
     from imvu import fl
 
@@ -215,7 +215,11 @@ def test_train_rejects_a_non_finite_gradient(mechanism, monkeypatch):
         return grads
 
     monkeypatch.setattr(fl, "client_update", poisoned)
-    cfg = _cfg(mechanism=mechanism, mech=_imvu_mech() if mechanism == "imvu" else None)
+    if mechanism in ("laplace", "gaussian", "signsgd"):
+        clip = ClipConfig("l1" if mechanism == "laplace" else "l2", 1.0)
+        cfg = _cfg(mechanism=mechanism, clip=clip, noise=1.0)
+    else:
+        cfg = _cfg(mechanism=mechanism, mech=_imvu_mech() if mechanism == "imvu" else None)
     with pytest.raises(ValueError, match="inputs must be finite"):
         train_fl(cfg)
 

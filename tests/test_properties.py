@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvu import (
+    BaselineConfig,
     ClipConfig,
     FlConfig,
     InterpolatedMechanism,
@@ -20,6 +21,7 @@ from imvu import (
     generate_synthetic,
     gaussian_inputs,
     pmf,
+    privatize_baseline,
     privatize_vector,
     train_fl,
 )
@@ -256,6 +258,14 @@ def _ball_rows(data, n, d):
     return rng.normal(size=(n, d)) * np.array(scales)[:, None]
 
 
+def _overflow_rows(data, u, norm):
+    """Replace up to two rows by finite rows whose norm overflows."""
+    overflow = np.array([1e300, 1.0]) if norm == "l2" else np.array([1e308, 1e308])
+    for k in data.draw(st.sets(st.integers(0, len(u) - 1), max_size=2)):
+        u[k] = 0.0
+        u[k, :2] = overflow
+
+
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_clip_rows_matches_per_row_clip(data):
@@ -264,10 +274,7 @@ def test_clip_rows_matches_per_row_clip(data):
     d = data.draw(st.one_of(st.integers(2, 70), st.integers(1000, 20_000)))
     u = _ball_rows(data, n, d)
     # the norm of a finite row that overflows: rescaled by max|u| first
-    overflow = np.array([1e300, 1.0]) if norm == "l2" else np.array([1e308, 1e308])
-    for k in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
-        u[k] = 0.0
-        u[k, :2] = overflow
+    _overflow_rows(data, u, norm)
     with np.errstate(over="ignore"):
         norms = [_norm(row, norm) for row in u]
         # a radius equal to a row's norm puts that row exactly on the ball
@@ -285,3 +292,22 @@ def test_clip_rows_rejects_a_non_finite_row(norm, bad):
     u[1, 2] = bad
     with np.errstate(all="raise"), pytest.raises(ValueError, match="inputs must be finite"):
         _clip_rows(u, ClipConfig(norm, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cohort_baseline_call_matches_row_calls(data):
+    kind = data.draw(st.sampled_from(["laplace", "gaussian", "signsgd"]))
+    norm = "l1" if kind == "laplace" else "l2"
+    n, d = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 70))
+    u = _ball_rows(data, n, d)
+    _overflow_rows(data, u, norm)
+    radius = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0]))
+    noise = data.draw(st.floats(1e-3, 100.0))
+    cfg = BaselineConfig(kind, ClipConfig(norm, radius), noise)
+    seed = data.draw(st.integers(0, 2**32))
+    cohort_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cohort = privatize_baseline(u, cfg, cohort_rng)
+    rows = np.stack([privatize_baseline(row, cfg, row_rng) for row in u])
+    assert np.array_equal(cohort, rows)
+    assert cohort_rng.bit_generator.state == row_rng.bit_generator.state

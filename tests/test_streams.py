@@ -5,8 +5,12 @@ The golden digests were recorded from the per-stream numpy implementation
 ``COORD_CHUNK`` block).  Any change to how streams are derived must leave
 them unchanged.  The cohort goldens (``SLICED_GOLDEN``, ``IDENTITY_GOLDEN``,
 ``DME_IDENTITY_GOLDEN``) were recorded from the per-client gradient and
-per-row clip loops; batching either must leave them unchanged too.  The
-table is built by hand so the digests do not depend on the designer or the
+per-row clip loops; batching either must leave them unchanged too.
+``WEIGHTS_GOLDEN`` and ``DME_GOLDEN`` were recorded from the per-client
+baseline loops and pin message bytes: the weights ``train_fl`` hands to
+``client_update`` in every round (a CSV of accuracies misses a last-bit
+change), and the decoded cohort of every mechanism kind.  The table is
+built by hand so the digests do not depend on the designer or the
 certifiers.
 """
 
@@ -21,11 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvu import (
+    BaselineConfig,
     ClipConfig,
     FlConfig,
     InterpolatedMechanism,
     MechanismTable,
     dme_mse,
+    fl,
     train_fl,
 )
 from imvu.dme import _privatize_clients
@@ -78,25 +84,67 @@ def _csv_digest(cfg: FlConfig) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def _train_digest(seed: int, norm: str) -> str:
-    return _csv_digest(FlConfig(rounds=6, cohort=20, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
-                                mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120))
+def _train_cfg(seed: int, norm: str) -> FlConfig:
+    return FlConfig(rounds=6, cohort=20, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
+                    mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120)
 
 
-def _sliced_digest(seed: int, norm: str) -> str:
+def _sliced_cfg(seed: int, norm: str) -> FlConfig:
     # 125 samples in 41 clients: two hold 4 samples, the rest 3
-    return _csv_digest(FlConfig(rounds=5, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, 1.0),
-                                mechanism="imvu", mech=_hand_mech(norm), seed=seed,
-                                client_samples=3, n_train=125))
+    return FlConfig(rounds=5, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, 1.0),
+                    mechanism="imvu", mech=_hand_mech(norm), seed=seed,
+                    client_samples=3, n_train=125)
 
 
-def _identity_digest(norm: str) -> str:
-    # some gradients are clipped and some pass
+# radii at which some gradients are clipped and some pass
+RADIUS = {"l1": 2.0, "l2": 0.5}
+
+
+def _identity_cfg(norm: str) -> FlConfig:
     # (the CSV holds accuracies only; close classes make them move round by round)
-    radius = {"l1": 2.0, "l2": 0.5}[norm]
-    return _csv_digest(FlConfig(rounds=12, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, radius),
-                                mechanism="identity", seed=5, client_samples=3, n_train=125,
-                                separation=1.0))
+    return FlConfig(rounds=12, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, RADIUS[norm]),
+                    mechanism="identity", seed=5, client_samples=3, n_train=125,
+                    separation=1.0)
+
+
+BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
+
+
+def _baseline_cfg(kind: str, seed: int) -> FlConfig:
+    norm = BASELINE_NORM[kind]
+    return FlConfig(rounds=6, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, RADIUS[norm]),
+                    mechanism=kind, noise={"laplace": 20.0}.get(kind, 0.3), seed=seed,
+                    client_samples=3, n_train=125, separation=1.0,
+                    server_lr_scale=0.1 if kind == "signsgd" else 1.0)
+
+
+def _weights_cfg(kind: str, seed: int, norm: str) -> FlConfig:
+    if kind == "imvu":
+        return _train_cfg(seed, norm)
+    if kind == "imvu-sliced":
+        return _sliced_cfg(seed, norm)
+    if kind == "identity":
+        return _identity_cfg(norm)
+    return _baseline_cfg(kind, seed)
+
+
+def _weights_digest(cfg: FlConfig, monkeypatch) -> str:
+    """sha256 of the weights ``train_fl`` hands to ``client_update``, one copy
+    per client of every round, then of the CSV."""
+    h = hashlib.sha256()
+    update = fl.client_update
+
+    def recording(weights, x, y):
+        # one call may serve a stack of clients
+        for _ in range(len(x)):
+            h.update(np.ascontiguousarray(weights, dtype=float).tobytes())
+        return update(weights, x, y)
+
+    monkeypatch.setattr(fl, "client_update", recording)
+    buf = io.StringIO()
+    train_fl(cfg).to_csv(buf)
+    h.update(buf.getvalue().encode())
+    return h.hexdigest()
 
 
 def _spread_inputs(rng, n, d):
@@ -104,12 +152,15 @@ def _spread_inputs(rng, n, d):
     return rng.normal(0.0, 0.3, size=(n, d)) * np.geomspace(0.01, 3.0, n)[:, None]
 
 
-def _dme_identity_digest(norm: str) -> str:
-    mech = _hand_mech(norm)
-    mse, bits = dme_mse(7, 13, _spread_inputs, "identity", mech, np.random.default_rng(9),
-                        trials=3)
+def _dme_digest(kind: str, norm: str) -> str:
+    """sha256 of ``dme_mse``'s (mse, bits), then of one decoded cohort."""
+    if kind in ("identity", "imvu"):
+        cfg = _hand_mech(norm)
+    else:
+        cfg = BaselineConfig(kind, ClipConfig(norm, 1.0), {"laplace": 8.0}.get(kind, 0.2))
+    mse, bits = dme_mse(7, 13, _spread_inputs, kind, cfg, np.random.default_rng(9), trials=3)
     rng = np.random.default_rng(10)
-    decoded, _ = _privatize_clients("identity", mech, _spread_inputs(rng, 7, 13), rng)
+    decoded, _ = _privatize_clients(kind, cfg, _spread_inputs(rng, 7, 13), rng)
     h = hashlib.sha256(repr((mse, bits)).encode())
     h.update(np.ascontiguousarray(decoded).tobytes())
     return h.hexdigest()
@@ -152,6 +203,38 @@ DME_IDENTITY_GOLDEN = {
 }
 
 
+WEIGHTS_GOLDEN = {
+    ("imvu", 0, "l1"): "c9d3d88aee3fc7d4fd2a18eaa9e6b2fd4e477566305375cda3156dc8e10774c7",
+    ("imvu", 0, "l2"): "dcbeb96989fc3277351d8a0eb5f7e43aaefa2e878ed473d78fe13bb2988b6a01",
+    ("imvu", 2**32, "l1"): "f281fbb3a426ae671c789ca8e4ab881eaaaec0722fe302f2b82417886addafc3",
+    ("imvu", 2**32, "l2"): "767dc30a916f92505209517c3fd8a10d8020f0126af0cffaa7e9b22eb25c1c81",
+    ("imvu", -3, "l1"): "6ee2ec36d384fcd283dccfa09575af1bb3b6a610fa3437a296d2c762c93eda2b",
+    ("imvu", -3, "l2"): "41d7561bf8ecb5e7df35fce1295e73aed4e58480651bb774cca97dc364a34d05",
+    ("imvu-sliced", 0, "l1"): "eb01dc93a0d65f5fac02ea44a5993bcbb56284d20e3173bc8bfa28f2054c3760",
+    ("imvu-sliced", 0, "l2"): "6f0a8bc1851edd8629d7721736d27feb29cf459438b78e6406730b8467590364",
+    ("imvu-sliced", 2**32, "l1"): "eaf20538cc3dd30dbca528c54e1eb56fb1c3ec373e82981285cc92ccc6cf59eb",
+    ("imvu-sliced", 2**32, "l2"): "c35ba0a71b9e2258d15f67652beeb12caca2ee156a928881142f25ca702ba927",
+    ("imvu-sliced", -3, "l1"): "593a8fac7ce82f24ee24abcdf50935ae55fa6c10e11ac51db57a1893b53b7aee",
+    ("imvu-sliced", -3, "l2"): "21fc137549cb28c3186adb27530a134d97c5bc2ca889f3658fe92d2b3594b926",
+    ("identity", 5, "l1"): "43ad5f91f314bfaab97e1b05a4a7511892f7c3f02f1dd39a209c3276c9ecefd0",
+    ("identity", 5, "l2"): "aef76a4fddd68036a082417e1441fbfeefc5f9e76e223718e1af36b0ece2648e",
+    ("laplace", 0, "l1"): "9f7c3a107df6422dbf4bad9c8664831b3bf7575b01cfa4d247a6f4a7d01b2ead",
+    ("laplace", -3, "l1"): "85d7468f920e0c95f7b2ce256e072bdf560b15c783229c78e471b7c0cd402c75",
+    ("gaussian", 0, "l2"): "6af5e6224bce9fdba7bc38cb7a7a022fe197a16190c2c2de4b7fd33364b58fad",
+    ("gaussian", -3, "l2"): "20b1cf1726a56493c8277c57339bae62f97ffb64d943d3f53fe388c14cff255e",
+    ("signsgd", 0, "l2"): "4cdbdb2185d1bd4e64d7053944422475caf8cf90f5e11e13b8a946ad035305d4",
+    ("signsgd", -3, "l2"): "773fc878a6f42086659395c36be81b0900e7a10437cc878b6f3f77c210a2e013",
+}
+
+DME_GOLDEN = {
+    ("imvu", "l1"): "9ec51c9a8d25e4765e656cdf25b1b015043772b58217222298b78a815091b146",
+    ("imvu", "l2"): "ae93d209e31606a1eab48626e8989fe4942752014893a98f002d401b39e66a87",
+    ("laplace", "l1"): "7f418707d75e96289bb897037ef485938eb308188e7cb8ea171a92e7b58d2595",
+    ("gaussian", "l2"): "c8cf600e117d995fcfbaf6ecdad6ea98952e5d95715406c46e17f50d431ac9de",
+    ("signsgd", "l2"): "7f72abe3414b5cdc3d4413509fff03c369382960a080bf153ae340186357c91f",
+}
+
+
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 def test_privatize_indices_golden(seed):
     assert _cohort_digest(seed) == COHORT_GOLDEN[seed]
@@ -159,22 +242,33 @@ def test_privatize_indices_golden(seed):
 
 @pytest.mark.parametrize("seed,norm", sorted(TRAIN_GOLDEN))
 def test_train_fl_csv_golden(seed, norm):
-    assert _train_digest(seed, norm) == TRAIN_GOLDEN[(seed, norm)]
+    assert _csv_digest(_train_cfg(seed, norm)) == TRAIN_GOLDEN[(seed, norm)]
 
 
 @pytest.mark.parametrize("seed,norm", sorted(SLICED_GOLDEN))
 def test_train_fl_uneven_client_slices_golden(seed, norm):
-    assert _sliced_digest(seed, norm) == SLICED_GOLDEN[(seed, norm)]
+    assert _csv_digest(_sliced_cfg(seed, norm)) == SLICED_GOLDEN[(seed, norm)]
 
 
 @pytest.mark.parametrize("norm", sorted(IDENTITY_GOLDEN))
 def test_train_fl_identity_golden(norm):
-    assert _identity_digest(norm) == IDENTITY_GOLDEN[norm]
+    assert _csv_digest(_identity_cfg(norm)) == IDENTITY_GOLDEN[norm]
 
 
 @pytest.mark.parametrize("norm", sorted(DME_IDENTITY_GOLDEN))
 def test_dme_identity_plumbing_golden(norm):
-    assert _dme_identity_digest(norm) == DME_IDENTITY_GOLDEN[norm]
+    assert _dme_digest("identity", norm) == DME_IDENTITY_GOLDEN[norm]
+
+
+@pytest.mark.parametrize("kind,seed,norm", sorted(WEIGHTS_GOLDEN))
+def test_train_fl_client_weights_golden(kind, seed, norm, monkeypatch):
+    assert _weights_digest(_weights_cfg(kind, seed, norm), monkeypatch) == \
+        WEIGHTS_GOLDEN[(kind, seed, norm)]
+
+
+@pytest.mark.parametrize("kind,norm", sorted(DME_GOLDEN))
+def test_dme_decoded_golden(kind, norm):
+    assert _dme_digest(kind, norm) == DME_GOLDEN[(kind, norm)]
 
 
 # ---------------------------------------------------------------------------
