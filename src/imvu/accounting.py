@@ -42,7 +42,8 @@ class AccountingError(RuntimeError):
 
 
 class AnadromicityError(AccountingError):
-    """The Fisher route needs anadromic parameters; run enforce_anadromic."""
+    """The Fisher route needs anadromic parameters; run enforce_anadromic,
+    or design the table with ``imvu design --symmetrize``."""
 
 
 class MissingConstantsError(RuntimeError):
@@ -171,7 +172,8 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
     if resid > ANADROMIC_TOL:
         raise AnadromicityError(
             f"natural parameters are not anadromic (residual {resid:.3e}); "
-            "run enforce_anadromic on the table first"
+            "run enforce_anadromic on the table first, or design it with "
+            "`imvu design --symmetrize`"
         )
     theta = eta2 - eta1
     rows = np.stack((eta1, eta2))

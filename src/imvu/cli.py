@@ -27,7 +27,7 @@ from .accounting import (
     attach_accounting,
 )
 from .baselines import BASELINE_KINDS, KINDS, BaselineConfig
-from .designer import DesignError, DesignSpec, design_mvu, enforce_anadromic, validate_table
+from .designer import DesignError, DesignSpec, design_mvu, validate_table
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
 from .mechanism import ClipConfig, InterpolatedMechanism, TableInvariantError

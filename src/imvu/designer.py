@@ -31,10 +31,11 @@ REPAIR_CYCLES = 3
 # Relative tolerance of the scale search: a point within it of a tangent
 # line lies on that line's piece, and variances within it tie.
 _PIECE_TOL = 1e-9
-# A scale or 1/scale whose LP fails moves inward by a relative 1e-12 * 4^k,
-# k < 16 (so by at most about 1e-3).
-_BACKOFF = 1e-12
-_BACKOFF_TRIES = 16
+# HiGHS's LP values are noisy within about 1e-11 of the largest feasible
+# 1/scale, so the scale search keeps this relative distance from it.
+_R_MAX_INSET = 1e-10
+# The scale search solves at most this many LPs per table cell.
+_LPS_PER_CELL = 4
 
 # HiGHS enforces constraints to an absolute tolerance, which near the
 # probability floor is a large *ratio* error; the log-space repair below
@@ -223,18 +224,9 @@ def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _first_solved(solve, x: float, direction: float):
-    """solve(x), else the first result of solve(x (1 + direction * 1e-12 * 4^k))
-    for k = 0, 1, ...; None if every call returns None."""
-    for shift in (0.0, *(_BACKOFF * 4.0 ** np.arange(_BACKOFF_TRIES))):
-        out = solve(x * (1.0 + direction * shift))
-        if out is not None:
-            return out
-    return None
-
-
-def _best_scale(spec: DesignSpec) -> float | None:
-    """Alphabet scale of least LP variance over ``spec.scale_range()``.
+def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
+    """Alphabet scale of least LP variance over ``spec.scale_range()`` and
+    the (b_in, b_out) LP solution there.
 
     With a_j = 1/2 + s c_j and r = 1/s, unbiasedness reads
     sum_j p[i, j] c_j = (x_i - 1/2) r, and the variance at scale s is
@@ -242,21 +234,24 @@ def _best_scale(spec: DesignSpec) -> float | None:
     over the simplex, floor and ratio rows, none of which depends on r.
     Only the right-hand side moves with r, so g is convex and piecewise
     linear on its feasible interval (Bertsimas & Tsitsiklis, Introduction
-    to Linear Optimization, 5.2), with the mean rows' duals as slopes.
+    to Linear Optimization, 5.2), with the mean rows' duals as slopes, and
+    the LP's solution at r is the design at s = 1/r.
 
-    One LP with r as a variable gives the largest feasible r.  A tangent
-    sandwich over [1/hi, min(r_max, 1/lo)] then finds every linear piece of
-    g: if the tangent at either end of an interval passes through the other
-    end, g is that line; otherwise g is solved where the two end tangents
-    meet, and either lies on them there (two pieces) or that point splits
-    the interval.  On a piece g = alpha + gamma r the variance is
-    alpha s^2 + gamma s - const, minimized in closed form.
+    One LP with r as a variable gives the largest feasible r, r_max, near
+    which HiGHS's g is noisy, so a tangent sandwich finds every linear piece
+    of g over [1/hi, r_max (1 - ``_R_MAX_INSET``)] and the LP at r_max is
+    one more candidate.  Where the end tangents of an interval meet within a
+    relative ``_PIECE_TOL`` of one end, g is the other end's tangent;
+    otherwise g is solved where they meet, and either lies on them there
+    (two pieces) or that point splits the interval (unless its LP failed).
+    No r is solved twice; the LP after ``_LPS_PER_CELL`` per table cell,
+    the free one included, raises ``DesignError`` instead.
 
-    A search end whose LP fails (HiGHS can call the LP at the free LP's
-    r_max infeasible, or fail outright at 1/hi) moves inward by a relative
-    1e-12 * 4^k until it solves; a failed interior point leaves its
-    interval unrefined.  Variances within ``_PIECE_TOL`` of the least tie,
-    and the smallest of their scales is returned.  None if no LP solved.
+    On a piece g = alpha + gamma r the variance is alpha s^2 + gamma s -
+    const, minimized in closed form.  Variances within ``_PIECE_TOL`` of the
+    least tie, and the smallest of their scales wins; a winner inside a
+    piece is solved at its own r, and the best solved scale is returned.
+    ``DesignError`` if no LP solved.
     """
     b_in, b_out = spec.b_in, spec.b_out
     letters = _letters(b_out)
@@ -266,12 +261,21 @@ def _best_scale(spec: DesignSpec) -> float | None:
     a_eq, a_ub = _constraints(b_in, b_out, spec.eps, letters)
     lo, hi = spec.scale_range()
     r_lo, r_hi = 1.0 / hi, 1.0 / lo
+    bound, solved = _LPS_PER_CELL * n, {}
 
     def tangent(r):
-        res = _linprog(cost, a_eq, np.concatenate([ones, offsets * r]), a_ub)
-        if not res.success:
-            return None
-        return r, float(res.fun), float(res.eqlin.marginals[b_in:] @ offsets)
+        if r not in solved:
+            if len(solved) + 1 >= bound:  # the free LP counts too
+                raise DesignError(
+                    f"scale search reached its bound of {bound:g} LP solves "
+                    f"for {b_in}x{b_out} at eps={spec.eps:g}"
+                )
+            res = _linprog(cost, a_eq, np.concatenate([ones, offsets * r]), a_ub)
+            solved[r] = None
+            if res.success:
+                slope = float(res.eqlin.marginals[b_in:] @ offsets)
+                solved[r] = r, float(res.fun), slope, res.x.reshape(b_in, b_out)
+        return solved[r]
 
     free = _linprog(
         np.append(np.zeros(n), -1.0),
@@ -281,75 +285,67 @@ def _best_scale(spec: DesignSpec) -> float | None:
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
     )
     r_top = float(free.x[-1]) if free.success else r_lo
-    ends = [_first_solved(tangent, r_lo, 1.0)]
-    if r_top > r_lo:
-        ends.append(_first_solved(tangent, r_top, -1.0))
-    points = [p for p in ends if p is not None]
+    ends = (tangent(r_lo), tangent(max(r_lo, r_top * (1.0 - _R_MAX_INSET))))
+    tangent(r_top)
     lines = []
-    stack = [tuple(points)] if len(points) == 2 else []
+    stack = [ends] if None not in ends and ends[0] is not ends[1] else []
     while stack:
-        (ra, ga, da), (rb, gb, db) = a, b = stack.pop()
+        (ra, ga, da, _), (rb, gb, db, _) = a, b = stack.pop()
         tol = _PIECE_TOL * max(1.0, abs(ga), abs(gb))
+        # where the end tangents meet; rb (ra) if a's (b's) tangent passes through it
         if gb - ga - da * (rb - ra) <= tol:
+            rc = rb
+        elif ga - gb - db * (ra - rb) <= tol:
+            rc = ra
+        else:
+            rc = (gb - ga + da * ra - db * rb) / (da - db)
+        if rc >= rb * (1.0 - _PIECE_TOL):
             lines.append((ra, rb, ga - da * ra, da))
-            continue
-        if ga - gb - db * (ra - rb) <= tol:
+        elif rc <= ra * (1.0 + _PIECE_TOL):
             lines.append((ra, rb, gb - db * rb, db))
+        elif (c := tangent(rc)) is None:
             continue
-        # each tangent passes strictly below the other end, so da < db and
-        # the tangents meet strictly inside (ra, rb)
-        rc = (gb - ga + da * ra - db * rb) / (da - db)
-        c = tangent(rc)
-        if c is None:
-            continue
-        points.append(c)
-        if c[1] - ga - da * (rc - ra) <= tol:
+        elif c[1] - ga - da * (rc - ra) <= tol:
             lines += [(ra, rc, ga - da * ra, da), (rc, rb, gb - db * rb, db)]
         else:
             stack += [(a, c), (c, b)]
 
+    # The upper end of the scale bracket is always feasible: the two-letter
+    # linear table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  No
+    # solved LP therefore means the solver failed.
+    if not any(solved.values()):
+        raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
     const = float(offsets @ offsets)
-    candidates = [(g / r**2 - const, 1.0 / r) for r, g, _ in points]
-    for ra, rb, alpha, gamma in lines:
-        if alpha > 0.0 and 1.0 / rb < -gamma / (2.0 * alpha) < 1.0 / ra:
-            s = -gamma / (2.0 * alpha)
-            candidates.append((alpha * s**2 + gamma * s - const, s))
-    if not candidates:
-        return None
-    best = min(candidates)[0]
-    return min(s for v, s in candidates if v <= best + _PIECE_TOL * abs(best))
+    minima = [(alpha * s**2 + gamma * s - const, s, None) for ra, rb, alpha, gamma in lines
+              if alpha > 0.0 and 1.0 / rb < (s := -gamma / (2.0 * alpha)) < 1.0 / ra]
+    # a winning interior minimum is solved, and the solved scales compete again
+    for extra in (minima, []):
+        points = filter(None, solved.values())
+        cands = extra + [(g / r**2 - const, 1.0 / r, x) for r, g, _, x in points]
+        least = min(c[0] for c in cands)
+        ties = [c for c in cands if c[0] <= least + _PIECE_TOL * abs(least)]
+        _, scale, probs = min(ties, key=lambda c: c[1])
+        if probs is not None:
+            return scale, probs
+        tangent(1.0 / scale)
 
 
 def design_mvu(spec: DesignSpec) -> MechanismTable:
     """Design a table for the given spec.
 
-    Finds the alphabet scale of least variance over the whole bracket with
-    the exact parametric LP search (``_best_scale``, about 2 LP solves per
-    linear piece of the LP value), solves the design LP at that scale
-    (raising it by a relative 1e-12 * 4^k, toward the always feasible upper
-    end, should the solver fail there), repairs the solution in log space,
-    optionally symmetrizes it, and constructs the MechanismTable, whose
-    construction validates every invariant.
+    Takes the least-variance scale over the whole bracket and the LP
+    solution there from the exact parametric search (``_best_scale``, about
+    2 LP solves per linear piece of the LP value), repairs that solution in
+    log space, optionally symmetrizes it, and constructs the MechanismTable,
+    whose construction validates every invariant.
     """
     if spec.b_in * spec.b_out > MAX_TABLE_CELLS:
         raise DesignError(
             f"table has {spec.b_in * spec.b_out} cells; "
             f"the dense designer is limited to {MAX_TABLE_CELLS}"
         )
-
-    def solved(scale):
-        out = _solve_lp(spec.b_in, spec.b_out, spec.eps, scale)
-        return out if np.isfinite(out[0]) else None
-
-    scale = _best_scale(spec)
-    found = None if scale is None else _first_solved(solved, scale, 1.0)
-    # The upper end of the scale bracket is always feasible: the two-letter
-    # linear table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  No
-    # solved LP therefore means the solver failed.
-    if found is None:
-        lo, hi = spec.scale_range()
-        raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
-    _, raw_probs, alphabet = found
+    scale, raw_probs = _best_scale(spec)
+    alphabet = _alphabet(spec.b_out, scale)
     probs = _repair_probs(raw_probs, spec.eps)
     grid = np.arange(spec.b_in, dtype=float) / (spec.b_in - 1)
     if spec.symmetrize:

@@ -65,6 +65,18 @@ def test_account_rdp_requires_two_rows(tmp_path, capsys):
     assert "b_in=2" in captured.err
 
 
+def test_account_rdp_on_asymmetric_table_names_symmetrize(tmp_path, capsys):
+    mech_path = str(tmp_path / "t.json")
+    assert run("design", "--bits", "3", "--b-in", "2", "--eps", "5",
+               "--out", mech_path) == 0
+    code = run("account", "--mech", mech_path, "--mode", "rdp",
+               "--clip-norm", "l2", "--clip-c", "1.0", "--rounds", "5")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "not anadromic" in captured.err
+    assert "imvu design --symmetrize" in captured.err
+
+
 def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     mech_path = tmp_path / "bad.json"
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",

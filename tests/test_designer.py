@@ -60,7 +60,7 @@ def test_design_matches_closed_form_across_eps(eps):
 
 def test_design_lp_optimal_over_scale_grid():
     # independent optimality check: no scale on a dense grid beats the
-    # golden-section winner by more than grid resolution effects
+    # designed table by more than grid resolution effects
     table = get_table(2, 2, LN3)
     best = table_variance(table)
     for scale in np.linspace(0.5, 2.5, 41):
@@ -105,6 +105,7 @@ def test_variance_non_increasing_in_eps_wide_range(b_in, b_out):
     [
         (3, 4, 10.0, 0.0351),  # golden section: 0.260, a local optimum at scale 1.51
         (8, 2, 0.1, 870.0),  # golden section: 1058.7, at the bracket end
+        (4, 16, 40.0, 1.1038e-6),  # refinement margin without the r_max inset: 1.1197e-6
     ],
 )
 def test_scale_search_finds_global_optimum(b_in, b_out, eps, bound):
@@ -147,6 +148,46 @@ def test_design_reports_solver_failure(monkeypatch):
     monkeypatch.setattr(designer, "linprog", lambda *args, **kwargs: Failed())
     with pytest.raises(DesignError, match="solver failed at every scale"):
         design_mvu(DesignSpec(2, 2, 1.0))
+
+
+def _count_solves(monkeypatch):
+    """Wrap ``designer.linprog``; the returned list gets one (A_eq shape,
+    right-hand side) entry per LP solve, retries without presolve excluded."""
+    solves = []
+
+    def counting(*args, **kwargs):
+        if kwargs["options"]["presolve"]:
+            solves.append((kwargs["A_eq"].shape, kwargs["b_eq"].tobytes()))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(designer, "linprog", counting)
+    return solves
+
+
+@settings(max_examples=30, deadline=20_000)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 16),
+    log_eps=st.floats(np.log(5.0), np.log(40.0)),
+)
+# HiGHS's boundary noise near the largest feasible 1/scale looped the search
+@example(b_in=3, b_out=16, log_eps=float(np.log(38.0)))
+@example(b_in=3, b_out=16, log_eps=float(np.log(39.1788)))
+def test_scale_search_ends_within_lp_bound(b_in, b_out, log_eps):
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _count_solves(mp)
+        design_mvu(DesignSpec(b_in, b_out, float(np.exp(log_eps))))
+    assert len(solves) <= designer._LPS_PER_CELL * b_in * b_out
+    assert len(set(solves)) == len(solves)
+
+
+def test_scale_search_raises_at_lp_bound(monkeypatch):
+    # 2x4 at eps = 5 takes six LPs; half an LP per cell stops it at four
+    monkeypatch.setattr(designer, "_LPS_PER_CELL", 0.5)
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(DesignError, match="bound of 4 LP solves"):
+        design_mvu(DesignSpec(2, 4, 5.0))
+    assert len(solves) == 4
 
 
 @pytest.mark.parametrize("b_in", [2, 3, 4, 8, 16, 32])
@@ -243,6 +284,9 @@ def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
     b_out=st.integers(2, 8),
     log_eps=st.floats(np.log(0.05), np.log(30.0)),
 )
+# the scale search looped here before it kept off the largest feasible 1/scale
+@example(b_in=3, b_out=16, log_eps=float(np.log(38.0)))
+@example(b_in=3, b_out=16, log_eps=float(np.log(39.1788)))
 def test_design_variance_at_most_scale_grid_min(b_in, b_out, log_eps):
     # the parametric search is exact, so no scale of a dense grid over the
     # whole bracket (both ends included) may beat the designed table
