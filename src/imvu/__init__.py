@@ -25,7 +25,7 @@ from .accounting import (
     spent_trajectory,
     verify_accounting,
 )
-from .baselines import BaselineConfig, privatize_baseline
+from .baselines import BaselineConfig, privatize_baseline, privatizer
 from .designer import (
     DesignError,
     DesignSpec,

@@ -1,7 +1,8 @@
 """The mechanism kinds the harnesses run, and the reference mechanisms.
 
-The one place that knows the kinds: their names, the baselines' sampler,
-the wire bits per coordinate and the per-round privacy ledger.
+The one place that knows the kind names.  ``privatizer`` maps a name to the
+object a run privatizes with; the baselines' sampler, the wire bits and the
+per-round privacy ledger then read that object's type.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import MissingConstantsError, PrivacyLedger, imvu_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows
+from .accounting import PrivacyLedger, imvu_ledger
+from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows, clip
 
-BASELINE_KINDS = ("laplace", "gaussian", "signsgd")
-KINDS = ("identity", "imvu") + BASELINE_KINDS
+# the clip norm each baseline's noise is calibrated to
+_BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
+KINDS = ("identity", "imvu", *_BASELINE_NORM)
 
 
 @dataclass(frozen=True)
@@ -27,14 +29,44 @@ class BaselineConfig:
     noise: float
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
+        norm = _BASELINE_NORM.get(self.kind)
+        if norm is None:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.kind == "laplace" and self.clip.norm != "l1":
-            raise ValueError("laplace requires an l1 clip")
-        if self.kind in ("gaussian", "signsgd") and self.clip.norm != "l2":
-            raise ValueError(f"{self.kind} requires an l2 clip")
-        if not (np.isfinite(self.noise) and self.noise > 0):
-            raise ValueError("noise parameter must be positive and finite")
+        if self.clip.norm != norm:
+            raise ValueError(f"{self.kind} requires an {norm} clip")
+        if self.noise is None or not (np.isfinite(self.noise) and self.noise > 0):
+            raise ValueError(f"{self.kind} needs a positive, finite noise parameter")
+
+
+def privatizer(kind: str, clip: ClipConfig, mech: InterpolatedMechanism | None = None,
+               noise: float | None = None):
+    """The privatizer of a run of ``kind`` that clips with ``clip``.
+
+    imvu returns ``mech``, whose own clip must be ``clip``; a baseline builds
+    its ``BaselineConfig`` from ``noise``; identity returns ``clip``.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown mechanism {kind!r}")
+    if kind == "identity":
+        return clip
+    if kind in _BASELINE_NORM:
+        return BaselineConfig(kind, clip, noise)
+    if mech is None:
+        raise ValueError("imvu needs an InterpolatedMechanism")
+    if mech.clip != clip:
+        raise ValueError(f"the mechanism clips with {mech.clip}, the run with {clip}")
+    return mech
+
+
+def kind_of(priv) -> str:
+    """The kind name of a privatizer."""
+    if isinstance(priv, InterpolatedMechanism):
+        return "imvu"
+    if isinstance(priv, BaselineConfig):
+        return priv.kind
+    if isinstance(priv, ClipConfig):
+        return "identity"
+    raise ValueError(f"a {type(priv).__name__} is not a privatizer")
 
 
 def privatize_baseline(u: np.ndarray, cfg: BaselineConfig,
@@ -53,7 +85,7 @@ def privatize_baseline(u: np.ndarray, cfg: BaselineConfig,
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2):
         raise ValueError("u must be a 1-D vector or (n, d) cohort")
-    clipped = _clip_rows(np.atleast_2d(u), cfg.clip).reshape(u.shape)
+    clipped = _clip_rows(u, cfg.clip) if u.ndim == 2 else clip(u, cfg.clip)
     if cfg.kind == "laplace":
         noise = rng.laplace(0.0, cfg.clip.clip_c / cfg.noise, size=u.shape)
     else:
@@ -62,35 +94,30 @@ def privatize_baseline(u: np.ndarray, cfg: BaselineConfig,
     return np.where(noisy >= 0.0, 1.0, -1.0) if cfg.kind == "signsgd" else noisy
 
 
-def wire_bits(kind: str, mech: InterpolatedMechanism | None = None) -> float:
+def wire_bits(priv) -> float:
     """Bits per coordinate on the wire: the table's index width for imvu, a
     sign for signsgd, and an uncompressed 32-bit float otherwise."""
-    if kind == "imvu":
-        return float(mech.table.bits)
-    return 1.0 if kind == "signsgd" else 32.0
+    if isinstance(priv, InterpolatedMechanism):
+        return float(priv.table.bits)
+    return 1.0 if kind_of(priv) == "signsgd" else 32.0
 
 
-def round_ledger(kind: str, rounds: int, delta: float, alphas: tuple[float, ...],
-                 mech: InterpolatedMechanism | None = None,
-                 noise: float | None = None) -> PrivacyLedger | None:
+def round_ledger(priv, rounds: int, delta: float,
+                 alphas: tuple[float, ...]) -> PrivacyLedger | None:
     """Per-round privacy cost over ``rounds`` rounds; None for identity.
 
     imvu is charged at sensitivity beta through eps' under an l1 clip and
-    the Fisher constant under an l2 clip.  ``noise`` is the laplace epsilon
-    (scale C1/eps at l1 sensitivity C1 costs pure eps) or the gaussian/signsgd
-    noise multiplier sigma (std sigma * C2 at l2 sensitivity C2 costs
-    eps_alpha = alpha / (2 sigma^2); signsgd is post-processing).
+    the Fisher constant under an l2 clip.  A baseline's ``noise`` is the
+    laplace epsilon (scale C1/eps at l1 sensitivity C1 costs pure eps) or the
+    gaussian/signsgd noise multiplier sigma (std sigma * C2 at l2 sensitivity
+    C2 costs eps_alpha = alpha / (2 sigma^2); signsgd is post-processing).
     """
-    if kind == "identity":
+    if isinstance(priv, InterpolatedMechanism):
+        mode = "pure" if priv.clip.norm == "l1" else "rdp"
+        return imvu_ledger(priv, mode, rounds, priv.beta, delta, alphas)
+    if not isinstance(priv, BaselineConfig):
         return None
-    if kind == "imvu":
-        if mech is None:
-            raise MissingConstantsError("imvu needs a mechanism with attached constants")
-        mode = "pure" if mech.clip.norm == "l1" else "rdp"
-        return imvu_ledger(mech, mode, rounds, mech.beta, delta, alphas)
-    if noise is None or noise <= 0:
-        raise ValueError(f"{kind} needs a positive noise parameter")
-    if kind == "laplace":
-        return PrivacyLedger("pure", float(noise), rounds, delta=delta)
-    per_round = np.asarray(alphas, dtype=float) / (2.0 * noise**2)
+    if priv.kind == "laplace":
+        return PrivacyLedger("pure", float(priv.noise), rounds, delta=delta)
+    per_round = np.asarray(alphas, dtype=float) / (2.0 * priv.noise**2)
     return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))

@@ -26,7 +26,7 @@ from .accounting import (
     accounting_report,
     attach_accounting,
 )
-from .baselines import BASELINE_KINDS, KINDS, BaselineConfig
+from .baselines import KINDS, privatizer
 from .designer import DesignError, DesignSpec, design_mvu, validate_table
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
@@ -145,17 +145,11 @@ def _imvu_file(args) -> InterpolatedMechanism:
 
 def _cmd_dme(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
+    clip = ClipConfig(args.clip_norm, args.clip_c)
+    mech = None
     if args.mechanism == "imvu":
-        mech = _imvu_file(args)
-        cfg = InterpolatedMechanism(
-            table=mech.table, beta=args.beta, clip=ClipConfig(args.clip_norm, args.clip_c)
-        )
-    elif args.mechanism in BASELINE_KINDS:
-        cfg = BaselineConfig(
-            args.mechanism, ClipConfig(args.clip_norm, args.clip_c), args.noise
-        )
-    else:  # identity
-        cfg = ClipConfig(args.clip_norm, args.clip_c)
+        mech = InterpolatedMechanism(table=_imvu_file(args).table, beta=args.beta, clip=clip)
+    cfg = privatizer(args.mechanism, clip, mech, args.noise)
     mse, bits = dme_mse(
         args.n_clients, args.d, gaussian_inputs(args.input_scale),
         args.mechanism, cfg, rng, trials=args.trials,

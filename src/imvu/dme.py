@@ -6,16 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, BaselineConfig, privatize_baseline, wire_bits
-from .mechanism import (
-    InterpolatedMechanism,
-    _clip_rows,
-    decode,
-    moments,
-    mvu_dither_moments,
-    privatize_vector,
-    scale_input,
-)
+from .baselines import BaselineConfig, kind_of, privatize_baseline, wire_bits
+from .mechanism import InterpolatedMechanism, _clip_rows, privatize_vector
+from .mechanism import moments, mvu_dither_moments
 from .table_io import write_csv
 
 SWEEP_POINTS = 201
@@ -94,53 +87,41 @@ def gaussian_inputs(scale: float = 0.1):
     return draw
 
 
-def _privatize_clients(mechanism: str, cfg, u: np.ndarray, rng: np.random.Generator):
-    """(decoded client messages, bits per coordinate) for one cohort."""
-    n, _ = u.shape
-    if mechanism == "identity":
-        if cfg is None:
-            return u.copy(), wire_bits(mechanism)
-        # plumbing mode: exercise clip -> scale -> decode without sampling
-        if isinstance(cfg, InterpolatedMechanism):
-            clip_c, beta = cfg.clip.clip_c, cfg.beta
-            out = decode(scale_input(_clip_rows(u, cfg.clip), clip_c, beta), clip_c, beta)
-        else:
-            out = _clip_rows(u, cfg)
-    elif mechanism == "imvu":
-        if not isinstance(cfg, InterpolatedMechanism):
-            raise ValueError("imvu needs an InterpolatedMechanism config")
-        _, out = privatize_vector(cfg, u, rng.integers(0, 2**63 - 1, size=n))
-    elif mechanism in BASELINE_KINDS:
-        if not (isinstance(cfg, BaselineConfig) and cfg.kind == mechanism):
-            raise ValueError(f"{mechanism} needs a {mechanism} BaselineConfig")
-        out = privatize_baseline(u, cfg, rng)
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    return out, wire_bits(mechanism, cfg)
+def privatize_clients(priv, u: np.ndarray, rng: np.random.Generator, seeds) -> np.ndarray:
+    """The decoded (n, d) messages of the cohort ``u`` under the privatizer ``priv``.
+
+    A baseline draws its noise from ``rng``; imvu samples with the n row
+    seeds that the zero-argument callable ``seeds`` returns, which only imvu
+    calls; identity only clips.  An FL round's server step is one such call
+    on the client gradients.
+    """
+    if isinstance(priv, InterpolatedMechanism):
+        return privatize_vector(priv, u, seeds())[1]
+    if isinstance(priv, BaselineConfig):
+        return privatize_baseline(u, priv, rng)
+    return _clip_rows(u, priv)
 
 
-def dme_mse(
-    n_clients: int,
-    d: int,
-    input_dist,
-    mechanism: str,
-    cfg,
-    rng: np.random.Generator,
-    trials: int = 1,
-) -> tuple[float, float]:
+def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
+            rng: np.random.Generator, trials: int = 1) -> tuple[float, float]:
     """Mean estimation error of a privatized cohort, plus the wire cost.
 
-    Each trial draws ``n_clients`` vectors from ``input_dist(rng, n, d)``,
-    privatizes them, and compares the server-side mean of the decoded
-    messages against the true mean.  Returns the per-coordinate MSE averaged
-    over trials and the exact bits per coordinate on the wire.
+    ``cfg`` is the privatizer and ``mechanism`` must name its kind.  Each
+    trial draws ``n_clients`` vectors from ``input_dist(rng, n, d)``,
+    privatizes them in one ``privatize_clients`` call, and compares the
+    server-side mean of the decoded messages against the true mean.  Returns
+    the per-coordinate MSE averaged over trials and the exact bits per
+    coordinate on the wire.
     """
     if n_clients < 1 or trials < 1:
         raise ValueError("n_clients and trials must be at least 1")
+    if kind_of(cfg) != mechanism:
+        raise ValueError(f"kind {mechanism!r} does not match the privatizer's {kind_of(cfg)!r}")
     errors = np.empty(trials)
     for t in range(trials):
         u = input_dist(rng, n_clients, d)
-        decoded, bits = _privatize_clients(mechanism, cfg, u, rng)
+        decoded = privatize_clients(cfg, u, rng,
+                                    lambda: rng.integers(0, 2**63 - 1, size=n_clients))
         err = decoded.mean(axis=0) - u.mean(axis=0)
         errors[t] = float(np.mean(err**2))
-    return float(errors.mean()), bits
+    return float(errors.mean()), wire_bits(cfg)

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
-from .baselines import BASELINE_KINDS, KINDS, BaselineConfig, privatize_baseline, round_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows, privatize_vector
-# ``clip`` stays an attribute here, where bench/tracing.py wraps it
-from .mechanism import clip  # noqa: F401
+from .baselines import privatizer, round_ledger
+from .dme import privatize_clients
+from .mechanism import ClipConfig, InterpolatedMechanism
+# attributes here that bench/tracing.py wraps; a round privatizes through
+# ``dme.privatize_vector``
+from .mechanism import clip, privatize_vector  # noqa: F401
 from .rng import substream, substream_seeds
 from .table_io import write_csv
 
@@ -30,7 +32,7 @@ class FlConfig:
     dims: int
     lr: float
     clip: ClipConfig
-    mechanism: str = "identity"          # one of baselines.KINDS
+    mechanism: str                       # one of baselines.KINDS
     mech: InterpolatedMechanism | None = None
     noise: float | None = None           # sigma / laplace eps for baselines
     momentum: float = 0.5
@@ -51,8 +53,7 @@ class FlConfig:
             raise ValueError("lr must be positive and momentum in [0, 1)")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.mechanism not in KINDS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        privatizer(self.mechanism, self.clip, self.mech, self.noise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +137,8 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     momentum SGD step.  The server update is exactly the mean message times
     the learning rate (times the SignSGD scale) plus the momentum term.
     """
-    ledger = round_ledger(cfg.mechanism, cfg.rounds, cfg.delta, cfg.alphas,
-                          mech=cfg.mech, noise=cfg.noise)
-    # baseline configs validate clip-norm pairings; fail before training
-    baseline = (BaselineConfig(cfg.mechanism, cfg.clip, cfg.noise)
-                if cfg.mechanism in BASELINE_KINDS else None)
+    priv = privatizer(cfg.mechanism, cfg.clip, cfg.mech, cfg.noise)
+    ledger = round_ledger(priv, cfg.rounds, cfg.delta, cfg.alphas)
 
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
     # the linear training head is binary
@@ -168,13 +166,8 @@ def train_fl(cfg: FlConfig) -> TrainResult:
             group = chosen_sizes == size
             rows = starts[chosen[group], None] + np.arange(size)
             grads[group] = client_update(weights, x[rows], y_signed[rows])
-        if cfg.mechanism == "imvu":
-            seeds = substream_seeds(cfg.seed, "privatize", t, chosen)
-            _, messages = privatize_vector(cfg.mech, grads, seeds)
-        elif cfg.mechanism == "identity":
-            messages = _clip_rows(grads, cfg.clip)
-        else:
-            messages = privatize_baseline(grads, baseline, noise_rng)
+        messages = privatize_clients(priv, grads, noise_rng,
+                                     lambda: substream_seeds(cfg.seed, "privatize", t, chosen))
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity

@@ -356,7 +356,8 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     """Project u onto the configured norm ball; inputs inside pass unchanged."""
     u = np.asarray(u, dtype=float)
     _check_finite_inputs(u)
-    norm = _norm(u, cfg.norm)
+    with np.errstate(over="ignore"):  # an overflowed norm is handled below
+        norm = _norm(u, cfg.norm)
     if norm <= cfg.clip_c:
         return u
     if not math.isfinite(norm):
@@ -448,7 +449,7 @@ def privatize_vector(
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
     # raises on a non-finite row
-    clipped = _clip_rows(u if cohort else u[None], mech.clip)
+    clipped = _clip_rows(u, mech.clip) if cohort else clip(u, mech.clip)[None]
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imvu import DEFAULT_ALPHAS, BaselineConfig, ClipConfig, privatize_baseline
-from imvu.baselines import round_ledger
+from imvu.baselines import privatizer, round_ledger
 
 
 def test_config_validation():
@@ -92,21 +92,24 @@ def test_baselines_deterministic_under_seed():
 
 
 def test_round_ledger_laplace_charges_its_epsilon():
-    ledger = round_ledger("laplace", 7, 1e-5, DEFAULT_ALPHAS, noise=5.0)
+    ledger = round_ledger(privatizer("laplace", ClipConfig("l1", 1.0), noise=5.0),
+                          7, 1e-5, DEFAULT_ALPHAS)
     assert (ledger.mode, ledger.per_round, ledger.rounds) == ("pure", 5.0, 7)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "signsgd"])
 def test_round_ledger_gaussian_family_rdp(kind):
-    ledger = round_ledger(kind, 3, 1e-5, (2.0,), noise=1.0)
+    clip = ClipConfig("l2", 1.0)
+    ledger = round_ledger(privatizer(kind, clip, noise=1.0), 3, 1e-5, (2.0,))
     assert ledger.mode == "rdp" and ledger.per_round[0] == pytest.approx(1.0)
-    ledger = round_ledger(kind, 3, 1e-5, (2.0, 4.0), noise=2.0)
+    ledger = round_ledger(privatizer(kind, clip, noise=2.0), 3, 1e-5, (2.0, 4.0))
     np.testing.assert_allclose(ledger.per_round, [0.25, 0.5])
     assert ledger.alphas == (2.0, 4.0)
 
 
 def test_round_ledger_rejects_non_positive_noise():
-    for kind in ("laplace", "gaussian", "signsgd"):
+    for kind, norm in (("laplace", "l1"), ("gaussian", "l2"), ("signsgd", "l2")):
         for noise in (None, 0.0, -1.0):
-            with pytest.raises(ValueError):
-                round_ledger(kind, 3, 1e-5, DEFAULT_ALPHAS, noise=noise)
+            with pytest.raises(ValueError, match="noise"):
+                round_ledger(privatizer(kind, ClipConfig(norm, 1.0), noise=noise),
+                             3, 1e-5, DEFAULT_ALPHAS)

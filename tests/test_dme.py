@@ -11,6 +11,7 @@ from imvu import (
     InterpolatedMechanism,
     dme_mse,
     gaussian_inputs,
+    privatizer,
     sweep_bias_variance,
 )
 
@@ -82,8 +83,10 @@ def test_sweep_rejects_mismatched_tables():
 
 
 def test_dme_identity_zero_error():
+    # identity's privatizer is its clip, as privatizer("identity", clip) returns it
     rng = np.random.default_rng(0)
-    mse, bits = dme_mse(50, 8, gaussian_inputs(0.1), "identity", None, rng, trials=3)
+    cfg = privatizer("identity", ClipConfig("l1", 100.0))
+    mse, bits = dme_mse(50, 8, gaussian_inputs(0.1), "identity", cfg, rng, trials=3)
     assert mse == 0.0
     assert bits == 32.0
 
@@ -95,25 +98,16 @@ def test_dme_identity_with_clip_zero_error_inside_ball():
     assert mse == 0.0
 
 
-def test_dme_identity_pipeline_mode_roundtrip(table_2x4):
-    # clip -> scale -> decode with unit constants is exact
-    mech = InterpolatedMechanism(table_2x4, beta=1.0, clip=ClipConfig("l2", 1.0))
-    rng = np.random.default_rng(2)
-    mse, _ = dme_mse(20, 8, gaussian_inputs(0.05), "identity", mech, rng, trials=3)
-    assert mse <= 1e-28
-
-
 @pytest.mark.parametrize("clip_norm", ["l1", "l2"])
-def test_dme_identity_rejects_a_non_finite_input(table_2x4, clip_norm):
+def test_dme_identity_rejects_a_non_finite_input(clip_norm):
     def with_inf(rng, n, d):
         u = rng.normal(0.0, 0.1, size=(n, d))
         u[n // 2, d - 1] = np.inf
         return u
 
-    for cfg in (ClipConfig(clip_norm, 1.0),
-                InterpolatedMechanism(table_2x4, clip=ClipConfig(clip_norm, 1.0))):
-        with pytest.raises(ValueError, match="inputs must be finite"):
-            dme_mse(5, 8, with_inf, "identity", cfg, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        dme_mse(5, 8, with_inf, "identity", ClipConfig(clip_norm, 1.0),
+                np.random.default_rng(3))
 
 
 def test_dme_mse_scales_inversely_with_clients():
@@ -154,13 +148,18 @@ def test_dme_imvu_error_shrinks_with_clients(rr_table):
 
 
 def test_dme_input_validation():
+    clip = ClipConfig("l2", 1.0)
     with pytest.raises(ValueError):
-        dme_mse(0, 4, gaussian_inputs(), "identity", None, np.random.default_rng(0))
+        dme_mse(0, 4, gaussian_inputs(), "identity", clip, np.random.default_rng(0))
     with pytest.raises(ValueError):
         dme_mse(5, 4, gaussian_inputs(), "imvu", None, np.random.default_rng(0))
     with pytest.raises(ValueError):
         dme_mse(5, 4, gaussian_inputs(), "warp", None, np.random.default_rng(0))
     # the config names the kind the sampler draws, so it must match the harness's
-    signsgd = BaselineConfig("signsgd", ClipConfig("l2", 1.0), 1.0)
-    with pytest.raises(ValueError, match="gaussian BaselineConfig"):
+    signsgd = BaselineConfig("signsgd", clip, 1.0)
+    with pytest.raises(ValueError, match="kind 'gaussian' does not match the privatizer's 'signsgd'"):
         dme_mse(5, 4, gaussian_inputs(), "gaussian", signsgd, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="kind 'imvu' does not match the privatizer's 'identity'"):
+        dme_mse(5, 4, gaussian_inputs(), "imvu", clip, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="kind 'identity' does not match the privatizer's 'signsgd'"):
+        dme_mse(5, 4, gaussian_inputs(), "identity", signsgd, np.random.default_rng(0))

@@ -14,7 +14,7 @@ from imvu import (
     l1_round_eps,
     train_fl,
 )
-from imvu.baselines import round_ledger
+from imvu.baselines import privatizer, round_ledger
 
 from conftest import get_table
 
@@ -172,10 +172,9 @@ def test_signsgd_ledger_equals_gaussian():
     cfg_g = _cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0), noise=1.5)
     cfg_s = _cfg(mechanism="signsgd", clip=ClipConfig("l2", 1.0), noise=1.5,
                  server_lr_scale=0.01)
-    ledger_g = round_ledger(cfg_g.mechanism, cfg_g.rounds, cfg_g.delta, cfg_g.alphas,
-                            noise=cfg_g.noise)
-    ledger_s = round_ledger(cfg_s.mechanism, cfg_s.rounds, cfg_s.delta, cfg_s.alphas,
-                            noise=cfg_s.noise)
+    ledger_g, ledger_s = (
+        round_ledger(privatizer(c.mechanism, c.clip, noise=c.noise), c.rounds, c.delta, c.alphas)
+        for c in (cfg_g, cfg_s))
     np.testing.assert_array_equal(ledger_g.per_round, ledger_s.per_round)
     assert ledger_g.rounds == ledger_s.rounds
 
@@ -229,7 +228,29 @@ def test_train_config_validation():
         _cfg(rounds=0)
     with pytest.raises(ValueError):
         _cfg(momentum=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mechanism"):
         _cfg(mechanism="quantum")
-    with pytest.raises(ValueError):
-        train_fl(_cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0)))  # no noise
+    with pytest.raises(ValueError, match="noise"):
+        _cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0))  # no noise
+    with pytest.raises(ValueError, match="requires an l2 clip"):
+        _cfg(mechanism="gaussian", clip=ClipConfig("l1", 1.0), noise=1.0)
+    with pytest.raises(ValueError, match="InterpolatedMechanism"):
+        _cfg(mechanism="imvu")  # no mechanism
+    # privatizer itself, as the CLI calls it
+    clip = ClipConfig("l1", 1.0)
+    with pytest.raises(ValueError, match="unknown mechanism"):
+        privatizer("quantum", clip)
+    with pytest.raises(ValueError, match="noise"):
+        privatizer("laplace", clip)
+    with pytest.raises(ValueError, match="InterpolatedMechanism"):
+        privatizer("imvu", clip)
+
+
+def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
+    # the mechanism clips at l2 radius 1; the run must not train at that
+    # radius while its config says l1 radius 0.01
+    mech = _imvu_mech(norm="l2")
+    for clip in (ClipConfig("l1", 0.01), ClipConfig("l2", 0.5), ClipConfig("l1", 1.0)):
+        with pytest.raises(ValueError, match="clips with"):
+            _cfg(mechanism="imvu", mech=mech, clip=clip)
+    assert train_fl(_cfg(mechanism="imvu", mech=mech, clip=ClipConfig("l2", 1.0))).ledger

