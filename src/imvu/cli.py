@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import importlib.metadata
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .accounting import (
@@ -43,6 +44,13 @@ _FAILURE_TYPES = (
 )
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read without importing scipy; the
+    lookup scans the installed distributions, so it runs once per process."""
+    return importlib.metadata.version("scipy")
+
+
 def _write_manifest(out_path: str, argv: list[str], seed, outputs: list[str]) -> None:
     manifest = {
         "command": ["imvu"] + list(argv),
@@ -50,7 +58,7 @@ def _write_manifest(out_path: str, argv: list[str], seed, outputs: list[str]) ->
         "versions": {
             "imvu": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": sys.version.split()[0],
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -165,9 +173,10 @@ def _cmd_train(args, argv) -> int:
     mech = None
     if args.mechanism == "imvu":
         mech = _imvu_file(args)
-        if (mech.clip.norm, mech.clip.clip_c, mech.beta) != (args.clip_norm, args.clip_c, args.beta):
+        # FlConfig checks the clip, through the privatizer it builds
+        if mech.beta != args.beta:
             raise AccountingError(
-                "mechanism file accounting (beta/clip) does not match the train flags; "
+                f"mechanism file accounting (beta={mech.beta}) does not match --beta {args.beta}; "
                 "re-run 'imvu account --attach' with the intended configuration"
             )
     cfg = FlConfig(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .accounting import ANADROMIC_TOL, _anadromic_residual
 from .mechanism import (
@@ -156,6 +155,14 @@ def _constraints(b_in: int, b_out: int, eps: float, letters: np.ndarray):
         pairs = np.vstack([here - growth * ahead, ahead - growth * here])
         return a_eq, np.kron(pairs, np.eye(b_out))
     return a_eq, np.zeros((0, b_in * b_out))
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: importing
+    scipy.optimize is most of the time a cold ``import imvu`` would take."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _linprog(cost, a_eq, b_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):

@@ -7,8 +7,10 @@ probabilities.  Two samplers extend the table to continuous inputs:
 * classic dithering, which mixes the probability rows of the bracketing grid
   points and is unbiased everywhere on [0, 1];
 * natural-parameter interpolation, which mixes the log-probability rows and
-  stays well defined for every real input at the cost of a small bias; one
-  kernel, ``_logits``, evaluates it for the sampler and both certifiers.
+  stays well defined for every real input at the cost of a small bias;
+  ``_logits`` evaluates it for ``pmf``, ``log_pmf`` and both certifiers, and
+  the sampler's letter-major kernel, ``_letter_cdf``, repeats its arithmetic
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -258,7 +260,8 @@ def _lerp(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
 
 def _logits(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
     """Interpolated natural parameters shifted to row maximum 0: the kernel
-    through which the sampler, eps' and the Fisher supremum evaluate the mechanism."""
+    through which ``pmf``, eps' and the Fisher supremum evaluate the mechanism
+    (the sampler's ``_letter_cdf`` repeats it letter-major, bit for bit)."""
     eta = _lerp(rows, i, t)
     eta -= eta.max(axis=1, keepdims=True)
     return eta
@@ -337,19 +340,71 @@ def mvu_dither_moments(table, x):
     return _moments(mvu_dither_pmf, _table_of(table), x)
 
 
-def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """First j with u < cdf_j for each uniform, so ties resolve deterministically.
+def _pairwise_sum(z: np.ndarray) -> np.ndarray:
+    """Sum over the letters of a letter-major (b_out, N) array in the order of
+    numpy's ``pairwise_sum``, bit for bit the row sums of the row-major (N, b_out)
+    array: in sequence below 8 letters, else 8 running sums (letter j into sum
+    j % 8) combined pairwise plus the tail in sequence, and above 128 letters
+    the two halves, split at a multiple of 8, summed so and added."""
+    n = len(z)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(z[:half]) + _pairwise_sum(z[half:])
+    if n < 8:
+        tot, tail = z[0].copy(), z[1:]
+    else:
+        stop = n - n % 8
+        r = z[:8].copy()
+        for k in range(8, stop, 8):
+            r += z[k:k + 8]
+        tot = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = z[stop:]
+    for row in tail:
+        tot += row
+    return tot
 
-    ``probs`` is one row per uniform, or one row that every uniform shares.
+
+def _letter_cdf(rows: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running cdf of the interpolated softmax as a letter-major (b_out, N)
+    array, bit for bit ``np.cumsum(_softmax(rows, i, t), axis=1).T``.
+
+    It repeats ``_softmax``'s arithmetic with each letter's N values
+    contiguous, since reductions along the short letter axis of an (N, b_out)
+    array are slow: the same lerp, the maximum, ``exp``, a division by the
+    total summed in ``_pairwise_sum``'s order, then the cumulative sum one
+    letter at a time (``np.cumsum`` along the first axis is slow too).
     """
-    cdf = np.cumsum(probs, axis=-1)
-    j = np.sum(uniforms[:, None] >= cdf, axis=-1)
-    return np.minimum(j, probs.shape[-1] - 1)
+    b_in, b_out = rows.shape
+    s = 1.0 - t
+    if b_in == 2:  # ``_bracket`` puts every input in interval 0
+        z = np.multiply.outer(rows[0], s)
+        z += np.multiply.outer(rows[1], t)
+    else:
+        z = np.empty((b_out, len(t)))
+        i1 = i + 1
+        for zj, col in zip(z, np.ascontiguousarray(rows.T)):
+            np.multiply(s, col[i], out=zj)
+            zj += t * col[i1]
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= _pairwise_sum(z)
+    for prev, zj in zip(z, z[1:]):
+        zj += prev
+    return z
+
+
+def _sample(rows: np.ndarray, i: np.ndarray, t: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Output index of each input (i, t): the first letter j with u < cdf_j,
+    so ties resolve deterministically; past the last cdf value, the last letter."""
+    cdf = _letter_cdf(rows, i, t)
+    return np.minimum((uniforms >= cdf).sum(axis=0), len(cdf) - 1)
 
 
 def sample_batch(mech, x: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent output indices at a fixed x."""
-    return _inverse_cdf(pmf(mech, float(x)), rng.random(n))
+    table = _table_of(mech)
+    xs = np.broadcast_to(_finite_inputs(float(x)), n)
+    return _sample(table.log_probs, *_bracket(table.b_in, xs), rng.random(n))
 
 
 def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
@@ -462,8 +517,9 @@ def privatize_vector(
         uniforms = stream_uniforms(states, c0 - base, c1 - c0)
         block = x[:, c0 - lo:c1 - lo]
         # clipping checked u, and clipping and scaling keep x finite
-        probs = _softmax(table.log_probs, *_bracket(table.b_in, block.ravel()))
-        indices[:, c0 - lo:c1 - lo] = _inverse_cdf(probs, uniforms.ravel()).reshape(block.shape)
+        i, t = _bracket(table.b_in, block.ravel())
+        sampled = _sample(table.log_probs, i, t, uniforms.ravel())
+        indices[:, c0 - lo:c1 - lo] = sampled.reshape(block.shape)
     if not cohort:
         indices = indices[0]
     return indices, decode(table.alphabet[indices], clip_c, beta)

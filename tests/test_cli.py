@@ -1,9 +1,14 @@
 """Command-line surface: pipelines, exit codes, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from imvu import accounting, load_mechanism
 from imvu.cli import main
@@ -131,6 +136,26 @@ def test_dme_command(tmp_path):
     assert lines[1].startswith("gaussian,20,4,3,")
 
 
+def test_cold_start_skips_scipy_optimize(tmp_path):
+    """``import imvu.cli`` leaves scipy.optimize unimported; a design imports
+    it on its first LP, and the manifest still records scipy's version."""
+    script = ("import sys\n"
+              "import imvu.cli\n"
+              "assert 'scipy.optimize' not in sys.modules\n"
+              "sys.exit(imvu.cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    mech_path = str(tmp_path / "m.json")
+    done = subprocess.run([sys.executable, "-c", script, "design", "--bits", "1", "--b-in", "2",
+                           "--eps", "1.0", "--out", mech_path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
 def test_train_command_and_replay(tmp_path):
     out = str(tmp_path / "train.csv")
     argv = ["train", "--mechanism", "identity", "--rounds", "4", "--cohort", "20",
@@ -166,6 +191,27 @@ def test_train_imvu_via_files(tmp_path):
     assert len(lines) == 3
     eps_col = [float(line.split(",")[2]) for line in lines[1:]]
     assert eps_col[1] == pytest.approx(2 * eps_col[0])
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    # the privatizer rejects a clip other than the mechanism's
+    ("--clip-c", "2.0", "the mechanism clips with ClipConfig(norm='l1', clip_c=1.0), "
+                        "the run with ClipConfig(norm='l1', clip_c=2.0)"),
+    ("--beta", "2.0", "mechanism file accounting (beta=1.0) does not match --beta 2.0"),
+], ids=["clip", "beta"])
+def test_train_imvu_rejects_flags_other_than_the_file(tmp_path, capsys, flag, value, message):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0",
+               "--clip-norm", "l1", "--clip-c", "1.0", "--out", mech_path) == 0
+    assert run("account", "--mech", mech_path, "--mode", "pure",
+               "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1",
+               "--out", str(tmp_path / "r.json"), "--attach") == 0
+    capsys.readouterr()
+    assert run("train", "--mechanism", "imvu", "--mech", mech_path,
+               "--rounds", "2", "--cohort", "10", "--d", "4", "--n", "40",
+               flag, value, "--out", str(tmp_path / "train.csv")) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
 
 
 @pytest.mark.parametrize("mode, certifier", [("rdp", "fisher_sup"), ("pure", "_eps_prime_impl")])

@@ -26,7 +26,16 @@ from imvu import (
     train_fl,
 )
 from imvu import fl
-from imvu.mechanism import _clip_rows, _inverse_cdf, _norm, clip
+from imvu.mechanism import (
+    PROB_FLOOR,
+    _bracket,
+    _clip_rows,
+    _letter_cdf,
+    _norm,
+    _sample,
+    _softmax,
+    clip,
+)
 from imvu.rng import COORD_CHUNK, substream
 
 from conftest import LN3, get_table
@@ -93,30 +102,59 @@ def _searchsorted_formula(row, u):
     return min(int(np.searchsorted(np.cumsum(row), u, side="right")), row.size - 1)
 
 
+def _on_cdf_or_fresh(data, cdf_row):
+    """A fresh uniform, or a value placed exactly on one of the row's cdf values."""
+    on_cdf = [float(c) for c in cdf_row if c < 1.0] or [0.0]
+    return data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(on_cdf)))
+
+
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_inverse_cdf_matches_searchsorted(data):
+    b_in = data.draw(st.integers(2, 4))
     b_out = data.draw(st.integers(2, 16))
     n = data.draw(st.integers(1, 12))
     weights = st.floats(1e-12, 1.0, allow_nan=False, allow_infinity=False)
     w = np.array(data.draw(st.lists(st.lists(weights, min_size=b_out, max_size=b_out),
-                                    min_size=n, max_size=n)))
-    probs = w / w.sum(axis=1, keepdims=True)
+                                    min_size=b_in, max_size=b_in)))
+    rows = np.log(w / w.sum(axis=1, keepdims=True))
+    xs = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
+    i, t = _bracket(b_in, xs)
+    probs = _softmax(rows, i, t)
     cdf = np.cumsum(probs, axis=1)
 
-    def uniform(cdf_row):
-        # a fresh draw, or a value placed exactly on one of the row's cdf values
-        on_cdf = [float(c) for c in cdf_row if c < 1.0] or [0.0]
-        return data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
-                                   st.sampled_from(on_cdf)))
+    us = np.array([_on_cdf_or_fresh(data, cdf[k]) for k in range(n)])
+    assert np.array_equal(_sample(rows, i, t, us),
+                          [_searchsorted_formula(probs[k], us[k]) for k in range(n)])
+    # one input shared by every uniform, broadcast as sample_batch does
+    i, t = _bracket(b_in, np.broadcast_to(xs[:1], n))
+    us = np.array([_on_cdf_or_fresh(data, cdf[0]) for _ in range(n)])
+    assert np.array_equal(_sample(rows, i, t, us), [_searchsorted_formula(probs[0], u) for u in us])
 
-    us = np.array([uniform(cdf[k]) for k in range(n)])
-    rows = _inverse_cdf(probs, us)
-    assert np.array_equal(rows, [_searchsorted_formula(probs[k], us[k]) for k in range(n)])
-    # one row shared by every uniform broadcasts
-    us = np.array([uniform(cdf[0]) for _ in range(n)])
-    shared = _inverse_cdf(probs[0], us)
-    assert np.array_equal(shared, [_searchsorted_formula(probs[0], u) for u in us])
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_letter_major_kernel_matches_row_major(data):
+    """Running cdf and indices of the letter-major kernel equal the row-major
+    softmax, cumsum and compare exactly, across numpy's 128-letter sum blocks."""
+    b_in = data.draw(st.integers(2, 16))
+    b_out = data.draw(st.one_of(st.integers(2, 17), st.integers(2, 300)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((b_in, b_out))
+    # some letters sit at the probability floor, as the designer's tables do
+    floor = rng.random((b_in, b_out)) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    w[floor] = PROB_FLOOR * (1.0 + rng.random(int(floor.sum())))
+    rows = np.log(w / w.sum(axis=1, keepdims=True))
+    grid_points = st.sampled_from([k / (b_in - 1) for k in range(b_in)])
+    reals = st.floats(-3.0, 4.0, allow_nan=False, allow_infinity=False)
+    xs = np.array(data.draw(st.lists(st.one_of(grid_points, reals), min_size=1, max_size=30)))
+    i, t = _bracket(b_in, xs)
+    cdf = np.cumsum(_softmax(rows, i, t), axis=1)
+    us = np.array([_on_cdf_or_fresh(data, row) for row in cdf])
+
+    assert np.array_equal(_letter_cdf(rows, i, t), cdf.T)
+    assert np.array_equal(_sample(rows, i, t, us),
+                          np.minimum((us[:, None] >= cdf).sum(axis=1), b_out - 1))
 
 
 @PROPERTY_SETTINGS
