@@ -7,8 +7,11 @@ metric-DP ratio constraints between adjacent rows, which telescope to every
 pair because the grid is uniform.  The alphabet scale s is searched exactly:
 in r = 1/s the LP's optimal value is convex and piecewise linear, so a few
 LP solves find all of its linear pieces, and the variance on each piece is
-a quadratic in s with a closed-form minimum.  For one-bit tables the design
-recovers the randomized-response closed form.
+a quadratic in s with a closed-form minimum.  A search keeps its LP in one
+HiGHS model and re-solves it cold at every scale, moving only the right-hand
+side, with the numbers ``scipy.optimize.linprog`` gives; where scipy lacks
+its bundled HiGHS binding, every solve goes through ``linprog``.
+For one-bit tables the design recovers the randomized-response closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _PIECE_TOL = 1e-9
 _R_MAX_INSET = 1e-10
 # The scale search solves at most this many LPs per table cell.
 _LPS_PER_CELL = 4
+
+# linprog's check of a solution HiGHS calls optimal: bounds, inequality and
+# equality rows within 10 sqrt(tol) at its default tol = 1e-9.
+_LINPROG_CHECK_TOL = 10.0 * np.sqrt(1e-9)
 
 # HiGHS enforces constraints to an absolute tolerance, which near the
 # probability floor is a large *ratio* error; the log-space repair below
@@ -188,6 +195,96 @@ def _linprog(cost, a_eq, b_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
     return res
 
 
+class _HighsLP:
+    """One design LP held in one HiGHS model and re-solved for each right-hand
+    side of its equality rows.
+
+    ``linprog`` checks its options and builds the model again on every call,
+    which on these small LPs costs more than the simplex.  The model here is
+    built once, with the options ``linprog`` passes (passed before the model,
+    or HiGHS prints its banner), and ``solve`` moves only the equality rows
+    whose right-hand side changed.  ``clearSolver`` drops the last basis
+    before every run, so each solve is cold and returns what ``_linprog``
+    returns on the same LP, bit for bit, including its retry without presolve
+    and its check of the solution.
+    """
+
+    def __init__(self, core, cost, a_eq, a_ub, bounds):
+        from scipy.sparse import csc_array
+
+        self._core = core
+        self._m_ub = a_ub.shape[0]
+        self._b_eq = np.zeros(a_eq.shape[0])
+        self._lb, self._ub = np.broadcast_to(np.asarray(bounds, dtype=float), (cost.size, 2)).T.copy()
+        # rows and columns in linprog's order: inequality rows first
+        matrix = csc_array(np.vstack([a_ub, a_eq]))
+        lp = core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = matrix.shape[0]
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = cost
+        lp.col_lower_, lp.col_upper_ = self._lb, self._ub
+        lp.row_lower_ = np.concatenate([np.full(self._m_ub, -np.inf), self._b_eq])
+        lp.row_upper_ = np.concatenate([np.zeros(self._m_ub), self._b_eq])
+        options = core.HighsOptions()
+        for key, value in {
+            **_LP_OPTIONS,
+            "highs_debug_level": core.HighsDebugLevel.kHighsDebugLevelNone,
+            "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            "log_to_console": False,
+            "output_flag": False,
+        }.items():
+            setattr(options, key, value)
+        self._highs = core._Highs()
+        self._highs.passOptions(options)
+        self._highs.passModel(lp)
+
+    def solve(self, b_eq):
+        """(fun, x, equality-row duals) at right-hand side ``b_eq``, equal to
+        ``_linprog``'s ``res.fun``, ``res.x`` and ``res.eqlin.marginals``;
+        None where ``_linprog`` fails."""
+        core, highs, m = self._core, self._highs, self._m_ub
+        for k in np.flatnonzero(b_eq != self._b_eq).tolist():
+            highs.changeRowBounds(m + k, b_eq[k], b_eq[k])
+        self._b_eq = b_eq
+        for presolve in ("on", "off"):
+            highs.setOptionValue("presolve", presolve)
+            highs.clearSolver()
+            if (highs.run() == core.HighsStatus.kError
+                    or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
+                continue
+            solution, fun = highs.getSolution(), highs.getInfo().objective_function_value
+            x, rows = np.array(solution.col_value), np.array(solution.row_value)
+            if (not np.isnan(fun)
+                    and np.all((x >= self._lb - _LINPROG_CHECK_TOL) & (x <= self._ub + _LINPROG_CHECK_TOL))
+                    and np.all(rows[:m] <= _LINPROG_CHECK_TOL)
+                    and np.all(np.abs(b_eq - rows[m:]) <= _LINPROG_CHECK_TOL)):
+                return fun, x, np.array(solution.row_dual)[m:]
+        return None
+
+
+def _lp_solver(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
+    """``solve(b_eq)`` for one design LP: (fun, x, equality-row duals) at
+    right-hand side ``b_eq``, or None if the solve failed.
+
+    Where scipy bundles its HiGHS binding, every right-hand side is solved on
+    one ``_HighsLP`` model; scipy releases without it solve each one through
+    ``_linprog``.  Either way the numbers are ``_linprog``'s.
+    """
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError:
+        def solve(b_eq):
+            res = _linprog(cost, a_eq, b_eq, a_ub, bounds)
+            return (res.fun, res.x, res.eqlin.marginals) if res.success else None
+
+        return solve
+    return _HighsLP(core, cost, a_eq, a_ub, bounds).solve
+
+
 def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
     """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found."""
     alphabet = _alphabet(b_out, scale)
@@ -269,6 +366,7 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     lo, hi = spec.scale_range()
     r_lo, r_hi = 1.0 / hi, 1.0 / lo
     bound, solved = _LPS_PER_CELL * n, {}
+    solve = _lp_solver(cost, a_eq, a_ub)
 
     def tangent(r):
         if r not in solved:
@@ -277,21 +375,20 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
                     f"scale search reached its bound of {bound:g} LP solves "
                     f"for {b_in}x{b_out} at eps={spec.eps:g}"
                 )
-            res = _linprog(cost, a_eq, np.concatenate([ones, offsets * r]), a_ub)
+            sol = solve(np.concatenate([ones, offsets * r]))
             solved[r] = None
-            if res.success:
-                slope = float(res.eqlin.marginals[b_in:] @ offsets)
-                solved[r] = r, float(res.fun), slope, res.x.reshape(b_in, b_out)
+            if sol is not None:
+                fun, x, duals = sol
+                solved[r] = r, float(fun), float(duals[b_in:] @ offsets), x.reshape(b_in, b_out)
         return solved[r]
 
-    free = _linprog(
+    free = _lp_solver(
         np.append(np.zeros(n), -1.0),
         np.hstack([a_eq, np.concatenate([np.zeros(b_in), -offsets])[:, None]]),
-        np.concatenate([ones, np.zeros(b_in)]),
         np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))]),
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
-    )
-    r_top = float(free.x[-1]) if free.success else r_lo
+    )(np.concatenate([ones, np.zeros(b_in)]))
+    r_top = float(free[1][-1]) if free is not None else r_lo
     ends = (tangent(r_lo), tangent(max(r_lo, r_top * (1.0 - _R_MAX_INSET))))
     tangent(r_top)
     lines = []

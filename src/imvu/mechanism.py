@@ -480,7 +480,7 @@ def privatize_vector(
     """Privatize a client vector, or a cohort of them: clip, scale, sample each coordinate.
 
     ``u`` is one vector with an integer ``seed``, or an (n, d) cohort with a
-    sequence of n seeds, one per row.  Returns (indices, decoded values) for
+    sequence of n integer seeds, one per row.  Returns (indices, decoded values) for
     the coordinates in ``coord_range``, one row per client for a cohort.  The
     indices are the wire form, one ``table.bits``-wide symbol per coordinate.
     Randomness is a pure function of (seed, coordinate), so row k of a cohort
@@ -496,9 +496,11 @@ def privatize_vector(
     if u.ndim not in (1, 2) or u.size == 0:
         raise ValueError("u must be a non-empty 1-D vector or (n, d) cohort")
     cohort = u.ndim == 2
-    if cohort == isinstance(seed, (int, np.integer)):
-        raise ValueError("a vector takes one integer seed, a cohort a sequence of seeds")
-    seeds = list(seed) if cohort else [seed]
+    integer = (int, np.integer)
+    seeds = list(seed) if cohort and not isinstance(seed, integer) else [seed]
+    # a float or string seed would be truncated or hashed into another's stream
+    if cohort == isinstance(seed, integer) or not all(isinstance(s, integer) for s in seeds):
+        raise ValueError("a vector takes one integer seed, a cohort a sequence of integer seeds")
     d = u.shape[-1]
     n = len(seeds)
     if cohort and n != len(u):

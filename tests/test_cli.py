@@ -21,6 +21,16 @@ def run(*argv):
     return main(list(argv))
 
 
+def _python(*argv):
+    """Run a fresh interpreter on this checkout's package, output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_design_validate_account_pipeline(tmp_path, capsys):
     mech_path = str(tmp_path / "rr.json")
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", repr(LN3),
@@ -143,17 +153,21 @@ def test_cold_start_skips_scipy_optimize(tmp_path):
               "import imvu.cli\n"
               "assert 'scipy.optimize' not in sys.modules\n"
               "sys.exit(imvu.cli.main(sys.argv[1:]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src")]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    mech_path = str(tmp_path / "m.json")
-    done = subprocess.run([sys.executable, "-c", script, "design", "--bits", "1", "--b-in", "2",
-                           "--eps", "1.0", "--out", mech_path],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _python("-c", script, "design", "--bits", "1", "--b-in", "2",
+                   "--eps", "1.0", "--out", str(tmp_path / "m.json"))
     assert done.returncode == 0, done.stderr[-2000:]
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+def test_design_prints_only_its_own_line(tmp_path):
+    # HiGHS writes a banner to the process's stdout when it gets its options
+    # after the model; one design solves many LPs on one model
+    mech_path = str(tmp_path / "m.json")
+    done = _python("-m", "imvu.cli", "design", "--bits", "2", "--b-in", "4",
+                   "--eps", "2.0", "--out", mech_path)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == f"designed 4x4 table (eps=2.0) -> {mech_path}\n"
 
 
 def test_train_command_and_replay(tmp_path):

@@ -1,5 +1,7 @@
 """Designer contracts: closed forms, LP properties, symmetrization, validation."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -142,25 +144,22 @@ def test_design_size_guard():
 
 
 def test_design_reports_solver_failure(monkeypatch):
-    class Failed:
-        success = False
-
-    monkeypatch.setattr(designer, "linprog", lambda *args, **kwargs: Failed())
+    monkeypatch.setattr(designer._HighsLP, "solve", lambda self, b_eq: None)
     with pytest.raises(DesignError, match="solver failed at every scale"):
         design_mvu(DesignSpec(2, 2, 1.0))
 
 
 def _count_solves(monkeypatch):
-    """Wrap ``designer.linprog``; the returned list gets one (A_eq shape,
-    right-hand side) entry per LP solve, retries without presolve excluded."""
+    """Wrap the HiGHS model's ``solve``; the returned list gets one (model,
+    right-hand side) entry per LP solve, its retry without presolve included."""
     solves = []
+    solve = designer._HighsLP.solve
 
-    def counting(*args, **kwargs):
-        if kwargs["options"]["presolve"]:
-            solves.append((kwargs["A_eq"].shape, kwargs["b_eq"].tobytes()))
-        return linprog(*args, **kwargs)
+    def counting(self, b_eq):
+        solves.append((self, b_eq.tobytes()))
+        return solve(self, b_eq)
 
-    monkeypatch.setattr(designer, "linprog", counting)
+    monkeypatch.setattr(designer._HighsLP, "solve", counting)
     return solves
 
 
@@ -188,6 +187,78 @@ def test_scale_search_raises_at_lp_bound(monkeypatch):
     with pytest.raises(DesignError, match="bound of 4 LP solves"):
         design_mvu(DesignSpec(2, 4, 5.0))
     assert len(solves) == 4
+
+
+def _design_on_both_solvers(spec):
+    """Design ``spec`` with every LP of the scale search solved on its HiGHS
+    model and through ``_linprog``, asserting that (success, fun, x,
+    equality duals) are equal; returns the solves ``_linprog`` retried
+    without presolve."""
+    import scipy.optimize._highspy._core as core
+
+    retries = []
+
+    def recording(*args, **kwargs):
+        if not kwargs["options"]["presolve"]:
+            retries.append(kwargs["b_eq"])
+        return linprog(*args, **kwargs)
+
+    def both(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
+        model = designer._HighsLP(core, cost, a_eq, a_ub, bounds)
+
+        def solve(b_eq):
+            got = model.solve(b_eq)
+            ref = designer._linprog(cost, a_eq, b_eq, a_ub, bounds)
+            assert (got is not None) == ref.success
+            if got is not None:
+                assert np.array_equal(got[0], ref.fun)
+                assert np.array_equal(got[1], ref.x)
+                assert np.array_equal(got[2], ref.eqlin.marginals)
+            return got
+
+        return solve
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designer, "linprog", recording)
+        mp.setattr(designer, "_lp_solver", both)
+        design_mvu(spec)
+    return retries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 16),
+    log_eps=st.floats(np.log(0.05), np.log(40.0)),
+)
+def test_highs_model_matches_linprog(b_in, b_out, log_eps):
+    # the free LP and every tangent LP, r_max among them, each on its own
+    # model in search order
+    _design_on_both_solvers(DesignSpec(b_in, b_out, float(np.exp(log_eps))))
+
+
+@pytest.mark.parametrize("b_out", [2, 3])
+def test_highs_model_retries_without_presolve_as_linprog(b_out):
+    # presolve calls the LP at r_max infeasible (2x2) or fails at the bracket end (2x3)
+    assert _design_on_both_solvers(DesignSpec(2, b_out, 25.0))
+
+
+@pytest.mark.parametrize("spec", [DesignSpec(4, 8, 3.0), DesignSpec(2, 3, 25.0, symmetrize=True)])
+def test_design_falls_back_to_linprog_without_the_highs_binding(monkeypatch, spec):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["options"]["presolve"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(designer, "linprog", counting)
+    on_model = design_mvu(spec)
+    assert calls == []
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    on_linprog = design_mvu(spec)
+    assert calls
+    assert on_linprog.log_probs.tobytes() == on_model.log_probs.tobytes()
+    assert on_linprog.alphabet.tobytes() == on_model.alphabet.tobytes()
 
 
 @pytest.mark.parametrize("b_in", [2, 3, 4, 8, 16, 32])

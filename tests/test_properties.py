@@ -5,6 +5,8 @@ so the comparisons are exact (``np.array_equal``), not within a tolerance.
 Tables come from the session cache; no LP is solved inside a hypothesis loop.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,25 @@ def test_cohort_privatize_needs_one_seed_per_row(prop_tables):
             privatize_vector(mech, u, seeds)
     with pytest.raises(ValueError, match="seed"):
         privatize_vector(mech, u[0], [1])
+
+
+def test_cohort_privatize_takes_only_integer_seeds():
+    # float seeds were truncated, so [1.9, 2.2] drew the streams of [1, 2],
+    # and strings were hashed by crc32; the vector form rejects both
+    mech = InterpolatedMechanism(get_table(2, 4, 2.0))
+    u = np.linspace(-0.4, 0.4, 30).reshape(3, 10)
+    for seeds in ([1.9, 2.2, 3.0], ["a", "b", "c"], [1, 2, 3.0], np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="integer seed"):
+            privatize_vector(mech, u, seeds)
+    # Python ints of any size and integer arrays keep their streams
+    for seeds, digest in [
+        ([-3, 2**63 + 5, 2**64 + 7], "325b56247dd92162f98e413f693ae3f1c86fc93e2a1df0b0a3f6a39a33e58578"),
+        (np.array([5, -1, 2**40]), "1c9b640660921a4f21aa48621c404d36a29cc3de4432fbe0379a653c41ea906c"),
+        (np.array([5, 2**63, 2**64 - 1], dtype=np.uint64),
+         "e1c41e136d1aa5824663f6b952c434354494e6be0ead8f3be81c32eb0bff5345"),
+    ]:
+        idx, dec = privatize_vector(mech, u, seeds)
+        assert hashlib.sha256(idx.astype("<i8").tobytes() + dec.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def _train_fl_per_client(cfg, weights_seen):
