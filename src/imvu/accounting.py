@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import InterpolatedMechanism, MechanismTable, _logits, _softmax, _table_of
+from .mechanism import InterpolatedMechanism, MechanismTable, _softmax, _softmax_terms, _table_of
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
@@ -65,6 +65,12 @@ def domain_for_beta(beta: float) -> tuple[float, float]:
     return (1.0 - beta) / 2.0, (1.0 + beta) / 2.0
 
 
+def _probs(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """The mechanism's softmax as C-ordered (N, b_out) rows, for the
+    per-input sums and products below."""
+    return np.ascontiguousarray(_softmax(rows, i, t).T)
+
+
 # ---------------------------------------------------------------------------
 # L1 route: eps'
 # ---------------------------------------------------------------------------
@@ -91,7 +97,7 @@ def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple
     t[0] = min(0.0, nseg * float(domain[0]))
     t[-1] = max(1.0, nseg * float(domain[1]) - (nseg - 1))
     theta = np.diff(logs, axis=0)[i]
-    h = np.abs(np.sum(_softmax(logs, i, t) * theta, axis=1))
+    h = np.abs(np.sum(_probs(logs, i, t) * theta, axis=1))
     size = (np.abs(1.0 - t) + np.abs(t)) * np.max(np.abs(logs))
     pad = 8.0 * np.finfo(float).eps * (table.b_out + size) * np.max(np.abs(theta), axis=1)
     return float(nseg * np.max(h + pad)), float(nseg * np.max(pad))
@@ -131,7 +137,7 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
     if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
         raise ValueError("natural parameters must be finite")
     theta = eta2 - eta1
-    sm = _softmax(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
+    sm = _probs(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
     vals = np.maximum(sm @ theta**2 - (sm @ theta) ** 2, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
@@ -142,8 +148,8 @@ def _anadromic_residual(eta1, eta2) -> float:
 
 
 def _group_mass(rows: np.ndarray, x: float, group: np.ndarray) -> float:
-    z = np.exp(_logits(rows, 0, np.array([x]))[0])
-    return float(z[group].sum() / z.sum())
+    _, z, total = _softmax_terms(rows, 0, np.array([x]))
+    return float(z[group, 0].sum() / total[0])
 
 
 def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
@@ -260,16 +266,21 @@ def fisher_constant(table) -> tuple[float, FisherDiagnostics]:
     return fisher_sup(table.log_probs[0], table.log_probs[1])
 
 
+def _orders(alphas) -> np.ndarray:
+    """The RDP orders as floats; there must be one at least, each finite and above 1."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size == 0 or not np.all(np.isfinite(alphas) & (alphas > 1.0)):
+        raise ValueError("alphas must be finite orders above 1, at least one")
+    return alphas
+
+
 def l2_round_rdp(m_constant: float, c2_sens: float, alphas=DEFAULT_ALPHAS) -> np.ndarray:
     """Per-round RDP vector: eps_alpha = alpha * M * C^2 / 2."""
     if not (np.isfinite(m_constant) and m_constant >= 0):
         raise ValueError("M must be a non-negative real")
     if not (np.isfinite(c2_sens) and c2_sens >= 0):
         raise ValueError("c2_sens must be a non-negative real")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0 or np.any(alphas <= 1.0):
-        raise ValueError("all alphas must exceed 1")
-    return alphas * m_constant * c2_sens**2 / 2.0
+    return _orders(alphas) * m_constant * c2_sens**2 / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +309,20 @@ class PrivacyLedger:
             raise ValueError("rounds must be non-negative")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        costs = np.asarray(self.per_round, dtype=float)
+        if not np.all(np.isfinite(costs) & (costs >= 0)):
+            raise ValueError("per-round costs must be finite and non-negative")
         if self.mode == "pure":
-            if np.ndim(self.per_round) != 0 or self.per_round < 0:
-                raise ValueError("pure mode needs one non-negative per-round epsilon")
+            if costs.ndim != 0:
+                raise ValueError("pure mode needs one per-round epsilon")
         else:
             if self.alphas is None:
                 raise ValueError("rdp mode needs an alpha grid")
-            alphas = np.asarray(self.alphas, dtype=float)
-            costs = np.asarray(self.per_round, dtype=float)
-            if alphas.ndim != 1 or np.any(np.diff(alphas) <= 0) or np.any(alphas <= 1.0):
-                raise ValueError("alphas must be ascending and all exceed 1")
-            if costs.shape != alphas.shape or np.any(costs < 0):
-                raise ValueError("per_round must be non-negative, one entry per alpha")
+            alphas = _orders(self.alphas)
+            if alphas.ndim != 1 or np.any(np.diff(alphas) <= 0):
+                raise ValueError("alphas must be ascending")
+            if costs.shape != alphas.shape:
+                raise ValueError("per_round must have one entry per alpha")
 
 
 def imvu_ledger(mech: InterpolatedMechanism, mode: str, rounds: int, sens: float,
@@ -339,13 +352,9 @@ def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, f
     evaluated with natural logarithms; returns the minimum and its alpha.
     """
     eps_alphas = np.asarray(eps_alphas, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        raise ValueError("alpha grid must be non-empty")
+    alphas = _orders(alphas)
     if eps_alphas.shape != alphas.shape:
         raise ValueError("eps_alphas must align with the alpha grid")
-    if np.any(alphas <= 1.0):
-        raise ValueError("all alphas must exceed 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     converted = (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import PrivacyLedger, imvu_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, _clip_rows, clip
+from .mechanism import ClipConfig, InterpolatedMechanism, clip
 
 # the clip norm each baseline's noise is calibrated to
 _BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
@@ -85,7 +85,7 @@ def privatize_baseline(u: np.ndarray, cfg: BaselineConfig,
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2):
         raise ValueError("u must be a 1-D vector or (n, d) cohort")
-    clipped = _clip_rows(u, cfg.clip) if u.ndim == 2 else clip(u, cfg.clip)
+    clipped = clip(u, cfg.clip)
     if cfg.kind == "laplace":
         noise = rng.laplace(0.0, cfg.clip.clip_c / cfg.noise, size=u.shape)
     else:

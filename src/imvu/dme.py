@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineConfig, kind_of, privatize_baseline, wire_bits
-from .mechanism import InterpolatedMechanism, _clip_rows, privatize_vector
+from .mechanism import InterpolatedMechanism, clip, privatize_vector
 from .mechanism import moments, mvu_dither_moments
 from .table_io import write_csv
 
@@ -99,7 +99,7 @@ def privatize_clients(priv, u: np.ndarray, rng: np.random.Generator, seeds) -> n
         return privatize_vector(priv, u, seeds())[1]
     if isinstance(priv, BaselineConfig):
         return privatize_baseline(u, priv, rng)
-    return _clip_rows(u, priv)
+    return clip(u, priv)
 
 
 def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
@@ -113,8 +113,8 @@ def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
     the per-coordinate MSE averaged over trials and the exact bits per
     coordinate on the wire.
     """
-    if n_clients < 1 or trials < 1:
-        raise ValueError("n_clients and trials must be at least 1")
+    if n_clients < 1 or d < 1 or trials < 1:
+        raise ValueError("n_clients, d and trials must be at least 1")
     if kind_of(cfg) != mechanism:
         raise ValueError(f"kind {mechanism!r} does not match the privatizer's {kind_of(cfg)!r}")
     errors = np.empty(trials)

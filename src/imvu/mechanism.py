@@ -7,15 +7,15 @@ probabilities.  Two samplers extend the table to continuous inputs:
 * classic dithering, which mixes the probability rows of the bracketing grid
   points and is unbiased everywhere on [0, 1];
 * natural-parameter interpolation, which mixes the log-probability rows and
-  stays well defined for every real input at the cost of a small bias;
-  ``_logits`` evaluates it for ``pmf``, ``log_pmf`` and both certifiers, and
-  the sampler's letter-major kernel, ``_letter_cdf``, repeats its arithmetic
-  bit for bit.
+  stays well defined for every real input at the cost of a small bias.
+
+One letter-major kernel, ``_softmax_terms``, evaluates the interpolated
+softmax for ``pmf``, ``log_pmf``, both certifiers and the sampler, and its
+lerp, ``_interpolate``, also serves ``interpolate_eta`` and dithering.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,91 +253,22 @@ def _bracket(b_in: int, xs: np.ndarray):
     return i, t - i
 
 
-def _lerp(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
-    """(1 - t) rows[i] + t rows[i + 1] per entry of t; ``i`` may be one shared index."""
-    return (1.0 - t)[:, None] * rows[i] + t[:, None] * rows[i + 1]
-
-
-def _logits(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
-    """Interpolated natural parameters shifted to row maximum 0: the kernel
-    through which ``pmf``, eps' and the Fisher supremum evaluate the mechanism
-    (the sampler's ``_letter_cdf`` repeats it letter-major, bit for bit)."""
-    eta = _lerp(rows, i, t)
-    eta -= eta.max(axis=1, keepdims=True)
-    return eta
-
-
-def _softmax(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
-    """Probabilities at the interpolated natural parameters; rows sum to 1 within 1e-12."""
-    z = np.exp(_logits(rows, i, t))
-    return z / z.sum(axis=1, keepdims=True)
-
-
-def interpolate_eta(mech, x) -> np.ndarray:
-    """Piecewise-linear natural parameter at x.
-
-    Inside [x_i, x_{i+1}] this is the convex combination of eta_i and
-    eta_{i+1}; outside [0, 1] the boundary interval's affine rule is extended,
-    which for b_in=2 is one global line.  Scalar x returns a vector, an array
-    of x returns one row per input.
-    """
-    table = _table_of(mech)
-    eta = _lerp(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
-    return eta[0] if np.ndim(x) == 0 else eta
-
-
-def log_pmf(mech, x) -> np.ndarray:
-    """Log probabilities of the interpolated mechanism at x (full precision)."""
-    table = _table_of(mech)
-    s = _logits(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
-    out = s - np.log(np.sum(np.exp(s), axis=1, keepdims=True))
-    return out[0] if np.ndim(x) == 0 else out
-
-
-def pmf(mech, x) -> np.ndarray:
-    """Sampling probabilities of the interpolated mechanism at x.
-
-    Softmax of the interpolated natural parameter, computed with
-    max-subtraction; rows sum to 1 within 1e-12.
-    """
-    table = _table_of(mech)
-    out = _softmax(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)))
-    return out[0] if np.ndim(x) == 0 else out
-
-
-def _moments(probs_of, table: MechanismTable, x):
-    """Mean and variance at x of the output whose probabilities ``probs_of`` gives."""
-    p = np.atleast_2d(probs_of(table, np.atleast_1d(np.asarray(x, dtype=float))))
-    mean = p @ table.alphabet
-    var = np.maximum(p @ (table.alphabet**2) - mean**2, 0.0)
-    if np.ndim(x) == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
-
-
-def moments(mech, x):
-    """Mean and variance of the interpolated mechanism's output at x."""
-    return _moments(pmf, _table_of(mech), x)
-
-
-def mvu_dither_pmf(table, x) -> np.ndarray:
-    """Dithering probabilities: the convex mix of the bracketing rows.
-
-    Only defined on [0, 1]; the dithered mechanism is unbiased there because
-    every grid row is unbiased and the mix is linear.
-    """
-    table = _table_of(table)
-    xs = _finite_inputs(x)
-    i, t = _bracket(table.b_in, xs)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("dithering requires x in [0, 1]")
-    p = _lerp(table.probs, i, t)
-    return p[0] if np.ndim(x) == 0 else p
-
-
-def mvu_dither_moments(table, x):
-    """Mean and variance of the dithered mechanism at x in [0, 1]."""
-    return _moments(mvu_dither_pmf, _table_of(table), x)
+def _interpolate(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """(1 - t) rows[i] + t rows[i + 1] per entry of t as a letter-major
+    (b_out, N) array, each letter's N values contiguous; ``i`` may be one
+    shared index."""
+    b_in, b_out = rows.shape
+    s = 1.0 - t
+    if b_in == 2:  # ``_bracket`` puts every input in interval 0
+        z = np.multiply.outer(rows[0], s)
+        z += np.multiply.outer(rows[1], t)
+    else:
+        z = np.empty((b_out, len(t)))
+        i1 = i + 1
+        for zj, col in zip(z, np.ascontiguousarray(rows.T)):
+            np.multiply(s, col[i], out=zj)
+            zj += t * col[i1]
+    return z
 
 
 def _pairwise_sum(z: np.ndarray) -> np.ndarray:
@@ -364,39 +295,110 @@ def _pairwise_sum(z: np.ndarray) -> np.ndarray:
     return tot
 
 
-def _letter_cdf(rows: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Running cdf of the interpolated softmax as a letter-major (b_out, N)
-    array, bit for bit ``np.cumsum(_softmax(rows, i, t), axis=1).T``.
+def _softmax_terms(rows: np.ndarray, i, t: np.ndarray, keep_logits: bool = False):
+    """(logits, exp, total) of the interpolated softmax, letter-major: the
+    natural parameters shifted to maximum 0, their ``exp`` (written over the
+    logits unless ``keep_logits``), and each input's total of it.
 
-    It repeats ``_softmax``'s arithmetic with each letter's N values
-    contiguous, since reductions along the short letter axis of an (N, b_out)
-    array are slow: the same lerp, the maximum, ``exp``, a division by the
-    total summed in ``_pairwise_sum``'s order, then the cumulative sum one
-    letter at a time (``np.cumsum`` along the first axis is slow too).
+    The one kernel through which the mechanism is evaluated: reductions along
+    the short letter axis of an (N, b_out) array are slow, so each letter's
+    values are contiguous and the total is summed in ``_pairwise_sum``'s
+    order, which is numpy's row sum of the row-major array bit for bit.
     """
-    b_in, b_out = rows.shape
-    s = 1.0 - t
-    if b_in == 2:  # ``_bracket`` puts every input in interval 0
-        z = np.multiply.outer(rows[0], s)
-        z += np.multiply.outer(rows[1], t)
-    else:
-        z = np.empty((b_out, len(t)))
-        i1 = i + 1
-        for zj, col in zip(z, np.ascontiguousarray(rows.T)):
-            np.multiply(s, col[i], out=zj)
-            zj += t * col[i1]
+    z = _interpolate(rows, i, t)
     z -= z.max(axis=0)
-    np.exp(z, out=z)
-    z /= _pairwise_sum(z)
-    for prev, zj in zip(z, z[1:]):
-        zj += prev
-    return z
+    e = np.exp(z, out=None if keep_logits else z)
+    return z, e, _pairwise_sum(e)
+
+
+def _softmax(rows: np.ndarray, i, t: np.ndarray) -> np.ndarray:
+    """Letter-major (b_out, N) probabilities; each column sums to 1 within 1e-12."""
+    _, p, total = _softmax_terms(rows, i, t)
+    p /= total
+    return p
+
+
+def _per_input(z: np.ndarray, x) -> np.ndarray:
+    """A letter-major result as one C-ordered row per input, or the one row of a scalar x."""
+    out = np.ascontiguousarray(z.T)
+    return out[0] if np.ndim(x) == 0 else out
+
+
+def interpolate_eta(mech, x) -> np.ndarray:
+    """Piecewise-linear natural parameter at x.
+
+    Inside [x_i, x_{i+1}] this is the convex combination of eta_i and
+    eta_{i+1}; outside [0, 1] the boundary interval's affine rule is extended,
+    which for b_in=2 is one global line.  Scalar x returns a vector, an array
+    of x returns one row per input.
+    """
+    table = _table_of(mech)
+    return _per_input(
+        _interpolate(table.log_probs, *_bracket(table.b_in, _finite_inputs(x))), x)
+
+
+def log_pmf(mech, x) -> np.ndarray:
+    """Log probabilities of the interpolated mechanism at x (full precision)."""
+    table = _table_of(mech)
+    z, _, total = _softmax_terms(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)),
+                                 keep_logits=True)
+    z -= np.log(total)
+    return _per_input(z, x)
+
+
+def pmf(mech, x) -> np.ndarray:
+    """Sampling probabilities of the interpolated mechanism at x.
+
+    Softmax of the interpolated natural parameter, computed with
+    max-subtraction; rows sum to 1 within 1e-12.
+    """
+    table = _table_of(mech)
+    return _per_input(_softmax(table.log_probs, *_bracket(table.b_in, _finite_inputs(x))), x)
+
+
+def _moments(probs_of, table: MechanismTable, x):
+    """Mean and variance at x of the output whose probabilities ``probs_of`` gives."""
+    p = np.atleast_2d(probs_of(table, np.atleast_1d(np.asarray(x, dtype=float))))
+    mean = p @ table.alphabet
+    var = np.maximum(p @ (table.alphabet**2) - mean**2, 0.0)
+    if np.ndim(x) == 0:
+        return float(mean[0]), float(var[0])
+    return mean, var
+
+
+def moments(mech, x):
+    """Mean and variance of the interpolated mechanism's output at x."""
+    return _moments(pmf, _table_of(mech), x)
+
+
+def mvu_dither_pmf(table, x) -> np.ndarray:
+    """Dithering probabilities: the convex mix of the bracketing rows.
+
+    Only defined on [0, 1]; the dithered mechanism is unbiased there because
+    every grid row is unbiased and the mix is linear.
+    """
+    table = _table_of(table)
+    xs = _finite_inputs(x)
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise ValueError("dithering requires x in [0, 1]")
+    return _per_input(_interpolate(table.probs, *_bracket(table.b_in, xs)), x)
+
+
+def mvu_dither_moments(table, x):
+    """Mean and variance of the dithered mechanism at x in [0, 1]."""
+    return _moments(mvu_dither_pmf, _table_of(table), x)
 
 
 def _sample(rows: np.ndarray, i: np.ndarray, t: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Output index of each input (i, t): the first letter j with u < cdf_j,
-    so ties resolve deterministically; past the last cdf value, the last letter."""
-    cdf = _letter_cdf(rows, i, t)
+    so ties resolve deterministically; past the last cdf value, the last letter.
+
+    The running cdf is summed one letter at a time, in place (``np.cumsum``
+    along the first axis is slow), bit for bit ``np.cumsum`` of ``pmf``.
+    """
+    cdf = _softmax(rows, i, t)
+    for prev, cj in zip(cdf, cdf[1:]):
+        cj += prev
     return np.minimum((uniforms >= cdf).sum(axis=0), len(cdf) - 1)
 
 
@@ -408,49 +410,37 @@ def sample_batch(mech, x: float, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
-    """Project u onto the configured norm ball; inputs inside pass unchanged."""
-    u = np.asarray(u, dtype=float)
-    _check_finite_inputs(u)
-    with np.errstate(over="ignore"):  # an overflowed norm is handled below
-        norm = _norm(u, cfg.norm)
-    if norm <= cfg.clip_c:
-        return u
-    if not math.isfinite(norm):
-        # the norm of a finite vector overflowed: rescale by max|u| first
-        u = u / np.max(np.abs(u))
-        norm = _norm(u, cfg.norm)
-    return u * (cfg.clip_c / norm)
+    """Project a vector, or each row of an (n, d) array, onto the configured
+    norm ball; rows inside it pass unchanged.
 
-
-def _norm(u: np.ndarray, norm: str) -> float:
-    """The l1 or l2 norm of a float array, by the reductions ``np.linalg.norm`` uses."""
-    u = u.ravel()
-    return float(np.add.reduce(np.abs(u))) if norm == "l1" else math.sqrt(u.dot(u))
-
-
-def _clip_rows(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
-    """``clip`` of each row of an (n, d) float array, bit for bit, in one pass.
-
-    The row norms come from per-row reductions that equal ``_norm`` of each
-    row: ``add.reduce`` along the rows for l1 and one dot product per row,
-    as a stacked matmul, for l2 (one gemv over all rows, or ``einsum``,
-    differs in the last bit).  A finite norm proves its row finite; rows
-    whose norm is not finite go through ``clip``, which rescales a finite
-    row whose norm overflowed and raises on a non-finite one.
+    The row norms are the reductions ``np.linalg.norm`` uses, one per row:
+    ``add.reduce`` of |u| for l1, and for l2 one dot product per row as a
+    stacked matmul (one gemv over all rows, or ``einsum``, differs in the
+    last bit), so a row of an array clips bit for bit as the vector alone.
+    A finite norm proves its row finite; a finite row whose norm overflows
+    is rescaled by its max |u| and measured again, and a non-finite row
+    raises.
     """
-    u = np.ascontiguousarray(u, dtype=float)
-    with np.errstate(over="ignore"):  # ``clip`` handles a norm that overflows
+    def norms(a):
         if cfg.norm == "l1":
-            norms = np.add.reduce(np.abs(u), axis=-1)
-        else:
-            norms = np.sqrt((u[:, None, :] @ u[:, :, None]).ravel())
-        # before the scaling below, so that a non-finite row raises, not warns
-        overflowed = [(k, clip(u[k], cfg)) for k in np.flatnonzero(~np.isfinite(norms))]
+            return np.add.reduce(np.abs(a), axis=-1)
+        return np.sqrt((a[:, None, :] @ a[:, :, None]).ravel())
+
+    u = np.asarray(u, dtype=float)
+    if u.ndim > 2:
+        raise ValueError("u must be a vector or an (n, d) array")
+    rows = np.ascontiguousarray(np.atleast_2d(u))
+    with np.errstate(over="ignore"):  # an overflowed norm is measured again below
+        size = norms(rows)
     # rows inside the ball are multiplied by c / c = 1.0 exactly
-    out = u * (cfg.clip_c / np.maximum(norms, cfg.clip_c))[:, None]
-    for k, row in overflowed:
-        out[k] = row
-    return out
+    scale = cfg.clip_c / np.maximum(size, cfg.clip_c)
+    if not np.isfinite(size).all():
+        big = ~np.isfinite(size)
+        _check_finite_inputs(rows[big])
+        rows = rows.copy()
+        rows[big] /= np.max(np.abs(rows[big]), axis=1, keepdims=True)
+        scale[big] = cfg.clip_c / norms(rows[big])
+    return (rows * scale[:, None]).reshape(u.shape)
 
 
 def scale_input(u, clip_c: float, beta: float):
@@ -487,8 +477,8 @@ def privatize_vector(
     is bit for bit the vector call on ``u[k]`` with ``seed[k]``, and a worker
     evaluating only ``coord_range`` (a chunk-aligned [lo, hi) slice) produces
     exactly the slice a single worker would; results are independent of the
-    worker count.  All rows are clipped in one pass whose row norms equal
-    the vector norms bit for bit; sampling then walks [lo, hi) one
+    worker count.  All rows are clipped in one ``clip`` call whose row norms
+    equal the vector norms bit for bit; sampling then walks [lo, hi) one
     ``COORD_CHUNK`` block at a time over all rows together, with the
     streams of every (row, block) derived in one batch up front.
     """
@@ -505,8 +495,7 @@ def privatize_vector(
     n = len(seeds)
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
-    # raises on a non-finite row
-    clipped = _clip_rows(u, mech.clip) if cohort else clip(u, mech.clip)[None]
+    clipped = np.atleast_2d(clip(u, mech.clip))  # raises on a non-finite row
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")

@@ -384,6 +384,25 @@ def test_ledger_validation():
         PrivacyLedger("pure", 0.1, 10, delta=1.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, 0.5])
+def test_every_entry_point_rejects_an_order_that_is_not_finite_above_one(bad):
+    # NaN passes ``alpha <= 1``, so each check must ask for finite orders above 1
+    with pytest.raises(ValueError, match="alphas"):
+        l2_round_rdp(1.0, 1.0, alphas=[2.0, bad])
+    with pytest.raises(ValueError, match="alphas"):
+        PrivacyLedger("rdp", np.array([0.1, 0.2]), 10, alphas=(2.0, bad))
+    with pytest.raises(ValueError, match="alphas"):
+        rdp_to_dp(np.array([0.1, 0.2]), 1e-5, alphas=[bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_ledger_rejects_a_per_round_cost_that_is_not_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match="per-round costs"):
+        PrivacyLedger("pure", bad, 10)
+    with pytest.raises(ValueError, match="per-round costs"):
+        PrivacyLedger("rdp", np.array([0.1, bad]), 10, alphas=(2.0, 4.0))
+
+
 def test_rdp_to_dp_spot():
     eps, alpha = rdp_to_dp(np.array([1.0]), 1e-5, alphas=[2.0])
     expected = 1.0 + np.log(0.5) - (np.log(1e-5) + np.log(2.0)) / 1.0

@@ -92,6 +92,20 @@ def test_account_rdp_on_asymmetric_table_names_symmetrize(tmp_path, capsys):
     assert "imvu design --symmetrize" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_account_rdp_rejects_an_order_that_is_not_finite(tmp_path, capsys, bad):
+    mech_path = str(tmp_path / "sym.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+               "--out", mech_path) == 0
+    report = tmp_path / "report.json"
+    code = run("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
+               "--clip-c", "1.0", "--rounds", "5", "--alphas", f"2,{bad}",
+               "--out", str(report))
+    assert code == 1
+    assert "alphas" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     mech_path = tmp_path / "bad.json"
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
@@ -144,6 +158,15 @@ def test_dme_command(tmp_path):
     lines = (tmp_path / "dme.csv").read_text().strip().splitlines()
     assert lines[0] == "mechanism,n_clients,d,trials,mse,bits_per_coord"
     assert lines[1].startswith("gaussian,20,4,3,")
+
+
+@pytest.mark.parametrize("mechanism", ["identity", "laplace"])
+def test_dme_command_rejects_zero_width(tmp_path, capsys, mechanism):
+    out = tmp_path / "dme.csv"
+    assert run("dme", "--mechanism", mechanism, "--clip-norm", "l1", "--n-clients", "5",
+               "--d", "0", "--out", str(out)) == 1
+    assert "d and trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cold_start_skips_scipy_optimize(tmp_path):

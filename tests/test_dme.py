@@ -151,6 +151,11 @@ def test_dme_input_validation():
     clip = ClipConfig("l2", 1.0)
     with pytest.raises(ValueError):
         dme_mse(0, 4, gaussian_inputs(), "identity", clip, np.random.default_rng(0))
+    # an empty vector has no mean to estimate
+    laplace = BaselineConfig("laplace", ClipConfig("l1", 1.0), 1.0)
+    for kind, priv in (("identity", clip), ("laplace", laplace)):
+        with pytest.raises(ValueError, match="d and trials must be at least 1"):
+            dme_mse(5, 0, gaussian_inputs(), kind, priv, np.random.default_rng(0))
     with pytest.raises(ValueError):
         dme_mse(5, 4, gaussian_inputs(), "imvu", None, np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ Tables come from the session cache; no LP is solved inside a hypothesis loop.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,22 +23,16 @@ from imvu import (
     fisher_info,
     generate_synthetic,
     gaussian_inputs,
+    interpolate_eta,
+    log_pmf,
+    mvu_dither_pmf,
     pmf,
     privatize_baseline,
     privatize_vector,
     train_fl,
 )
 from imvu import fl
-from imvu.mechanism import (
-    PROB_FLOOR,
-    _bracket,
-    _clip_rows,
-    _letter_cdf,
-    _norm,
-    _sample,
-    _softmax,
-    clip,
-)
+from imvu.mechanism import PROB_FLOOR, _bracket, _sample, clip
 from imvu.rng import COORD_CHUNK, substream
 
 from conftest import LN3, get_table
@@ -62,14 +57,23 @@ def _inputs(data, table):
     return np.array(data.draw(st.lists(st.one_of(grid_points, reals), min_size=1, max_size=40)))
 
 
-def _pmf_formula(table, xs):
-    nseg = table.b_in - 1
+def _row_major(rows, xs):
+    """(lerp, probabilities, log probabilities) at xs, one (N, b_out) row per
+    input: the interpolated softmax written out row-major with numpy's row
+    reductions, the reference the letter-major kernel must equal bit for bit."""
+    nseg = len(rows) - 1
     t = xs * nseg
     i = np.clip(np.floor(t).astype(int), 0, nseg - 1)
     frac = t - i
-    eta = (1.0 - frac)[:, None] * table.log_probs[i] + frac[:, None] * table.log_probs[i + 1]
-    z = np.exp(eta - eta.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    eta = (1.0 - frac)[:, None] * rows[i] + frac[:, None] * rows[i + 1]
+    s = eta - eta.max(axis=1, keepdims=True)
+    z = np.exp(s)
+    total = z.sum(axis=1, keepdims=True)
+    return eta, z / total, s - np.log(total)
+
+
+def _pmf_formula(table, xs):
+    return _row_major(table.log_probs, xs)[1]
 
 
 def _fisher_formula(eta1, eta2, xs):
@@ -122,7 +126,7 @@ def test_inverse_cdf_matches_searchsorted(data):
     rows = np.log(w / w.sum(axis=1, keepdims=True))
     xs = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
     i, t = _bracket(b_in, xs)
-    probs = _softmax(rows, i, t)
+    probs = _row_major(rows, xs)[1]
     cdf = np.cumsum(probs, axis=1)
 
     us = np.array([_on_cdf_or_fresh(data, cdf[k]) for k in range(n)])
@@ -137,8 +141,9 @@ def test_inverse_cdf_matches_searchsorted(data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_letter_major_kernel_matches_row_major(data):
-    """Running cdf and indices of the letter-major kernel equal the row-major
-    softmax, cumsum and compare exactly, across numpy's 128-letter sum blocks."""
+    """pmf, log_pmf, interpolate_eta, dithering and the sampled indices of the
+    letter-major kernel equal the row-major lerp, softmax, cumsum and compare
+    exactly, across numpy's 128-letter sum blocks."""
     b_in = data.draw(st.integers(2, 16))
     b_out = data.draw(st.one_of(st.integers(2, 17), st.integers(2, 300)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -147,15 +152,22 @@ def test_letter_major_kernel_matches_row_major(data):
     floor = rng.random((b_in, b_out)) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
     w[floor] = PROB_FLOOR * (1.0 + rng.random(int(floor.sum())))
     rows = np.log(w / w.sum(axis=1, keepdims=True))
+    # the fields the evaluators read; the rows need not form a valid table
+    table = SimpleNamespace(b_in=b_in, log_probs=rows, probs=np.exp(rows))
     grid_points = st.sampled_from([k / (b_in - 1) for k in range(b_in)])
     reals = st.floats(-3.0, 4.0, allow_nan=False, allow_infinity=False)
     xs = np.array(data.draw(st.lists(st.one_of(grid_points, reals), min_size=1, max_size=30)))
-    i, t = _bracket(b_in, xs)
-    cdf = np.cumsum(_softmax(rows, i, t), axis=1)
+    eta, probs, logs = _row_major(rows, xs)
+    cdf = np.cumsum(probs, axis=1)
     us = np.array([_on_cdf_or_fresh(data, row) for row in cdf])
 
-    assert np.array_equal(_letter_cdf(rows, i, t), cdf.T)
-    assert np.array_equal(_sample(rows, i, t, us),
+    assert np.array_equal(pmf(table, xs), probs)
+    assert np.array_equal(log_pmf(table, xs), logs)
+    assert np.array_equal(interpolate_eta(table, xs), eta)
+    inside = xs[(xs >= 0.0) & (xs <= 1.0)]
+    assert np.array_equal(mvu_dither_pmf(table, inside), _row_major(table.probs, inside)[0])
+    assert np.array_equal(pmf(table, float(xs[0])), probs[0])
+    assert np.array_equal(_sample(rows, *_bracket(b_in, xs), us),
                           np.minimum((us[:, None] >= cdf).sum(axis=1), b_out - 1))
 
 
@@ -325,23 +337,37 @@ def _overflow_rows(data, u, norm):
         u[k, :2] = overflow
 
 
+def _clip_formula(row, norm, radius):
+    """The projection of one row, its norm taken by ``np.linalg.norm``; a
+    finite row whose norm overflows is rescaled by max|u| first."""
+    order = 1 if norm == "l1" else 2
+    size = np.linalg.norm(row, order)
+    if size <= radius:
+        return row
+    if not np.isfinite(size):
+        row = row / np.max(np.abs(row))
+        size = np.linalg.norm(row, order)
+    return row * (radius / size)
+
+
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_clip_rows_matches_per_row_clip(data):
+    """``clip`` of an (n, d) array is ``clip`` of each row, bit for bit."""
     norm = data.draw(st.sampled_from(["l1", "l2"]))
     n = data.draw(st.integers(1, 8))
     d = data.draw(st.one_of(st.integers(2, 70), st.integers(1000, 20_000)))
     u = _ball_rows(data, n, d)
-    # the norm of a finite row that overflows: rescaled by max|u| first
     _overflow_rows(data, u, norm)
     with np.errstate(over="ignore"):
-        norms = [_norm(row, norm) for row in u]
+        norms = np.linalg.norm(u, 1 if norm == "l1" else 2, axis=1)
         # a radius equal to a row's norm puts that row exactly on the ball
-        radius = data.draw(st.sampled_from([r for r in norms if 0.0 < r < np.inf]
+        radius = data.draw(st.sampled_from([float(r) for r in norms if 0.0 < r < np.inf]
                                            + [0.5, 1.0, 3.0]))
-        cfg = ClipConfig(norm, radius)
-        expected = np.stack([clip(row, cfg) for row in u])
-    assert np.array_equal(_clip_rows(u, cfg), expected)
+        expected = np.stack([_clip_formula(row, norm, radius) for row in u])
+    cfg = ClipConfig(norm, radius)
+    assert np.array_equal(clip(u, cfg), expected)
+    assert np.array_equal(np.stack([clip(row, cfg) for row in u]), expected)
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -350,7 +376,9 @@ def test_clip_rows_rejects_a_non_finite_row(norm, bad):
     u = np.full((3, 4), 0.25)
     u[1, 2] = bad
     with np.errstate(all="raise"), pytest.raises(ValueError, match="inputs must be finite"):
-        _clip_rows(u, ClipConfig(norm, 1.0))
+        clip(u, ClipConfig(norm, 1.0))
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="inputs must be finite"):
+        clip(u[1], ClipConfig(norm, 1.0))
 
 
 @PROPERTY_SETTINGS
