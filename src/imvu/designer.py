@@ -25,6 +25,7 @@ from .mechanism import (
     PROB_FLOOR,
     MechanismTable,
     TableInvariantError,
+    _grid,
     table_violations,
 )
 
@@ -113,22 +114,16 @@ class ValidationReport:
 def validate_table(table, tol: float = 1e-6) -> ValidationReport:
     """Report-only check of all design invariants.
 
-    Accepts a MechanismTable or a mapping with keys grid, alphabet,
-    design_eps and either log_probs or probs, so corrupted candidate data can
-    be inspected without constructing a table.
+    Accepts a MechanismTable or a mapping with keys alphabet, design_eps and
+    log_probs, so corrupted candidate data can be inspected without
+    constructing a table.  ``tol`` must be finite and non-negative.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if isinstance(table, MechanismTable):
-        raw = table_violations(
-            table.grid, table.alphabet, table.design_eps, log_probs=table.log_probs
-        )
+        raw = table_violations(table.alphabet, table.design_eps, table.log_probs)
     else:
-        raw = table_violations(
-            np.asarray(table["grid"], dtype=float),
-            np.asarray(table["alphabet"], dtype=float),
-            float(table["design_eps"]),
-            log_probs=table.get("log_probs"),
-            probs=table.get("probs"),
-        )
+        raw = table_violations(table["alphabet"], float(table["design_eps"]), table["log_probs"])
     checks = {name: viol for name, (viol, _) in raw.items()}
     where = {name: loc for name, (_, loc) in raw.items()}
     return ValidationReport(checks=checks, where=where)
@@ -288,7 +283,7 @@ def _lp_solver(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
 def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
     """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found."""
     alphabet = _alphabet(b_out, scale)
-    grid = np.arange(b_in, dtype=float) / (b_in - 1)
+    grid = _grid(b_in)
     a_eq, a_ub = _constraints(b_in, b_out, eps, alphabet)
     res = _linprog(np.tile(alphabet**2, b_in), a_eq, np.concatenate([np.ones(b_in), grid]), a_ub)
     if not res.success:
@@ -359,7 +354,7 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     """
     b_in, b_out = spec.b_in, spec.b_out
     letters = _letters(b_out)
-    offsets = np.arange(b_in, dtype=float) / (b_in - 1) - 0.5
+    offsets = _grid(b_in) - 0.5
     ones, n = np.ones(b_in), b_in * b_out
     cost = np.tile(letters**2, b_in)
     a_eq, a_ub = _constraints(b_in, b_out, spec.eps, letters)
@@ -451,23 +446,15 @@ def design_mvu(spec: DesignSpec) -> MechanismTable:
     scale, raw_probs = _best_scale(spec)
     alphabet = _alphabet(spec.b_out, scale)
     probs = _repair_probs(raw_probs, spec.eps)
-    grid = np.arange(spec.b_in, dtype=float) / (spec.b_in - 1)
     if spec.symmetrize:
-        return _symmetrized(probs, grid, alphabet, spec.eps)
+        return _symmetrized(probs, alphabet, spec.eps)
     try:
-        return MechanismTable(
-            b_in=spec.b_in,
-            b_out=spec.b_out,
-            grid=grid,
-            alphabet=alphabet,
-            log_probs=np.log(probs),
-            design_eps=spec.eps,
-        )
+        return MechanismTable(alphabet, np.log(probs), spec.eps)
     except TableInvariantError as exc:
         raise DesignError(f"designed table failed validation: {exc}") from exc
 
 
-def _symmetrized(probs, grid, alphabet, eps: float) -> MechanismTable:
+def _symmetrized(probs, alphabet, eps: float) -> MechanismTable:
     """Average probs with their anadromic reversal and build the table.
 
     Simultaneous row and column reversal leaves the constraint set invariant
@@ -478,14 +465,7 @@ def _symmetrized(probs, grid, alphabet, eps: float) -> MechanismTable:
     avg = 0.5 * (probs + probs[::-1, ::-1])
     avg = avg / avg.sum(axis=1, keepdims=True)
     try:
-        table = MechanismTable(
-            b_in=avg.shape[0],
-            b_out=avg.shape[1],
-            grid=grid,
-            alphabet=alphabet,
-            log_probs=np.log(avg),
-            design_eps=eps,
-        )
+        table = MechanismTable(alphabet, np.log(avg), eps)
     except TableInvariantError as exc:
         raise SymmetryError(f"symmetrized table failed validation: {exc}") from exc
 
@@ -501,4 +481,4 @@ def enforce_anadromic(table: MechanismTable) -> MechanismTable:
     Already-anadromic tables pass through unchanged (the averaging is their
     fixed point).
     """
-    return _symmetrized(table.probs, table.grid, table.alphabet, table.design_eps)
+    return _symmetrized(table.probs, table.alphabet, table.design_eps)

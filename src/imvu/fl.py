@@ -49,8 +49,13 @@ class FlConfig:
     def __post_init__(self):
         if min(self.rounds, self.cohort, self.dims, self.client_samples, self.n_train) < 1:
             raise ValueError("counts must be positive")
-        if self.lr <= 0 or not (0.0 <= self.momentum < 1.0):
-            raise ValueError("lr must be positive and momentum in [0, 1)")
+        for name in ("lr", "server_lr_scale"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must lie in [0, 1)")
+        if not np.isfinite(self.separation):
+            raise ValueError("separation must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         privatizer(self.mechanism, self.clip, self.mech, self.noise)

@@ -28,7 +28,6 @@ from .rng import coordinate_uniforms  # noqa: F401
 ROW_SUM_TOL = 1e-9
 METRIC_DP_TOL = 1e-9
 UNBIASEDNESS_TOL = 1e-6
-GRID_TOL = 1e-9
 
 PROB_FLOOR = 1e-12
 
@@ -61,44 +60,33 @@ class ClipConfig:
             raise ValueError("clip_c must be positive and finite")
 
 
-def table_violations(
-    grid: np.ndarray,
-    alphabet: np.ndarray,
-    design_eps: float,
-    log_probs: np.ndarray | None = None,
-    probs: np.ndarray | None = None,
-) -> dict[str, tuple[float, str]]:
-    """Named invariant checks, each as (max violation, location detail).
+def _grid(b_in: int) -> np.ndarray:
+    """The uniform input grid x_i = i / (b_in - 1) on [0, 1]."""
+    return np.arange(b_in) / (b_in - 1)
 
-    Accepts either log probabilities or raw probabilities so that arbitrary
-    (possibly broken) data can be inspected before a table is constructed.
-    Checks: grid_uniformity, alphabet_order, positivity, simplex,
-    unbiasedness, metric_dp.
+
+def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[float, str]]:
+    """Named invariant checks of a table on the uniform grid, each as
+    (max violation, location detail), so arbitrary (possibly broken) data can
+    be inspected before a table is constructed.
+
+    Checks: alphabet_order, positivity, simplex, unbiasedness, metric_dp.
+    metric_dp covers every pair of rows, not just adjacent ones, so the
+    per-pair tolerance cannot add up along the grid; it reports the first
+    pair, then letter, holding the maximum.
     """
-    grid = np.asarray(grid, dtype=float)
     alphabet = np.asarray(alphabet, dtype=float)
-    if probs is None:
-        if log_probs is None:
-            raise ValueError("need log_probs or probs")
-        log_probs = np.asarray(log_probs, dtype=float)
-        probs = np.exp(log_probs)
-    else:
-        probs = np.asarray(probs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_probs = np.log(np.where(probs > 0, probs, np.nan))
-
-    b_in = grid.shape[0]
+    log_probs = np.asarray(log_probs, dtype=float)
+    if log_probs.ndim != 2 or min(log_probs.shape) < 2:
+        raise ValueError("log_probs must be a (b_in, b_out) array with b_in and b_out at least 2")
+    b_in, b_out = log_probs.shape
+    if alphabet.shape != (b_out,):
+        raise ValueError(f"alphabet must have shape ({b_out},)")
+    grid = _grid(b_in)
+    probs = np.exp(log_probs)
     out: dict[str, tuple[float, str]] = {}
 
-    delta = 1.0 / (b_in - 1)
-    g_viol = max(
-        abs(grid[0]),
-        abs(grid[-1] - 1.0),
-        float(np.max(np.abs(np.diff(grid) - delta))) if b_in > 1 else 0.0,
-    )
-    out["grid_uniformity"] = (g_viol, "grid endpoints / spacing")
-
-    a_viol = float(max(0.0, np.max(alphabet[:-1] - alphabet[1:]))) if alphabet.size > 1 else 0.0
+    a_viol = float(max(0.0, np.max(alphabet[:-1] - alphabet[1:])))
     out["alphabet_order"] = (a_viol, "alphabet must ascend")
 
     min_p = float(np.min(probs))
@@ -118,12 +106,16 @@ def table_violations(
 
     dp_viol, where = 0.0, ""
     if np.all(np.isfinite(log_probs)):
-        for i in range(b_in):
-            for k in range(i + 1, b_in):
-                gap = np.abs(log_probs[i] - log_probs[k]) - design_eps * abs(grid[i] - grid[k])
-                m = float(gap.max())
-                if m > dp_viol:
-                    dp_viol, where = m, f"rows ({i}, {k}), letter {int(gap.argmax())}"
+        rows, others = np.triu_indices(b_in, 1)
+        gap = log_probs[rows]
+        gap -= log_probs[others]
+        np.abs(gap, out=gap)
+        gap -= (design_eps * np.abs(grid[rows] - grid[others]))[:, None]
+        # the flat argmax is the first pair, then letter, holding the maximum
+        pair, j = divmod(int(np.argmax(gap)), b_out)
+        if gap[pair, j] > 0.0:
+            dp_viol = float(gap[pair, j])
+            where = f"rows ({rows[pair]}, {others[pair]}), letter {j}"
     else:
         dp_viol, where = np.inf, "non-finite log probabilities"
     out["metric_dp"] = (dp_viol, where)
@@ -131,7 +123,6 @@ def table_violations(
 
 
 _CONSTRUCTION_TOLS = {
-    "grid_uniformity": GRID_TOL,
     "alphabet_order": 0.0,
     "positivity": 0.0,
     "simplex": ROW_SUM_TOL,
@@ -142,62 +133,54 @@ _CONSTRUCTION_TOLS = {
 
 @dataclass(frozen=True, eq=False)
 class MechanismTable:
-    """A designed discrete mechanism: grid, alphabet, log-probability rows.
+    """A designed discrete mechanism: an output alphabet and one row of
+    log probabilities per point of the uniform grid, designed at ``design_eps``.
 
     Immutable after construction and safe to share across workers.  All
     invariants are enforced here, so downstream samplers may assume finite
-    log probabilities and normalized rows.
+    log probabilities and normalized rows.  ``b_in``, ``b_out`` and ``grid``
+    follow from the shape of ``log_probs``.
     """
 
-    b_in: int
-    b_out: int
-    grid: np.ndarray
     alphabet: np.ndarray
     log_probs: np.ndarray
     design_eps: float
-    metric: str = "l1"
     probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.b_in < 2 or self.b_out < 2:
-            raise ValueError("b_in and b_out must both be at least 2")
-        if self.metric != "l1":
-            raise ValueError(f"unsupported metric {self.metric!r}")
         if not (np.isfinite(self.design_eps) and self.design_eps > 0):
             raise ValueError("design_eps must be positive and finite")
-
-        grid = np.array(self.grid, dtype=float)
         alphabet = np.array(self.alphabet, dtype=float)
         log_probs = np.array(self.log_probs, dtype=float)
-        if grid.shape != (self.b_in,):
-            raise ValueError(f"grid must have shape ({self.b_in},)")
-        if alphabet.shape != (self.b_out,):
-            raise ValueError(f"alphabet must have shape ({self.b_out},)")
-        if log_probs.shape != (self.b_in, self.b_out):
-            raise ValueError(f"log_probs must have shape ({self.b_in}, {self.b_out})")
-
-        checks = table_violations(grid, alphabet, self.design_eps, log_probs=log_probs)
+        checks = table_violations(alphabet, self.design_eps, log_probs)
         for name, (violation, where) in checks.items():
             tol = _CONSTRUCTION_TOLS[name]
             if violation > tol:
                 raise TableInvariantError(name, violation, tol, where)
 
         probs = np.exp(log_probs)
-        for arr in (grid, alphabet, log_probs, probs):
+        for arr in (alphabet, log_probs, probs):
             arr.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "log_probs", log_probs)
         object.__setattr__(self, "probs", probs)
 
     @property
+    def b_in(self) -> int:
+        return self.log_probs.shape[0]
+
+    @property
+    def b_out(self) -> int:
+        return self.log_probs.shape[1]
+
+    @property
+    def grid(self) -> np.ndarray:
+        return _grid(self.b_in)
+
+    @property
     def bits(self) -> int:
         """Wire width of one transmitted index."""
         return int(np.ceil(np.log2(self.b_out)))
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.b_in - 1)
 
 
 @dataclass(frozen=True, eq=False)

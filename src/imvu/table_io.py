@@ -3,11 +3,15 @@
 Fields: format_version (2), b_in, b_out, metric ("l1"), design_eps, grid,
 alphabet, log_probs (row-major, natural log), and an accounting block
 {eps_prime, fisher_m, beta, clip_norm, clip_c} with null for constants that
-were never attached.  The loader revalidates every invariant and recomputes
-any stored constants, rejecting the file on mismatch (version 1 files carry
-an older, larger eps').  ``load_table`` reads the table alone, from either
-version, for commands that certify their own constants.  ``write_csv``
-writes the harnesses' result tables.
+were never attached.  A table is its alphabet, log_probs and design_eps; the
+file repeats b_in, b_out, metric and grid for readers, and the loader checks
+those copies: b_in and b_out must be the shape of log_probs, metric must be
+"l1", and the grid must be uniform on [0, 1] within ``GRID_TOL``.  It then
+revalidates every table invariant and recomputes any stored constants,
+rejecting the file on mismatch (version 1 files carry an older, larger
+eps').  ``load_table`` reads the table alone, from either version, for
+commands that certify their own constants.  ``write_csv`` writes the
+harnesses' result tables.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ import json
 import numpy as np
 
 from .accounting import verify_accounting
-from .mechanism import ClipConfig, InterpolatedMechanism, MechanismTable
+from .mechanism import ClipConfig, InterpolatedMechanism, MechanismTable, TableInvariantError
 
 FORMAT_VERSION = 2
+# largest error a file's grid may carry at an endpoint or in a spacing
+GRID_TOL = 1e-9
 
 _TABLE_FIELDS = ("b_in", "b_out", "metric", "design_eps", "grid", "alphabet", "log_probs")
 _REQUIRED = ("format_version",) + _TABLE_FIELDS + ("accounting",)
@@ -35,7 +41,7 @@ def mechanism_to_dict(mech: InterpolatedMechanism) -> dict:
         "format_version": FORMAT_VERSION,
         "b_in": table.b_in,
         "b_out": table.b_out,
-        "metric": table.metric,
+        "metric": "l1",
         "design_eps": table.design_eps,
         "grid": [float(v) for v in table.grid],
         "alphabet": [float(v) for v in table.alphabet],
@@ -65,18 +71,29 @@ def _require(doc, fields) -> None:
 
 
 def _table(doc: dict) -> MechanismTable:
-    return MechanismTable(
-        b_in=int(doc["b_in"]),
-        b_out=int(doc["b_out"]),
-        grid=np.asarray(doc["grid"], dtype=float),
-        alphabet=np.asarray(doc["alphabet"], dtype=float),
-        log_probs=np.asarray(doc["log_probs"], dtype=float),
-        design_eps=float(doc["design_eps"]),
-        metric=str(doc["metric"]),
-    )
+    """The document's table, after checking the fields that repeat what
+    log_probs implies."""
+    b_in, b_out = int(doc["b_in"]), int(doc["b_out"])
+    log_probs = np.asarray(doc["log_probs"], dtype=float)
+    if log_probs.shape != (b_in, b_out):
+        raise ValueError(f"log_probs must have shape ({b_in}, {b_out})")
+    if str(doc["metric"]) != "l1":
+        raise ValueError(f"unsupported metric {doc['metric']!r}")
+    grid = np.asarray(doc["grid"], dtype=float)
+    if grid.shape != (b_in,):
+        raise ValueError(f"grid must have shape ({b_in},)")
+    if b_in > 1:  # smaller tables are rejected when built
+        # endpoints and spacing; a NaN anywhere makes the maximum NaN
+        errors = np.concatenate([[grid[0], grid[-1] - 1.0], np.diff(grid) - 1.0 / (b_in - 1)])
+        g_viol = float(np.max(np.abs(errors)))
+        if not g_viol <= GRID_TOL:
+            raise TableInvariantError("grid_uniformity", g_viol, GRID_TOL,
+                                      "grid endpoints / spacing")
+    return MechanismTable(np.asarray(doc["alphabet"], dtype=float), log_probs,
+                          float(doc["design_eps"]))
 
 
-def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism:
+def mechanism_from_dict(doc: dict) -> InterpolatedMechanism:
     _require(doc, _REQUIRED)
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(
@@ -97,15 +114,14 @@ def mechanism_from_dict(doc: dict, verify: bool = True) -> InterpolatedMechanism
         eps_prime=None if acct["eps_prime"] is None else float(acct["eps_prime"]),
         fisher_m=None if acct["fisher_m"] is None else float(acct["fisher_m"]),
     )
-    if verify:
-        verify_accounting(mech)
+    verify_accounting(mech)
     return mech
 
 
-def load_mechanism(path, verify: bool = True) -> InterpolatedMechanism:
+def load_mechanism(path) -> InterpolatedMechanism:
     with open(path) as handle:
         doc = json.load(handle)
-    return mechanism_from_dict(doc, verify=verify)
+    return mechanism_from_dict(doc)
 
 
 def load_table(path) -> MechanismTable:

@@ -119,6 +119,38 @@ def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     assert "invariant" in captured.err or "error" in captured.err
 
 
+def test_validate_prints_the_five_table_checks(tmp_path, capsys):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "2", "--b-in", "3", "--eps", "2.0", "--out", mech_path) == 0
+    capsys.readouterr()
+    assert run("validate", "--mech", mech_path) == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert names == ["alphabet_order", "metric_dp", "positivity", "simplex", "unbiasedness"]
+
+
+def test_validate_names_grid_uniformity_of_a_bad_grid(tmp_path, capsys):
+    mech_path = tmp_path / "m.json"
+    assert run("design", "--bits", "1", "--b-in", "3", "--eps", "1.0",
+               "--out", str(mech_path)) == 0
+    doc = json.loads(mech_path.read_text())
+    doc["grid"][1] += 1e-6
+    mech_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("validate", "--mech", str(mech_path)) == 1
+    assert "grid_uniformity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, capsys, tol):
+    mech_path = str(tmp_path / "rr.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", repr(LN3), "--out", mech_path) == 0
+    capsys.readouterr()
+    assert run("validate", "--mech", mech_path, "--tol", tol) == 1
+    captured = capsys.readouterr()
+    assert "tol" in captured.err
+    assert "[FAIL]" not in captured.out and "[ok]" not in captured.out
+
+
 @pytest.mark.parametrize("edit", ["top-level number", "null accounting"])
 def test_validate_malformed_document_exits_one(tmp_path, capsys, edit):
     mech_path = tmp_path / "bad.json"
@@ -209,6 +241,14 @@ def test_train_command_and_replay(tmp_path):
     assert (tmp_path / "train.csv").read_text() == first
 
 
+def test_train_rejects_a_negative_server_step(tmp_path, capsys):
+    out = tmp_path / "train.csv"
+    assert run("train", "--mechanism", "identity", "--rounds", "2", "--cohort", "5",
+               "--d", "4", "--n", "40", "--server-lr-scale", "-1", "--out", str(out)) == 1
+    assert "server_lr_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_imvu_via_files(tmp_path):
     mech_path = str(tmp_path / "m.json")
     out = str(tmp_path / "train.csv")
@@ -272,8 +312,8 @@ def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode
                "--out", str(tmp_path / "r.json")) == 0
     assert len(calls) == 1
     # the attached constants are those a fresh certification gives
-    attached = load_mechanism(mech_path, verify=False)
-    assert (attached.eps_prime, attached.fisher_m) == (fresh.eps_prime, fresh.fisher_m)
+    attached = json.loads(Path(mech_path).read_text())["accounting"]
+    assert (attached["eps_prime"], attached["fisher_m"]) == (fresh.eps_prime, fresh.fisher_m)
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["eps_prime" if mode == "pure" else "fisher_m"] == (
         fresh.eps_prime if mode == "pure" else fresh.fisher_m)

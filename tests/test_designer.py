@@ -22,7 +22,7 @@ from imvu import (
 )
 from imvu import designer
 from imvu.designer import _alphabet, _solve_lp, _symmetrized
-from imvu.mechanism import PROB_FLOOR
+from imvu.mechanism import PROB_FLOOR, table_violations
 
 from conftest import LN3, get_table
 
@@ -403,7 +403,7 @@ def test_enforce_anadromic_idempotent():
 def test_anadromic_average_formula():
     # the alphabet has a_0 + a_1 = 1 and makes the averaged rows unbiased
     probs = np.array([[0.8, 0.2], [0.25, 0.75]])
-    table = _symmetrized(probs, [0.0, 1.0], [-9.0 / 22.0, 31.0 / 22.0], 1.4)
+    table = _symmetrized(probs, [-9.0 / 22.0, 31.0 / 22.0], 1.4)
     np.testing.assert_allclose(table.probs, [[0.775, 0.225], [0.225, 0.775]], atol=1e-15)
 
 
@@ -421,9 +421,6 @@ def test_enforce_anadromic_rejects_asymmetric_alphabet():
     a = -4.0 / 11.0
     b = 16.0 / 11.0
     table = MechanismTable(
-        b_in=2,
-        b_out=2,
-        grid=[0.0, 1.0],
         alphabet=[a, b],
         log_probs=np.log([[0.8, 0.2], [0.25, 0.75]]),
         design_eps=1.4,
@@ -455,9 +452,9 @@ def test_validate_designed_table_passes(table_2x4):
 def test_validate_flags_negated_probability():
     report = validate_table(
         {
-            "grid": [0.0, 1.0],
             "alphabet": [-0.5, 1.5],
-            "probs": np.array([[0.75, -0.25], [0.25, 0.75]]),
+            # a file holds log probabilities only, so a lost letter reads -inf
+            "log_probs": np.array([[np.log(0.75), -np.inf], [np.log(0.25), np.log(0.75)]]),
             "design_eps": LN3,
         },
         tol=1e-6,
@@ -470,7 +467,6 @@ def test_validate_flags_negated_probability():
 def test_validate_flags_perturbed_alphabet(rr_table):
     report = validate_table(
         {
-            "grid": rr_table.grid,
             "alphabet": rr_table.alphabet + 0.1,
             "log_probs": rr_table.log_probs,
             "design_eps": rr_table.design_eps,
@@ -485,7 +481,6 @@ def test_validate_flags_metric_dp_break(rr_table):
     logs[0, 0] += 0.5
     report = validate_table(
         {
-            "grid": rr_table.grid,
             "alphabet": rr_table.alphabet,
             "log_probs": logs,
             "design_eps": rr_table.design_eps,
@@ -494,3 +489,47 @@ def test_validate_flags_metric_dp_break(rr_table):
     )
     failures = report.failures(1e-6)
     assert "metric_dp" in failures
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(rr_table, tol):
+    with pytest.raises(ValueError, match="tol"):
+        validate_table(rr_table, tol=tol)
+
+
+def _metric_dp_pair_loop(design_eps, log_probs):
+    """The metric-DP scan written as a loop over the pairs i < k: the largest
+    violation and the first pair, then letter, that holds it."""
+    b_in = len(log_probs)
+    grid = np.arange(b_in, dtype=float) / (b_in - 1)
+    dp_viol, where = 0.0, ""
+    for i in range(b_in):
+        for k in range(i + 1, b_in):
+            gap = np.abs(log_probs[i] - log_probs[k]) - design_eps * abs(grid[i] - grid[k])
+            m = float(gap.max())
+            if m > dp_viol:
+                dp_viol, where = m, f"rows ({i}, {k}), letter {int(gap.argmax())}"
+    return dp_viol, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b_in=st.one_of(st.integers(2, 128), st.sampled_from([3, 5, 9, 17, 33, 65, 128])),
+    b_out=st.integers(2, 8),
+    pool=st.integers(1, 4),
+    decimals=st.integers(0, 3),
+    eps=st.floats(0.01, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# rows from a pool of two on the exact grid i/32: pairs at one distance tie exactly
+@example(b_in=33, b_out=4, pool=2, decimals=1, eps=0.5, seed=0)
+@example(b_in=128, b_out=8, pool=4, decimals=3, eps=20.0, seed=1)
+def test_metric_dp_check_matches_the_pair_loop(b_in, b_out, pool, decimals, eps, seed):
+    rng = np.random.default_rng(seed)
+    # rounded logits tie letters within a row; rows drawn from a small pool
+    # repeat, so pairs tie exactly with each other
+    logits = np.round(rng.normal(scale=2.0, size=(pool, b_out)), decimals)
+    rows = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    log_probs = rows[rng.integers(pool, size=b_in)]
+    checks = table_violations(np.linspace(0.0, 1.0, b_out), eps, log_probs)
+    assert checks["metric_dp"] == _metric_dp_pair_loop(eps, log_probs)

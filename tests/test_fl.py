@@ -254,3 +254,13 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
         with pytest.raises(ValueError, match="clips with"):
             _cfg(mechanism="imvu", mech=mech, clip=clip)
     assert train_fl(_cfg(mechanism="imvu", mech=mech, clip=ClipConfig("l2", 1.0))).ledger
+
+
+@pytest.mark.parametrize("field, value", [
+    ("server_lr_scale", -1.0), ("server_lr_scale", 0.0), ("server_lr_scale", np.inf),
+    ("server_lr_scale", np.nan), ("lr", np.nan), ("lr", np.inf), ("lr", -0.3),
+    ("separation", np.nan), ("separation", np.inf),
+])
+def test_config_names_a_step_or_separation_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        _cfg(**{field: value})

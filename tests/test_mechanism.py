@@ -48,9 +48,6 @@ def test_natural_params_equals_log_probs(rr_table):
 def test_zero_probability_rejected():
     with pytest.raises(TableInvariantError) as err:
         MechanismTable(
-            b_in=2,
-            b_out=2,
-            grid=[0.0, 1.0],
             alphabet=[-0.5, 1.5],
             log_probs=np.log(np.array([[1.0, 1e-300], [0.25, 0.75]]) + 0.0),
             design_eps=LN3,
@@ -61,9 +58,6 @@ def test_zero_probability_rejected():
 def test_invalid_row_sum_rejected():
     with pytest.raises(TableInvariantError) as err:
         MechanismTable(
-            b_in=2,
-            b_out=2,
-            grid=[0.0, 1.0],
             alphabet=[-0.5, 1.5],
             log_probs=np.log([[0.7, 0.25], [0.25, 0.75]]),
             design_eps=LN3,

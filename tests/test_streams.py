@@ -53,8 +53,7 @@ GOLDEN_SEEDS = (0, 2**32 - 1, 2**32, 2**62 + 5, -3)
 def _hand_mech(norm="l1") -> InterpolatedMechanism:
     # rows are mirror images, alphabet -1..2 makes both grid rows unbiased
     probs = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
-    table = MechanismTable(2, 4, np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0, 2.0]),
-                           np.log(probs), design_eps=1.4)
+    table = MechanismTable(np.array([-1.0, 0.0, 1.0, 2.0]), np.log(probs), design_eps=1.4)
     return InterpolatedMechanism(table, beta=1.5, clip=ClipConfig(norm, 1.0),
                                  eps_prime=0.25, fisher_m=0.75)
 

@@ -133,3 +133,55 @@ def test_dict_is_json_serializable(saved):
     _, mech = saved
     text = json.dumps(mechanism_to_dict(mech))
     assert "log_probs" in text
+
+
+# The file repeats b_in, b_out, metric and grid; the loader checks each copy
+# against the table before building it.
+
+
+@pytest.mark.parametrize("field", ["b_in", "b_out"])
+def test_reject_size_that_is_not_the_shape_of_log_probs(saved, field):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc[field] += 1
+    with pytest.raises(ValueError, match="must have shape") as err:
+        mechanism_from_dict(doc)
+    assert type(err.value) is ValueError
+
+
+def test_reject_metric_other_than_l1(saved):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["metric"] = "l2"
+    with pytest.raises(ValueError, match="metric") as err:
+        mechanism_from_dict(doc)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("index, shift", [(0, 2e-9), (-1, -2e-9), (1, 2e-9), (2, -0.1)])
+def test_reject_grid_off_uniform(tmp_path, table_factory, index, shift):
+    path = tmp_path / "m.json"
+    save_mechanism(path, InterpolatedMechanism(table_factory(4, 2, 1.0)))
+    doc = json.loads(path.read_text())
+    doc["grid"][index] += shift
+    with pytest.raises(TableInvariantError) as err:
+        mechanism_from_dict(doc)
+    assert err.value.check == "grid_uniformity"
+
+
+def test_reject_grid_holding_nan(saved):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["grid"][1] = float("nan")
+    with pytest.raises(TableInvariantError) as err:
+        mechanism_from_dict(doc)
+    assert err.value.check == "grid_uniformity"
+
+
+def test_grid_within_tolerance_loads_and_is_written_exact(saved):
+    path, mech = saved
+    doc = json.loads(path.read_text())
+    doc["grid"][0] += 5e-10
+    loaded = mechanism_from_dict(doc)
+    assert mechanism_to_dict(loaded)["grid"] == [0.0, 1.0]
+    assert np.array_equal(loaded.table.log_probs, mech.table.log_probs)
