@@ -22,6 +22,7 @@ import numpy as np
 
 from .accounting import ANADROMIC_TOL, _anadromic_residual
 from .mechanism import (
+    MAX_TABLE_CELLS,
     PROB_FLOOR,
     MechanismTable,
     TableInvariantError,
@@ -29,7 +30,6 @@ from .mechanism import (
     table_violations,
 )
 
-MAX_TABLE_CELLS = 4096
 REPAIR_CYCLES = 3
 # Relative tolerance of the scale search: a point within it of a tangent
 # line lies on that line's piece, and variances within it tie.
@@ -139,24 +139,36 @@ def _alphabet(b_out: int, scale: float) -> np.ndarray:
 
 
 def _constraints(b_in: int, b_out: int, eps: float, letters: np.ndarray):
-    """Equality rows (row simplex, then row mean over ``letters``) and ratio rows.
+    """Equality rows (row simplex, then row mean over ``letters``) and ratio
+    rows, as CSR arrays that hold no zero coefficient.
 
     The variables are the row-major probabilities p[i, j].  The ratio rows
     are p[i, j] <= e^(eps/(b_in-1)) p[i+1, j] (forward) followed by
     p[i+1, j] <= e^(eps/(b_in-1)) p[i, j] (backward).
     """
-    rows = np.eye(b_in)
-    a_eq = np.vstack([np.kron(rows, np.ones(b_out)), np.kron(rows, letters)])
+    from scipy.sparse import csr_array
+
+    n, used = b_in * b_out, np.flatnonzero(letters)
+    a_eq = csr_array((
+        np.concatenate([np.ones(n), np.tile(letters[used], b_in)]),
+        np.concatenate([np.arange(n), (b_out * np.arange(b_in)[:, None] + used).ravel()]),
+        np.concatenate([np.arange(0, n, b_out), n + used.size * np.arange(b_in + 1)]),
+    ), shape=(2 * b_in, n))
     # Ratio rows with growth >= 1/PROB_FLOOR are implied by the variable
     # bounds (p <= 1 <= growth * floor) and would overflow the solver's
     # coefficient range, so they are dropped.
     step = eps / (b_in - 1)
-    if step < np.log(1.0 / PROB_FLOOR):
-        here, ahead = np.eye(b_in - 1, b_in), np.eye(b_in - 1, b_in, k=1)
-        growth = np.exp(step)
-        pairs = np.vstack([here - growth * ahead, ahead - growth * here])
-        return a_eq, np.kron(pairs, np.eye(b_out))
-    return a_eq, np.zeros((0, b_in * b_out))
+    if step >= np.log(1.0 / PROB_FLOOR):
+        return a_eq, csr_array((0, n))
+    # each row holds p[i, j] and p[i+1, j], in column order
+    growth, m = np.exp(step), n - b_out
+    pair = np.stack([np.arange(m), np.arange(b_out, n)], axis=1).ravel()
+    a_ub = csr_array((
+        np.concatenate([np.tile([1.0, -growth], m), np.tile([-growth, 1.0], m)]),
+        np.tile(pair, 2),
+        np.arange(0, 4 * m + 1, 2),
+    ), shape=(2 * m, n))
+    return a_eq, a_ub
 
 
 def linprog(*args, **kwargs):
@@ -205,14 +217,14 @@ class _HighsLP:
     """
 
     def __init__(self, core, cost, a_eq, a_ub, bounds):
-        from scipy.sparse import csc_array
+        from scipy.sparse import vstack
 
         self._core = core
         self._m_ub = a_ub.shape[0]
         self._b_eq = np.zeros(a_eq.shape[0])
         self._lb, self._ub = np.broadcast_to(np.asarray(bounds, dtype=float), (cost.size, 2)).T.copy()
         # rows and columns in linprog's order: inequality rows first
-        matrix = csc_array(np.vstack([a_ub, a_eq]))
+        matrix = vstack([a_ub, a_eq], format="csr").tocsc()
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
         lp.num_row_ = lp.a_matrix_.num_row_ = matrix.shape[0]
@@ -323,6 +335,21 @@ def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _least_of_max(s_lo: float, s_hi: float, quads) -> float:
+    """Least over [s_lo, s_hi] of the larger of one or two quadratics
+    alpha s^2 + gamma s, each given as (alpha, gamma).
+
+    It is reached at an end, at the vertex -gamma/(2 alpha) of a quadratic
+    with alpha > 0, or where the two quadratics cross.
+    """
+    points = [s_lo, s_hi] + [-gamma / (2.0 * alpha) for alpha, gamma in quads if alpha > 0.0]
+    if len(quads) == 2 and quads[0][0] != quads[1][0]:
+        (alpha_a, gamma_a), (alpha_b, gamma_b) = quads
+        points.append((gamma_b - gamma_a) / (alpha_a - alpha_b))
+    return min(max(alpha * s**2 + gamma * s for alpha, gamma in quads)
+               for s in points if s_lo <= s <= s_hi)
+
+
 def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     """Alphabet scale of least LP variance over ``spec.scale_range()`` and
     the (b_in, b_out) LP solution there.
@@ -337,9 +364,10 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     the LP's solution at r is the design at s = 1/r.
 
     One LP with r as a variable gives the largest feasible r, r_max, near
-    which HiGHS's g is noisy, so a tangent sandwich finds every linear piece
-    of g over [1/hi, r_max (1 - ``_R_MAX_INSET``)] and the LP at r_max is
-    one more candidate.  Where the end tangents of an interval meet within a
+    which HiGHS's g is noisy, so a tangent sandwich (Burkard, Hamacher &
+    Rote, Naval Research Logistics 38, 1991) finds the linear pieces of g
+    over [1/hi, r_max (1 - ``_R_MAX_INSET``)] and the LP at r_max is one
+    more candidate.  Where the end tangents of an interval meet within a
     relative ``_PIECE_TOL`` of one end, g is the other end's tangent;
     otherwise g is solved where they meet, and either lies on them there
     (two pieces) or that point splits the interval (unless its LP failed).
@@ -351,10 +379,28 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     least tie, and the smallest of their scales wins; a winner inside a
     piece is solved at its own r, and the best solved scale is returned.
     ``DesignError`` if no LP solved.
+
+    Intervals that cannot hold the winner are dropped unsolved, as in Land
+    & Doig's branch and bound (Econometrica 28, 1960).  The tangents la, lb
+    at the ends of [ra, rb] support the convex g, so g >= max(la, lb) there,
+    and on s in [1/rb, 1/ra] every variance the interval could yield, at a
+    solved point or on a piece, is at least B = min F, F(s) = max(qa(s),
+    qb(s)), with qx(s) = (gx - dx rx) s^2 + dx s - const the quadratic of
+    tangent x (``_least_of_max``).  The interval is dropped when (i) B
+    exceeds the least solved variance v* by more than the tie margin, so
+    nothing inside ties with the final least, which is at most v*; or (ii)
+    B is at least the least variance v_b solved at some r >= rb, so a tie
+    inside is also tied by that smaller scale, which the tie rule prefers.
+    Either way the least, the ties and the winner are those of the full
+    sandwich, and kept intervals are processed as if nothing were dropped,
+    each LP cold, so the winner's scale and LP solution are the same bits.
+    The first interval, [1/hi, r_max (1 - ``_R_MAX_INSET``)], is tested on
+    its right tangent alone before the LP at 1/hi is solved.
     """
     b_in, b_out = spec.b_in, spec.b_out
     letters = _letters(b_out)
     offsets = _grid(b_in) - 0.5
+    const = float(offsets @ offsets)
     ones, n = np.ones(b_in), b_in * b_out
     cost = np.tile(letters**2, b_in)
     a_eq, a_ub = _constraints(b_in, b_out, spec.eps, letters)
@@ -377,19 +423,37 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
                 solved[r] = r, float(fun), float(duals[b_in:] @ offsets), x.reshape(b_in, b_out)
         return solved[r]
 
+    def dropped(ra, rb, ends):
+        """Whether [ra, rb] cannot hold the winner, by its end tangents ``ends``."""
+        floor = _least_of_max(1.0 / rb, 1.0 / ra, [(g - d * r, d) for r, g, d, _ in ends]) - const
+        values = [(r, g / r**2 - const) for r, g, _, _ in filter(None, solved.values())]
+        least = min(v for _, v in values)
+        return (floor > least + _PIECE_TOL * abs(least)
+                or floor >= min((v for r, v in values if r >= rb), default=np.inf))
+
+    from scipy.sparse import csr_array, hstack
+
+    # r is one more variable, -offsets its column in the mean rows
     free = _lp_solver(
         np.append(np.zeros(n), -1.0),
-        np.hstack([a_eq, np.concatenate([np.zeros(b_in), -offsets])[:, None]]),
-        np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))]),
+        hstack([a_eq, csr_array(np.concatenate([np.zeros(b_in), -offsets])[:, None])], format="csr"),
+        csr_array((a_ub.data, a_ub.indices, a_ub.indptr), shape=(a_ub.shape[0], n + 1)),
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
     )(np.concatenate([ones, np.zeros(b_in)]))
     r_top = float(free[1][-1]) if free is not None else r_lo
-    ends = (tangent(r_lo), tangent(max(r_lo, r_top * (1.0 - _R_MAX_INSET))))
+    r_end = max(r_lo, r_top * (1.0 - _R_MAX_INSET))
+    end = tangent(r_end)
     tangent(r_top)
+    stack = []
+    # the first interval is tested on its right tangent before 1/hi is solved
+    if r_end > r_lo and (end is None or not dropped(r_lo, r_end, [end])):
+        if (start := tangent(r_lo)) is not None and end is not None:
+            stack.append((start, end))
     lines = []
-    stack = [ends] if None not in ends and ends[0] is not ends[1] else []
     while stack:
         (ra, ga, da, _), (rb, gb, db, _) = a, b = stack.pop()
+        if dropped(ra, rb, [a, b]):
+            continue
         tol = _PIECE_TOL * max(1.0, abs(ga), abs(gb))
         # where the end tangents meet; rb (ra) if a's (b's) tangent passes through it
         if gb - ga - da * (rb - ra) <= tol:
@@ -414,7 +478,6 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     # solved LP therefore means the solver failed.
     if not any(solved.values()):
         raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
-    const = float(offsets @ offsets)
     minima = [(alpha * s**2 + gamma * s - const, s, None) for ra, rb, alpha, gamma in lines
               if alpha > 0.0 and 1.0 / rb < (s := -gamma / (2.0 * alpha)) < 1.0 / ra]
     # a winning interior minimum is solved, and the solved scales compete again
@@ -433,15 +496,16 @@ def design_mvu(spec: DesignSpec) -> MechanismTable:
     """Design a table for the given spec.
 
     Takes the least-variance scale over the whole bracket and the LP
-    solution there from the exact parametric search (``_best_scale``, about
-    2 LP solves per linear piece of the LP value), repairs that solution in
-    log space, optionally symmetrizes it, and constructs the MechanismTable,
-    whose construction validates every invariant.
+    solution there from the exact parametric search (``_best_scale``, which
+    solves LPs only in the intervals of the scale that may hold the
+    optimum), repairs that solution in log space, optionally symmetrizes
+    it, and constructs the MechanismTable, whose construction validates
+    every invariant.
     """
     if spec.b_in * spec.b_out > MAX_TABLE_CELLS:
         raise DesignError(
             f"table has {spec.b_in * spec.b_out} cells; "
-            f"the dense designer is limited to {MAX_TABLE_CELLS}"
+            f"the designer is limited to {MAX_TABLE_CELLS}"
         )
     scale, raw_probs = _best_scale(spec)
     alphabet = _alphabet(spec.b_out, scale)

@@ -30,6 +30,9 @@ METRIC_DP_TOL = 1e-9
 UNBIASEDNESS_TOL = 1e-6
 
 PROB_FLOOR = 1e-12
+# The most cells a table may have.  The all-pairs metric-DP check of a
+# b_in-row table holds b_in (b_in - 1) / 2 * b_out floats at once.
+MAX_TABLE_CELLS = 4096
 
 
 class TableInvariantError(ValueError):
@@ -73,12 +76,15 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
     Checks: alphabet_order, positivity, simplex, unbiasedness, metric_dp.
     metric_dp covers every pair of rows, not just adjacent ones, so the
     per-pair tolerance cannot add up along the grid; it reports the first
-    pair, then letter, holding the maximum.
+    pair, then letter, holding the maximum.  ``ValueError`` for a table of
+    more than ``MAX_TABLE_CELLS`` cells, before that check allocates.
     """
     alphabet = np.asarray(alphabet, dtype=float)
     log_probs = np.asarray(log_probs, dtype=float)
     if log_probs.ndim != 2 or min(log_probs.shape) < 2:
         raise ValueError("log_probs must be a (b_in, b_out) array with b_in and b_out at least 2")
+    if log_probs.size > MAX_TABLE_CELLS:
+        raise ValueError(f"log_probs has {log_probs.size} cells; tables are limited to {MAX_TABLE_CELLS}")
     b_in, b_out = log_probs.shape
     if alphabet.shape != (b_out,):
         raise ValueError(f"alphabet must have shape ({b_out},)")

@@ -22,6 +22,15 @@ def get_table(b_in: int, b_out: int, eps: float, symmetrize: bool = False):
     return _CACHE[key]
 
 
+def resized_document(doc: dict, b_in: int, b_out: int) -> dict:
+    """A mechanism document with its table replaced by ``b_in`` uniform rows
+    over ``b_out`` evenly spaced letters, every copied size field to match."""
+    doc.update(b_in=b_in, b_out=b_out, grid=(np.arange(b_in) / (b_in - 1)).tolist(),
+               alphabet=np.linspace(-1.0, 2.0, b_out).tolist(),
+               log_probs=np.full((b_in, b_out), -np.log(b_out)).tolist())
+    return doc
+
+
 @pytest.fixture(scope="session")
 def rr_table():
     """The one-bit randomized-response table at eps = ln 3."""

@@ -14,7 +14,7 @@ from imvu import accounting, load_mechanism
 from imvu.cli import main
 from imvu.table_io import FORMAT_VERSION
 
-from conftest import LN3
+from conftest import LN3, resized_document
 
 
 def run(*argv):
@@ -117,6 +117,18 @@ def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "invariant" in captured.err or "error" in captured.err
+
+
+@pytest.mark.parametrize("b_in, b_out", [(2, 2049), (2049, 2)])
+def test_validate_rejects_a_table_over_the_cell_limit(tmp_path, capsys, b_in, b_out):
+    # 4096 cells at most; the file is refused before the all-pairs check
+    mech_path = tmp_path / "big.json"
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
+               "--out", str(mech_path)) == 0
+    mech_path.write_text(json.dumps(resized_document(json.loads(mech_path.read_text()), b_in, b_out)))
+    capsys.readouterr()
+    assert run("validate", "--mech", str(mech_path)) == 1
+    assert "limited to 4096" in capsys.readouterr().err
 
 
 def test_validate_prints_the_five_table_checks(tmp_path, capsys):

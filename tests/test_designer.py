@@ -1,5 +1,6 @@
 """Designer contracts: closed forms, LP properties, symmetrization, validation."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -181,12 +182,134 @@ def test_scale_search_ends_within_lp_bound(b_in, b_out, log_eps):
 
 
 def test_scale_search_raises_at_lp_bound(monkeypatch):
-    # 2x4 at eps = 5 takes six LPs; half an LP per cell stops it at four
+    # 2x4 at eps = 5 takes five LPs; half an LP per cell stops it at four
     monkeypatch.setattr(designer, "_LPS_PER_CELL", 0.5)
     solves = _count_solves(monkeypatch)
     with pytest.raises(DesignError, match="bound of 4 LP solves"):
         design_mvu(DesignSpec(2, 4, 5.0))
     assert len(solves) == 4
+
+
+def test_scale_search_lp_count_at_32_rows(monkeypatch):
+    # the sandwich solved 49 LPs here before it dropped the intervals its
+    # end tangents rule out
+    solves = _count_solves(monkeypatch)
+    design_mvu(DesignSpec(32, 16, 4.0))
+    assert len(solves) == 7
+
+
+# sha256 of alphabet and log_probs bytes, recorded before the search dropped
+# intervals: the benchmark's design-lp and certify-rdp tables, 8x8 and 32x16,
+# and two tables that pruning within 1e-3 of the least variance would move
+@pytest.mark.parametrize(
+    "b_in,b_out,eps,symmetrize,digest",
+    [
+        (2, 2, LN3, False, "5d310b1ec6198f63fe43b01f9ccb724b34a77509a1d0bcf3128a436cdcf8e405"),
+        (4, 4, 2.0, False, "b5dd1b38da78084fc8b0e560dc39a5d0ba80b8356b9e40127a520749523d4125"),
+        (8, 8, 3.0, False, "d933f0cc5e0dc2a51da1752a9387fb1a5784bd9b1135e8368b85fc499e2a3b0b"),
+        (16, 4, 5.0, False, "b3b9839783294c2d6fa4dcc655276514e21aad6293319f4fa0a6369e0702c1c7"),
+        (2, 2, LN3, True, "5d310b1ec6198f63fe43b01f9ccb724b34a77509a1d0bcf3128a436cdcf8e405"),
+        (2, 4, 2.0, True, "a2a78b4ced89a233cb75f59a6bb37d09cc6b225315ba0849596780282f97ecfb"),
+        (2, 8, 5.0, True, "2e1ef3a3f22e96b9a0a7b3a4b527ee1fa4450c6cc72490dc184b838a0b90e3bd"),
+        (8, 8, 4.0, False, "fec2e421c9b04bbf2e675e247b8229f941516dd9d13bc0d099d086a817cf5950"),
+        (32, 16, 4.0, False, "a407c40c77ed6de38919829a8ecc523f0a98444e91bee51a43880683d1e84ddf"),
+        (4, 16, 1.0, False, "a8b79b2f2b2fc43e8d58834938575b47e43cf56d48d52eacc1c66e16ea9b8603"),
+        (8, 16, 5.0, False, "6c519e0af3100111e179714520700e044ef9639d1cd9a91f02ea6ae7d019b32b"),
+    ],
+)
+def test_designed_table_bytes(b_in, b_out, eps, symmetrize, digest):
+    table = design_mvu(DesignSpec(b_in, b_out, eps, symmetrize))
+    assert hashlib.sha256(table.alphabet.tobytes() + table.log_probs.tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    quads=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=2),
+    s_lo=st.floats(0.5, 5.0),
+    width=st.floats(1e-6, 5.0),
+)
+@example(quads=[(1.0, -5.0)], s_lo=1.0, width=3.0)  # least at the vertex, 2.5
+@example(quads=[(0.0, -2.0), (1.0, -5.0)], s_lo=1.0, width=4.0)  # at the crossing, 3
+def test_least_of_max_is_the_least_of_the_larger_quadratic(quads, s_lo, width):
+    s_hi = s_lo + width
+    s = np.linspace(s_lo, s_hi, 10_001)
+    values = np.max([alpha * s**2 + gamma * s for alpha, gamma in quads], axis=0)
+    least = designer._least_of_max(s_lo, s_hi, quads)
+    margin = 1e-12 * np.max(np.abs(values))
+    assert least <= values.min() + margin
+    # a grid point lies within half a spacing of the minimizer, where the
+    # larger quadratic moves by at most its steepest slope times that distance
+    slope = max(2.0 * abs(alpha) * s_hi + abs(gamma) for alpha, gamma in quads)
+    assert least >= values.min() - slope * (s[1] - s[0]) / 2.0 - margin
+
+
+def _dense_constraints(b_in, b_out, eps, letters):
+    """The design LP's equality and ratio rows as dense ``np.kron`` products."""
+    rows = np.eye(b_in)
+    a_eq = np.vstack([np.kron(rows, np.ones(b_out)), np.kron(rows, letters)])
+    step = eps / (b_in - 1)
+    if step >= np.log(1.0 / PROB_FLOOR):
+        return a_eq, np.zeros((0, b_in * b_out))
+    here, ahead = np.eye(b_in - 1, b_in), np.eye(b_in - 1, b_in, k=1)
+    growth = np.exp(step)
+    return a_eq, np.kron(np.vstack([here - growth * ahead, ahead - growth * here]), np.eye(b_out))
+
+
+class _PassedMatrices:
+    """A stand-in for the HiGHS binding whose models record the CSC arrays
+    they are passed, before HiGHS drops zero coefficients itself."""
+
+    def __init__(self, core):
+        self._core, self.matrices = core, []
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        matrices = self.matrices
+
+        class Highs:
+            def passOptions(self, options):
+                pass
+
+            def passModel(self, lp):
+                a = lp.a_matrix_
+                matrices.append([np.array(a.start_), np.array(a.index_), np.array(a.value_)])
+
+        return Highs()
+
+
+@pytest.mark.parametrize("b_in,b_out,eps", [(3, 3, 2.0), (5, 4, 0.5), (4, 5, 10.0), (2, 3, 40.0)])
+def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
+    # odd sizes put a zero in the letters and in the free LP's column, and
+    # 2 rows at eps = 40 drop every ratio row; each model must be passed the
+    # CSC arrays of the dense rows, zeros left out
+    import scipy.optimize._highspy._core as core
+    from scipy.sparse import csc_array
+
+    letters, offsets = designer._letters(b_out), np.arange(b_in) / (b_in - 1) - 0.5
+    a_eq, a_ub = _dense_constraints(b_in, b_out, eps, letters)
+    free = (np.hstack([a_eq, np.concatenate([np.zeros(b_in), -offsets])[:, None]]),
+            np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))]))
+    alphabet = _alphabet(b_out, 0.5)  # a zero letter
+    cases = [(a_eq, a_ub), free, _dense_constraints(b_in, b_out, eps, alphabet)]
+    calls, solver = [], designer._lp_solver
+
+    def recording(cost, eq, ub, bounds=(PROB_FLOOR, 1.0)):
+        calls.append((cost, eq, ub, bounds))
+        return solver(cost, eq, ub, bounds)
+
+    monkeypatch.setattr(designer, "_lp_solver", recording)
+    design_mvu(DesignSpec(b_in, b_out, eps))
+    passed = _PassedMatrices(core)
+    for call in calls:
+        designer._HighsLP(passed, *call)
+    eq, ub = designer._constraints(b_in, b_out, eps, alphabet)
+    designer._HighsLP(passed, np.tile(alphabet**2, b_in), eq, ub, (PROB_FLOOR, 1.0))
+    assert len(passed.matrices) == len(cases)
+    for got, (ref_eq, ref_ub) in zip(passed.matrices, cases):
+        ref = csc_array(np.vstack([ref_ub, ref_eq]))
+        assert all(map(np.array_equal, got, (ref.indptr, ref.indices, ref.data)))
 
 
 def _design_on_both_solvers(spec):

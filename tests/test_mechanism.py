@@ -1,5 +1,7 @@
 """Core sampler contracts: interpolation, dithering, clipping, privatization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from imvu import (
     sample_batch,
     scale_input,
 )
+from imvu.mechanism import MAX_TABLE_CELLS
 from imvu.rng import COORD_CHUNK, coordinate_uniforms
 
 from conftest import LN3
@@ -63,6 +66,20 @@ def test_invalid_row_sum_rejected():
             design_eps=LN3,
         )
     assert err.value.check in ("simplex", "unbiasedness")
+
+
+@pytest.mark.parametrize("shape", [(2, MAX_TABLE_CELLS // 2 + 1), (MAX_TABLE_CELLS // 2 + 1, 2)])
+def test_table_over_the_cell_limit_rejected_before_the_pair_check(shape):
+    # the all-pairs metric-DP check would hold about 100 MB at 2049 x 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limited to {MAX_TABLE_CELLS}") as err:
+            MechanismTable(np.linspace(-1.0, 2.0, shape[1]), np.full(shape, -np.log(shape[1])), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(err.value) is ValueError
+    assert peak < 2**20
 
 
 def test_table_arrays_immutable(rr_table):

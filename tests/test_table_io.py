@@ -9,6 +9,7 @@ from imvu import (
     AccountingError,
     ClipConfig,
     InterpolatedMechanism,
+    MechanismTable,
     TableInvariantError,
     attach_accounting,
     load_mechanism,
@@ -16,7 +17,10 @@ from imvu import (
     mechanism_to_dict,
     save_mechanism,
 )
+from imvu.mechanism import MAX_TABLE_CELLS
 from imvu.table_io import FORMAT_VERSION
+
+from conftest import resized_document
 
 
 @pytest.fixture()
@@ -185,3 +189,23 @@ def test_grid_within_tolerance_loads_and_is_written_exact(saved):
     loaded = mechanism_from_dict(doc)
     assert mechanism_to_dict(loaded)["grid"] == [0.0, 1.0]
     assert np.array_equal(loaded.table.log_probs, mech.table.log_probs)
+
+
+@pytest.mark.parametrize("b_in, b_out", [(2, MAX_TABLE_CELLS // 2 + 1), (MAX_TABLE_CELLS // 2 + 1, 2)])
+def test_reject_table_over_the_cell_limit(tmp_path, saved, b_in, b_out):
+    path, _ = saved
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(resized_document(json.loads(path.read_text()), b_in, b_out)))
+    with pytest.raises(ValueError, match=f"limited to {MAX_TABLE_CELLS}") as err:
+        load_mechanism(big)
+    assert type(err.value) is ValueError
+
+
+def test_table_at_the_cell_limit_roundtrips(tmp_path):
+    # one bit, alphabet (-1, 2): P(letter 1) = (x + 1) / 3 is unbiased, and
+    # its log ratios move by at most 1 per unit of x
+    q = (np.arange(MAX_TABLE_CELLS // 2) / (MAX_TABLE_CELLS // 2 - 1) + 1.0) / 3.0
+    table = MechanismTable([-1.0, 2.0], np.log(np.stack([1.0 - q, q], axis=1)), 2.0)
+    path = tmp_path / "m.json"
+    save_mechanism(path, InterpolatedMechanism(table))
+    assert np.array_equal(load_mechanism(path).table.log_probs, table.log_probs)
