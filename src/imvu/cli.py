@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import importlib.metadata
 import json
 import sys
 from pathlib import Path
@@ -48,6 +47,7 @@ _FAILURE_TYPES = (
 def _scipy_version() -> str:
     """The installed scipy's version, read without importing scipy; the
     lookup scans the installed distributions, so it runs once per process."""
+    import importlib.metadata  # only manifests need it; a cold import skips it
     return importlib.metadata.version("scipy")
 
 
@@ -144,11 +144,11 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
-def _imvu_file(args) -> InterpolatedMechanism:
+def _imvu_file(args) -> str:
     """The mechanism file of an imvu run; leaving out --mech is a usage error."""
     if args.mech is None:
         args.usage_error("--mechanism imvu requires --mech FILE")
-    return load_mechanism(args.mech)
+    return args.mech
 
 
 def _cmd_dme(args, argv) -> int:
@@ -156,7 +156,7 @@ def _cmd_dme(args, argv) -> int:
     clip = ClipConfig(args.clip_norm, args.clip_c)
     mech = None
     if args.mechanism == "imvu":
-        mech = InterpolatedMechanism(table=_imvu_file(args).table, beta=args.beta, clip=clip)
+        mech = InterpolatedMechanism(table=load_table(_imvu_file(args)), beta=args.beta, clip=clip)
     cfg = privatizer(args.mechanism, clip, mech, args.noise)
     mse, bits = dme_mse(
         args.n_clients, args.d, gaussian_inputs(args.input_scale),
@@ -172,7 +172,7 @@ def _cmd_dme(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     mech = None
     if args.mechanism == "imvu":
-        mech = _imvu_file(args)
+        mech = load_mechanism(_imvu_file(args))
         # FlConfig checks the clip, through the privatizer it builds
         if mech.beta != args.beta:
             raise AccountingError(

@@ -108,7 +108,7 @@ class ValidationReport:
         return all(v <= tol for v in self.checks.values())
 
     def failures(self, tol: float) -> list[str]:
-        return [name for name, v in self.checks.items() if v > tol]
+        return [name for name, v in self.checks.items() if not v <= tol]
 
 
 def validate_table(table, tol: float = 1e-6) -> ValidationReport:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineConfig, kind_of, privatize_baseline, wire_bits
-from .mechanism import InterpolatedMechanism, clip, privatize_vector
-from .mechanism import moments, mvu_dither_moments
+from .mechanism import InterpolatedMechanism, clip, moments, mvu_dither_moments, privatize_vector
 from .table_io import write_csv
 
 SWEEP_POINTS = 201
@@ -49,7 +48,7 @@ class SweepReport:
         )
 
 
-def sweep_bias_variance(tables, eps: float, x_grid=None) -> SweepReport:
+def sweep_bias_variance(tables, eps: float) -> SweepReport:
     """Closed-form moment sweep of the dithered and interpolated samplers.
 
     All tables must share the output width and the design epsilon so the
@@ -63,7 +62,7 @@ def sweep_bias_variance(tables, eps: float, x_grid=None) -> SweepReport:
     for t in tables:
         if t.b_out != b_out or abs(t.design_eps - eps) > 1e-12:
             raise ValueError("tables must share b_out and the design epsilon")
-    xs = np.linspace(0.0, 1.0, SWEEP_POINTS) if x_grid is None else np.asarray(x_grid, float)
+    xs = np.linspace(0.0, 1.0, SWEEP_POINTS)
 
     rows: list[SweepRow] = []
     for table in tables:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import COORD_CHUNK, coordinate_states, stream_uniforms
-# the single-seed helper stays an attribute here, where bench/tracing.py wraps it
-from .rng import coordinate_uniforms  # noqa: F401
+# coordinate_uniforms stays an attribute here, where bench/tracing.py wraps it
+from .rng import coordinate_blocks, coordinate_uniforms  # noqa: F401
 
 # Construction tolerances for the table invariants.
 ROW_SUM_TOL = 1e-9
@@ -92,8 +91,10 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
     probs = np.exp(log_probs)
     out: dict[str, tuple[float, str]] = {}
 
-    a_viol = float(max(0.0, np.max(alphabet[:-1] - alphabet[1:])))
-    out["alphabet_order"] = (a_viol, "alphabet must ascend")
+    bad = np.flatnonzero(~np.isfinite(alphabet))  # a NaN would pass the ascent check
+    a_viol = np.inf if bad.size else float(max(0.0, np.max(alphabet[:-1] - alphabet[1:])))
+    out["alphabet_order"] = (a_viol, f"letter {bad[0]} is not finite" if bad.size
+                             else "alphabet must ascend")
 
     min_p = float(np.min(probs))
     if min_p <= 0.0 or not np.all(np.isfinite(log_probs)):
@@ -161,7 +162,7 @@ class MechanismTable:
         checks = table_violations(alphabet, self.design_eps, log_probs)
         for name, (violation, where) in checks.items():
             tol = _CONSTRUCTION_TOLS[name]
-            if violation > tol:
+            if not violation <= tol:  # NaN-safe
                 raise TableInvariantError(name, violation, tol, where)
 
         probs = np.exp(log_probs)
@@ -467,9 +468,8 @@ def privatize_vector(
     evaluating only ``coord_range`` (a chunk-aligned [lo, hi) slice) produces
     exactly the slice a single worker would; results are independent of the
     worker count.  All rows are clipped in one ``clip`` call whose row norms
-    equal the vector norms bit for bit; sampling then walks [lo, hi) one
-    ``COORD_CHUNK`` block at a time over all rows together, with the
-    streams of every (row, block) derived in one batch up front.
+    equal the vector norms bit for bit; sampling then takes each block of
+    ``rng.coordinate_blocks`` over all rows together.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.size == 0:
@@ -480,8 +480,7 @@ def privatize_vector(
     # a float or string seed would be truncated or hashed into another's stream
     if cohort == isinstance(seed, integer) or not all(isinstance(s, integer) for s in seeds):
         raise ValueError("a vector takes one integer seed, a cohort a sequence of integer seeds")
-    d = u.shape[-1]
-    n = len(seeds)
+    d, n = u.shape[-1], len(seeds)
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
     clipped = np.atleast_2d(clip(u, mech.clip))  # raises on a non-finite row
@@ -491,10 +490,7 @@ def privatize_vector(
     table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
     x = scale_input(clipped[:, lo:hi], clip_c, beta)
     indices = np.empty(x.shape, dtype=np.intp)
-    bases = range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK) if lo < hi else range(0)
-    for base, states in zip(bases, coordinate_states(seeds, bases)):
-        c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
-        uniforms = stream_uniforms(states, c0 - base, c1 - c0)
+    for c0, c1, uniforms in coordinate_blocks(seeds, lo, hi):
         block = x[:, c0 - lo:c1 - lo]
         # clipping checked u, and clipping and scaling keep x finite
         i, t = _bracket(table.b_in, block.ravel())

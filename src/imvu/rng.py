@@ -3,9 +3,9 @@
 Every stream is numpy's ``PCG64`` seeded through ``SeedSequence`` from an
 entropy tuple of labels.  ``substream`` builds one such generator by name.
 The per-client and per-coordinate-chunk streams of a federated round come in
-batches, so ``pcg64_states`` derives a whole batch at once: it runs the same
-32-bit SeedSequence hash and 128-bit PCG64 seeding numpy runs per stream,
-vectorized across the batch, and the streams are bit for bit numpy's.
+batches, so ``pcg64_states`` derives a whole batch at once, bit for bit as
+numpy seeds each stream.  Stream states stay in this module: callers draw
+coordinate uniforms through the one walk, ``coordinate_blocks``.
 """
 
 from __future__ import annotations
@@ -195,19 +195,6 @@ def substream_seeds(seed: int, *path) -> list[int]:
     return [_pcg64_next(*state) >> 2 for state in pcg64_states(columns)]
 
 
-def coordinate_states(seeds, bases) -> list[list[tuple[int, int]]]:
-    """PCG64 states of the coordinate streams: one list per chunk base in
-    ``bases``, holding the state of each seed's stream for that chunk."""
-    n = len(seeds)
-    if not bases:
-        return []
-    seed_col = [_as_entropy(s) for s in seeds] * len(bases)
-    base_col = [b for b in bases for _ in range(n)]
-    states = pcg64_states([_COORD_TAG, np.array(seed_col, dtype=np.uint64),
-                           np.array(base_col, dtype=np.uint64)])
-    return [states[j:j + n] for j in range(0, len(states), n)]
-
-
 def stream_uniforms(states, skip: int, width: int) -> np.ndarray:
     """``Generator.random`` draws ``skip`` to ``skip + width`` of each PCG64
     stream in ``states``, one row per stream: (raw >> 11) * 2**-53 per output."""
@@ -221,17 +208,29 @@ def stream_uniforms(states, skip: int, width: int) -> np.ndarray:
     return raw * 2.0**-53
 
 
-def coordinate_uniforms(seed: int, start: int, stop: int, dim: int) -> np.ndarray:
-    """Uniform draws for coordinates [start, stop) of a dim-length vector.
+def coordinate_blocks(seeds, lo: int, hi: int):
+    """The coordinate walk: for each ``COORD_CHUNK`` block [c0, c1) of [lo, hi)
+    in order, yields ``(c0, c1, draws)`` with one row of uniforms per seed.
 
-    The draw for coordinate k depends only on (seed, k's chunk), so any
-    chunk-aligned partition of [0, dim) across workers reproduces the exact
-    numbers a single worker would produce.
+    Coordinate k of seed s draws from the stream of (s, k's chunk) alone, so
+    any chunk-aligned split of a range reproduces the draws of the whole.  The
+    states of every (seed, chunk) stream are derived in one batch.
     """
+    if lo >= hi:
+        return
+    bases, n = range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK), len(seeds)
+    seed_col = np.array([_as_entropy(s) for s in seeds], dtype=np.uint64)
+    states = pcg64_states([_COORD_TAG, np.tile(seed_col, len(bases)),
+                           np.repeat(np.array(bases, dtype=np.uint64), n)])
+    for k, base in enumerate(bases):
+        c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
+        yield c0, c1, stream_uniforms(states[k * n:(k + 1) * n], c0 - base, c1 - c0)
+
+
+def coordinate_uniforms(seed: int, start: int, stop: int, dim: int) -> np.ndarray:
+    """Uniform draws for coordinates [start, stop) of a dim-length vector:
+    ``coordinate_blocks`` for the one seed, concatenated."""
     if not 0 <= start <= stop <= dim:
         raise ValueError(f"coordinate range [{start}, {stop}) out of bounds for dim {dim}")
-    bases = range(start - start % COORD_CHUNK, stop, COORD_CHUNK)
-    blocks = [stream_uniforms(states, max(start, base) - base,
-                              min(stop, base + COORD_CHUNK) - max(start, base))
-              for base, states in zip(bases, coordinate_states([seed], bases))]
-    return np.concatenate(blocks, axis=None) if blocks else np.empty(0)
+    blocks = [draws[0] for _, _, draws in coordinate_blocks([seed], start, stop)]
+    return np.concatenate(blocks) if blocks else np.empty(0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import numpy as np
 
@@ -62,18 +63,26 @@ def save_mechanism(path, mech: InterpolatedMechanism) -> None:
         handle.write("\n")
 
 
-def _require(doc, fields) -> None:
+def _require(doc, fields, what: str = "mechanism document") -> None:
     if not isinstance(doc, dict):
-        raise ValueError(f"mechanism document must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     for key in fields:
         if key not in doc:
-            raise ValueError(f"mechanism document missing field {key!r}")
+            raise ValueError(f"{what} missing field {key!r}")
+
+
+def _number(doc: dict, key: str, integer: bool = False):
+    """Numeric field ``key``: a finite JSON number (not a bool), integral if ``integer``."""
+    value, kind = doc[key], "an integer" if integer else "a finite number"
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or integer and value % 1:
+        raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _table(doc: dict) -> MechanismTable:
     """The document's table, after checking the fields that repeat what
     log_probs implies."""
-    b_in, b_out = int(doc["b_in"]), int(doc["b_out"])
+    b_in, b_out = _number(doc, "b_in", integer=True), _number(doc, "b_out", integer=True)
     log_probs = np.asarray(doc["log_probs"], dtype=float)
     if log_probs.shape != (b_in, b_out):
         raise ValueError(f"log_probs must have shape ({b_in}, {b_out})")
@@ -90,7 +99,7 @@ def _table(doc: dict) -> MechanismTable:
             raise TableInvariantError("grid_uniformity", g_viol, GRID_TOL,
                                       "grid endpoints / spacing")
     return MechanismTable(np.asarray(doc["alphabet"], dtype=float), log_probs,
-                          float(doc["design_eps"]))
+                          _number(doc, "design_eps"))
 
 
 def mechanism_from_dict(doc: dict) -> InterpolatedMechanism:
@@ -101,18 +110,14 @@ def mechanism_from_dict(doc: dict) -> InterpolatedMechanism:
             "write the table again with `imvu design` and re-run `imvu account --attach`"
         )
     acct = doc["accounting"]
-    if not isinstance(acct, dict):
-        raise ValueError(f"field 'accounting' must be a JSON object, got {type(acct).__name__}")
-    for key in _REQUIRED_ACCOUNTING:
-        if key not in acct:
-            raise ValueError(f"accounting block missing field {key!r}")
+    _require(acct, _REQUIRED_ACCOUNTING, "the 'accounting' block")
 
     mech = InterpolatedMechanism(
         table=_table(doc),
-        beta=float(acct["beta"]),
-        clip=ClipConfig(str(acct["clip_norm"]), float(acct["clip_c"])),
-        eps_prime=None if acct["eps_prime"] is None else float(acct["eps_prime"]),
-        fisher_m=None if acct["fisher_m"] is None else float(acct["fisher_m"]),
+        beta=_number(acct, "beta"),
+        clip=ClipConfig(str(acct["clip_norm"]), _number(acct, "clip_c")),
+        eps_prime=None if acct["eps_prime"] is None else _number(acct, "eps_prime"),
+        fisher_m=None if acct["fisher_m"] is None else _number(acct, "fisher_m"),
     )
     verify_accounting(mech)
     return mech

@@ -220,6 +220,7 @@ def test_fisher_tail_bound_tied_argmax_group():
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 @pytest.mark.parametrize("b_in,b_out,eps", [
     (2, 2, LN3), (2, 4, 1.0), (2, 8, 5.0), (3, 4, 2.0), (4, 4, 1.0), (8, 4, 2.0), (16, 4, 3.0),
+    (32, 16, 4.0), (64, 4, 4.0), (128, 2, 4.0),
 ])
 def test_eps_prime_matches_dense_grid(b_in, b_out, eps, beta):
     table = get_table(b_in, b_out, eps)

@@ -214,11 +214,13 @@ def test_dme_command_rejects_zero_width(tmp_path, capsys, mechanism):
 
 
 def test_cold_start_skips_scipy_optimize(tmp_path):
-    """``import imvu.cli`` leaves scipy.optimize unimported; a design imports
-    it on its first LP, and the manifest still records scipy's version."""
+    """``import imvu.cli`` leaves scipy.optimize and importlib.metadata
+    unimported; a design imports scipy.optimize on its first LP, and the
+    manifest still records scipy's version."""
     script = ("import sys\n"
               "import imvu.cli\n"
               "assert 'scipy.optimize' not in sys.modules\n"
+              "assert 'importlib.metadata' not in sys.modules\n"
               "sys.exit(imvu.cli.main(sys.argv[1:]))\n")
     done = _python("-c", script, "design", "--bits", "1", "--b-in", "2",
                    "--eps", "1.0", "--out", str(tmp_path / "m.json"))
@@ -416,3 +418,74 @@ def test_account_reattach_does_not_certify_stored_constants(tmp_path, monkeypatc
     monkeypatch.setattr(accounting, "fisher_sup", counting)
     assert run(*argv) == 0
     assert len(calls) == 1
+
+
+def _edited_design(tmp_path, edit, *design_args):
+    """A designed 2-row mechanism file after ``edit`` changed its document."""
+    mech_path = tmp_path / "m.json"
+    assert run("design", "--b-in", "2", "--out", str(mech_path), *design_args) == 0
+    doc = json.loads(mech_path.read_text())
+    edit(doc)
+    mech_path.write_text(json.dumps(doc))
+    return str(mech_path)
+
+
+@pytest.mark.parametrize("command", ["validate", "dme"])
+def test_letter_that_is_not_a_number_fails_at_load(tmp_path, capsys, command):
+    def drop_letter(doc):
+        doc["alphabet"][3] = None   # json's null; numpy reads it as NaN
+
+    mech_path = _edited_design(tmp_path, drop_letter, "--bits", "4", "--eps", "2.0")
+    out = tmp_path / "dme.csv"
+    argv = {"validate": ["validate", "--mech", mech_path],
+            "dme": ["dme", "--mechanism", "imvu", "--mech", mech_path, "--n-clients", "4",
+                    "--d", "3", "--trials", "1", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'alphabet_order'" in err and "letter 3" in err
+    assert not out.exists()
+
+
+_ACCOUNT = ["account", "--mode", "pure", "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1"]
+
+
+# account reads only the table, so only the table's fields reach it
+@pytest.mark.parametrize("command, field, value", [
+    *[("validate", field, value) for field, value in (
+        ("beta", None), ("clip_c", None), ("eps_prime", [1]), ("b_in", None), ("b_in", [2]),
+        ("b_in", 3.7), ("design_eps", None), ("design_eps", True))],
+    ("account", "b_in", None), ("account", "b_out", 2.5), ("account", "design_eps", "1"),
+    pytest.param("account", "design_eps", 10**400, id="account-design_eps-10**400"),
+])
+def test_mistyped_field_exits_one_naming_it(tmp_path, command, field, value):
+    def edit(doc):
+        (doc["accounting"] if field in doc["accounting"] else doc)[field] = value
+
+    mech_path = _edited_design(tmp_path, edit, "--bits", "1", "--eps", "1.0")
+    argv = ["validate"] if command == "validate" else _ACCOUNT
+    done = _python("-m", "imvu.cli", *argv, "--mech", mech_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and f"field '{field}'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_dme_certifies_no_stored_constant(tmp_path, monkeypatch):
+    # the run's beta and clip replace the file's, so its constants go unused
+    mech_path = _edited_design(tmp_path, lambda doc: None,
+                               "--bits", "4", "--eps", "2.0", "--symmetrize")
+    assert run("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
+               "--clip-c", "1.0", "--rounds", "1", "--attach") == 0
+    stored = json.loads(Path(mech_path).read_text())["accounting"]
+    assert stored["eps_prime"] is not None and stored["fisher_m"] is not None
+    calls = []
+    original = accounting._certify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(accounting, "_certify", counting)
+    assert run("dme", "--mechanism", "imvu", "--mech", mech_path, "--n-clients", "4",
+               "--d", "3", "--trials", "1", "--out", str(tmp_path / "dme.csv")) == 0
+    assert calls == []

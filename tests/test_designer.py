@@ -481,6 +481,11 @@ def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
 # the scale search looped here before it kept off the largest feasible 1/scale
 @example(b_in=3, b_out=16, log_eps=float(np.log(38.0)))
 @example(b_in=3, b_out=16, log_eps=float(np.log(39.1788)))
+# the grid sizes the branch-and-bound search reaches
+@example(b_in=32, b_out=4, log_eps=float(np.log(2.0)))
+@example(b_in=64, b_out=2, log_eps=0.0)
+@example(b_in=128, b_out=2, log_eps=float(np.log(4.0)))
+@example(b_in=16, b_out=16, log_eps=float(np.log(4.0)))
 def test_design_variance_at_most_scale_grid_min(b_in, b_out, log_eps):
     # the parametric search is exact, so no scale of a dense grid over the
     # whole bracket (both ends included) may beat the designed table

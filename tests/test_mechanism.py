@@ -21,6 +21,7 @@ from imvu import (
     privatize_vector,
     sample_batch,
     scale_input,
+    validate_table,
 )
 from imvu.mechanism import MAX_TABLE_CELLS
 from imvu.rng import COORD_CHUNK, coordinate_uniforms
@@ -66,6 +67,19 @@ def test_invalid_row_sum_rejected():
             design_eps=LN3,
         )
     assert err.value.check in ("simplex", "unbiasedness")
+
+
+@pytest.mark.parametrize("letter", [np.nan, np.inf, -np.inf])
+def test_letter_that_is_not_finite_rejected(rr_table, letter):
+    # a NaN letter passes an ascent check and makes every row mean NaN
+    alphabet = rr_table.alphabet.copy()
+    alphabet[1] = letter
+    with pytest.raises(TableInvariantError, match="letter 1 is not finite") as err:
+        MechanismTable(alphabet, rr_table.log_probs, rr_table.design_eps)
+    assert err.value.check == "alphabet_order" and err.value.violation == np.inf
+    report = validate_table({"alphabet": alphabet, "log_probs": rr_table.log_probs,
+                             "design_eps": rr_table.design_eps})
+    assert "alphabet_order" in report.failures(1e-6) and not report.passed(1e-6)
 
 
 @pytest.mark.parametrize("shape", [(2, MAX_TABLE_CELLS // 2 + 1), (MAX_TABLE_CELLS // 2 + 1, 2)])

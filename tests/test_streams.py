@@ -35,7 +35,7 @@ from imvu import (
     train_fl,
 )
 from imvu.dme import privatize_clients
-from imvu.mechanism import privatize_vector
+from imvu.mechanism import _bracket, _sample, clip, privatize_vector, scale_input
 from imvu.rng import (
     _COORD_TAG,
     COORD_CHUNK,
@@ -336,6 +336,23 @@ def test_coordinate_uniforms_match_one_generator_per_chunk(seed, data):
         .random(min(COORD_CHUNK, dim - c0))[max(start, c0) - c0:stop - c0]
         for c0 in range(start - start % COORD_CHUNK, stop, COORD_CHUNK)])
     assert np.array_equal(coordinate_uniforms(seed, start, stop, dim), expected)
+
+
+@pytest.mark.parametrize("coord_range", [None, (COORD_CHUNK, 2 * COORD_CHUNK + 37)])
+def test_cohort_rows_sample_the_coordinate_walk_of_their_seed(coord_range):
+    # the oracle test above checks coordinate_uniforms against numpy; this
+    # ties each row of a cohort's draws to that same walk for the row's seed
+    mech = _hand_mech()
+    d = 2 * COORD_CHUNK + 37
+    lo, hi = coord_range or (0, d)
+    u = np.random.default_rng(5).normal(scale=0.02, size=(3, d))
+    seeds = [9, 2**40 + 1, -4]
+    indices, _ = privatize_vector(mech, u, seeds, coord_range=coord_range)
+    x = scale_input(clip(u, mech.clip)[:, lo:hi], mech.clip.clip_c, mech.beta)
+    for row, seed, got in zip(x, seeds, indices):
+        i, t = _bracket(mech.table.b_in, row)
+        expected = _sample(mech.table.log_probs, i, t, coordinate_uniforms(seed, lo, hi, d))
+        assert np.array_equal(got, expected)
 
 
 def test_stream_uniforms_from_many_threads_match_one_thread():

@@ -13,6 +13,7 @@ from imvu import (
     TableInvariantError,
     attach_accounting,
     load_mechanism,
+    load_table,
     mechanism_from_dict,
     mechanism_to_dict,
     save_mechanism,
@@ -113,6 +114,46 @@ def test_reject_corrupt_log_probs(saved):
     path.write_text(json.dumps(doc))
     with pytest.raises(TableInvariantError):
         load_mechanism(path)
+
+
+def test_reject_letter_that_is_not_a_number(saved):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["alphabet"][0] = None
+    path.write_text(json.dumps(doc))
+    for load in (load_mechanism, load_table):
+        with pytest.raises(TableInvariantError, match="alphabet_order") as err:
+            load(path)
+        assert "letter 0 is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b_in", None), ("b_in", [2]), ("b_in", "2"), ("b_in", True), ("b_in", 3.7),
+    ("b_out", float("nan")), ("design_eps", None), ("design_eps", True), ("design_eps", [1.0]),
+    ("beta", None), ("beta", "1"), ("clip_c", None), ("eps_prime", [1]), ("fisher_m", False),
+    # float() would overflow on the integer; the writer never writes a non-finite constant
+    pytest.param("design_eps", 10**400, id="design_eps-10**400"), ("beta", float("inf")), ("eps_prime", float("nan")),
+])
+def test_reject_field_that_is_not_a_json_number(saved, field, value):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    in_table = field in doc
+    (doc if in_table else doc["accounting"])[field] = value
+    path.write_text(json.dumps(doc))
+    kind = "an integer" if field in ("b_in", "b_out") else "a finite number"
+    message = f"field '{field}' must be {kind}, got {value!r}"
+    for load in (load_mechanism, load_table) if in_table else (load_mechanism,):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == message
+
+
+def test_integral_float_size_loads(saved):
+    path, mech = saved
+    doc = json.loads(path.read_text())
+    doc["b_in"] = float(doc["b_in"])
+    path.write_text(json.dumps(doc))
+    assert load_table(path).b_in == mech.table.b_in
 
 
 def test_reject_tampered_eps_prime(saved):
