@@ -20,13 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import InterpolatedMechanism, MechanismTable, _softmax, _softmax_terms, _table_of
+from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable, _anadromic_residual,
+                        _softmax, _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
 
 FISHER_TOL = 1e-9
-ANADROMIC_TOL = 1e-9
 VERIFY_TOL = 1e-9
 _TIE_MARGIN = 1e-12
 
@@ -87,25 +87,34 @@ def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple
     shift, so the mean by range(theta_i) times that; exp, sum and dot
     product add (b_out + 3) eps_mach max|theta_i|.  8 eps_mach (b_out + S)
     max|theta_i| bounds both, with room for the final product by b_in - 1.
+
+    ``ValueError`` unless ``domain`` is two finite numbers lo <= hi and 4 S,
+    room for the lerp and the shift, is finite.
     """
     logs = table.log_probs
     if not np.all(np.isfinite(logs)):
         raise ValueError("natural parameters must be finite")
+    bounds = np.asarray(domain, dtype=float)
+    if bounds.shape != (2,) or not (np.all(np.isfinite(bounds)) and bounds[0] <= bounds[1]):
+        raise ValueError(f"domain must be two finite numbers lo <= hi, got {domain!r}")
     nseg = table.b_in - 1
     i = np.repeat(np.arange(nseg), 2)
     t = np.tile([0.0, 1.0], nseg)
-    t[0] = min(0.0, nseg * float(domain[0]))
-    t[-1] = max(1.0, nseg * float(domain[1]) - (nseg - 1))
+    t[0] = min(0.0, nseg * float(bounds[0]))
+    t[-1] = max(1.0, nseg * float(bounds[1]) - (nseg - 1))
+    with np.errstate(over="ignore"):
+        size = (np.abs(1.0 - t) + np.abs(t)) * np.max(np.abs(logs))
+        if not np.all(np.isfinite(4.0 * size)):
+            raise ValueError(f"domain {domain!r} stretches the boundary intervals past float range")
     theta = np.diff(logs, axis=0)[i]
     h = np.abs(np.sum(_probs(logs, i, t) * theta, axis=1))
-    size = (np.abs(1.0 - t) + np.abs(t)) * np.max(np.abs(logs))
     pad = 8.0 * np.finfo(float).eps * (table.b_out + size) * np.max(np.abs(theta), axis=1)
     return float(nseg * np.max(h + pad)), float(nseg * np.max(pad))
 
 
-def eps_prime(table, domain: tuple[float, float] = (0.0, 1.0)) -> float:
+def eps_prime(table: MechanismTable, domain: tuple[float, float] = (0.0, 1.0)) -> float:
     """Certified log-partition correction for the L1 divergence bound."""
-    value, _ = _eps_prime_impl(_table_of(table), domain)
+    value, _ = _eps_prime_impl(table, domain)
     return value
 
 
@@ -140,11 +149,6 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
     sm = _probs(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
     vals = np.maximum(sm @ theta**2 - (sm @ theta) ** 2, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def _anadromic_residual(eta1, eta2) -> float:
-    """max |eta1 - reversed eta2|; two rows are anadromic when it is at most ANADROMIC_TOL."""
-    return float(np.max(np.abs(np.asarray(eta1) - np.asarray(eta2)[::-1])))
 
 
 def _group_mass(rows: np.ndarray, x: float, group: np.ndarray) -> float:
@@ -255,9 +259,8 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
     return best + FISHER_TOL, FisherDiagnostics(i_star, x_max, evals, rounds)
 
 
-def fisher_constant(table) -> tuple[float, FisherDiagnostics]:
+def fisher_constant(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
     """Fisher supremum of a two-row table (the route needs a global line)."""
-    table = _table_of(table)
     if table.b_in != 2:
         raise AccountingError(
             "the Fisher route needs b_in=2: the interpolated log density is "
@@ -369,6 +372,8 @@ def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, f
 def spent_epsilon(ledger: PrivacyLedger, rounds: int | None = None) -> float:
     """(eps, delta)-DP guarantee after the given number of rounds."""
     t = ledger.rounds if rounds is None else rounds
+    if t < 0:
+        raise ValueError("rounds must be non-negative")
     if ledger.mode == "pure":
         return t * float(ledger.per_round)
     total = t * np.asarray(ledger.per_round, dtype=float)

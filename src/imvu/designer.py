@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import ANADROMIC_TOL, _anadromic_residual
 from .mechanism import (
+    ANADROMIC_TOL,
     MAX_TABLE_CELLS,
     PROB_FLOOR,
     MechanismTable,
     TableInvariantError,
+    _anadromic_residual,
     _grid,
     table_violations,
 )
@@ -111,19 +112,14 @@ class ValidationReport:
         return [name for name, v in self.checks.items() if not v <= tol]
 
 
-def validate_table(table, tol: float = 1e-6) -> ValidationReport:
-    """Report-only check of all design invariants.
-
-    Accepts a MechanismTable or a mapping with keys alphabet, design_eps and
-    log_probs, so corrupted candidate data can be inspected without
-    constructing a table.  ``tol`` must be finite and non-negative.
+def validate_table(table: MechanismTable, tol: float = 1e-6) -> ValidationReport:
+    """Report-only check of all design invariants of a table; raw, possibly
+    corrupted data goes to ``table_violations`` instead.  ``tol`` must be
+    finite and non-negative.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    if isinstance(table, MechanismTable):
-        raw = table_violations(table.alphabet, table.design_eps, table.log_probs)
-    else:
-        raw = table_violations(table["alphabet"], float(table["design_eps"]), table["log_probs"])
+    raw = table_violations(table.alphabet, table.design_eps, table.log_probs)
     checks = {name: viol for name, (viol, _) in raw.items()}
     where = {name: loc for name, (_, loc) in raw.items()}
     return ValidationReport(checks=checks, where=where)

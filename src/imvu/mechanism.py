@@ -16,21 +16,22 @@ lerp, ``_interpolate``, also serves ``interpolate_eta`` and dithering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # coordinate_uniforms stays an attribute here, where bench/tracing.py wraps it
 from .rng import coordinate_blocks, coordinate_uniforms  # noqa: F401
 
-# Construction tolerances for the table invariants.
+# Tolerances of the table invariants, and of the anadromy test.
 ROW_SUM_TOL = 1e-9
 METRIC_DP_TOL = 1e-9
 UNBIASEDNESS_TOL = 1e-6
+ANADROMIC_TOL = 1e-9
 
 PROB_FLOOR = 1e-12
-# The most cells a table may have.  The all-pairs metric-DP check of a
-# b_in-row table holds b_in (b_in - 1) / 2 * b_out floats at once.
+# The most cells a table may have.  It bounds the time of the all-pairs
+# metric-DP check, which holds at most b_in * b_out floats at once.
 MAX_TABLE_CELLS = 4096
 
 
@@ -75,8 +76,8 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
     Checks: alphabet_order, positivity, simplex, unbiasedness, metric_dp.
     metric_dp covers every pair of rows, not just adjacent ones, so the
     per-pair tolerance cannot add up along the grid; it reports the first
-    pair, then letter, holding the maximum.  ``ValueError`` for a table of
-    more than ``MAX_TABLE_CELLS`` cells, before that check allocates.
+    pair, then letter, holding the maximum, and holds one row's pairs at a
+    time.  ``ValueError`` for a table of more than ``MAX_TABLE_CELLS`` cells.
     """
     alphabet = np.asarray(alphabet, dtype=float)
     log_probs = np.asarray(log_probs, dtype=float)
@@ -113,16 +114,15 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
 
     dp_viol, where = 0.0, ""
     if np.all(np.isfinite(log_probs)):
-        rows, others = np.triu_indices(b_in, 1)
-        gap = log_probs[rows]
-        gap -= log_probs[others]
-        np.abs(gap, out=gap)
-        gap -= (design_eps * np.abs(grid[rows] - grid[others]))[:, None]
-        # the flat argmax is the first pair, then letter, holding the maximum
-        pair, j = divmod(int(np.argmax(gap)), b_out)
-        if gap[pair, j] > 0.0:
-            dp_viol = float(gap[pair, j])
-            where = f"rows ({rows[pair]}, {others[pair]}), letter {j}"
+        # row i against the later rows: argmax finds the first row, then
+        # letter, holding their maximum, and the strict > keeps the first i's
+        for i in range(b_in - 1):
+            gap = np.abs(log_probs[i] - log_probs[i + 1:])
+            gap -= (design_eps * np.abs(grid[i] - grid[i + 1:]))[:, None]
+            k, j = divmod(int(np.argmax(gap)), b_out)
+            if gap[k, j] > dp_viol:
+                dp_viol = float(gap[k, j])
+                where = f"rows ({i}, {i + 1 + k}), letter {j}"
     else:
         dp_viol, where = np.inf, "non-finite log probabilities"
     out["metric_dp"] = (dp_viol, where)
@@ -146,13 +146,12 @@ class MechanismTable:
     Immutable after construction and safe to share across workers.  All
     invariants are enforced here, so downstream samplers may assume finite
     log probabilities and normalized rows.  ``b_in``, ``b_out`` and ``grid``
-    follow from the shape of ``log_probs``.
+    follow from the shape of ``log_probs``, and ``probs`` from its values.
     """
 
     alphabet: np.ndarray
     log_probs: np.ndarray
     design_eps: float
-    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.design_eps) and self.design_eps > 0):
@@ -165,12 +164,14 @@ class MechanismTable:
             if not violation <= tol:  # NaN-safe
                 raise TableInvariantError(name, violation, tol, where)
 
-        probs = np.exp(log_probs)
-        for arr in (alphabet, log_probs, probs):
+        for arr in (alphabet, log_probs):
             arr.flags.writeable = False
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "log_probs", log_probs)
-        object.__setattr__(self, "probs", probs)
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
 
     @property
     def b_in(self) -> int:
@@ -218,8 +219,9 @@ class InterpolatedMechanism:
                 raise ValueError("fisher_m must be a non-negative real")
 
 
-def _table_of(mech) -> MechanismTable:
-    return mech.table if isinstance(mech, InterpolatedMechanism) else mech
+def _anadromic_residual(eta1, eta2) -> float:
+    """max |eta1 - reversed eta2|; two rows are anadromic when it is at most ANADROMIC_TOL."""
+    return float(np.max(np.abs(np.asarray(eta1) - np.asarray(eta2)[::-1])))
 
 
 def _check_finite_inputs(x: np.ndarray):
@@ -314,7 +316,7 @@ def _per_input(z: np.ndarray, x) -> np.ndarray:
     return out[0] if np.ndim(x) == 0 else out
 
 
-def interpolate_eta(mech, x) -> np.ndarray:
+def interpolate_eta(table: MechanismTable, x) -> np.ndarray:
     """Piecewise-linear natural parameter at x.
 
     Inside [x_i, x_{i+1}] this is the convex combination of eta_i and
@@ -322,27 +324,24 @@ def interpolate_eta(mech, x) -> np.ndarray:
     which for b_in=2 is one global line.  Scalar x returns a vector, an array
     of x returns one row per input.
     """
-    table = _table_of(mech)
     return _per_input(
         _interpolate(table.log_probs, *_bracket(table.b_in, _finite_inputs(x))), x)
 
 
-def log_pmf(mech, x) -> np.ndarray:
+def log_pmf(table: MechanismTable, x) -> np.ndarray:
     """Log probabilities of the interpolated mechanism at x (full precision)."""
-    table = _table_of(mech)
     z, _, total = _softmax_terms(table.log_probs, *_bracket(table.b_in, _finite_inputs(x)),
                                  keep_logits=True)
     z -= np.log(total)
     return _per_input(z, x)
 
 
-def pmf(mech, x) -> np.ndarray:
+def pmf(table: MechanismTable, x) -> np.ndarray:
     """Sampling probabilities of the interpolated mechanism at x.
 
     Softmax of the interpolated natural parameter, computed with
     max-subtraction; rows sum to 1 within 1e-12.
     """
-    table = _table_of(mech)
     return _per_input(_softmax(table.log_probs, *_bracket(table.b_in, _finite_inputs(x))), x)
 
 
@@ -356,27 +355,26 @@ def _moments(probs_of, table: MechanismTable, x):
     return mean, var
 
 
-def moments(mech, x):
+def moments(table: MechanismTable, x):
     """Mean and variance of the interpolated mechanism's output at x."""
-    return _moments(pmf, _table_of(mech), x)
+    return _moments(pmf, table, x)
 
 
-def mvu_dither_pmf(table, x) -> np.ndarray:
+def mvu_dither_pmf(table: MechanismTable, x) -> np.ndarray:
     """Dithering probabilities: the convex mix of the bracketing rows.
 
     Only defined on [0, 1]; the dithered mechanism is unbiased there because
     every grid row is unbiased and the mix is linear.
     """
-    table = _table_of(table)
     xs = _finite_inputs(x)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("dithering requires x in [0, 1]")
     return _per_input(_interpolate(table.probs, *_bracket(table.b_in, xs)), x)
 
 
-def mvu_dither_moments(table, x):
+def mvu_dither_moments(table: MechanismTable, x):
     """Mean and variance of the dithered mechanism at x in [0, 1]."""
-    return _moments(mvu_dither_pmf, _table_of(table), x)
+    return _moments(mvu_dither_pmf, table, x)
 
 
 def _sample(rows: np.ndarray, i: np.ndarray, t: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -392,9 +390,8 @@ def _sample(rows: np.ndarray, i: np.ndarray, t: np.ndarray, uniforms: np.ndarray
     return np.minimum((uniforms >= cdf).sum(axis=0), len(cdf) - 1)
 
 
-def sample_batch(mech, x: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_batch(table: MechanismTable, x: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n independent output indices at a fixed x."""
-    table = _table_of(mech)
     xs = np.broadcast_to(_finite_inputs(float(x)), n)
     return _sample(table.log_probs, *_bracket(table.b_in, xs), rng.random(n))
 

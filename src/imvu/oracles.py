@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .mechanism import log_pmf
+from .mechanism import MechanismTable, log_pmf
 
 _PAIR_SUM_TOL = 1e-12
 MAX_JOINT_OUTCOMES = 4096
@@ -56,7 +56,8 @@ def _renyi_from_logs(lp: np.ndarray, lq: np.ndarray, alpha: float) -> float:
     return float((m + np.log(np.sum(np.exp(t - m)))) / (alpha - 1.0))
 
 
-def joint_divergence_bruteforce(mech, xvec, xvec_prime, alpha: float, max_dim: int = 3) -> float:
+def joint_divergence_bruteforce(table: MechanismTable, xvec, xvec_prime, alpha: float,
+                                max_dim: int = 3) -> float:
     """Renyi divergence of the full product distribution, by enumeration.
 
     Enumerates all b_out^d outcomes of the coordinate-independent mechanism
@@ -71,8 +72,8 @@ def joint_divergence_bruteforce(mech, xvec, xvec_prime, alpha: float, max_dim: i
     d = xvec.size
     if d > max_dim:
         raise ValueError(f"joint enumeration limited to {max_dim} dimensions")
-    lp_rows = np.atleast_2d(log_pmf(mech, xvec))
-    lq_rows = np.atleast_2d(log_pmf(mech, xvec_prime))
+    lp_rows = np.atleast_2d(log_pmf(table, xvec))
+    lq_rows = np.atleast_2d(log_pmf(table, xvec_prime))
     b_out = lp_rows.shape[1]
     if b_out**d > MAX_JOINT_OUTCOMES:
         raise ValueError(

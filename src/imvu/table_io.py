@@ -104,7 +104,7 @@ def _table(doc: dict) -> MechanismTable:
 
 def mechanism_from_dict(doc: dict) -> InterpolatedMechanism:
     _require(doc, _REQUIRED)
-    if doc["format_version"] != FORMAT_VERSION:
+    if _number(doc, "format_version", integer=True) != FORMAT_VERSION:
         raise ValueError(
             f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}: "
             "write the table again with `imvu design` and re-run `imvu account --attach`"
@@ -135,7 +135,7 @@ def load_table(path) -> MechanismTable:
     with open(path) as handle:
         doc = json.load(handle)
     _require(doc, ("format_version",) + _TABLE_FIELDS)
-    if doc["format_version"] not in _TABLE_VERSIONS:
+    if _number(doc, "format_version", integer=True) not in _TABLE_VERSIONS:
         raise ValueError(f"unsupported format_version {doc['format_version']!r}; "
                          f"expected one of {_TABLE_VERSIONS}")
     return _table(doc)

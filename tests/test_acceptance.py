@@ -239,8 +239,8 @@ def test_c09_sampling_fidelity():
     mech = InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l2", 1.0))
     n = 1_000_000
     for k, x in enumerate((0.05, 0.3, 0.5, 0.7, 0.95)):
-        draws = sample_batch(mech, x, n, np.random.default_rng(1000 + k))
-        probs = pmf(mech, x)
+        draws = sample_batch(mech.table, x, n, np.random.default_rng(1000 + k))
+        probs = pmf(mech.table, x)
         counts = np.bincount(draws, minlength=table.b_out)
         for j in range(table.b_out):
             tol = 3.0 * np.sqrt(probs[j] * (1 - probs[j]) / n)

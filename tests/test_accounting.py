@@ -36,6 +36,7 @@ from imvu import (
     pmf,
     rdp_to_dp,
     save_mechanism,
+    spent_epsilon,
     spent_trajectory,
     verify_accounting,
 )
@@ -88,6 +89,32 @@ def test_eps_prime_multi_interval_table():
     table = get_table(4, 4, 1.0)
     value = eps_prime(table)
     assert np.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("domain", [(np.nan, 1.0), (0.0, np.nan), (2.0, -1.0), (-np.inf, 1.0),
+                                    (0.0, np.inf), (0.0,), (0.0, 0.5, 1.0)])
+def test_eps_prime_rejects_a_domain_that_is_not_an_interval(domain):
+    # min and max read a NaN end or a reversed pair as [0, 1]; an infinite end gives NaN
+    with pytest.raises(ValueError, match="domain must be two finite numbers"):
+        eps_prime(get_table(4, 4, 2.0), domain)
+
+
+def test_eps_prime_at_a_point_domain_is_the_unit_value():
+    table = get_table(4, 4, 2.0)
+    assert eps_prime(table, (0.5, 0.5)) == eps_prime(table)
+
+
+@pytest.mark.parametrize("domain", [(-1e308, 1.0), (0.0, 1e308), (0.0, 1e307)])
+def test_eps_prime_rejects_a_stretch_past_float_range(domain):
+    with pytest.raises(ValueError, match="past float range"):
+        eps_prime(get_table(4, 4, 2.0), domain)
+
+
+def test_accounting_report_rejects_a_beta_whose_stretch_overflows():
+    # the logits would overflow, and the NaN would surface as an invalid eps_prime
+    mech = _mech(get_table(16, 4, 1.0), beta=1e308)
+    with pytest.raises(ValueError, match="past float range"):
+        accounting_report("t.json", mech, "pure", rounds=1)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +474,16 @@ def test_spent_trajectory_pure_additivity():
     ledger = PrivacyLedger("pure", 0.3, 17)
     expected = 0.3 * np.arange(1, 18)
     np.testing.assert_array_equal(spent_trajectory(ledger), expected)
+
+
+@pytest.mark.parametrize("ledger", [
+    PrivacyLedger("pure", 0.5, 10),
+    PrivacyLedger("rdp", np.asarray(DEFAULT_ALPHAS) * 0.001, 10, alphas=DEFAULT_ALPHAS),
+])
+def test_spent_epsilon_rejects_negative_rounds(ledger):
+    # composition is t times the per-round cost, negative for negative t
+    with pytest.raises(ValueError, match="rounds must be non-negative"):
+        spent_epsilon(ledger, -3)
 
 
 def test_spent_trajectory_rdp_non_decreasing():

@@ -578,45 +578,27 @@ def test_validate_designed_table_passes(table_2x4):
 
 
 def test_validate_flags_negated_probability():
-    report = validate_table(
-        {
-            "alphabet": [-0.5, 1.5],
-            # a file holds log probabilities only, so a lost letter reads -inf
-            "log_probs": np.array([[np.log(0.75), -np.inf], [np.log(0.25), np.log(0.75)]]),
-            "design_eps": LN3,
-        },
-        tol=1e-6,
+    checks = table_violations(
+        [-0.5, 1.5],
+        LN3,
+        # a file holds log probabilities only, so a lost letter reads -inf
+        np.array([[np.log(0.75), -np.inf], [np.log(0.25), np.log(0.75)]]),
     )
-    assert "positivity" in report.failures(1e-6)
-    assert "simplex" in report.failures(1e-6)
-    assert "row 0" in report.where["positivity"]
+    assert not checks["positivity"][0] <= 1e-6
+    assert not checks["simplex"][0] <= 1e-6
+    assert "row 0" in checks["positivity"][1]
 
 
 def test_validate_flags_perturbed_alphabet(rr_table):
-    report = validate_table(
-        {
-            "alphabet": rr_table.alphabet + 0.1,
-            "log_probs": rr_table.log_probs,
-            "design_eps": rr_table.design_eps,
-        },
-        tol=1e-6,
-    )
-    assert "unbiasedness" in report.failures(1e-6)
+    checks = table_violations(rr_table.alphabet + 0.1, rr_table.design_eps, rr_table.log_probs)
+    assert not checks["unbiasedness"][0] <= 1e-6
 
 
 def test_validate_flags_metric_dp_break(rr_table):
     logs = np.array(rr_table.log_probs)
     logs[0, 0] += 0.5
-    report = validate_table(
-        {
-            "alphabet": rr_table.alphabet,
-            "log_probs": logs,
-            "design_eps": rr_table.design_eps,
-        },
-        tol=1e-6,
-    )
-    failures = report.failures(1e-6)
-    assert "metric_dp" in failures
+    checks = table_violations(rr_table.alphabet, rr_table.design_eps, logs)
+    assert not checks["metric_dp"][0] <= 1e-6
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])

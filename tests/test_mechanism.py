@@ -21,9 +21,8 @@ from imvu import (
     privatize_vector,
     sample_batch,
     scale_input,
-    validate_table,
 )
-from imvu.mechanism import MAX_TABLE_CELLS
+from imvu.mechanism import MAX_TABLE_CELLS, table_violations
 from imvu.rng import COORD_CHUNK, coordinate_uniforms
 
 from conftest import LN3
@@ -77,14 +76,13 @@ def test_letter_that_is_not_finite_rejected(rr_table, letter):
     with pytest.raises(TableInvariantError, match="letter 1 is not finite") as err:
         MechanismTable(alphabet, rr_table.log_probs, rr_table.design_eps)
     assert err.value.check == "alphabet_order" and err.value.violation == np.inf
-    report = validate_table({"alphabet": alphabet, "log_probs": rr_table.log_probs,
-                             "design_eps": rr_table.design_eps})
-    assert "alphabet_order" in report.failures(1e-6) and not report.passed(1e-6)
+    checks = table_violations(alphabet, rr_table.design_eps, rr_table.log_probs)
+    assert not checks["alphabet_order"][0] <= 1e-6
 
 
 @pytest.mark.parametrize("shape", [(2, MAX_TABLE_CELLS // 2 + 1), (MAX_TABLE_CELLS // 2 + 1, 2)])
 def test_table_over_the_cell_limit_rejected_before_the_pair_check(shape):
-    # the all-pairs metric-DP check would hold about 100 MB at 2049 x 2
+    # nothing of the table's size is held before the cell limit is checked
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"limited to {MAX_TABLE_CELLS}") as err:
@@ -94,6 +92,21 @@ def test_table_over_the_cell_limit_rejected_before_the_pair_check(shape):
         tracemalloc.stop()
     assert type(err.value) is ValueError
     assert peak < 2**20
+
+
+def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
+    # 2048 x 2 is at the cell limit; all pairs at once would hold about 100 MB
+    b_in = MAX_TABLE_CELLS // 2
+    p1 = 0.25 + 0.5 * np.arange(b_in) / (b_in - 1)
+    log_probs = np.log(np.stack([1.0 - p1, p1], axis=1))
+    tracemalloc.start()
+    try:
+        checks = table_violations([-0.5, 1.5], 4.0, log_probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks["metric_dp"] == (0.0, "")
+    assert peak < 2 * 2**20
 
 
 def test_table_arrays_immutable(rr_table):
@@ -324,25 +337,25 @@ def test_scale_decode_roundtrip():
 
 def test_sample_deterministic_under_seed(rr_table):
     mech = _mech(rr_table)
-    seq1 = sample_batch(mech, 0.3, 1000, np.random.default_rng(9))
-    seq2 = sample_batch(mech, 0.3, 1000, np.random.default_rng(9))
+    seq1 = sample_batch(mech.table, 0.3, 1000, np.random.default_rng(9))
+    seq2 = sample_batch(mech.table, 0.3, 1000, np.random.default_rng(9))
     assert np.array_equal(seq1, seq2)
 
 
 def test_sample_degenerate_pmf(table_2x4):
     # far in the tail the pmf concentrates on one letter
     mech = _mech(table_2x4)
-    p = pmf(mech, 60.0)
+    p = pmf(mech.table, 60.0)
     j_star = int(np.argmax(p))
-    draws = sample_batch(mech, 60.0, 200, np.random.default_rng(5))
+    draws = sample_batch(mech.table, 60.0, 200, np.random.default_rng(5))
     assert np.all(draws == j_star)
 
 
 def test_sample_frequencies_match_pmf(rr_table):
     mech = _mech(rr_table)
     n = 200_000
-    draws = sample_batch(mech, 0.3, n, np.random.default_rng(11))
-    p = pmf(mech, 0.3)
+    draws = sample_batch(mech.table, 0.3, n, np.random.default_rng(11))
+    p = pmf(mech.table, 0.3)
     for j in range(2):
         freq = np.mean(draws == j)
         tol = 3.0 * np.sqrt(p[j] * (1 - p[j]) / n)
@@ -359,7 +372,7 @@ def test_privatize_zero_vector_samples_at_half(rr_table):
     idx, dec = privatize_vector(mech, np.zeros(3), seed=21)
     # independent reconstruction of the pipeline at x = 0.5
     u = coordinate_uniforms(21, 0, 3, 3)
-    cdf = np.cumsum(pmf(mech, 0.5))
+    cdf = np.cumsum(pmf(mech.table, 0.5))
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), 1)
     assert np.array_equal(idx, expected)
     np.testing.assert_allclose(dec, decode(rr_table.alphabet[idx], 1.0, 1.0))
@@ -371,7 +384,7 @@ def test_privatize_single_coordinate_matches_scalar_path(rr_table):
     idx, dec = privatize_vector(mech, u, seed=77)
     x = scale_input(clip(u, mech.clip), 2.0, 1.0)[0]
     uni = coordinate_uniforms(77, 0, 1, 1)[0]
-    cdf = np.cumsum(pmf(mech, x))
+    cdf = np.cumsum(pmf(mech.table, x))
     j = int(np.searchsorted(cdf, uni, side="right"))
     assert idx[0] == j
     assert dec[0] == pytest.approx(decode(rr_table.alphabet[j], 2.0, 1.0))
@@ -409,7 +422,7 @@ def test_privatize_marginals_match_pmf(table_2x4):
     mech = _mech(table_2x4, norm="l2", c=1.0, beta=1.0)
     u = np.array([0.5, -0.3, 0.0, 0.2, -0.45])
     x = scale_input(clip(u, mech.clip), 1.0, 1.0)
-    probs = pmf(mech, x)
+    probs = pmf(mech.table, x)
     n = 20_000
     counts = np.zeros((u.size, table_2x4.b_out))
     for s in range(n):

@@ -83,6 +83,19 @@ def test_reject_previous_version_asks_for_reattach(saved):
         load_mechanism(path)
 
 
+@pytest.mark.parametrize("version", [True, False, None, "2", 2.5, [2]])
+def test_reject_version_that_is_not_an_integer(saved, version):
+    # True == 1, so a bool would pass for version 1
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    for load in (load_mechanism, load_table):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"field 'format_version' must be an integer, got {version!r}"
+
+
 @pytest.mark.parametrize("doc", [5, None, [1, 2], "mechanism"])
 def test_reject_non_object_document(doc):
     with pytest.raises(ValueError, match="JSON object"):
