@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable, _anadromic_residual,
-                        _softmax, _softmax_terms)
+                        _finite_inputs, _softmax, _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
@@ -146,7 +146,7 @@ def fisher_info(eta1, eta2, x) -> float | np.ndarray:
     if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
         raise ValueError("natural parameters must be finite")
     theta = eta2 - eta1
-    sm = _probs(np.stack((eta1, eta2)), 0, np.atleast_1d(np.asarray(x, dtype=float)))
+    sm = _probs(np.stack((eta1, eta2)), 0, _finite_inputs(x))
     vals = np.maximum(sm @ theta**2 - (sm @ theta) ** 2, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
@@ -308,8 +308,8 @@ class PrivacyLedger:
     def __post_init__(self):
         if self.mode not in ("pure", "rdp"):
             raise ValueError(f"mode must be 'pure' or 'rdp', got {self.mode!r}")
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
+        if not 0 <= self.rounds < np.inf or self.rounds % 1:  # NaN fails the first test
+            raise ValueError("rounds must be non-negative and integral")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         costs = np.asarray(self.per_round, dtype=float)
@@ -360,6 +360,8 @@ def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, f
         raise ValueError("eps_alphas must align with the alpha grid")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    if not np.all(eps_alphas >= 0):
+        raise ValueError("eps_alphas must be non-negative and not NaN")
     converted = (
         eps_alphas
         + np.log((alphas - 1.0) / alphas)
@@ -372,8 +374,8 @@ def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, f
 def spent_epsilon(ledger: PrivacyLedger, rounds: int | None = None) -> float:
     """(eps, delta)-DP guarantee after the given number of rounds."""
     t = ledger.rounds if rounds is None else rounds
-    if t < 0:
-        raise ValueError("rounds must be non-negative")
+    if not 0 <= t < np.inf or t % 1:
+        raise ValueError("rounds must be non-negative and integral")
     if ledger.mode == "pure":
         return t * float(ledger.per_round)
     total = t * np.asarray(ledger.per_round, dtype=float)

@@ -80,6 +80,9 @@ class DesignSpec:
     symmetrize: bool = False
 
     def __post_init__(self):
+        for name, size in (("b_in", self.b_in), ("b_out", self.b_out)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.b_in < 2 or self.b_out < 2:
             raise ValueError("b_in and b_out must both be at least 2")
         if not (np.isfinite(self.eps) and self.eps > 0):
@@ -134,37 +137,32 @@ def _alphabet(b_out: int, scale: float) -> np.ndarray:
     return 0.5 + scale * _letters(b_out)
 
 
-def _constraints(b_in: int, b_out: int, eps: float, letters: np.ndarray):
-    """Equality rows (row simplex, then row mean over ``letters``) and ratio
-    rows, as CSR arrays that hold no zero coefficient.
+def _rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
+    """The design LP's constraint matrix in the column-wise form HiGHS takes:
+    (start, index, value, m_ub), holding no zero coefficient, with the m_ub
+    ratio rows first and then the equality rows, as ``linprog`` orders them.
 
-    The variables are the row-major probabilities p[i, j].  The ratio rows
-    are p[i, j] <= e^(eps/(b_in-1)) p[i+1, j] (forward) followed by
-    p[i+1, j] <= e^(eps/(b_in-1)) p[i, j] (backward).
+    The variables are the row-major probabilities p[i, j], k = i b_out + j.
+    With m = (b_in - 1) b_out, ratio row k is p[i, j] <= e^(eps/(b_in-1))
+    p[i+1, j] (forward) and m + k is p[i+1, j] <= e^(eps/(b_in-1)) p[i, j]
+    (backward); then come the row simplex 2m + i and the row mean over
+    ``letters`` 2m + b_in + i.  Column k's rows are k - b_out, k, m + k -
+    b_out, m + k, 2m + i and 2m + b_in + i, in that order, where they exist.
     """
-    from scipy.sparse import csr_array
-
-    n, used = b_in * b_out, np.flatnonzero(letters)
-    a_eq = csr_array((
-        np.concatenate([np.ones(n), np.tile(letters[used], b_in)]),
-        np.concatenate([np.arange(n), (b_out * np.arange(b_in)[:, None] + used).ravel()]),
-        np.concatenate([np.arange(0, n, b_out), n + used.size * np.arange(b_in + 1)]),
-    ), shape=(2 * b_in, n))
+    n = b_in * b_out
+    k = np.arange(n)
+    i, j = np.divmod(k, b_out)
     # Ratio rows with growth >= 1/PROB_FLOOR are implied by the variable
     # bounds (p <= 1 <= growth * floor) and would overflow the solver's
     # coefficient range, so they are dropped.
     step = eps / (b_in - 1)
-    if step >= np.log(1.0 / PROB_FLOOR):
-        return a_eq, csr_array((0, n))
-    # each row holds p[i, j] and p[i+1, j], in column order
-    growth, m = np.exp(step), n - b_out
-    pair = np.stack([np.arange(m), np.arange(b_out, n)], axis=1).ravel()
-    a_ub = csr_array((
-        np.concatenate([np.tile([1.0, -growth], m), np.tile([-growth, 1.0], m)]),
-        np.tile(pair, 2),
-        np.arange(0, 4 * m + 1, 2),
-    ), shape=(2 * m, n))
-    return a_eq, a_ub
+    m = n - b_out if step < np.log(1.0 / PROB_FLOOR) else 0
+    growth = np.exp(step) if m else 0.0
+    after, before = (i > 0) & (m > 0), (i < b_in - 1) & (m > 0)
+    keep = np.stack([after, before, after, before, np.ones(n, dtype=bool), letters[j] != 0], axis=1)
+    index = np.stack([k - b_out, k, m + k - b_out, m + k, 2 * m + i, 2 * m + b_in + i], axis=1)
+    value = np.stack(np.broadcast_arrays(-growth, 1.0, 1.0, -growth, 1.0, letters[j]), axis=1)
+    return np.append(0, np.cumsum(keep.sum(axis=1))), index[keep], value[keep], 2 * m
 
 
 def linprog(*args, **kwargs):
@@ -175,19 +173,24 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _linprog(cost, a_eq, b_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
-    """HiGHS on one design LP, retried once without presolve if it fails.
+def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
+    """HiGHS on one design LP, given by ``_rows``, retried once without
+    presolve if it fails.
 
     Presolve calls LPs infeasible that sit on the feasibility boundary
     within the solver's tolerances (2x2 at eps = 25, at the largest
     feasible 1/scale), which is where the optimum often lies.
     """
+    from scipy.sparse import csc_array
+
+    start, index, value, m_ub = rows
+    matrix = csc_array((value, index, start), shape=(m_ub + b_eq.size, cost.size))
     for presolve in (True, False):
         res = linprog(
             cost,
-            A_ub=a_ub,
-            b_ub=np.zeros(a_ub.shape[0]),
-            A_eq=a_eq,
+            A_ub=matrix[:m_ub],
+            b_ub=np.zeros(m_ub),
+            A_eq=matrix[m_ub:],
             b_eq=b_eq,
             bounds=bounds,
             method="highs",
@@ -212,22 +215,20 @@ class _HighsLP:
     and its check of the solution.
     """
 
-    def __init__(self, core, cost, a_eq, a_ub, bounds):
-        from scipy.sparse import vstack
-
-        self._core = core
-        self._m_ub = a_ub.shape[0]
-        self._b_eq = np.zeros(a_eq.shape[0])
+    def __init__(self, core, cost, rows, bounds):
+        start, index, value, m_ub = rows
+        # every row holds a coefficient, the last equality row included
+        num_row = int(index.max()) + 1
+        self._core, self._m_ub = core, m_ub
+        self._b_eq = np.zeros(num_row - m_ub)
         self._lb, self._ub = np.broadcast_to(np.asarray(bounds, dtype=float), (cost.size, 2)).T.copy()
-        # rows and columns in linprog's order: inequality rows first
-        matrix = vstack([a_ub, a_eq], format="csr").tocsc()
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = matrix.shape[0]
+        lp.num_row_ = lp.a_matrix_.num_row_ = num_row
         lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_cost_ = cost
         lp.col_lower_, lp.col_upper_ = self._lb, self._ub
         lp.row_lower_ = np.concatenate([np.full(self._m_ub, -np.inf), self._b_eq])
@@ -269,9 +270,10 @@ class _HighsLP:
         return None
 
 
-def _lp_solver(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
-    """``solve(b_eq)`` for one design LP: (fun, x, equality-row duals) at
-    right-hand side ``b_eq``, or None if the solve failed.
+def _lp_solver(cost, rows, bounds=(PROB_FLOOR, 1.0)):
+    """``solve(b_eq)`` for one design LP, given by ``_rows``: (fun, x,
+    equality-row duals) at right-hand side ``b_eq``, or None if the solve
+    failed.
 
     Where scipy bundles its HiGHS binding, every right-hand side is solved on
     one ``_HighsLP`` model; scipy releases without it solve each one through
@@ -281,23 +283,20 @@ def _lp_solver(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
         import scipy.optimize._highspy._core as core
     except ImportError:
         def solve(b_eq):
-            res = _linprog(cost, a_eq, b_eq, a_ub, bounds)
+            res = _linprog(cost, rows, b_eq, bounds)
             return (res.fun, res.x, res.eqlin.marginals) if res.success else None
 
         return solve
-    return _HighsLP(core, cost, a_eq, a_ub, bounds).solve
+    return _HighsLP(core, cost, rows, bounds).solve
 
 
-def _solve_lp(b_in: int, b_out: int, eps: float, scale: float):
-    """LP optimum at one alphabet scale; (inf, None, alphabet) if none is found."""
+def _solve_lp(b_in: int, b_out: int, eps: float, scale: float) -> float:
+    """LP variance at one alphabet scale; inf if no optimum is found."""
     alphabet = _alphabet(b_out, scale)
     grid = _grid(b_in)
-    a_eq, a_ub = _constraints(b_in, b_out, eps, alphabet)
-    res = _linprog(np.tile(alphabet**2, b_in), a_eq, np.concatenate([np.ones(b_in), grid]), a_ub)
-    if not res.success:
-        return np.inf, None, alphabet
-    variance = float(res.fun - np.sum(grid**2))
-    return variance, res.x.reshape(b_in, b_out), alphabet
+    rows = _rows(b_in, b_out, eps, alphabet)
+    res = _linprog(np.tile(alphabet**2, b_in), rows, np.concatenate([np.ones(b_in), grid]))
+    return float(res.fun - np.sum(grid**2)) if res.success else np.inf
 
 
 def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:
@@ -399,11 +398,11 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     const = float(offsets @ offsets)
     ones, n = np.ones(b_in), b_in * b_out
     cost = np.tile(letters**2, b_in)
-    a_eq, a_ub = _constraints(b_in, b_out, spec.eps, letters)
+    rows = _rows(b_in, b_out, spec.eps, letters)
     lo, hi = spec.scale_range()
     r_lo, r_hi = 1.0 / hi, 1.0 / lo
     bound, solved = _LPS_PER_CELL * n, {}
-    solve = _lp_solver(cost, a_eq, a_ub)
+    solve = _lp_solver(cost, rows)
 
     def tangent(r):
         if r not in solved:
@@ -427,13 +426,13 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
         return (floor > least + _PIECE_TOL * abs(least)
                 or floor >= min((v for r, v in values if r >= rb), default=np.inf))
 
-    from scipy.sparse import csr_array, hstack
-
-    # r is one more variable, -offsets its column in the mean rows
+    # r is one more variable, -offsets its column in the nonzero mean rows
+    start, index, value, m_ub = rows
+    used = np.flatnonzero(offsets)
     free = _lp_solver(
         np.append(np.zeros(n), -1.0),
-        hstack([a_eq, csr_array(np.concatenate([np.zeros(b_in), -offsets])[:, None])], format="csr"),
-        csr_array((a_ub.data, a_ub.indices, a_ub.indptr), shape=(a_ub.shape[0], n + 1)),
+        (np.append(start, start[-1] + used.size), np.concatenate([index, m_ub + b_in + used]),
+         np.concatenate([value, -offsets[used]]), m_ub),
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
     )(np.concatenate([ones, np.zeros(b_in)]))
     r_top = float(free[1][-1]) if free is not None else r_lo

@@ -224,14 +224,10 @@ def _anadromic_residual(eta1, eta2) -> float:
     return float(np.max(np.abs(np.asarray(eta1) - np.asarray(eta2)[::-1])))
 
 
-def _check_finite_inputs(x: np.ndarray):
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
-
-
 def _finite_inputs(x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_finite_inputs(xs)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("inputs must be finite")
     return xs
 
 
@@ -423,7 +419,7 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     scale = cfg.clip_c / np.maximum(size, cfg.clip_c)
     if not np.isfinite(size).all():
         big = ~np.isfinite(size)
-        _check_finite_inputs(rows[big])
+        _finite_inputs(rows[big])
         rows = rows.copy()
         rows[big] /= np.max(np.abs(rows[big]), axis=1, keepdims=True)
         scale[big] = cfg.clip_c / norms(rows[big])
@@ -436,15 +432,15 @@ def scale_input(u, clip_c: float, beta: float):
     Applied coordinate-wise to vectors.  beta=1 lands in [0, 1]; larger beta
     spreads concentrated inputs over (and beyond) the design range.
     """
-    if clip_c <= 0 or beta <= 0:
-        raise ValueError("clip_c and beta must be positive")
+    if not (0 < clip_c < np.inf and 0 < beta < np.inf):
+        raise ValueError("clip_c and beta must be positive and finite")
     return 0.5 + beta * np.asarray(u, dtype=float) / (2.0 * clip_c)
 
 
 def decode(a, clip_c: float, beta: float):
     """Server-side inverse of scale_input: (2C/beta) * (a - 1/2)."""
-    if clip_c <= 0 or beta <= 0:
-        raise ValueError("clip_c and beta must be positive")
+    if not (0 < clip_c < np.inf and 0 < beta < np.inf):
+        raise ValueError("clip_c and beta must be positive and finite")
     return (2.0 * clip_c / beta) * (np.asarray(a, dtype=float) - 0.5)
 
 

@@ -129,4 +129,4 @@ def design_variance_grid_min(b_in: int, b_out: int, eps: float, n: int) -> float
     if n < 2:
         raise ValueError("design_variance_grid_min needs at least 2 scales")
     lo, hi = DesignSpec(b_in, b_out, eps).scale_range()
-    return min(_solve_lp(b_in, b_out, eps, s)[0] for s in np.linspace(lo, hi, n))
+    return min(_solve_lp(b_in, b_out, eps, s) for s in np.linspace(lo, hi, n))

@@ -133,6 +133,15 @@ def test_fisher_info_zero_direction():
     assert fisher_info(eta, eta, -5.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fisher_info_rejects_inputs_that_are_not_finite(rr_table, bad):
+    eta1, eta2 = rr_table.log_probs
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        fisher_info(eta1, eta2, bad)
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        fisher_info(eta1, eta2, np.array([0.5, bad]))
+
+
 def test_fisher_info_matches_finite_difference_definition(table_2x4):
     # definition oracle: E_Z[(d/dx log f)^2] with the derivative taken by
     # central differences of the log pmf
@@ -431,6 +440,13 @@ def test_ledger_rejects_a_per_round_cost_that_is_not_finite_and_non_negative(bad
         PrivacyLedger("rdp", np.array([0.1, bad]), 10, alphas=(2.0, 4.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1])
+def test_rdp_to_dp_rejects_a_nan_or_negative_cost(bad):
+    # a NaN entry never wins argmin's comparisons, so it came back as the minimum
+    with pytest.raises(ValueError, match="eps_alphas must be non-negative"):
+        rdp_to_dp(np.array([bad, 1.0]), 1e-5, (2.0, 4.0))
+
+
 def test_rdp_to_dp_spot():
     eps, alpha = rdp_to_dp(np.array([1.0]), 1e-5, alphas=[2.0])
     expected = 1.0 + np.log(0.5) - (np.log(1e-5) + np.log(2.0)) / 1.0
@@ -484,6 +500,18 @@ def test_spent_epsilon_rejects_negative_rounds(ledger):
     # composition is t times the per-round cost, negative for negative t
     with pytest.raises(ValueError, match="rounds must be non-negative"):
         spent_epsilon(ledger, -3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, -1])
+def test_ledger_and_spent_epsilon_reject_rounds_that_are_not_a_count(bad):
+    # NaN passes ``rounds < 0``: the ledger composed to 1.25 over 2.5 rounds
+    with pytest.raises(ValueError, match="rounds must be non-negative and integral"):
+        PrivacyLedger("pure", 0.5, bad)
+    ledger = PrivacyLedger("pure", 0.5, np.int64(3))
+    with pytest.raises(ValueError, match="rounds must be non-negative and integral"):
+        spent_epsilon(ledger, bad)
+    assert spent_epsilon(ledger) == 1.5
+    assert spent_epsilon(ledger, 2.0) == 1.0
 
 
 def test_spent_trajectory_rdp_non_decreasing():

@@ -67,7 +67,7 @@ def test_design_lp_optimal_over_scale_grid():
     table = get_table(2, 2, LN3)
     best = table_variance(table)
     for scale in np.linspace(0.5, 2.5, 41):
-        assert _solve_lp(2, 2, LN3, scale)[0] >= best - 1e-6
+        assert _solve_lp(2, 2, LN3, scale) >= best - 1e-6
 
 
 def assert_no_privacy_table(table):
@@ -295,17 +295,17 @@ def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
     cases = [(a_eq, a_ub), free, _dense_constraints(b_in, b_out, eps, alphabet)]
     calls, solver = [], designer._lp_solver
 
-    def recording(cost, eq, ub, bounds=(PROB_FLOOR, 1.0)):
-        calls.append((cost, eq, ub, bounds))
-        return solver(cost, eq, ub, bounds)
+    def recording(cost, rows, bounds=(PROB_FLOOR, 1.0)):
+        calls.append((cost, rows, bounds))
+        return solver(cost, rows, bounds)
 
     monkeypatch.setattr(designer, "_lp_solver", recording)
     design_mvu(DesignSpec(b_in, b_out, eps))
     passed = _PassedMatrices(core)
     for call in calls:
         designer._HighsLP(passed, *call)
-    eq, ub = designer._constraints(b_in, b_out, eps, alphabet)
-    designer._HighsLP(passed, np.tile(alphabet**2, b_in), eq, ub, (PROB_FLOOR, 1.0))
+    rows = designer._rows(b_in, b_out, eps, alphabet)
+    designer._HighsLP(passed, np.tile(alphabet**2, b_in), rows, (PROB_FLOOR, 1.0))
     assert len(passed.matrices) == len(cases)
     for got, (ref_eq, ref_ub) in zip(passed.matrices, cases):
         ref = csc_array(np.vstack([ref_ub, ref_eq]))
@@ -326,12 +326,12 @@ def _design_on_both_solvers(spec):
             retries.append(kwargs["b_eq"])
         return linprog(*args, **kwargs)
 
-    def both(cost, a_eq, a_ub, bounds=(PROB_FLOOR, 1.0)):
-        model = designer._HighsLP(core, cost, a_eq, a_ub, bounds)
+    def both(cost, rows, bounds=(PROB_FLOOR, 1.0)):
+        model = designer._HighsLP(core, cost, rows, bounds)
 
         def solve(b_eq):
             got = model.solve(b_eq)
-            ref = designer._linprog(cost, a_eq, b_eq, a_ub, bounds)
+            ref = designer._linprog(cost, rows, b_eq, bounds)
             assert (got is not None) == ref.success
             if got is not None:
                 assert np.array_equal(got[0], ref.fun)
@@ -384,13 +384,26 @@ def test_design_falls_back_to_linprog_without_the_highs_binding(monkeypatch, spe
     assert on_linprog.alphabet.tobytes() == on_model.alphabet.tobytes()
 
 
+@pytest.mark.parametrize("spec", [DesignSpec(4, 8, 3.0), DesignSpec(2, 3, 40.0)])
+def test_design_on_the_highs_binding_needs_no_scipy_sparse(monkeypatch, spec):
+    # the model is passed the column-wise rows as built; 2 rows at eps = 40
+    # drop every ratio row
+    import scipy.optimize._highspy._core  # noqa: F401
+
+    on_model = design_mvu(spec)
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    table = design_mvu(spec)
+    assert table.log_probs.tobytes() == on_model.log_probs.tobytes()
+    assert table.alphabet.tobytes() == on_model.alphabet.tobytes()
+
+
 @pytest.mark.parametrize("b_in", [2, 3, 4, 8, 16, 32])
 def test_lp_feasible_at_bracket_upper_end(b_in):
     # the search relies on hi being feasible for every spec it may see
     for b_out in (2, 3, 4, 8, 16):
         for eps in (0.01, 0.1, 0.5, 1.0, 5.0, 20.0, 40.0):
             _, hi = DesignSpec(b_in, b_out, eps).scale_range()
-            value = _solve_lp(b_in, b_out, eps, hi)[0]
+            value = _solve_lp(b_in, b_out, eps, hi)
             assert np.isfinite(value), (b_in, b_out, eps)
 
 
@@ -401,6 +414,20 @@ def test_spec_validation():
         DesignSpec(2, 2, -1.0)
     with pytest.raises(ValueError, match="eps=1e-17 is too small"):
         DesignSpec(2, 2, 1e-17)
+
+
+@pytest.mark.parametrize("field,args", [
+    ("b_in", (2.0, 2)), ("b_out", (2, 2.5)), ("b_in", (True, 2)), ("b_out", (2, "4")),
+])
+def test_spec_rejects_sizes_that_are_not_integers(field, args):
+    # a float size built, and design_mvu then failed inside numpy
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DesignSpec(*args, 1.0)
+
+
+def test_spec_takes_numpy_integer_sizes():
+    table = design_mvu(DesignSpec(np.int64(2), np.int32(2), LN3))
+    assert table.log_probs.tobytes() == design_mvu(DesignSpec(2, 2, LN3)).log_probs.tobytes()
 
 
 def _all_pairs_lp(b_in, b_out, eps, scale):
@@ -466,7 +493,7 @@ def test_adjacent_row_lp_matches_all_pairs_lp(b_in, b_out, log_eps, frac):
     scale = lo + frac * (hi - lo)
     reference = _all_pairs_lp(b_in, b_out, eps, scale)
     assume(reference is not None)
-    adjacent = _solve_lp(b_in, b_out, eps, scale)[0]
+    adjacent = _solve_lp(b_in, b_out, eps, scale)
     assert np.isfinite(adjacent) == np.isfinite(reference)
     if np.isfinite(reference):
         assert abs(adjacent - reference) <= 1e-8

@@ -321,6 +321,16 @@ def test_decode_values():
     assert decode(1.0, 1.0, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_scale_input_and_decode_reject_a_scale_that_is_not_positive_and_finite(bad):
+    # NaN passes ``v <= 0``, and an infinite clip maps every input to 1/2
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="clip_c and beta must be positive and finite"):
+            scale_input(0.3, *args)
+        with pytest.raises(ValueError, match="clip_c and beta must be positive and finite"):
+            decode(0.3, *args)
+
+
 def test_scale_decode_roundtrip():
     rng = np.random.default_rng(1)
     for _ in range(100):
