@@ -14,7 +14,6 @@ from imvu import (
     ClipConfig,
     DesignSpec,
     InterpolatedMechanism,
-    PrivacyLedger,
     attach_accounting,
     compose,
     design_mvu,
@@ -22,8 +21,7 @@ from imvu import (
     exact_max_divergence,
     exact_renyi,
     fisher_constant,
-    l1_round_eps,
-    l2_round_rdp,
+    imvu_ledger,
     pmf,
     rdp_to_dp,
 )
@@ -45,20 +43,18 @@ for _ in range(2000):
     worst = max(worst, d - rate * abs(x - xp))
 print(f"largest (divergence - bound) over 2000 random pairs: {worst:.2e} (<= 0 is sound)")
 
-per_round = l1_round_eps(mech, c1_sens=1.0)
-ledger = PrivacyLedger("pure", per_round, rounds=50)
-print(f"pure route: per round {per_round:.5f}, after 50 rounds {compose(ledger):.3f}\n")
+ledger = imvu_ledger(mech, "pure", sens=1.0)
+print(f"pure route: per round {ledger.per_round:.5f}, after 50 rounds {compose(ledger, 50):.3f}\n")
 
 m_value, diag = fisher_constant(table)
 print(f"Fisher supremum M = {m_value:.6f} "
       f"(stationary value {diag.i_star:.6f}, search bound x_max = {diag.x_max:.3f})")
 d2 = exact_renyi(pmf(table, 0.5), pmf(table, 0.6), 2.0)
-bound = float(l2_round_rdp(m_value, 0.1, alphas=[2.0])[0])
+bound = float(imvu_ledger(mech, "rdp", sens=0.1, alphas=[2.0]).per_round[0])
 print(f"exact order-2 divergence x: 0.5 -> 0.6 is {d2:.7f} <= bound {bound:.7f}")
 
 alphas = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0)
-per_round_rdp = l2_round_rdp(m_value, c2_sens=0.25, alphas=alphas)
-ledger = PrivacyLedger("rdp", per_round_rdp, rounds=500, alphas=alphas)
-eps_dp, alpha_star = rdp_to_dp(compose(ledger), delta=1e-5, alphas=alphas)
+ledger = imvu_ledger(mech, "rdp", sens=0.25, delta=1e-5, alphas=alphas)
+eps_dp, alpha_star = rdp_to_dp(compose(ledger, 500), delta=1e-5, alphas=alphas)
 print(f"rdp route: 500 rounds at sensitivity 0.25 -> eps = {eps_dp:.3f} "
       f"at delta = 1e-5 (best order alpha = {alpha_star})")

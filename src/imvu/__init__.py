@@ -18,11 +18,9 @@ from .accounting import (
     fisher_constant,
     fisher_info,
     fisher_sup,
-    l1_round_eps,
-    l2_round_rdp,
+    imvu_ledger,
     rdp_to_dp,
     spent_epsilon,
-    spent_trajectory,
     verify_accounting,
 )
 from .baselines import BaselineConfig, privatize_baseline, privatizer

@@ -10,8 +10,9 @@ real line; it requires a two-row table with anadromic natural parameters.
 Both constants are *certified upper bounds* from cumulant identities of the
 exponential family exp(eta + t theta), never bare estimates: eps' from
 interval endpoints plus a rounding pad, M from a line search with a
-closed-form curvature pad.  Composition is plain additivity; there is no
-subsampling amplification.
+closed-form curvature pad.  A ``PrivacyLedger`` holds the cost of one round;
+``compose(ledger, rounds)`` adds rounds up, with no subsampling amplification,
+and ``spent_epsilon`` converts an RDP total to (eps, delta)-DP once, at the end.
 """
 
 from __future__ import annotations
@@ -116,15 +117,6 @@ def eps_prime(table: MechanismTable, domain: tuple[float, float] = (0.0, 1.0)) -
     """Certified log-partition correction for the L1 divergence bound."""
     value, _ = _eps_prime_impl(table, domain)
     return value
-
-
-def l1_round_eps(mech: InterpolatedMechanism, c1_sens: float) -> float:
-    """Per-round pure epsilon: (design eps + eps') * L1 sensitivity."""
-    if mech.eps_prime is None:
-        raise MissingConstantsError("eps_prime not attached; run attach_accounting first")
-    if not (np.isfinite(c1_sens) and c1_sens >= 0):
-        raise ValueError("c1_sens must be a non-negative real")
-    return (mech.table.design_eps + mech.eps_prime) * c1_sens
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +269,6 @@ def _orders(alphas) -> np.ndarray:
     return alphas
 
 
-def l2_round_rdp(m_constant: float, c2_sens: float, alphas=DEFAULT_ALPHAS) -> np.ndarray:
-    """Per-round RDP vector: eps_alpha = alpha * M * C^2 / 2."""
-    if not (np.isfinite(m_constant) and m_constant >= 0):
-        raise ValueError("M must be a non-negative real")
-    if not (np.isfinite(c2_sens) and c2_sens >= 0):
-        raise ValueError("c2_sens must be a non-negative real")
-    return _orders(alphas) * m_constant * c2_sens**2 / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Ledger, composition, conversion
 # ---------------------------------------------------------------------------
@@ -293,59 +276,66 @@ def l2_round_rdp(m_constant: float, c2_sens: float, alphas=DEFAULT_ALPHAS) -> np
 
 @dataclass(frozen=True, eq=False)
 class PrivacyLedger:
-    """Per-round cost plus composition state.
+    """The privacy cost of one round.
 
-    ``per_round`` is a scalar epsilon in pure mode and one epsilon per alpha
-    in rdp mode.  Composition over rounds is additive.
+    ``per_round`` is one epsilon for a pure ledger and, for an RDP ledger,
+    one epsilon per order in ``alphas``.  ``compose`` adds rounds up.
     """
 
-    mode: str
     per_round: float | np.ndarray
-    rounds: int
     delta: float = DEFAULT_DELTA
     alphas: tuple[float, ...] | None = None
 
+    @property
+    def mode(self) -> str:
+        return "pure" if self.alphas is None else "rdp"
+
     def __post_init__(self):
-        if self.mode not in ("pure", "rdp"):
-            raise ValueError(f"mode must be 'pure' or 'rdp', got {self.mode!r}")
-        if not 0 <= self.rounds < np.inf or self.rounds % 1:  # NaN fails the first test
-            raise ValueError("rounds must be non-negative and integral")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         costs = np.asarray(self.per_round, dtype=float)
         if not np.all(np.isfinite(costs) & (costs >= 0)):
             raise ValueError("per-round costs must be finite and non-negative")
-        if self.mode == "pure":
+        if self.alphas is None:
             if costs.ndim != 0:
-                raise ValueError("pure mode needs one per-round epsilon")
-        else:
-            if self.alphas is None:
-                raise ValueError("rdp mode needs an alpha grid")
-            alphas = _orders(self.alphas)
-            if alphas.ndim != 1 or np.any(np.diff(alphas) <= 0):
-                raise ValueError("alphas must be ascending")
-            if costs.shape != alphas.shape:
-                raise ValueError("per_round must have one entry per alpha")
+                raise ValueError("a pure ledger needs one per-round epsilon")
+            return
+        alphas = _orders(self.alphas)
+        if alphas.ndim != 1 or np.any(np.diff(alphas) <= 0):
+            raise ValueError("alphas must be ascending")
+        if costs.shape != alphas.shape:
+            raise ValueError("per_round must have one entry per alpha")
 
 
-def imvu_ledger(mech: InterpolatedMechanism, mode: str, rounds: int, sens: float,
-                delta: float, alphas: tuple[float, ...]) -> PrivacyLedger:
-    """Ledger of an attached mechanism: eps' route in pure mode, Fisher route in rdp mode."""
-    if mode == "pure":
-        return PrivacyLedger("pure", l1_round_eps(mech, sens), rounds, delta=delta)
-    if mech.fisher_m is None:
+def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
+                delta: float = DEFAULT_DELTA, alphas=DEFAULT_ALPHAS) -> PrivacyLedger:
+    """Per-round cost of an attached mechanism at sensitivity ``sens``.
+
+    Pure mode takes the eps' route, (design eps + eps') * sens; rdp mode the
+    Fisher route, alpha * M * sens^2 / 2 for each order alpha.
+    """
+    if mode not in ("pure", "rdp"):
+        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    if mode == "pure" and mech.eps_prime is None:
+        raise MissingConstantsError("eps_prime not attached; run attach_accounting first")
+    if mode == "rdp" and mech.fisher_m is None:
         raise MissingConstantsError(
             "fisher_m not attached; run attach_accounting on an anadromic table"
         )
-    per_round = l2_round_rdp(mech.fisher_m, sens, alphas)
-    return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))
+    if not (np.isfinite(sens) and sens >= 0):
+        raise ValueError(f"sensitivity must be a non-negative real, got {sens!r}")
+    if mode == "pure":
+        return PrivacyLedger((mech.table.design_eps + mech.eps_prime) * sens, delta)
+    return PrivacyLedger(_orders(alphas) * mech.fisher_m * sens**2 / 2.0, delta, tuple(alphas))
 
 
-def compose(ledger: PrivacyLedger):
-    """Total cost after ``rounds`` repetitions (additivity)."""
-    if ledger.mode == "pure":
-        return ledger.rounds * float(ledger.per_round)
-    return ledger.rounds * np.asarray(ledger.per_round, dtype=float)
+def compose(ledger: PrivacyLedger, rounds: int):
+    """Total cost of ``rounds`` rounds: the per-round cost times ``rounds``."""
+    if not 0 <= rounds < np.inf or rounds % 1:  # NaN fails the first test
+        raise ValueError("rounds must be non-negative and integral")
+    if ledger.alphas is None:
+        return rounds * float(ledger.per_round)
+    return rounds * np.asarray(ledger.per_round, dtype=float)
 
 
 def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, float]:
@@ -371,21 +361,14 @@ def rdp_to_dp(eps_alphas, delta: float, alphas=DEFAULT_ALPHAS) -> tuple[float, f
     return float(converted[k]), float(alphas[k])
 
 
-def spent_epsilon(ledger: PrivacyLedger, rounds: int | None = None) -> float:
-    """(eps, delta)-DP guarantee after the given number of rounds."""
-    t = ledger.rounds if rounds is None else rounds
-    if not 0 <= t < np.inf or t % 1:
-        raise ValueError("rounds must be non-negative and integral")
-    if ledger.mode == "pure":
-        return t * float(ledger.per_round)
-    total = t * np.asarray(ledger.per_round, dtype=float)
+def spent_epsilon(ledger: PrivacyLedger, rounds: int) -> float:
+    """(eps, delta)-DP guarantee after ``rounds`` rounds; an RDP total is
+    converted once, at the end."""
+    total = compose(ledger, rounds)
+    if ledger.alphas is None:
+        return total
     eps, _ = rdp_to_dp(total, ledger.delta, ledger.alphas)
     return eps
-
-
-def spent_trajectory(ledger: PrivacyLedger) -> np.ndarray:
-    """Spent epsilon after rounds 1..T; non-decreasing by construction."""
-    return np.array([spent_epsilon(ledger, t) for t in range(1, ledger.rounds + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +451,8 @@ def accounting_report(
     sens = mech.beta if c_sens is None else float(c_sens)
     name = "eps_prime" if mode == "pure" else "fisher_m"
     value, certification = _certify(mech, name)
-    ledger = imvu_ledger(replace(mech, **{name: value}), mode, rounds, sens, delta, alphas)
-    composed = compose(ledger)
+    ledger = imvu_ledger(replace(mech, **{name: value}), mode, sens, delta, alphas)
+    composed = compose(ledger, rounds)
     if mode == "pure":
         per_round, delta, eps_dp, alpha_star = ledger.per_round, 0.0, composed, None
     else:

@@ -102,9 +102,8 @@ def wire_bits(priv) -> float:
     return 1.0 if kind_of(priv) == "signsgd" else 32.0
 
 
-def round_ledger(priv, rounds: int, delta: float,
-                 alphas: tuple[float, ...]) -> PrivacyLedger | None:
-    """Per-round privacy cost over ``rounds`` rounds; None for identity.
+def round_ledger(priv, delta: float, alphas: tuple[float, ...]) -> PrivacyLedger | None:
+    """Privacy cost of one round; None for identity.
 
     imvu is charged at sensitivity beta through eps' under an l1 clip and
     the Fisher constant under an l2 clip.  A baseline's ``noise`` is the
@@ -114,10 +113,10 @@ def round_ledger(priv, rounds: int, delta: float,
     """
     if isinstance(priv, InterpolatedMechanism):
         mode = "pure" if priv.clip.norm == "l1" else "rdp"
-        return imvu_ledger(priv, mode, rounds, priv.beta, delta, alphas)
+        return imvu_ledger(priv, mode, priv.beta, delta, alphas)
     if not isinstance(priv, BaselineConfig):
         return None
     if priv.kind == "laplace":
-        return PrivacyLedger("pure", float(priv.noise), rounds, delta=delta)
-    per_round = np.asarray(alphas, dtype=float) / (2.0 * priv.noise**2)
-    return PrivacyLedger("rdp", per_round, rounds, delta=delta, alphas=tuple(alphas))
+        return PrivacyLedger(float(priv.noise), delta)
+    return PrivacyLedger(np.asarray(alphas, dtype=float) / (2.0 * priv.noise**2), delta,
+                         tuple(alphas))

@@ -143,7 +143,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     the learning rate (times the SignSGD scale) plus the momentum term.
     """
     priv = privatizer(cfg.mechanism, cfg.clip, cfg.mech, cfg.noise)
-    ledger = round_ledger(priv, cfg.rounds, cfg.delta, cfg.alphas)
+    ledger = round_ledger(priv, cfg.delta, cfg.alphas)
 
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
     # the linear training head is binary

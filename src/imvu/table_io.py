@@ -79,16 +79,27 @@ def _number(doc: dict, key: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """Array field ``key`` as floats: each element a JSON number that fits a
+    float, not a bool or a string (null reads as NaN, which the table checks
+    reject)."""
+    values = np.asarray(doc[key], dtype=object)
+    if not all(v is None or type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+               for v in values.flat):
+        raise ValueError(f"field {key!r} must hold numbers only")
+    return values.astype(float)
+
+
 def _table(doc: dict) -> MechanismTable:
     """The document's table, after checking the fields that repeat what
     log_probs implies."""
     b_in, b_out = _number(doc, "b_in", integer=True), _number(doc, "b_out", integer=True)
-    log_probs = np.asarray(doc["log_probs"], dtype=float)
+    log_probs = _numbers(doc, "log_probs")
     if log_probs.shape != (b_in, b_out):
         raise ValueError(f"log_probs must have shape ({b_in}, {b_out})")
     if str(doc["metric"]) != "l1":
         raise ValueError(f"unsupported metric {doc['metric']!r}")
-    grid = np.asarray(doc["grid"], dtype=float)
+    grid = _numbers(doc, "grid")
     if grid.shape != (b_in,):
         raise ValueError(f"grid must have shape ({b_in},)")
     if b_in > 1:  # smaller tables are rejected when built
@@ -98,7 +109,7 @@ def _table(doc: dict) -> MechanismTable:
         if not g_viol <= GRID_TOL:
             raise TableInvariantError("grid_uniformity", g_viol, GRID_TOL,
                                       "grid endpoints / spacing")
-    return MechanismTable(np.asarray(doc["alphabet"], dtype=float), log_probs,
+    return MechanismTable(_numbers(doc, "alphabet"), log_probs,
                           _number(doc, "design_eps"))
 
 

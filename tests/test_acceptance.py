@@ -24,8 +24,7 @@ from imvu import (
     fisher_constant,
     fisher_grid_max,
     joint_divergence_bruteforce,
-    l1_round_eps,
-    l2_round_rdp,
+    imvu_ledger,
     log_pmf,
     mvu_dither_moments,
     pmf,
@@ -129,7 +128,8 @@ def test_c02_renyi_soundness():
     d2 = exact_renyi(pmf(rr, 0.5), pmf(rr, 0.6), 2.0)
     assert d2 == pytest.approx(0.0120452887, abs=1e-6)
     m_rr, _ = fisher_constant(rr)
-    bound = float(l2_round_rdp(m_rr, 0.1, alphas=[2.0])[0])
+    bound = float(imvu_ledger(InterpolatedMechanism(rr, fisher_m=m_rr), "rdp", 0.1,
+                              alphas=[2.0]).per_round[0])
     assert d2 <= bound
     assert bound == pytest.approx(0.0120695, abs=1e-6)
     print("\nACCEPTANCE 02 Renyi soundness: PASS "
@@ -299,7 +299,7 @@ def test_c10_federated_training_plumbing():
 
         # spent trajectory equals the hand-composed ledger exactly
         result = train_fl(cfg("imvu", mech=mech, seed=0))
-        per_round = l1_round_eps(mech, mech.beta)
+        per_round = imvu_ledger(mech, "pure", mech.beta).per_round
         np.testing.assert_array_equal(result.spent_eps, per_round * np.arange(1, 41))
 
     assert medians[0] <= medians[1] <= medians[2], f"medians not monotone: {medians}"

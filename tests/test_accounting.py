@@ -1,5 +1,6 @@
 """Accountant contracts: certified constants, composition, conversion."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -29,15 +30,13 @@ from imvu import (
     fisher_grid_max,
     fisher_info,
     fisher_sup,
-    l1_round_eps,
-    l2_round_rdp,
+    imvu_ledger,
     load_mechanism,
     log_pmf,
     pmf,
     rdp_to_dp,
     save_mechanism,
     spent_epsilon,
-    spent_trajectory,
     verify_accounting,
 )
 from imvu.cli import main
@@ -328,28 +327,51 @@ def test_fisher_certifies_designed_two_row_files(bits, log_eps):
 
 def test_l1_round_eps_spot(rr_table):
     mech = attach_accounting(_mech(rr_table))
-    value = l1_round_eps(mech, 1.0)
+    ledger = imvu_ledger(mech, "pure", 1.0)
+    value = ledger.per_round
+    assert (ledger.mode, ledger.alphas) == ("pure", None)
     assert value == (rr_table.design_eps + mech.eps_prime)
     assert value == pytest.approx(1.64792, abs=1e-3)  # ln 3 + ln 3 / 2 plus pad
-    assert l1_round_eps(mech, 0.0) == 0.0
-    assert l1_round_eps(mech, 2.0) == pytest.approx(2 * value)
+    assert imvu_ledger(mech, "pure", 0.0).per_round == 0.0
+    assert imvu_ledger(mech, "pure", 2.0).per_round == pytest.approx(2 * value)
 
 
 def test_l1_round_eps_requires_constant(rr_table):
-    with pytest.raises(MissingConstantsError):
-        l1_round_eps(_mech(rr_table), 1.0)
+    with pytest.raises(MissingConstantsError, match="eps_prime"):
+        imvu_ledger(_mech(rr_table), "pure", 1.0)
+    with pytest.raises(MissingConstantsError, match="fisher_m"):
+        imvu_ledger(_mech(rr_table), "rdp", 1.0)
 
 
-def test_l2_round_rdp_spot():
-    eps_alphas = l2_round_rdp(1.20695, 0.1, alphas=[2.0])
+def test_l2_round_rdp_spot(rr_table):
+    def per_round(m_constant, sens, alphas=DEFAULT_ALPHAS):
+        mech = InterpolatedMechanism(rr_table, fisher_m=m_constant)
+        return imvu_ledger(mech, "rdp", sens, alphas=alphas).per_round
+
+    eps_alphas = per_round(1.20695, 0.1, alphas=[2.0])
     assert eps_alphas[0] == pytest.approx(0.0120695, abs=1e-7)
-    assert np.all(l2_round_rdp(1.20695, 0.0) == 0.0)
-    doubled_alpha = l2_round_rdp(1.0, 1.0, alphas=[2.0, 4.0])
+    assert np.all(per_round(1.20695, 0.0) == 0.0)
+    doubled_alpha = per_round(1.0, 1.0, alphas=[2.0, 4.0])
     assert doubled_alpha[1] == pytest.approx(2 * doubled_alpha[0])
-    doubled_c = l2_round_rdp(1.0, 2.0, alphas=[2.0])
-    assert doubled_c[0] == pytest.approx(4 * l2_round_rdp(1.0, 1.0, alphas=[2.0])[0])
+    doubled_c = per_round(1.0, 2.0, alphas=[2.0])
+    assert doubled_c[0] == pytest.approx(4 * per_round(1.0, 1.0, alphas=[2.0])[0])
     with pytest.raises(ValueError):
-        l2_round_rdp(1.0, 1.0, alphas=[1.0])
+        per_round(1.0, 1.0, alphas=[1.0])
+
+
+@pytest.mark.parametrize("mode", ["PURE", "Pure", "l1", "", None])
+def test_imvu_ledger_rejects_an_unknown_mode(rr_table, mode):
+    mech = attach_accounting(_mech(rr_table))
+    with pytest.raises(ValueError, match="mode must be 'pure' or 'rdp'"):
+        imvu_ledger(mech, mode, 1.0)
+
+
+@pytest.mark.parametrize("sens", [np.nan, np.inf, -0.5])
+def test_imvu_ledger_rejects_a_sensitivity_that_is_not_a_non_negative_real(rr_table, sens):
+    mech = attach_accounting(_mech(rr_table))
+    for mode in ("pure", "rdp"):
+        with pytest.raises(ValueError, match="sensitivity must be a non-negative real"):
+            imvu_ledger(mech, mode, sens)
 
 
 def test_rdp_bound_certifies_exact_renyi(rr_table):
@@ -358,7 +380,9 @@ def test_rdp_bound_certifies_exact_renyi(rr_table):
     m_value, _ = fisher_constant(rr_table)
     d2 = exact_renyi(pmf(rr_table, 0.5), pmf(rr_table, 0.6), 2.0)
     assert d2 == pytest.approx(0.0120452887, abs=1e-8)
-    bound = float(l2_round_rdp(m_value, 0.1, alphas=[2.0])[0])
+    mech = attach_accounting(_mech(rr_table, "l2"))
+    assert mech.fisher_m == m_value
+    bound = float(imvu_ledger(mech, "rdp", 0.1, alphas=[2.0]).per_round[0])
     assert d2 <= bound
     assert bound == pytest.approx(0.0120695, abs=1e-6)
 
@@ -396,38 +420,46 @@ def test_renyi_soundness_spot(rr_table):
 
 
 def test_compose_pure():
-    ledger = PrivacyLedger("pure", 0.25, 100)
-    assert compose(ledger) == 25.0
-    assert compose(PrivacyLedger("pure", 0.25, 1)) == 0.25
+    ledger = PrivacyLedger(0.25)
+    assert ledger.mode == "pure"
+    assert compose(ledger, 100) == 25.0
+    assert compose(ledger, 1) == 0.25
+    assert compose(ledger, 0) == 0.0
 
 
 def test_compose_rdp_vector():
     alphas = (1.5, 2.0, 4.0)
-    ledger = PrivacyLedger("rdp", np.array([0.01, 0.02, 0.04]), 100, alphas=alphas)
-    np.testing.assert_allclose(compose(ledger), [1.0, 2.0, 4.0])
+    ledger = PrivacyLedger(np.array([0.01, 0.02, 0.04]), alphas=alphas)
+    assert ledger.mode == "rdp"
+    np.testing.assert_allclose(compose(ledger, 100), [1.0, 2.0, 4.0])
 
 
 def test_compose_spot_example():
-    ledger = PrivacyLedger("rdp", np.array([0.01]), 100, alphas=(2.0,))
-    assert compose(ledger)[0] == pytest.approx(1.0)
+    ledger = PrivacyLedger(np.array([0.01]), alphas=(2.0,))
+    assert compose(ledger, 100)[0] == pytest.approx(1.0)
 
 
 def test_ledger_validation():
     with pytest.raises(ValueError):
-        PrivacyLedger("pure", -0.1, 10)
+        PrivacyLedger(-0.1)
+    with pytest.raises(ValueError, match="one per-round epsilon"):
+        PrivacyLedger(np.array([0.1]))  # a vector needs its alphas
     with pytest.raises(ValueError):
-        PrivacyLedger("rdp", np.array([0.1]), 10)  # missing alphas
-    with pytest.raises(ValueError):
-        PrivacyLedger("pure", 0.1, 10, delta=1.5)
+        PrivacyLedger(0.1, delta=1.5)
+    with pytest.raises(ValueError, match="one entry per alpha"):
+        PrivacyLedger(0.1, alphas=(2.0,))  # a scalar with alphas
+    with pytest.raises(AttributeError):
+        PrivacyLedger(0.1).mode = "rdp"  # derived from alphas, never set
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, 0.5])
 def test_every_entry_point_rejects_an_order_that_is_not_finite_above_one(bad):
     # NaN passes ``alpha <= 1``, so each check must ask for finite orders above 1
+    mech = attach_accounting(_mech(get_table(2, 2, LN3), "l2"))
     with pytest.raises(ValueError, match="alphas"):
-        l2_round_rdp(1.0, 1.0, alphas=[2.0, bad])
+        imvu_ledger(mech, "rdp", 1.0, alphas=[2.0, bad])
     with pytest.raises(ValueError, match="alphas"):
-        PrivacyLedger("rdp", np.array([0.1, 0.2]), 10, alphas=(2.0, bad))
+        PrivacyLedger(np.array([0.1, 0.2]), alphas=(2.0, bad))
     with pytest.raises(ValueError, match="alphas"):
         rdp_to_dp(np.array([0.1, 0.2]), 1e-5, alphas=[bad, 2.0])
 
@@ -435,9 +467,9 @@ def test_every_entry_point_rejects_an_order_that_is_not_finite_above_one(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
 def test_ledger_rejects_a_per_round_cost_that_is_not_finite_and_non_negative(bad):
     with pytest.raises(ValueError, match="per-round costs"):
-        PrivacyLedger("pure", bad, 10)
+        PrivacyLedger(bad)
     with pytest.raises(ValueError, match="per-round costs"):
-        PrivacyLedger("rdp", np.array([0.1, bad]), 10, alphas=(2.0, 4.0))
+        PrivacyLedger(np.array([0.1, bad]), alphas=(2.0, 4.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1])
@@ -487,38 +519,47 @@ def test_rdp_to_dp_input_errors():
 
 
 def test_spent_trajectory_pure_additivity():
-    ledger = PrivacyLedger("pure", 0.3, 17)
+    ledger = PrivacyLedger(0.3)
     expected = 0.3 * np.arange(1, 18)
-    np.testing.assert_array_equal(spent_trajectory(ledger), expected)
+    np.testing.assert_array_equal([spent_epsilon(ledger, t) for t in range(1, 18)], expected)
 
 
 @pytest.mark.parametrize("ledger", [
-    PrivacyLedger("pure", 0.5, 10),
-    PrivacyLedger("rdp", np.asarray(DEFAULT_ALPHAS) * 0.001, 10, alphas=DEFAULT_ALPHAS),
+    PrivacyLedger(0.5),
+    PrivacyLedger(np.asarray(DEFAULT_ALPHAS) * 0.001, alphas=DEFAULT_ALPHAS),
 ])
 def test_spent_epsilon_rejects_negative_rounds(ledger):
     # composition is t times the per-round cost, negative for negative t
     with pytest.raises(ValueError, match="rounds must be non-negative"):
         spent_epsilon(ledger, -3)
+    with pytest.raises(ValueError, match="rounds must be non-negative"):
+        compose(ledger, -3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, -1])
 def test_ledger_and_spent_epsilon_reject_rounds_that_are_not_a_count(bad):
     # NaN passes ``rounds < 0``: the ledger composed to 1.25 over 2.5 rounds
+    ledger = PrivacyLedger(0.5)
     with pytest.raises(ValueError, match="rounds must be non-negative and integral"):
-        PrivacyLedger("pure", 0.5, bad)
-    ledger = PrivacyLedger("pure", 0.5, np.int64(3))
+        compose(ledger, bad)
     with pytest.raises(ValueError, match="rounds must be non-negative and integral"):
         spent_epsilon(ledger, bad)
-    assert spent_epsilon(ledger) == 1.5
+    assert spent_epsilon(ledger, np.int64(3)) == 1.5
     assert spent_epsilon(ledger, 2.0) == 1.0
 
 
 def test_spent_trajectory_rdp_non_decreasing():
-    ledger = PrivacyLedger("rdp", np.asarray(DEFAULT_ALPHAS) * 0.001, 25,
-                           alphas=DEFAULT_ALPHAS)
-    traj = spent_trajectory(ledger)
+    ledger = PrivacyLedger(np.asarray(DEFAULT_ALPHAS) * 0.001, alphas=DEFAULT_ALPHAS)
+    traj = [spent_epsilon(ledger, t) for t in range(1, 26)]
     assert np.all(np.diff(traj) >= 0)
+
+
+def test_spent_epsilon_is_the_composed_ledger_converted_once():
+    alphas = (1.5, 2.0, 4.0)
+    ledger = PrivacyLedger(np.array([0.01, 0.02, 0.04]), delta=1e-6, alphas=alphas)
+    for t in (0, 1, 37):
+        assert spent_epsilon(ledger, t) == rdp_to_dp(compose(ledger, t), 1e-6, alphas)[0]
+        assert spent_epsilon(PrivacyLedger(0.3), t) == compose(PrivacyLedger(0.3), t)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +619,26 @@ def test_accounting_report_rdp_needs_two_rows():
     table = get_table(4, 4, 1.0)
     with pytest.raises(AccountingError, match="b_in=2"):
         accounting_report("t.json", InterpolatedMechanism(table), "rdp", rounds=5)
+
+
+# sha256 of json.dumps(report, sort_keys=True), recorded before the ledger held
+# one round: a pure 4x4 table at l1 and a symmetrized rdp 2x4 table at l2
+@pytest.mark.parametrize("mode, rounds, digest", [
+    ("pure", 0, "5ef78e7db00dd81a702adf231423a4ba3586f379321d90b5a69ff40f986a236e"),
+    ("pure", 1, "a8c74c5abd7c224886effe3ba3bfe9715d7775957edb6cc82b9cd56443369873"),
+    ("pure", 37, "424b49ac31f7e1b5eba5b345ef0cfd7211bad6c3aeef1f2d952e72511f83801d"),
+    ("rdp", 0, "c2c2c726e503936c74923898a62002bf85f3aa2e8edd371b5cdebd41ef5d27a6"),
+    ("rdp", 1, "8bcef0ebce951dd8f1af71e848aeb433936cefb28b822ac05a9d143aae99d9da"),
+    ("rdp", 37, "f7813c637f20877c34faa4e47113331c9f8bceee1e246acb7c69990be108c09e"),
+])
+def test_accounting_report_bytes(mode, rounds, digest):
+    if mode == "pure":
+        report = accounting_report("t4x4.json", _mech(get_table(4, 4, 2.0)), mode, rounds)
+    else:
+        mech = _mech(get_table(2, 4, 2.0, symmetrize=True), norm="l2")
+        report = accounting_report("t2x4.json", mech, mode, rounds, c_sens=0.7)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_load_rejects_tampered_file_with_plain_floats(tmp_path, table_2x4):

@@ -93,16 +93,16 @@ def test_baselines_deterministic_under_seed():
 
 def test_round_ledger_laplace_charges_its_epsilon():
     ledger = round_ledger(privatizer("laplace", ClipConfig("l1", 1.0), noise=5.0),
-                          7, 1e-5, DEFAULT_ALPHAS)
-    assert (ledger.mode, ledger.per_round, ledger.rounds) == ("pure", 5.0, 7)
+                          1e-5, DEFAULT_ALPHAS)
+    assert (ledger.mode, ledger.per_round, ledger.delta) == ("pure", 5.0, 1e-5)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "signsgd"])
 def test_round_ledger_gaussian_family_rdp(kind):
     clip = ClipConfig("l2", 1.0)
-    ledger = round_ledger(privatizer(kind, clip, noise=1.0), 3, 1e-5, (2.0,))
+    ledger = round_ledger(privatizer(kind, clip, noise=1.0), 1e-5, (2.0,))
     assert ledger.mode == "rdp" and ledger.per_round[0] == pytest.approx(1.0)
-    ledger = round_ledger(privatizer(kind, clip, noise=2.0), 3, 1e-5, (2.0, 4.0))
+    ledger = round_ledger(privatizer(kind, clip, noise=2.0), 1e-5, (2.0, 4.0))
     np.testing.assert_allclose(ledger.per_round, [0.25, 0.5])
     assert ledger.alphas == (2.0, 4.0)
 
@@ -112,4 +112,4 @@ def test_round_ledger_rejects_non_positive_noise():
         for noise in (None, 0.0, -1.0):
             with pytest.raises(ValueError, match="noise"):
                 round_ledger(privatizer(kind, ClipConfig(norm, 1.0), noise=noise),
-                             3, 1e-5, DEFAULT_ALPHAS)
+                             1e-5, DEFAULT_ALPHAS)

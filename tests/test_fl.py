@@ -11,7 +11,7 @@ from imvu import (
     attach_accounting,
     client_update,
     generate_synthetic,
-    l1_round_eps,
+    imvu_ledger,
     train_fl,
 )
 from imvu.baselines import privatizer, round_ledger
@@ -141,7 +141,7 @@ def test_train_imvu_pure_budget_trajectory():
     mech = _imvu_mech()
     cfg = _cfg(mechanism="imvu", mech=mech, rounds=7)
     result = train_fl(cfg)
-    per_round = l1_round_eps(mech, mech.beta)
+    per_round = imvu_ledger(mech, "pure", mech.beta).per_round
     np.testing.assert_array_equal(result.spent_eps, per_round * np.arange(1, 8))
 
 
@@ -168,15 +168,36 @@ def test_train_baseline_modes():
 
 
 def test_signsgd_ledger_equals_gaussian():
-    # post-processing invariance: identical (sigma, rounds) means identical cost
+    # post-processing invariance: identical sigma means identical cost
     cfg_g = _cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0), noise=1.5)
     cfg_s = _cfg(mechanism="signsgd", clip=ClipConfig("l2", 1.0), noise=1.5,
                  server_lr_scale=0.01)
     ledger_g, ledger_s = (
-        round_ledger(privatizer(c.mechanism, c.clip, noise=c.noise), c.rounds, c.delta, c.alphas)
+        round_ledger(privatizer(c.mechanism, c.clip, noise=c.noise), c.delta, c.alphas)
         for c in (cfg_g, cfg_s))
     np.testing.assert_array_equal(ledger_g.per_round, ledger_s.per_round)
-    assert ledger_g.rounds == ledger_s.rounds
+
+
+@pytest.mark.parametrize("kind", ["imvu", "identity"])
+def test_train_asks_the_ledger_once_per_round(monkeypatch, kind):
+    # the fl-cohort benchmark stamps its rounds by wrapping fl.spent_epsilon
+    from imvu import fl
+
+    calls, original = [], fl.spent_epsilon
+
+    def recorded(ledger, t):
+        calls.append((ledger, t, original(ledger, t)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(fl, "spent_epsilon", recorded)
+    mech = _imvu_mech(norm="l2") if kind == "imvu" else None
+    result = train_fl(_cfg(mechanism=kind, mech=mech, clip=ClipConfig("l2", 1.0), rounds=6))
+    if kind == "identity":
+        assert calls == []
+        return
+    assert [t for _, t, _ in calls] == list(range(1, 7))
+    assert all(ledger is result.ledger for ledger, _, _ in calls)
+    np.testing.assert_array_equal([v for _, _, v in calls], result.spent_eps)
 
 
 def test_server_update_is_mean_message_times_lr():

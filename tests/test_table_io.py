@@ -161,6 +161,24 @@ def test_reject_field_that_is_not_a_json_number(saved, field, value):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("alphabet", 0, "-0.5"), ("alphabet", 1, True), ("grid", 0, False), ("grid", 1, True),
+    ("grid", 1, "1"), ("log_probs", 0, ["-0.69", -0.69]), ("log_probs", 1, [-0.69, False]),
+    ("alphabet", 0, [-0.5]), ("grid", 0, {"x": 0.0}),
+    # float() would overflow on the integer
+    pytest.param("alphabet", 0, 10**400, id="alphabet-0-10**400"),
+])
+def test_reject_array_element_that_is_not_a_json_number(saved, field, index, value):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    doc[field][index] = value
+    path.write_text(json.dumps(doc))
+    for load in (load_mechanism, load_table):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"field {field!r} must hold numbers only"
+
+
 def test_integral_float_size_loads(saved):
     path, mech = saved
     doc = json.loads(path.read_text())
