@@ -3,9 +3,10 @@
 The L1 route certifies a per-unit max-divergence rate eps + eps', where eps'
 corrects for the log-partition drift of interpolation.  The L2 route
 certifies the Fisher-information supremum M and charges alpha * M * C^2 / 2
-per round in RDP, converted to (eps, delta)-DP at the end.  Both constants
-are padded grid maxima, so they upper-bound every exact divergence; the
-script verifies that against the brute-force oracles.
+per round in RDP, converted to (eps, delta)-DP at the end; ``fisher_sup``
+takes the two-row anadromic table itself.  Both constants are certified
+upper bounds, so they bound every exact divergence; the script verifies
+that against the brute-force oracles.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from imvu import (
     enforce_anadromic,
     exact_max_divergence,
     exact_renyi,
-    fisher_constant,
+    fisher_sup,
     imvu_ledger,
     pmf,
     rdp_to_dp,
@@ -46,7 +47,7 @@ print(f"largest (divergence - bound) over 2000 random pairs: {worst:.2e} (<= 0 i
 ledger = imvu_ledger(mech, "pure", sens=1.0)
 print(f"pure route: per round {ledger.per_round:.5f}, after 50 rounds {compose(ledger, 50):.3f}\n")
 
-m_value, diag = fisher_constant(table)
+m_value, diag = fisher_sup(table)
 print(f"Fisher supremum M = {m_value:.6f} "
       f"(stationary value {diag.i_star:.6f}, search bound x_max = {diag.x_max:.3f})")
 d2 = exact_renyi(pmf(table, 0.5), pmf(table, 0.6), 2.0)

@@ -15,7 +15,6 @@ from .accounting import (
     compose,
     domain_for_beta,
     eps_prime,
-    fisher_constant,
     fisher_info,
     fisher_sup,
     imvu_ledger,

@@ -5,7 +5,9 @@ scalar mechanism by (eps + eps') |x - x'|, where eps' corrects for the
 log-partition term that natural-parameter interpolation introduces.  The L2
 route bounds the order-alpha Renyi divergence by alpha * M * (x - x')^2 / 2,
 where M is the supremum of the mechanism's Fisher information over the whole
-real line; it requires a two-row table with anadromic natural parameters.
+real line.  ``fisher_sup(table)`` is the route's one entry point; it takes a
+two-row table whose natural parameters are anadromic, which the table's
+``anadromic`` property decides.
 
 Both constants are *certified upper bounds* from cumulant identities of the
 exponential family exp(eta + t theta), never bare estimates: eps' from
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable, _anadromic_residual,
+from .mechanism import (InterpolatedMechanism, MechanismTable, _anadromic_residual,
                         _finite_inputs, _softmax, _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
@@ -47,7 +49,7 @@ class AnadromicityError(AccountingError):
     or design the table with ``imvu design --symmetrize``."""
 
 
-class MissingConstantsError(RuntimeError):
+class MissingConstantsError(AccountingError):
     """An operation needs accounting constants that were never attached."""
 
 
@@ -124,31 +126,35 @@ def eps_prime(table: MechanismTable, domain: tuple[float, float] = (0.0, 1.0)) -
 # ---------------------------------------------------------------------------
 
 
-def fisher_info(eta1, eta2, x) -> float | np.ndarray:
+def _theta(table: MechanismTable) -> np.ndarray:
+    """theta = eta_1 - eta_0, the direction of the Fisher route's one global line."""
+    if table.b_in != 2:
+        raise AccountingError(
+            "the Fisher route needs b_in=2: the interpolated log density is "
+            "non-differentiable at interior grid points otherwise"
+        )
+    return table.log_probs[1] - table.log_probs[0]
+
+
+def fisher_info(table: MechanismTable, x) -> float | np.ndarray:
     """Fisher information of the interpolated two-row mechanism at x.
 
     Closed form theta' U theta with U the softmax covariance at
-    eta(x) = (1-x) eta1 + x eta2; equals the defining expectation
+    eta(x) = (1-x) eta_0 + x eta_1; equals the defining expectation
     E[(d/dx log f)^2], which the tests verify by finite differences.
     """
-    eta1 = np.asarray(eta1, dtype=float)
-    eta2 = np.asarray(eta2, dtype=float)
-    if eta1.shape != eta2.shape or eta1.ndim != 1:
-        raise ValueError("eta1 and eta2 must be equal-length vectors")
-    if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
-        raise ValueError("natural parameters must be finite")
-    theta = eta2 - eta1
-    sm = _probs(np.stack((eta1, eta2)), 0, _finite_inputs(x))
+    theta = _theta(table)
+    sm = _probs(table.log_probs, 0, _finite_inputs(x))
     vals = np.maximum(sm @ theta**2 - (sm @ theta) ** 2, 0.0)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _group_mass(rows: np.ndarray, x: float, group: np.ndarray) -> float:
-    _, z, total = _softmax_terms(rows, 0, np.array([x]))
+def _group_mass(table: MechanismTable, x: float, group: np.ndarray) -> float:
+    _, z, total = _softmax_terms(table.log_probs, 0, np.array([x]))
     return float(z[group, 0].sum() / total[0])
 
 
-def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
+def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
     """Certified supremum of the Fisher information over the whole real line.
 
     Anadromic parameters make x = 1/2 a stationary point and the information
@@ -165,28 +171,23 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
     Ties in the argmax of theta are handled by using the total mass of the
     tied group, which leaves the tail bound intact and reduces to the single
     argmax formula when the margin is large.
+
+    ``AccountingError`` unless the table has two rows, ``AnadromicityError``
+    unless they are anadromic.
     """
-    eta1 = np.asarray(eta1, dtype=float)
-    eta2 = np.asarray(eta2, dtype=float)
-    if eta1.shape != eta2.shape or eta1.ndim != 1:
-        raise ValueError("eta1 and eta2 must be equal-length vectors")
-    resid = _anadromic_residual(eta1, eta2)
-    if resid > ANADROMIC_TOL:
+    theta = _theta(table)
+    if not table.anadromic:
+        resid = _anadromic_residual(table)
         raise AnadromicityError(
             f"natural parameters are not anadromic (residual {resid:.3e}); "
             "run enforce_anadromic on the table first, or design it with "
             "`imvu design --symmetrize`"
         )
-    theta = eta2 - eta1
-    rows = np.stack((eta1, eta2))
-    if not theta.any():
-        return 0.0, FisherDiagnostics(0.0, 0.5, 1, 0)
-
     t_max = float(theta.max())
     group = theta >= t_max - _TIE_MARGIN
     t_group = float(theta[group].min())
 
-    i_star = float(fisher_info(eta1, eta2, 0.5))
+    i_star = float(fisher_info(table, 0.5))
     root = float(np.sqrt(max(0.0, t_max**2 - i_star)))
     sigma_target = (t_max + root) / (t_group + t_max)
     if sigma_target >= 1.0 - 1e-12:
@@ -196,7 +197,7 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
         )
 
     evals = 1
-    if _group_mass(rows, 0.5, group) >= sigma_target:
+    if _group_mass(table, 0.5, group) >= sigma_target:
         x_max = 0.5
     else:
         hi, step = 0.5, 0.5
@@ -204,7 +205,7 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
             hi += step
             step *= 2.0
             evals += 1
-            if _group_mass(rows, hi, group) >= sigma_target:
+            if _group_mass(table, hi, group) >= sigma_target:
                 break
         else:
             raise AccountingError("argmax mass never reached the tail threshold")
@@ -218,7 +219,7 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
             if mid <= lo or mid >= hi:
                 break
             evals += 1
-            if _group_mass(rows, mid, group) < sigma_target:
+            if _group_mass(table, mid, group) < sigma_target:
                 lo = mid
             else:
                 hi = mid
@@ -236,7 +237,7 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
         for start in range(0, segments.shape[0], _CHUNK_SEGMENTS):
             a, b = segments[start : start + _CHUNK_SEGMENTS].T
             xs = np.linspace(a, b, _SEG_POINTS, axis=1)
-            vals = fisher_info(eta1, eta2, xs.ravel()).reshape(xs.shape)
+            vals = fisher_info(table, xs.ravel()).reshape(xs.shape)
             best = max(best, float(vals.max()))
             pad = spread**4 * ((b - a) / (_SEG_POINTS - 1)) ** 2 / 32.0
             upper = np.minimum(np.maximum(vals[:, :-1], vals[:, 1:]) + pad[:, None], cap)
@@ -249,16 +250,6 @@ def fisher_sup(eta1, eta2) -> tuple[float, FisherDiagnostics]:
         segments = np.concatenate(kept)
 
     return best + FISHER_TOL, FisherDiagnostics(i_star, x_max, evals, rounds)
-
-
-def fisher_constant(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
-    """Fisher supremum of a two-row table (the route needs a global line)."""
-    if table.b_in != 2:
-        raise AccountingError(
-            "the Fisher route needs b_in=2: the interpolated log density is "
-            "non-differentiable at interior grid points otherwise"
-        )
-    return fisher_sup(table.log_probs[0], table.log_probs[1])
 
 
 def _orders(alphas) -> np.ndarray:
@@ -388,7 +379,7 @@ def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
     if name == "eps_prime":
         value, pad = _eps_prime_impl(table, domain_for_beta(mech.beta))
         return value, {"evaluations": 2 * (table.b_in - 1), "pad": pad}
-    value, diag = fisher_constant(table)
+    value, diag = fisher_sup(table)
     return value, {"evaluations": diag.evaluations, "pad": FISHER_TOL}
 
 
@@ -407,7 +398,7 @@ def attach_accounting(
     if ep is None:
         ep, _ = _certify(mech, "eps_prime")
     fm = known.get("fisher_m")
-    if fm is None and table.b_in == 2 and _anadromic_residual(*table.log_probs) <= ANADROMIC_TOL:
+    if fm is None and table.anadromic:
         fm, _ = _certify(mech, "fisher_m")
     return replace(mech, eps_prime=ep, fisher_m=fm)
 

@@ -22,7 +22,6 @@ from .accounting import (
     AccountingError,
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
-    MissingConstantsError,
     accounting_report,
     attach_accounting,
 )
@@ -37,7 +36,6 @@ _FAILURE_TYPES = (
     TableInvariantError,
     DesignError,
     AccountingError,
-    MissingConstantsError,
     ValueError,
     OSError,
 )
@@ -209,7 +207,9 @@ def _cmd_train(args, argv) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; its handlers look up what they call when they run."""
     parser = argparse.ArgumentParser(
         prog="imvu", description="privacy-aware compression mechanisms"
     )

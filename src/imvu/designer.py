@@ -528,8 +528,8 @@ def _symmetrized(probs, alphabet, eps: float) -> MechanismTable:
     except TableInvariantError as exc:
         raise SymmetryError(f"symmetrized table failed validation: {exc}") from exc
 
-    resid = _anadromic_residual(*table.log_probs) if table.b_in == 2 else 0.0
-    if resid > ANADROMIC_TOL:
+    if table.b_in == 2 and not table.anadromic:
+        resid = _anadromic_residual(table)
         raise SymmetryError(f"anadromic residual {resid:.3e} exceeds {ANADROMIC_TOL:g}")
     return table
 

@@ -190,6 +190,12 @@ class MechanismTable:
         """Wire width of one transmitted index."""
         return int(np.ceil(np.log2(self.b_out)))
 
+    @property
+    def anadromic(self) -> bool:
+        """Whether the table has two rows, each the other reversed within
+        ANADROMIC_TOL: the condition of the Fisher route."""
+        return self.b_in == 2 and _anadromic_residual(self) <= ANADROMIC_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class InterpolatedMechanism:
@@ -219,9 +225,9 @@ class InterpolatedMechanism:
                 raise ValueError("fisher_m must be a non-negative real")
 
 
-def _anadromic_residual(eta1, eta2) -> float:
-    """max |eta1 - reversed eta2|; two rows are anadromic when it is at most ANADROMIC_TOL."""
-    return float(np.max(np.abs(np.asarray(eta1) - np.asarray(eta2)[::-1])))
+def _anadromic_residual(table: MechanismTable) -> float:
+    """max |eta_0 - reversed eta_1| of a two-row table, which ``anadromic`` bounds."""
+    return float(np.max(np.abs(table.log_probs[0] - table.log_probs[1, ::-1])))
 
 
 def _finite_inputs(x) -> np.ndarray:

@@ -87,8 +87,8 @@ def joint_divergence_bruteforce(table: MechanismTable, xvec, xvec_prime, alpha: 
     return _renyi_from_logs(lp_joint, lq_joint, alpha)
 
 
-def fisher_grid_max(eta1, eta2, x_range: tuple[float, float], n: int) -> float:
-    """Dense-grid maximum of the Fisher information over x_range.
+def fisher_grid_max(table: MechanismTable, x_range: tuple[float, float], n: int) -> float:
+    """Dense-grid maximum of a two-row table's Fisher information over x_range.
 
     Independent check of the certified supremum; n must be at least 10^4 so
     the grid meaningfully probes the range.
@@ -102,7 +102,7 @@ def fisher_grid_max(eta1, eta2, x_range: tuple[float, float], n: int) -> float:
     chunk = 1 << 20
     edges = np.linspace(lo, hi, n)
     for start in range(0, n, chunk):
-        vals = fisher_info(eta1, eta2, edges[start : start + chunk])
+        vals = fisher_info(table, edges[start : start + chunk])
         best = max(best, float(np.max(vals)))
     return best
 

@@ -21,8 +21,8 @@ from imvu import (
     enforce_anadromic,
     eps_prime,
     exact_renyi,
-    fisher_constant,
     fisher_grid_max,
+    fisher_sup,
     joint_divergence_bruteforce,
     imvu_ledger,
     log_pmf,
@@ -63,7 +63,7 @@ def _fisher_m(bits, eps):
     key = (bits, eps)
     if key not in _fisher:
         table = _anadromic_table(bits, eps)
-        _fisher[key] = fisher_constant(table)
+        _fisher[key] = fisher_sup(table)
     return _fisher[key]
 
 
@@ -127,7 +127,7 @@ def test_c02_renyi_soundness():
     rr = enforce_anadromic(design_mvu(DesignSpec(2, 2, float(np.log(3.0)))))
     d2 = exact_renyi(pmf(rr, 0.5), pmf(rr, 0.6), 2.0)
     assert d2 == pytest.approx(0.0120452887, abs=1e-6)
-    m_rr, _ = fisher_constant(rr)
+    m_rr, _ = fisher_sup(rr)
     bound = float(imvu_ledger(InterpolatedMechanism(rr, fisher_m=m_rr), "rdp", 0.1,
                               alphas=[2.0]).per_round[0])
     assert d2 <= bound
@@ -142,15 +142,13 @@ def test_c03_fisher_sup_agrees_with_grid():
         for eps in EPS_GRID:
             table = _anadromic_table(bits, eps)
             m_value, _ = _fisher_m(bits, eps)
-            grid_max = fisher_grid_max(
-                table.log_probs[0], table.log_probs[1], (-20.0, 21.0), 1_000_000
-            )
+            grid_max = fisher_grid_max(table, (-20.0, 21.0), 1_000_000)
             assert m_value >= grid_max, f"(b={bits}, eps={eps})"
             assert abs(m_value - grid_max) <= 1e-6 * max(m_value, grid_max), (
                 f"(b={bits}, eps={eps}): sup {m_value} vs grid {grid_max}"
             )
     rr = enforce_anadromic(design_mvu(DesignSpec(2, 2, float(np.log(3.0)))))
-    m_rr, _ = fisher_constant(rr)
+    m_rr, _ = fisher_sup(rr)
     assert m_rr == pytest.approx(1.20695, abs=1e-5)
     print(f"\nACCEPTANCE 03 Fisher supremum vs grid: PASS (9 tables; rr M={m_rr:.6f})")
 

@@ -16,6 +16,7 @@ from imvu import (
     ClipConfig,
     DEFAULT_ALPHAS,
     InterpolatedMechanism,
+    MechanismTable,
     MissingConstantsError,
     PrivacyLedger,
     accounting_report,
@@ -26,7 +27,6 @@ from imvu import (
     eps_prime_grid_max,
     exact_max_divergence,
     exact_renyi,
-    fisher_constant,
     fisher_grid_max,
     fisher_info,
     fisher_sup,
@@ -122,41 +122,33 @@ def test_accounting_report_rejects_a_beta_whose_stretch_overflows():
 
 
 def test_fisher_info_rr_midpoint(rr_table):
-    value = fisher_info(rr_table.log_probs[0], rr_table.log_probs[1], 0.5)
+    value = fisher_info(rr_table, 0.5)
     assert value == pytest.approx((2 * LN3) ** 2 / 4.0, abs=1e-9)
-
-
-def test_fisher_info_zero_direction():
-    eta = np.log(np.full(4, 0.25))
-    assert fisher_info(eta, eta, 0.3) == 0.0
-    assert fisher_info(eta, eta, -5.0) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fisher_info_rejects_inputs_that_are_not_finite(rr_table, bad):
-    eta1, eta2 = rr_table.log_probs
     with pytest.raises(ValueError, match="inputs must be finite"):
-        fisher_info(eta1, eta2, bad)
+        fisher_info(rr_table, bad)
     with pytest.raises(ValueError, match="inputs must be finite"):
-        fisher_info(eta1, eta2, np.array([0.5, bad]))
+        fisher_info(rr_table, np.array([0.5, bad]))
 
 
 def test_fisher_info_matches_finite_difference_definition(table_2x4):
     # definition oracle: E_Z[(d/dx log f)^2] with the derivative taken by
     # central differences of the log pmf
     h = 1e-5
-    eta1, eta2 = table_2x4.log_probs
     for x in (-1.2, 0.0, 0.31, 0.5, 0.87, 2.4):
         lp_plus = log_pmf(table_2x4, x + h)
         lp_minus = log_pmf(table_2x4, x - h)
         score = (lp_plus - lp_minus) / (2 * h)
         fd = float(pmf(table_2x4, x) @ score**2)
-        closed = fisher_info(eta1, eta2, x)
+        closed = fisher_info(table_2x4, x)
         assert closed == pytest.approx(fd, rel=1e-6)
 
 
 def test_fisher_sup_rr(rr_table):
-    m_value, diag = fisher_constant(rr_table)
+    m_value, diag = fisher_sup(rr_table)
     assert m_value == pytest.approx(RR_FISHER_M, abs=1e-5)
     assert m_value >= RR_FISHER_M - 1e-9  # certified upper bound of the true sup
     # the supremum sits at the symmetry point, so the search bound is tight
@@ -164,30 +156,35 @@ def test_fisher_sup_rr(rr_table):
 
 
 def test_fisher_sup_dominates_pointwise(table_2x4):
-    m_value, _ = fisher_constant(table_2x4)
+    m_value, _ = fisher_sup(table_2x4)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-10.0, 11.0, 100_000)
-    vals = fisher_info(table_2x4.log_probs[0], table_2x4.log_probs[1], xs)
+    vals = fisher_info(table_2x4, xs)
     assert np.all(vals <= m_value)
 
 
-def test_fisher_sup_zero_theta():
-    eta = np.log(np.full(4, 0.25))
-    m_value, _ = fisher_sup(eta, eta)
-    assert m_value == 0.0
-
-
 def test_fisher_sup_rejects_non_anadromic():
-    eta1 = np.log([0.7, 0.3])
-    eta2 = np.log([0.4, 0.6])
-    with pytest.raises(AnadromicityError, match="enforce_anadromic"):
-        fisher_sup(eta1, eta2)
+    # the unsymmetrized design's rows mirror each other only to within 1.4e-2
+    table = get_table(2, 8, 5.0)
+    assert not table.anadromic
+    with pytest.raises(AnadromicityError, match=r"residual 1\.411e-02.*enforce_anadromic"):
+        fisher_sup(table)
 
 
 def test_fisher_constant_requires_two_rows():
     table = get_table(4, 4, 1.0)
+    assert not table.anadromic
     with pytest.raises(AccountingError, match="b_in=2"):
-        fisher_constant(table)
+        fisher_sup(table)
+
+
+@pytest.mark.parametrize("b_in", [3, 4])
+def test_fisher_info_requires_two_rows(b_in):
+    table = get_table(b_in, 4, 1.0)
+    with pytest.raises(AccountingError, match="b_in=2"):
+        fisher_info(table, 0.5)
+    with pytest.raises(AccountingError, match="b_in=2"):
+        fisher_grid_max(table, (-20.0, 21.0), 10_000)
 
 
 # properties from the symmetric-parameter analysis
@@ -196,20 +193,16 @@ def test_fisher_constant_requires_two_rows():
 @pytest.mark.parametrize("b_out,eps", [(2, 1.0), (4, 0.25), (4, 5.0), (8, 1.0)])
 def test_fisher_symmetry_about_half(b_out, eps):
     table = get_table(2, b_out, eps, symmetrize=True)
-    eta1, eta2 = table.log_probs
     rng = np.random.default_rng(1)
     xs = rng.uniform(-6.0, 7.0, 200)
-    np.testing.assert_allclose(
-        fisher_info(eta1, eta2, xs), fisher_info(eta1, eta2, 1.0 - xs), atol=1e-12
-    )
+    np.testing.assert_allclose(fisher_info(table, xs), fisher_info(table, 1.0 - xs), atol=1e-12)
 
 
 @pytest.mark.parametrize("b_out,eps", [(2, 1.0), (4, 1.0), (8, 5.0)])
 def test_fisher_stationary_at_half(b_out, eps):
     table = get_table(2, b_out, eps, symmetrize=True)
-    eta1, eta2 = table.log_probs
     h = 1e-4
-    derivative = (fisher_info(eta1, eta2, 0.5 + h) - fisher_info(eta1, eta2, 0.5 - h)) / (2 * h)
+    derivative = (fisher_info(table, 0.5 + h) - fisher_info(table, 0.5 - h)) / (2 * h)
     assert abs(derivative) <= 1e-6
 
 
@@ -226,7 +219,7 @@ def test_fisher_tail_bound_unique_argmax(b_out, eps):
         sigma = z[j_plus] / z.sum()
         if sigma >= 0.5:
             bound = 4 * theta[j_plus] ** 2 * sigma * (1 - sigma)
-            assert fisher_info(eta1, eta2, x) <= bound + 1e-12
+            assert fisher_info(table, x) <= bound + 1e-12
 
 
 def test_fisher_tail_bound_tied_argmax_group():
@@ -244,7 +237,7 @@ def test_fisher_tail_bound_tied_argmax_group():
         mass = z[group].sum() / z.sum()
         if mass >= 0.5:
             bound = 4 * theta.max() ** 2 * mass * (1 - mass)
-            assert fisher_info(eta1, eta2, x) <= bound + 1e-12
+            assert fisher_info(table, x) <= bound + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +267,7 @@ def test_eps_prime_one_sided_domain(domain):
 
 
 def _fisher_grid(table):
-    return fisher_grid_max(table.log_probs[0], table.log_probs[1], (-20.0, 21.0), 1_000_000)
+    return fisher_grid_max(table, (-20.0, 21.0), 1_000_000)
 
 
 @pytest.mark.parametrize("b_out,eps", [(8, 2.0), (16, 1.0), (16, 10.0)])
@@ -282,25 +275,54 @@ def test_fisher_sup_floor_heavy_tables(b_out, eps):
     # letters at the probability floor make |theta| large and push the tail
     # bound's x_max out to about 10^12; the R^2/4 cap still ends the search
     table = get_table(2, b_out, eps, symmetrize=True)
-    m_value, diag = fisher_constant(table)
+    m_value, diag = fisher_sup(table)
     assert diag.evaluations <= 10_000
     grid = _fisher_grid(table)
     assert grid <= m_value <= grid * (1.0 + 1e-6)
 
 
+def _mirrored_table(p, slack):
+    """The two-row table whose rows are p and p reversed: its alphabet
+    1/2 - c / (2 p.c) over the letter offsets c in [-1, 1] makes the rows
+    unbiased, and its design eps exceeds the rows' largest log ratio by the
+    relative ``slack``."""
+    c = np.linspace(-1.0, 1.0, len(p))
+    logs = np.log([p, p[::-1]])
+    eps = float(np.max(np.abs(logs[0] - logs[1]))) * (1.0 + slack)
+    return MechanismTable(0.5 - c / (2.0 * (p @ c)), logs, eps)
+
+
 def test_fisher_sup_off_center_peak():
-    # an anadromic pair whose information peaks near x = 1.19, not at the
+    # an anadromic table whose information peaks near x = 1.19, not at the
     # symmetry point, so the line search itself must find the supremum
-    eta1 = np.log([0.2, 0.7, 0.0999, 0.0001])
-    eta2 = eta1[::-1].copy()
-    m_value, diag = fisher_sup(eta1, eta2)
+    table = _mirrored_table(np.array([0.2, 0.7, 0.0999, 0.0001]), 1e-7)
+    m_value, diag = fisher_sup(table)
     assert diag.i_star < m_value / 1.5
-    grid = fisher_grid_max(eta1, eta2, (-20.0, 21.0), 1_000_000)
+    grid = fisher_grid_max(table, (-20.0, 21.0), 1_000_000)
     assert grid <= m_value <= grid * (1.0 + 1e-6)
 
 
+@settings(max_examples=20, deadline=None)
+@given(b_out=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_fisher_sup_certifies_random_anadromic_tables(b_out, seed):
+    # rows p and p reversed, p from a Dirichlet with its floor letters kept
+    # positive; p is reversed where needed so the alphabet ascends
+    p = np.maximum(np.random.default_rng(seed).dirichlet(np.ones(b_out)), 1e-12)
+    p /= p.sum()
+    if p @ np.linspace(-1.0, 1.0, b_out) > 0:
+        p = p[::-1]
+    table = _mirrored_table(p, 1e-9)
+    assert table.anadromic
+    try:
+        m_value, diag = fisher_sup(table)
+    except AccountingError:
+        return
+    assert fisher_grid_max(table, (-20.0, 21.0), 10**5) <= m_value
+    assert diag.evaluations <= 100_000
+
+
 def test_fisher_sup_unsymmetrized_rr_is_cheap(rr_table):
-    _, diag = fisher_constant(rr_table)
+    _, diag = fisher_sup(rr_table)
     assert diag.evaluations < 1_000
 
 
@@ -338,6 +360,8 @@ def test_l1_round_eps_spot(rr_table):
 
 def test_l1_round_eps_requires_constant(rr_table):
     with pytest.raises(MissingConstantsError, match="eps_prime"):
+        imvu_ledger(_mech(rr_table), "pure", 1.0)
+    with pytest.raises(AccountingError, match="eps_prime"):
         imvu_ledger(_mech(rr_table), "pure", 1.0)
     with pytest.raises(MissingConstantsError, match="fisher_m"):
         imvu_ledger(_mech(rr_table), "rdp", 1.0)
@@ -377,7 +401,7 @@ def test_imvu_ledger_rejects_a_sensitivity_that_is_not_a_non_negative_real(rr_ta
 def test_rdp_bound_certifies_exact_renyi(rr_table):
     # the frozen oracle value for D_2 between x=0.5 and x=0.6 on the
     # one-bit table, computed by direct log-domain enumeration
-    m_value, _ = fisher_constant(rr_table)
+    m_value, _ = fisher_sup(rr_table)
     d2 = exact_renyi(pmf(rr_table, 0.5), pmf(rr_table, 0.6), 2.0)
     assert d2 == pytest.approx(0.0120452887, abs=1e-8)
     mech = attach_accounting(_mech(rr_table, "l2"))
@@ -403,7 +427,7 @@ def test_max_divergence_soundness_spot(rr_table):
 
 
 def test_renyi_soundness_spot(rr_table):
-    m_value, _ = fisher_constant(rr_table)
+    m_value, _ = fisher_sup(rr_table)
     rng = np.random.default_rng(5)
     xs, xps = rng.uniform(-4, 5, 200), rng.uniform(-4, 5, 200)
     for alpha in (2.0, 32.0):

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 from imvu import accounting, load_mechanism
-from imvu.cli import main
+from imvu.cli import build_parser, main
 from imvu.table_io import FORMAT_VERSION
 
 from conftest import LN3, resized_document
@@ -186,6 +186,36 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    mech_path = str(tmp_path / "m.json")
+    calls = [
+        ("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+         "--out", mech_path),
+        ("design", "--bits", "1", "--no-such-flag"),
+        ("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
+         "--clip-c", "1.0", "--rounds", "3"),
+        ("validate", "--mech", mech_path),
+        # the pure route under an l2 clip needs --c-sens
+        ("account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l2",
+         "--clip-c", "1.0", "--rounds", "3"),
+    ]
+
+    def outcomes(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code = run(*argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    shared = outcomes(fresh=False)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 1]
+    assert outcomes(fresh=True) == shared
+
+
 def test_sweep_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert run("sweep", "--eps", "5.0", "--bits", "2", "--b-in-list", "2,4",
@@ -263,15 +293,17 @@ def test_train_rejects_a_negative_server_step(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_imvu_via_files(tmp_path):
+def test_train_imvu_via_files(tmp_path, capsys):
     mech_path = str(tmp_path / "m.json")
     out = str(tmp_path / "train.csv")
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0",
                "--clip-norm", "l1", "--clip-c", "1.0", "--out", mech_path) == 0
+    capsys.readouterr()
     # without constants the trainer must refuse up front
     assert run("train", "--mechanism", "imvu", "--mech", mech_path,
                "--rounds", "2", "--cohort", "10", "--d", "4", "--n", "40",
                "--out", out) == 1
+    assert capsys.readouterr().err == "error: eps_prime not attached; run attach_accounting first\n"
     assert run("account", "--mech", mech_path, "--mode", "pure",
                "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1",
                "--out", str(tmp_path / "r.json"), "--attach") == 0

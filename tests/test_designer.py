@@ -17,7 +17,7 @@ from imvu import (
     design_mvu,
     design_variance_grid_min,
     enforce_anadromic,
-    fisher_constant,
+    fisher_sup,
     moments,
     validate_table,
 )
@@ -589,7 +589,8 @@ def test_designed_two_row_tables_anadromic_and_fisher_ready():
         table = get_table(2, b_out, 1.0, symmetrize=True)
         logs = table.log_probs
         assert np.max(np.abs(logs[0] - logs[1, ::-1])) <= 1e-9
-        m_value, _ = fisher_constant(table)
+        assert table.anadromic
+        m_value, _ = fisher_sup(table)
         assert m_value >= 0.0
 
 

@@ -6,8 +6,8 @@ import pytest
 from imvu import (
     exact_max_divergence,
     exact_renyi,
-    fisher_constant,
     fisher_grid_max,
+    fisher_sup,
     joint_divergence_bruteforce,
 )
 
@@ -172,25 +172,16 @@ def test_joint_size_guards(rr_table, table_factory):
 
 
 def test_fisher_grid_max_rr(rr_table):
-    value = fisher_grid_max(
-        rr_table.log_probs[0], rr_table.log_probs[1], (-20.0, 21.0), 1_000_000
-    )
+    value = fisher_grid_max(rr_table, (-20.0, 21.0), 1_000_000)
     assert value == pytest.approx(1.2069489608, abs=1e-6)
 
 
-def test_fisher_grid_max_zero_theta():
-    eta = np.log(np.full(4, 0.25))
-    assert fisher_grid_max(eta, eta, (-20.0, 21.0), 10_000) == 0.0
-
-
 def test_fisher_grid_max_below_certified_sup(table_2x4):
-    m_value, _ = fisher_constant(table_2x4)
-    grid = fisher_grid_max(
-        table_2x4.log_probs[0], table_2x4.log_probs[1], (-20.0, 21.0), 100_000
-    )
+    m_value, _ = fisher_sup(table_2x4)
+    grid = fisher_grid_max(table_2x4, (-20.0, 21.0), 100_000)
     assert grid <= m_value
 
 
 def test_fisher_grid_max_rejects_small_n(rr_table):
     with pytest.raises(ValueError):
-        fisher_grid_max(rr_table.log_probs[0], rr_table.log_probs[1], (0, 1), 100)
+        fisher_grid_max(rr_table, (0, 1), 100)

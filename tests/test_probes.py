@@ -2,11 +2,15 @@
 
 ``bench/tracing.py`` replaces each attribute in its ``PROBES`` with a timed
 wrapper and fails to install if one is missing, so renaming or deleting one
-breaks the benchmark.  This loads that file without changing it.
+breaks the benchmark; a probe's counts read the wrapped function's result,
+so changing what it returns breaks the benchmark too.  This loads that file
+without changing it.
 """
 
 import importlib.util
 from pathlib import Path
+
+from imvu import ClipConfig, DesignSpec, InterpolatedMechanism, attach_accounting, design_mvu
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -28,3 +32,17 @@ def test_every_probed_attribute_resolves_and_is_restored():
     finally:
         tracer.uninstall()
     assert all(getattr(module, attr) is fn for module, attr, fn in originals)
+
+
+def test_tracer_counts_both_certifiers():
+    # fl-cohort's set-up: constants attached to the symmetrized 2x4 table
+    table = design_mvu(DesignSpec(2, 4, 2.0, symmetrize=True))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        attach_accounting(InterpolatedMechanism(table, clip=ClipConfig("l2", 1.0)))
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["fisher_sup"]["calls"] == 1 and summary["fisher_sup"]["evals"] > 0
+    assert summary["eps_prime"]["calls"] > 0

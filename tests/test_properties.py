@@ -100,8 +100,8 @@ def test_fisher_info_matches_formula(prop_tables, data):
     table = data.draw(st.sampled_from([t for t in prop_tables if t.b_in == 2]))
     eta1, eta2 = table.log_probs
     xs = _inputs(data, table)
-    assert np.array_equal(fisher_info(eta1, eta2, xs), _fisher_formula(eta1, eta2, xs))
-    assert fisher_info(eta1, eta2, float(xs[0])) == _fisher_formula(eta1, eta2, xs[:1])[0]
+    assert np.array_equal(fisher_info(table, xs), _fisher_formula(eta1, eta2, xs))
+    assert fisher_info(table, float(xs[0])) == _fisher_formula(eta1, eta2, xs[:1])[0]
 
 
 def _searchsorted_formula(row, u):
