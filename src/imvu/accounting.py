@@ -196,34 +196,31 @@ def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
             "negligible relative to the extreme letters"
         )
 
-    evals = 1
-    if _group_mass(table, 0.5, group) >= sigma_target:
-        x_max = 0.5
+    # doubling from x = 1/2; the try at 1/2 is counted with I(1/2), as one evaluation
+    hi, step = 0.5, 0.5
+    for tries in range(201):
+        if _group_mass(table, hi, group) >= sigma_target:
+            break
+        hi += step
+        step *= 2.0
     else:
-        hi, step = 0.5, 0.5
-        for _ in range(200):
-            hi += step
-            step *= 2.0
-            evals += 1
-            if _group_mass(table, hi, group) >= sigma_target:
-                break
+        raise AccountingError("argmax mass never reached the tail threshold")
+    evals = 1 + tries
+    lo = 0.5
+    # 200 halvings reach either the 1e-12 tolerance or float resolution;
+    # stopping early only widens the searched interval, never the bound
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        evals += 1
+        if _group_mass(table, mid, group) < sigma_target:
+            lo = mid
         else:
-            raise AccountingError("argmax mass never reached the tail threshold")
-        lo = 0.5
-        # 200 halvings reach either the 1e-12 tolerance or float resolution;
-        # stopping early only widens the searched interval, never the bound
-        for _ in range(200):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            evals += 1
-            if _group_mass(table, mid, group) < sigma_target:
-                lo = mid
-            else:
-                hi = mid
-        x_max = hi  # right endpoint keeps the tail certificate valid
+            hi = mid
+    x_max = hi  # right endpoint keeps the tail certificate valid
 
     spread = float(theta.max() - theta.min())
     cap = spread**2 / 4.0

@@ -1,9 +1,11 @@
 """Command-line surface: design, validate, account, sweep, dme, train.
 
 Every run writes a manifest (full command line, seed, versions, timestamp)
-beside its outputs so results can be replayed exactly.  Exit codes: 0 on
-success, 1 when a validation or accounting contract fails, 2 on usage
-errors.
+beside its outputs so results can be replayed exactly.  A mechanism file
+is its table: account, dme and train take beta and the clip from their own
+flags, and validate alone reads the file's stored configuration and
+constants.  Exit codes: 0 on success, 1 when a validation or accounting
+contract fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,16 +31,10 @@ from .baselines import KINDS, privatizer
 from .designer import DesignError, DesignSpec, design_mvu, validate_table
 from .dme import dme_mse, gaussian_inputs, sweep_bias_variance
 from .fl import FlConfig, train_fl
-from .mechanism import ClipConfig, InterpolatedMechanism, TableInvariantError
+from .mechanism import ClipConfig, InterpolatedMechanism
 from .table_io import load_mechanism, load_table, save_mechanism, write_csv
 
-_FAILURE_TYPES = (
-    TableInvariantError,
-    DesignError,
-    AccountingError,
-    ValueError,
-    OSError,
-)
+_FAILURE_TYPES = (DesignError, AccountingError, ValueError, OSError)
 
 
 @functools.cache
@@ -73,13 +69,7 @@ def _cmd_design(args, argv) -> int:
         eps=args.eps,
         symmetrize=args.symmetrize,
     )
-    table = design_mvu(spec)
-    mech = InterpolatedMechanism(
-        table=table,
-        beta=args.beta,
-        clip=ClipConfig(args.clip_norm, args.clip_c),
-    )
-    save_mechanism(args.out, mech)
+    save_mechanism(args.out, InterpolatedMechanism(design_mvu(spec)))
     _write_manifest(args.out, argv, None, [args.out])
     print(f"designed {args.b_in}x{2**args.bits} table (eps={args.eps}) -> {args.out}")
     return 0
@@ -88,24 +78,30 @@ def _cmd_design(args, argv) -> int:
 def _cmd_validate(args, argv) -> int:
     mech = load_mechanism(args.mech)  # raises with the violated invariant named
     report = validate_table(mech.table, tol=args.tol)
+    failures = report.failures
     for name in sorted(report.checks):
-        status = "ok" if report.checks[name] <= args.tol else "FAIL"
+        status = "FAIL" if name in failures else "ok"
         print(f"{name}: max violation {report.checks[name]:.3e} [{status}]")
-    if not report.passed(args.tol):
-        for name in report.failures(args.tol):
+    if failures:
+        for name in failures:
             print(f"error: check '{name}' failed at {report.where[name]}", file=sys.stderr)
         return 1
-    print(f"valid at tol {args.tol}")
+    print(f"valid at tol {report.tol}")
     return 0
 
 
+def _run_mechanism(args) -> InterpolatedMechanism:
+    """The mechanism of an imvu run: the table of --mech with the run's own
+    beta and clip.  The file's stored configuration and constants are never
+    read; leaving out --mech is a usage error."""
+    if args.mech is None:
+        args.usage_error("--mechanism imvu requires --mech FILE")
+    return InterpolatedMechanism(table=load_table(args.mech), beta=args.beta,
+                                 clip=ClipConfig(args.clip_norm, args.clip_c))
+
+
 def _cmd_account(args, argv) -> int:
-    # the stored constants are replaced, so only the table is read
-    mech = InterpolatedMechanism(
-        table=load_table(args.mech),
-        beta=args.beta,
-        clip=ClipConfig(args.clip_norm, args.clip_c),
-    )
+    mech = _run_mechanism(args)
     alphas = tuple(float(a) for a in args.alphas.split(",")) if args.alphas else DEFAULT_ALPHAS
     report = accounting_report(
         mechanism_file=args.mech,
@@ -142,20 +138,10 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
-def _imvu_file(args) -> str:
-    """The mechanism file of an imvu run; leaving out --mech is a usage error."""
-    if args.mech is None:
-        args.usage_error("--mechanism imvu requires --mech FILE")
-    return args.mech
-
-
 def _cmd_dme(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
-    clip = ClipConfig(args.clip_norm, args.clip_c)
-    mech = None
-    if args.mechanism == "imvu":
-        mech = InterpolatedMechanism(table=load_table(_imvu_file(args)), beta=args.beta, clip=clip)
-    cfg = privatizer(args.mechanism, clip, mech, args.noise)
+    mech = _run_mechanism(args) if args.mechanism == "imvu" else None
+    cfg = privatizer(args.mechanism, ClipConfig(args.clip_norm, args.clip_c), mech, args.noise)
     mse, bits = dme_mse(
         args.n_clients, args.d, gaussian_inputs(args.input_scale),
         args.mechanism, cfg, rng, trials=args.trials,
@@ -168,15 +154,7 @@ def _cmd_dme(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
-    mech = None
-    if args.mechanism == "imvu":
-        mech = load_mechanism(_imvu_file(args))
-        # FlConfig checks the clip, through the privatizer it builds
-        if mech.beta != args.beta:
-            raise AccountingError(
-                f"mechanism file accounting (beta={mech.beta}) does not match --beta {args.beta}; "
-                "re-run 'imvu account --attach' with the intended configuration"
-            )
+    mech = attach_accounting(_run_mechanism(args)) if args.mechanism == "imvu" else None
     cfg = FlConfig(
         rounds=args.rounds,
         cohort=args.cohort,
@@ -221,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--clip-norm", choices=["l1", "l2"], default="l2", dest="clip_norm")
-    p.add_argument("--clip-c", type=float, default=1.0, dest="clip_c")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("validate", help="validate a mechanism file")
@@ -259,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-clients", type=int, default=100, dest="n_clients")
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--clip-norm", choices=["l1", "l2"], default="l2", dest="clip_norm")
     p.add_argument("--clip-c", type=float, default=1.0, dest="clip_c")
     p.add_argument("--beta", type=float, default=1.0)

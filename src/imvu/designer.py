@@ -103,16 +103,20 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Max violation per named check, with a location hint for each."""
+    """Max violation per named check, with a location hint for each, and the
+    tolerance the checks are judged at; a NaN violation fails."""
 
     checks: dict[str, float]
     where: dict[str, str]
+    tol: float
 
-    def passed(self, tol: float) -> bool:
-        return all(v <= tol for v in self.checks.values())
+    @property
+    def failures(self) -> list[str]:
+        return [name for name, v in self.checks.items() if not v <= self.tol]
 
-    def failures(self, tol: float) -> list[str]:
-        return [name for name, v in self.checks.items() if not v <= tol]
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def validate_table(table: MechanismTable, tol: float = 1e-6) -> ValidationReport:
@@ -125,7 +129,7 @@ def validate_table(table: MechanismTable, tol: float = 1e-6) -> ValidationReport
     raw = table_violations(table.alphabet, table.design_eps, table.log_probs)
     checks = {name: viol for name, (viol, _) in raw.items()}
     where = {name: loc for name, (_, loc) in raw.items()}
-    return ValidationReport(checks=checks, where=where)
+    return ValidationReport(checks=checks, where=where, tol=tol)
 
 
 def _letters(b_out: int) -> np.ndarray:

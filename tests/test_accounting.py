@@ -15,6 +15,7 @@ from imvu import (
     AnadromicityError,
     ClipConfig,
     DEFAULT_ALPHAS,
+    DesignSpec,
     InterpolatedMechanism,
     MechanismTable,
     MissingConstantsError,
@@ -22,6 +23,7 @@ from imvu import (
     accounting_report,
     attach_accounting,
     compose,
+    design_mvu,
     domain_for_beta,
     eps_prime,
     eps_prime_grid_max,
@@ -266,6 +268,22 @@ def test_eps_prime_one_sided_domain(domain):
     assert grid <= eps_prime(table, domain) <= grid + 1e-9 * (1.0 + grid)
 
 
+# designed tables of more than eight rows and at most 512 cells
+_WIDE_SHAPES = st.sampled_from([2, 4, 8, 16]).flatmap(
+    lambda b_out: st.tuples(st.integers(9, 512 // b_out), st.just(b_out)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=_WIDE_SHAPES, log_eps=st.floats(np.log(0.1), np.log(20.0)),
+       beta=st.sampled_from([1.0, 3.0]))
+def test_eps_prime_matches_dense_grid_beyond_eight_rows(shape, log_eps, beta):
+    b_in, b_out = shape
+    table = design_mvu(DesignSpec(b_in, b_out, float(np.exp(log_eps))))
+    domain = domain_for_beta(beta)
+    grid = eps_prime_grid_max(table, domain, 10_000)
+    assert grid <= eps_prime(table, domain) <= grid + 1e-9 * (1.0 + grid)
+
+
 def _fisher_grid(table):
     return fisher_grid_max(table, (-20.0, 21.0), 1_000_000)
 
@@ -333,7 +351,7 @@ def test_fisher_certifies_designed_two_row_files(bits, log_eps):
         path = os.path.join(tmp, "m.json")
         assert main(["design", "--bits", str(bits), "--b-in", "2",
                      "--eps", repr(float(np.exp(log_eps))), "--symmetrize",
-                     "--clip-norm", "l2", "--out", path]) == 0
+                     "--out", path]) == 0
         assert main(["account", "--mech", path, "--mode", "rdp", "--clip-norm", "l2",
                      "--clip-c", "1.0", "--rounds", "1", "--attach",
                      "--out", os.path.join(tmp, "r.json")]) == 0

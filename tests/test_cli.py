@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from imvu import accounting, load_mechanism
+from imvu import ClipConfig, InterpolatedMechanism, accounting, load_mechanism, load_table
 from imvu.cli import build_parser, main
 from imvu.table_io import FORMAT_VERSION
 
@@ -21,20 +21,25 @@ def run(*argv):
     return main(list(argv))
 
 
-def _python(*argv):
-    """Run a fresh interpreter on this checkout's package, output captured."""
+def _env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+    return env
+
+
+def _python(*argv):
+    """Run a fresh interpreter on this checkout's package, output captured."""
+    return subprocess.run([sys.executable, *argv], env=_env(), capture_output=True, text=True,
                           timeout=120)
 
 
 def test_design_validate_account_pipeline(tmp_path, capsys):
     mech_path = str(tmp_path / "rr.json")
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", repr(LN3),
-               "--clip-norm", "l1", "--clip-c", "1.0", "--out", mech_path) == 0
+               "--out", mech_path) == 0
     mech = load_mechanism(mech_path)
     np.testing.assert_allclose(mech.table.alphabet, [-0.5, 1.5], atol=1e-5)
     np.testing.assert_allclose(
@@ -238,8 +243,18 @@ def test_dme_command(tmp_path):
 def test_dme_command_rejects_zero_width(tmp_path, capsys, mechanism):
     out = tmp_path / "dme.csv"
     assert run("dme", "--mechanism", mechanism, "--clip-norm", "l1", "--n-clients", "5",
-               "--d", "0", "--out", str(out)) == 1
+               "--d", "0", "--noise", "1.0", "--out", str(out)) == 1
     assert "d and trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mechanism, clip_norm",
+                         [("laplace", "l1"), ("gaussian", "l2"), ("signsgd", "l2")])
+def test_dme_baseline_without_noise_exits_one(tmp_path, capsys, mechanism, clip_norm):
+    out = tmp_path / "dme.csv"
+    assert run("dme", "--mechanism", mechanism, "--clip-norm", clip_norm, "--n-clients", "5",
+               "--d", "4", "--trials", "1", "--out", str(out)) == 1
+    assert "needs a positive, finite noise parameter" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -257,6 +272,24 @@ def test_cold_start_skips_scipy_optimize(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of the README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line.split() for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    commands = _readme_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["imvu", name] for name in ("design", "validate", "account", "sweep", "dme", "train")]
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "imvu.cli", *argv[1:]], cwd=tmp_path,
+                              env=_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr[-2000:])
 
 
 def test_design_prints_only_its_own_line(tmp_path):
@@ -293,17 +326,10 @@ def test_train_rejects_a_negative_server_step(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_imvu_via_files(tmp_path, capsys):
+def test_train_imvu_via_files(tmp_path):
     mech_path = str(tmp_path / "m.json")
     out = str(tmp_path / "train.csv")
-    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0",
-               "--clip-norm", "l1", "--clip-c", "1.0", "--out", mech_path) == 0
-    capsys.readouterr()
-    # without constants the trainer must refuse up front
-    assert run("train", "--mechanism", "imvu", "--mech", mech_path,
-               "--rounds", "2", "--cohort", "10", "--d", "4", "--n", "40",
-               "--out", out) == 1
-    assert capsys.readouterr().err == "error: eps_prime not attached; run attach_accounting first\n"
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0", "--out", mech_path) == 0
     assert run("account", "--mech", mech_path, "--mode", "pure",
                "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1",
                "--out", str(tmp_path / "r.json"), "--attach") == 0
@@ -316,32 +342,106 @@ def test_train_imvu_via_files(tmp_path, capsys):
     assert eps_col[1] == pytest.approx(2 * eps_col[0])
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    # the privatizer rejects a clip other than the mechanism's
-    ("--clip-c", "2.0", "the mechanism clips with ClipConfig(norm='l1', clip_c=1.0), "
-                        "the run with ClipConfig(norm='l1', clip_c=2.0)"),
-    ("--beta", "2.0", "mechanism file accounting (beta=1.0) does not match --beta 2.0"),
-], ids=["clip", "beta"])
-def test_train_imvu_rejects_flags_other_than_the_file(tmp_path, capsys, flag, value, message):
+def _train_outputs(tmp_path, name, *argv):
+    """The CSV and summary bytes of an ``imvu train`` run written under ``name``."""
+    out = tmp_path / f"{name}.csv"
+    assert run("train", *argv, "--out", str(out)) == 0
+    return out.read_bytes(), out.with_suffix(".summary.json").read_bytes()
+
+
+def test_train_imvu_on_a_design_only_file_matches_the_attached_run(tmp_path):
+    # train certifies its own constants, so attaching them first changes nothing
     mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0", "--symmetrize",
+               "--out", mech_path) == 0
+    argv = ["--mechanism", "imvu", "--mech", mech_path, "--clip-norm", "l2",
+            "--rounds", "30", "--cohort", "10", "--d", "4", "--n", "40", "--seed", "3"]
+    design_only = _train_outputs(tmp_path, "design_only", *argv)
+    assert run("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
+               "--clip-c", "1.0", "--rounds", "1", "--attach") == 0
+    assert json.loads(Path(mech_path).read_text())["accounting"]["fisher_m"] is not None
+    assert _train_outputs(tmp_path, "attached", *argv) == design_only
+
+
+def test_train_imvu_takes_beta_and_clip_from_its_flags(tmp_path):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0", "--out", mech_path) == 0
+    assert run("account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l1",
+               "--clip-c", "1.0", "--beta", "1.0", "--rounds", "1", "--attach") == 0
+    csv, _ = _train_outputs(tmp_path, "train", "--mechanism", "imvu", "--mech", mech_path,
+                            "--beta", "2", "--clip-c", "0.5", "--rounds", "3",
+                            "--cohort", "10", "--d", "4", "--n", "40")
+    mech = accounting.attach_accounting(InterpolatedMechanism(
+        load_table(mech_path), beta=2.0, clip=ClipConfig("l1", 0.5)))
+    ledger = accounting.imvu_ledger(mech, "pure", 2.0)
+    eps_col = [float(line.split(",")[2]) for line in csv.decode().splitlines()[1:]]
+    assert eps_col == [accounting.spent_epsilon(ledger, t) for t in (1, 2, 3)]
+
+
+def test_train_imvu_reads_a_version_1_file(tmp_path):
+    mech_path = tmp_path / "m.json"
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0",
-               "--clip-norm", "l1", "--clip-c", "1.0", "--out", mech_path) == 0
-    assert run("account", "--mech", mech_path, "--mode", "pure",
-               "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1",
-               "--out", str(tmp_path / "r.json"), "--attach") == 0
+               "--out", str(mech_path)) == 0
+    argv = ["--mechanism", "imvu", "--mech", str(mech_path), "--rounds", "2",
+            "--cohort", "10", "--d", "4", "--n", "40"]
+    current = _train_outputs(tmp_path, "v2", *argv)
+    doc = json.loads(mech_path.read_text())
+    doc["format_version"] = 1
+    mech_path.write_text(json.dumps(doc))
+    assert _train_outputs(tmp_path, "v1", *argv) == current
+
+
+def test_only_validate_reads_a_file_stored_configuration(tmp_path, capsys):
+    mech_path = _edited_design(tmp_path, lambda doc: None,
+                               "--bits", "2", "--eps", "2.0", "--symmetrize")
+    assert run("account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l1",
+               "--clip-c", "1.0", "--rounds", "1", "--attach") == 0
+    runs = {
+        "report.json": ["account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l1",
+                        "--clip-c", "1.0", "--rounds", "5"],
+        "dme.csv": ["dme", "--mechanism", "imvu", "--mech", mech_path, "--clip-norm", "l1",
+                    "--n-clients", "4", "--d", "3", "--trials", "1"],
+        "train.csv": ["train", "--mechanism", "imvu", "--mech", mech_path, "--rounds", "3",
+                      "--cohort", "5", "--d", "4", "--n", "40"],
+    }
+
+    def outputs(directory):
+        directory.mkdir()
+        for name, argv in runs.items():
+            assert run(*argv, "--out", str(directory / name)) == 0
+        return {path.name: path.read_bytes() for path in directory.iterdir()
+                if not path.name.endswith(".manifest.json")}
+
+    clean = outputs(tmp_path / "clean")
+    assert len(clean) == 4   # the train summary too
+    doc = json.loads(Path(mech_path).read_text())
+    doc["accounting"].update(eps_prime=0.125, beta=3.0, clip_norm="l2", clip_c=7.0)
+    Path(mech_path).write_text(json.dumps(doc))
+    assert outputs(tmp_path / "corrupt") == clean
     capsys.readouterr()
-    assert run("train", "--mechanism", "imvu", "--mech", mech_path,
-               "--rounds", "2", "--cohort", "10", "--d", "4", "--n", "40",
-               flag, value, "--out", str(tmp_path / "train.csv")) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "train.csv").exists()
+    assert run("validate", "--mech", mech_path) == 1
+    assert "stored eps_prime 0.125" in capsys.readouterr().err
+
+
+def test_design_takes_no_configuration_flags(tmp_path, capsys):
+    mech_path = tmp_path / "m.json"
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--beta", "1.0",
+               "--out", str(mech_path)) == 2
+    assert not mech_path.exists()
+    assert run("design", "--help") == 0
+    usage = capsys.readouterr().out
+    assert not any(flag in usage for flag in ("--beta", "--clip-norm", "--clip-c"))
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
+               "--out", str(mech_path)) == 0
+    assert json.loads(mech_path.read_text())["accounting"] == {
+        "eps_prime": None, "fisher_m": None, "beta": 1.0, "clip_norm": "l2", "clip_c": 1.0}
 
 
 @pytest.mark.parametrize("mode, certifier", [("rdp", "fisher_sup"), ("pure", "_eps_prime_impl")])
 def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode, certifier):
     mech_path = str(tmp_path / "m.json")
     assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
-               "--clip-norm", "l2", "--out", mech_path) == 0
+               "--out", mech_path) == 0
     fresh = accounting.attach_accounting(load_mechanism(mech_path))
     calls = []
     original = getattr(accounting, certifier)
@@ -382,7 +482,7 @@ def test_account_pure_under_l2_clip_needs_c_sens(tmp_path, capsys):
 def test_csv_outputs_share_one_line_ending(tmp_path):
     outs = [str(tmp_path / name) for name in ("dme.csv", "train.csv", "sweep.csv")]
     assert run("dme", "--mechanism", "gaussian", "--n-clients", "5", "--d", "4",
-               "--trials", "2", "--out", outs[0]) == 0
+               "--trials", "2", "--noise", "1.0", "--out", outs[0]) == 0
     assert run("train", "--mechanism", "identity", "--rounds", "2", "--cohort", "5",
                "--d", "3", "--n", "20", "--out", outs[1]) == 0
     assert run("sweep", "--eps", "1.0", "--bits", "1", "--b-in-list", "2",
@@ -411,7 +511,7 @@ def test_validate_missing_file_exits_one(tmp_path, capsys):
 def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_norm):
     mech_path = tmp_path / "m.json"
     assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
-               "--clip-norm", clip_norm, "--out", str(mech_path)) == 0
+               "--out", str(mech_path)) == 0
     attached = accounting.attach_accounting(load_mechanism(mech_path))
     doc = json.loads(mech_path.read_text())
     # a version 1 file: the same table with older, larger constants
@@ -436,7 +536,7 @@ def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_n
 def test_account_reattach_does_not_certify_stored_constants(tmp_path, monkeypatch):
     mech_path = str(tmp_path / "m.json")
     assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
-               "--clip-norm", "l2", "--out", mech_path) == 0
+               "--out", mech_path) == 0
     argv = ["account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
             "--clip-c", "1.0", "--rounds", "3", "--attach", "--out", str(tmp_path / "r.json")]
     assert run(*argv) == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from imvu import (
     DesignSpec,
     MechanismTable,
     SymmetryError,
+    ValidationReport,
     design_mvu,
     design_variance_grid_min,
     enforce_anadromic,
@@ -601,8 +603,18 @@ def test_designed_two_row_tables_anadromic_and_fisher_ready():
 
 def test_validate_designed_table_passes(table_2x4):
     report = validate_table(table_2x4, tol=1e-6)
-    assert report.passed(1e-6)
-    assert report.failures(1e-6) == []
+    assert report.tol == 1e-6
+    assert report.passed
+    assert report.failures == []
+
+
+def test_validation_report_judges_at_its_tolerance():
+    report = ValidationReport(checks={"simplex": 1e-3, "positivity": np.nan, "metric_dp": 0.0},
+                              where={}, tol=1e-6)
+    # a NaN violation fails, as the CLI's [FAIL] reads it
+    assert report.failures == ["simplex", "positivity"]
+    assert not report.passed
+    assert replace(report, tol=1e-2).failures == ["positivity"]
 
 
 def test_validate_flags_negated_probability():
