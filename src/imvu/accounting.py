@@ -381,21 +381,25 @@ def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
 
 
 def attach_accounting(
-    mech: InterpolatedMechanism, report: dict | None = None
+    mech: InterpolatedMechanism, report: dict | None = None, mode: str | None = None
 ) -> InterpolatedMechanism:
     """Return a copy of ``mech`` with certified constants attached.
 
     The Fisher constant is attached only for two-row anadromic tables.
     ``report``, an ``accounting_report`` of this ``mech``, supplies the
-    constant it certified, which is then not computed again.
+    constant it certified, which is then not computed again.  ``mode``,
+    "pure" or "rdp", attaches only the constant that mode's ledger reads:
+    eps' or the Fisher constant.
     """
+    if mode not in (None, "pure", "rdp"):
+        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
     table = mech.table
     known = report or {}
     ep = known.get("eps_prime")
-    if ep is None:
+    if ep is None and mode != "rdp":
         ep, _ = _certify(mech, "eps_prime")
     fm = known.get("fisher_m")
-    if fm is None and table.anadromic:
+    if fm is None and table.anadromic and mode != "pure":
         fm, _ = _certify(mech, "fisher_m")
     return replace(mech, eps_prime=ep, fisher_m=fm)
 

@@ -154,7 +154,11 @@ def _cmd_dme(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
-    mech = attach_accounting(_run_mechanism(args)) if args.mechanism == "imvu" else None
+    mech = None
+    if args.mechanism == "imvu":
+        # the round ledger reads eps' under an l1 clip and M under an l2 clip
+        mode = "pure" if args.clip_norm == "l1" else "rdp"
+        mech = attach_accounting(_run_mechanism(args), mode=mode)
     cfg = FlConfig(
         rounds=args.rounds,
         cohort=args.cohort,

@@ -3,9 +3,26 @@
 Every stream is numpy's ``PCG64`` seeded through ``SeedSequence`` from an
 entropy tuple of labels.  ``substream`` builds one such generator by name.
 The per-client and per-coordinate-chunk streams of a federated round come in
-batches, so ``pcg64_states`` derives a whole batch at once, bit for bit as
-numpy seeds each stream.  Stream states stay in this module: callers draw
-coordinate uniforms through the one walk, ``coordinate_blocks``.
+batches, and ``pcg64_states``, ``substream_seeds`` and ``stream_uniforms``
+take a whole batch, bit for bit as numpy runs each stream.  Stream states
+stay in this module: callers draw coordinate uniforms through the one walk,
+``coordinate_blocks``.
+
+A batch goes one of two ways, as ``_in_limbs`` decides: seeding by the
+number of streams, drawing by that and the width of the block.  A few
+streams, and every wide block, go one stream at a time: numpy seeds each
+stream, and ``random_raw`` on the shared ``_DRAW`` draws from it.  Many
+streams run in limbs: each 128-bit value is a pair of uint64 arrays, and
+every stream moves through one pass of array arithmetic.  SeedSequence's
+32-bit hash runs on all rows at once; PCG64's seeding,
+state = (initstate + inc) M + inc, is one LCG step from initstate + inc.
+PCG64 is an LCG, so k steps take a state s with increment
+inc to A_k s + C_k inc (mod 2**128), with A_k = M**k and
+C_k = 1 + M + ... + M**(k-1) (Brown, "Random number generation with
+arbitrary strides", 1994).  With A_k and C_k cached for every k up to
+``_JUMPS``, a stream's first output, and every output of a narrow block
+near the start of its stream, is one such jump followed by PCG64's XSL-RR
+output function.
 """
 
 from __future__ import annotations
@@ -39,10 +56,12 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# One bit generator for every draw: each draw sets the whole state first, so
-# no caller sees another's, and holding the generator's (reentrant) lock over
-# the set-then-draw pair keeps threads apart.  Building a generator per call
-# would cost as much as deriving a stream.
+# The bit generator of every draw taken one stream at a time: each draw sets
+# the whole state first, so no caller sees another's, and holding the
+# generator's (reentrant) lock over the set-then-draw pair keeps threads
+# apart.  Only this path takes the lock; limb draws share nothing that is
+# written.  Setting one generator's state costs less than building one per
+# stream.
 _DRAW = np.random.PCG64(0)
 
 
@@ -130,55 +149,67 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
     return _hashmix(np.concatenate((pool, pool), axis=1), b[:-1], b[1:])
 
 
-def _pcg64_seed(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
-    """PCG64's srandom from the seed words: (state, inc) after seeding."""
-    inc = (((s2 << 64 | s3) << 1) | 1) & _MASK128
-    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-def pcg64_states(columns) -> list[tuple[int, int]]:
-    """``np.random.PCG64(np.random.SeedSequence(entropy)).state`` for n streams at once.
-
-    ``columns`` holds the entropy tuples column by column: a uint64 array of
-    length n, or one int in [0, 2**64) that every stream shares.  Returns each
-    stream's ``(state, inc)``.  SeedSequence takes an int below 2**32 as one
-    32-bit word and a larger one as two, so the streams are hashed in groups
-    of equal word count.
-    """
+def _entropy_rows(columns) -> np.ndarray:
+    """The (n, k) uint64 entropy tuples of ``columns`` (see ``pcg64_states``)."""
     n = max(col.size if isinstance(col, np.ndarray) else 1 for col in columns)
     entropy = np.empty((n, len(columns)), dtype="<u8")
     for k, col in enumerate(columns):
         entropy[:, k] = col
+    return entropy
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of
+    ``entropy``, hashed for all rows at once.  SeedSequence takes an int
+    below 2**32 as one 32-bit word and a larger one as two, so the streams
+    are hashed in groups of equal word count."""
     words = entropy.view("<u4")          # (low, high) word of each entry
     wide = words[:, 1::2] != 0           # entries that take two words
     if (wide == wide[0]).all():          # the usual batch: one word count
-        return _seed_states(words, wide[0])
-    states = [None] * n
+        return _group_seed_words(words, wide[0])
+    seeds = np.empty((len(entropy), 4), dtype=np.uint64)
     for pattern in np.unique(wide, axis=0):
         rows = np.flatnonzero((wide == pattern).all(axis=1))
-        for r, state in zip(rows.tolist(), _seed_states(words[rows], pattern)):
-            states[r] = state
-    return states
+        seeds[rows] = _group_seed_words(words[rows], pattern)
+    return seeds
 
 
-def _seed_states(words: np.ndarray, wide: np.ndarray) -> list[tuple[int, int]]:
-    """Seeded PCG64 states of streams whose entries split into words alike:
-    ``words`` holds each entry's (low, high) pair, ``wide`` marks the entries
-    whose high word counts."""
+def _group_seed_words(words: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """Seed words of streams whose entries split into words alike: ``words``
+    holds each entry's (low, high) pair, ``wide`` marks the entries whose
+    high word counts."""
     keep = np.ones((wide.size, 2), dtype=bool)
     keep[:, 1] = wide
     seeds = _generate_state(words[:, keep.ravel()])
     # 32-bit words pair up little-endian into 64-bit ones
-    seeds = np.ascontiguousarray(seeds, dtype="<u4").view("<u8")
-    return [_pcg64_seed(*s) for s in seeds.tolist()]
+    return np.ascontiguousarray(seeds, dtype="<u4").view("<u8")
 
 
-def _pcg64_next(state: int, inc: int) -> int:
-    """The first 64-bit output of PCG64 (XSL-RR) from (state, inc)."""
-    state = (state * _PCG_MULT + inc) & _MASK128
-    x = (state >> 64) ^ (state & _MASK64)
-    rot = state >> 122
-    return ((x >> rot) | (x << (64 - rot))) & _MASK64
+def _numpy_stream(entropy) -> np.random.PCG64:
+    """numpy's own PCG64 of one entropy tuple: the path of a stream on its own."""
+    return np.random.PCG64(np.random.SeedSequence(entropy))
+
+
+def pcg64_states(columns) -> np.ndarray:
+    """``np.random.PCG64(np.random.SeedSequence(entropy)).state`` for n streams at once.
+
+    ``columns`` holds the entropy tuples column by column: a uint64 array of
+    length n, or one int in [0, 2**64) that every stream shares.  Returns an
+    (n, 4) uint64 array, one row per stream: the high and low 64 bits of its
+    state, then of its inc.
+    """
+    entropy = _entropy_rows(columns)
+    if _in_limbs(len(entropy), 0):
+        # the seeded state is one step past the pre-seed state
+        states = _pre_seed(_seed_words(entropy))
+        hi, lo = _advance(states, 1, 1)
+        states[:, 0], states[:, 1] = hi[:, 0], lo[:, 0]
+        return states
+    rows = []
+    for e in entropy.tolist():
+        s = _numpy_stream(e).state["state"]
+        rows.append((s["state"] >> 64, s["state"] & _MASK64, s["inc"] >> 64, s["inc"] & _MASK64))
+    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
 
 
 def substream_seeds(seed: int, *path) -> list[int]:
@@ -192,20 +223,152 @@ def substream_seeds(seed: int, *path) -> list[int]:
     columns = [_NAME_TAG, _as_entropy(seed)]
     columns += [p.astype(np.uint64) if isinstance(p, np.ndarray) else _as_entropy(p)
                 for p in path]
-    return [_pcg64_next(*state) >> 2 for state in pcg64_states(columns)]
+    entropy = _entropy_rows(columns)
+    if _in_limbs(len(entropy), 0):
+        # the first output's state is two steps past the pre-seed state
+        first = _xsl_rr(*_advance(_pre_seed(_seed_words(entropy)), 2, 1))
+        first >>= np.uint64(2)
+        return first.ravel().tolist()
+    return [int(_numpy_stream(e).random_raw()) >> 2 for e in entropy.tolist()]
 
 
-def stream_uniforms(states, skip: int, width: int) -> np.ndarray:
+def stream_uniforms(states: np.ndarray, skip: int, width: int) -> np.ndarray:
     """``Generator.random`` draws ``skip`` to ``skip + width`` of each PCG64
-    stream in ``states``, one row per stream: (raw >> 11) * 2**-53 per output."""
-    raw = np.empty((len(states), width), dtype=np.uint64)
-    with _DRAW.lock:
-        for row, (state, inc) in enumerate(states):
-            _DRAW.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0}
-            raw[row] = _DRAW.random_raw(skip + width)[skip:]
+    stream in ``states`` (``pcg64_states`` rows), one row per stream:
+    (raw >> 11) * 2**-53 per output."""
+    if _in_limbs(len(states), width, skip):
+        raw = _xsl_rr(*_advance(states, skip + 1, width))
+    else:
+        raw = np.empty((len(states), width), dtype=np.uint64)
+        with _DRAW.lock:
+            for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(states.tolist()):
+                _DRAW.state = {"bit_generator": "PCG64",
+                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                               "has_uint32": 0, "uinteger": 0}
+                raw[row] = _DRAW.random_raw(skip + width)[skip:]
     raw >>= np.uint64(11)
     return raw * 2.0**-53
+
+
+# ---------------------------------------------------------------------------
+# PCG64 in uint64 limbs
+# ---------------------------------------------------------------------------
+
+# Where limbs pay, from a timeit map of both paths (2-core x86-64, numpy
+# 2.4): a batch in limbs costs about as much as _LIMB_STREAMS streams taken
+# one at a time, and each output in limbs about 1/_LIMB_WIDTH of a stream
+# more than by random_raw.  The two paths tie near 8 streams of 8 outputs,
+# 16 of 48 and 32 of 64; past about 90 outputs random_raw always wins.
+_LIMB_STREAMS = 7.3
+_LIMB_WIDTH = 88
+# Steps the cached jump constants reach: every block limbs take, starting
+# up to 40 outputs into its stream.
+_JUMPS = 128
+
+_LOW = np.uint64(_MASK32)
+_32 = np.uint64(32)
+
+# _advance sums 14 uint64 products, each of one limb of a jump constant
+# (A, C) and one limb of a state (s, inc), both laid out by _limbs.  These
+# are the two factors' rows, product by product: a0 s0, c0 i0 | a0 s1,
+# a1 s0, c0 i1, c1 i0 | a1 s1, c1 i1 | a_lo s_hi, a_hi s_lo, c_lo i_hi,
+# c_hi i_lo | a_lo s_lo, c_lo i_lo, where 0 and 1 name the low and the high
+# 32-bit half of a low limb.
+_JUMP_ROWS = np.array([4, 5, 4, 6, 5, 7, 6, 7, 1, 0, 3, 2, 1, 3])
+_STATE_ROWS = np.array([4, 5, 6, 4, 7, 5, 6, 7, 0, 1, 2, 3, 1, 3])
+
+
+def _in_limbs(streams: int, width: int, skip: int = 0) -> bool:
+    """The one rule that picks a batch's path: ``streams`` streams, each
+    seeded (``width`` 0) or drawn ``skip`` to ``skip + width``.
+
+    In limbs, every stream of the batch goes through one pass of uint64
+    array arithmetic.  Otherwise each stream goes alone: numpy seeds it, and
+    ``random_raw`` on ``_DRAW`` draws from it.  The jump constants reach
+    ``_JUMPS`` steps.
+    """
+    return (streams * (1 - width / _LIMB_WIDTH) > _LIMB_STREAMS
+            and skip + width <= _JUMPS)
+
+
+def _limbs(pairs: np.ndarray) -> np.ndarray:
+    """Limb rows of 128-bit pairs (x, y), given as the rows x hi, x lo, y hi,
+    y lo: those four, then the low 32-bit halves of x lo and y lo, then
+    their high halves."""
+    out = np.empty((8,) + pairs.shape[1:], dtype=np.uint64)
+    out[:4] = pairs
+    np.bitwise_and(out[1:4:2], _LOW, out=out[4:6])
+    np.right_shift(out[1:4:2], _32, out=out[6:8])
+    return out
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """Column k, for k in [0, _JUMPS], holds the limbs of A_k = M**k and
+    C_k = 1 + M + ... + M**(k-1) (mod 2**128, M the LCG multiplier) that
+    ``_advance`` multiplies: k steps take a state s with increment inc to
+    A_k s + C_k inc."""
+    jumps = np.empty((4, _JUMPS + 1), dtype=np.uint64)
+    a, c = 1, 0
+    for k in range(_JUMPS + 1):
+        jumps[:, k] = a >> 64, a & _MASK64, c >> 64, c & _MASK64
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    out = _limbs(jumps)[_JUMP_ROWS]
+    out.flags.writeable = False   # cached and shared by every call
+    return out
+
+
+def _pre_seed(seeds: np.ndarray) -> np.ndarray:
+    """``pcg64_states`` rows one LCG step before PCG64's seeded state.
+
+    srandom sets inc = 2 seq + 1 and steps once from initstate + inc, where
+    initstate and seq are the first and last two seed words."""
+    pre = np.empty_like(seeds)
+    inc_hi, inc_lo = pre[:, 2], pre[:, 3]
+    np.left_shift(seeds[:, 2], np.uint64(1), out=inc_hi)
+    inc_hi |= seeds[:, 3] >> np.uint64(63)
+    np.left_shift(seeds[:, 3], np.uint64(1), out=inc_lo)
+    inc_lo |= np.uint64(1)
+    np.add(inc_lo, seeds[:, 1], out=pre[:, 1])
+    np.add(inc_hi, seeds[:, 0], out=pre[:, 0])
+    pre[:, 0] += pre[:, 1] < inc_lo          # carry out of the low limb
+    return pre
+
+
+def _advance(states: np.ndarray, first: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (high, low) limbs of each stream's state ``first`` to
+    ``first + width - 1`` LCG steps on, one (streams, width) array each.
+
+    k steps take s to A_k s + C_k inc (mod 2**128).  A product with a high
+    limb, and the product of the high halves of two low limbs, only adds to
+    the high limb, modulo 2**64.  The other products of 32-bit halves of the
+    low limbs are summed by 32-bit columns, which gives the carries out of
+    the low limb exactly.
+    """
+    jumps = _jump_table()[:, None, first:first + width]
+    prod = jumps * _limbs(states.T)[_STATE_ROWS][:, :, None]
+    low = prod[:6] & _LOW
+    prod[:6] >>= _32
+    hi = np.add.reduce(prod[2:12], axis=0)
+    low[1] += low[0]                         # the lowest column's carry
+    low[1] >>= _32
+    np.add(prod[0], prod[1], out=low[0])
+    mid = np.add.reduce(low, axis=0)         # bits 32..63 and their carry
+    mid >>= _32
+    hi += mid
+    return hi, prod[12] + prod[13]
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state: hi ^ lo rotated right by hi >> 58."""
+    rot = hi >> np.uint64(58)
+    np.bitwise_xor(hi, lo, out=lo)
+    out = lo >> rot
+    np.subtract(np.uint64(64), rot, out=rot)
+    rot &= np.uint64(63)
+    lo <<= rot
+    out |= lo
+    return out
 
 
 def coordinate_blocks(seeds, lo: int, hi: int):

@@ -625,6 +625,16 @@ def test_verify_rejects_tampered_constant(rr_table):
         verify_accounting(tampered)
 
 
+def test_attach_in_a_mode_certifies_only_that_mode_constant(rr_table):
+    both = attach_accounting(_mech(rr_table))
+    pure = attach_accounting(_mech(rr_table), mode="pure")
+    rdp = attach_accounting(_mech(rr_table), mode="rdp")
+    assert (pure.eps_prime, pure.fisher_m) == (both.eps_prime, None)
+    assert (rdp.eps_prime, rdp.fisher_m) == (None, both.fisher_m)
+    with pytest.raises(ValueError, match="mode"):
+        attach_accounting(_mech(rr_table), mode="l1")
+
+
 def test_attach_skips_fisher_for_wide_tables():
     table = get_table(4, 4, 1.0)
     mech = attach_accounting(InterpolatedMechanism(table, clip=ClipConfig("l1", 1.0)))

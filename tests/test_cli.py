@@ -363,6 +363,27 @@ def test_train_imvu_on_a_design_only_file_matches_the_attached_run(tmp_path):
     assert _train_outputs(tmp_path, "attached", *argv) == design_only
 
 
+@pytest.mark.parametrize("norm, read, unread", [("l1", "_eps_prime_impl", "fisher_sup"),
+                                                ("l2", "fisher_sup", "_eps_prime_impl")])
+def test_train_imvu_certifies_only_the_constant_its_ledger_reads(tmp_path, monkeypatch,
+                                                                 norm, read, unread):
+    # eps' under an l1 clip, M under an l2 clip: the other is never computed,
+    # so its certification cannot fail the run
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0", "--symmetrize",
+               "--out", mech_path) == 0
+    calls = {read: 0, unread: 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(accounting, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(accounting, name, counted)
+    _train_outputs(tmp_path, "train", "--mechanism", "imvu", "--mech", mech_path,
+                   "--clip-norm", norm, "--rounds", "3", "--cohort", "10", "--d", "4",
+                   "--n", "40")
+    assert calls == {read: 1, unread: 0}
+
+
 def test_train_imvu_takes_beta_and_clip_from_its_flags(tmp_path):
     mech_path = str(tmp_path / "m.json")
     assert run("design", "--bits", "1", "--b-in", "2", "--eps", "2.0", "--out", mech_path) == 0

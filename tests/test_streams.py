@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imvu import (
@@ -38,8 +38,12 @@ from imvu.dme import privatize_clients
 from imvu.mechanism import _bracket, _sample, clip, privatize_vector, scale_input
 from imvu.rng import (
     _COORD_TAG,
+    _JUMPS,
+    _PCG_MULT,
     COORD_CHUNK,
     _as_entropy,
+    _in_limbs,
+    _jump_table,
     coordinate_uniforms,
     pcg64_states,
     stream_uniforms,
@@ -287,6 +291,11 @@ def _numpy_state(entropy) -> tuple[int, int]:
     return state["state"], state["inc"]
 
 
+def _as_pairs(states: np.ndarray) -> list[tuple[int, int]]:
+    """``pcg64_states`` rows as the (state, inc) 128-bit ints numpy reports."""
+    return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in states.tolist()]
+
+
 @ORACLE_SETTINGS
 @given(data=st.data())
 def test_pcg64_states_match_numpy(data):
@@ -301,24 +310,103 @@ def test_pcg64_states_match_numpy(data):
     entropy = [[_as_entropy(col[k % len(col)]) for col in columns] for k in range(n)]
     batch = [np.array([_as_entropy(p) for p in col], dtype=np.uint64) if len(col) > 1
              else _as_entropy(col[0]) for col in columns]
-    assert pcg64_states(batch) == [_numpy_state(e) for e in entropy]
+    states = pcg64_states(batch)
+    assert states.dtype == np.uint64 and states.shape == (n, 4)
+    assert _as_pairs(states) == [_numpy_state(e) for e in entropy]
 
 
 @ORACLE_SETTINGS
 @given(seed=parts, label=parts, path=st.lists(st.integers(-(2**63), 2**63 - 1),
                                               min_size=1, max_size=64))
+@example(seed=0, label="privatize", path=list(range(-8, 8)))
 def test_substream_seeds_match_generator_integers(seed, label, path):
     expected = [int(substream(seed, label, p).integers(2**62)) for p in path]
     assert substream_seeds(seed, label, np.array(path, dtype=np.int64)) == expected
 
 
+# Streams that take the limb arithmetic to its edge cases (checked below):
+# (0,) carries out of the low limb both in the add of its seeding, initstate
+# + inc, and in the multiply-add, M t + inc; (3,) carries in neither; the
+# first output of (41,) has XSL-RR rotation 0.
+EDGE_STREAMS = [(0,), (3,), (41,)]
+LIMB_BATCH = EDGE_STREAMS + [(k,) for k in range(100, 113)]
+
+
+def test_edge_streams_reach_the_limb_edge_cases():
+    low = 2**64 - 1
+
+    def seeding(entropy):
+        w = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+        state, inc = w[0] << 64 | w[1], ((w[2] << 64 | w[3]) << 1 | 1) % 2**128
+        t = (state + inc) % 2**128
+        add = (state & low) + (inc & low) > low
+        mul = ((t & low) * (_PCG_MULT & low) & low) + (inc & low) > low
+        first = ((t * _PCG_MULT + inc) * _PCG_MULT + inc) % 2**128
+        return add, mul, first >> 122
+
+    assert [seeding(e) for e in EDGE_STREAMS] == [(True, True, 15), (False, False, 35),
+                                                  (False, False, 0)]
+    # the pins below seed and draw in limbs, or one stream at a time
+    assert _in_limbs(len(LIMB_BATCH), 0) and _in_limbs(len(LIMB_BATCH), 8)
+    assert not _in_limbs(len(LIMB_BATCH), 120) and not _in_limbs(len(EDGE_STREAMS), 8)
+    # the last cached jump constant, and one step past it
+    assert _in_limbs(len(LIMB_BATCH), 3, _JUMPS - 3)
+    assert not _in_limbs(len(LIMB_BATCH), 3, _JUMPS - 2)
+
+
+def _carry_states() -> list[tuple[int, int]]:
+    """(state, inc) pairs whose first step, M s + inc, needs the carry out of
+    the lowest 32-bit column of the low limbs: it alone takes the next
+    column past 2**32, so dropping it changes the high limb."""
+    low32, m_lo = 2**32 - 1, _PCG_MULT % 2**64
+    a0, a1 = m_lo & low32, m_lo >> 32
+    pairs = []
+    for s in [1, 3, 2**64 - 1, 2**127 + 12345] + [(2**61 - 1) * k for k in range(1, 13)]:
+        s0, s1 = s & low32, (s >> 32) & low32
+        # inc's low half 2**32 - 1 makes the lowest column carry (a0 s0 is
+        # not 0 mod 2**32), and its next half fills the middle column
+        middle = (a0 * s0 >> 32) + (a0 * s1 & low32) + (a1 * s0 & low32)
+        pairs.append((s, 1 << 64 | (-1 - middle) % 2**32 << 32 | low32))
+    return pairs
+
+
+def test_stream_uniforms_carry_the_lowest_column():
+    pairs = _carry_states()
+    for s, inc in pairs:
+        low = (s % 2**64 & 2**32 - 1) * (_PCG_MULT % 2**64 & 2**32 - 1) % 2**32
+        assert low + (inc & 2**32 - 1) >= 2**32
+    assert _in_limbs(len(pairs), 8)
+    states = np.array([(s >> 64, s % 2**64, i >> 64, i % 2**64) for s, i in pairs],
+                      dtype=np.uint64)
+    expected = []
+    for s, inc in pairs:
+        bits = np.random.PCG64()
+        bits.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        expected.append(np.random.Generator(bits).random(8))
+    assert np.array_equal(stream_uniforms(states, 0, 8), np.array(expected))
+
+
 @ORACLE_SETTINGS
-@given(entropy=st.lists(st.lists(parts, min_size=1, max_size=4), min_size=1, max_size=8),
-       skip=st.integers(0, 40), width=st.integers(0, 40))
+@given(entropy=st.tuples(st.integers(1, 4), st.integers(1, 64)).flatmap(
+           lambda kn: st.lists(st.lists(parts, min_size=kn[0], max_size=kn[0]),
+                               min_size=kn[1], max_size=kn[1])),
+       skip=st.one_of(st.integers(0, _JUMPS), st.integers(0, COORD_CHUNK)),
+       width=st.integers(0, 120))
+@example(entropy=LIMB_BATCH, skip=0, width=8)
+@example(entropy=LIMB_BATCH, skip=_JUMPS - 3, width=3)
+@example(entropy=LIMB_BATCH, skip=_JUMPS - 2, width=3)
+@example(entropy=LIMB_BATCH, skip=COORD_CHUNK, width=3)
+@example(entropy=LIMB_BATCH, skip=0, width=120)
+@example(entropy=EDGE_STREAMS, skip=0, width=8)
 def test_stream_uniforms_match_generator_random(entropy, skip, width):
+    # up to 64 streams of up to 120 outputs, often near the start of the
+    # stream: both sides of _in_limbs
+    skip = min(skip, COORD_CHUNK - width)
     entropy = [tuple(_as_entropy(p) for p in e) for e in entropy]
-    # one batch per stream: the entropy tuples may differ in length
-    states = [pcg64_states(list(e))[0] for e in entropy]
+    # one batch: the tuples are of one length
+    states = pcg64_states([np.array(col, dtype=np.uint64) for col in zip(*entropy)])
+    assert _as_pairs(states) == [_numpy_state(e) for e in entropy]
     drawn = stream_uniforms(states, skip, width)
     expected = [np.random.default_rng(np.random.SeedSequence(e)).random(skip + width)[skip:]
                 for e in entropy]
@@ -355,16 +443,14 @@ def test_cohort_rows_sample_the_coordinate_walk_of_their_seed(coord_range):
         assert np.array_equal(got, expected)
 
 
-def test_stream_uniforms_from_many_threads_match_one_thread():
-    # the draws share one bit generator; a set-then-draw pair split by a
-    # thread switch would hand one thread another's stream
-    states = pcg64_states([_COORD_TAG, np.arange(2**40, 2**40 + 6, dtype=np.uint64), 0])
-    expected = stream_uniforms(states, 5, 300)
+def _draws_from_six_threads_match(streams: int, width: int) -> None:
+    states = pcg64_states([_COORD_TAG, np.arange(2**40, 2**40 + streams, dtype=np.uint64), 0])
+    expected = stream_uniforms(states, 5, width)
     mismatches = []
 
     def worker():
         for _ in range(150):
-            if not np.array_equal(stream_uniforms(states, 5, 300), expected):
+            if not np.array_equal(stream_uniforms(states, 5, width), expected):
                 mismatches.append(1)
 
     interval = sys.getswitchinterval()
@@ -379,3 +465,16 @@ def test_stream_uniforms_from_many_threads_match_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not mismatches
+
+
+def test_stream_uniforms_from_many_threads_match_one_thread():
+    # the draws share one bit generator; a set-then-draw pair split by a
+    # thread switch would hand one thread another's stream
+    assert not _in_limbs(6, 300, 5)
+    _draws_from_six_threads_match(6, 300)
+
+
+def test_limb_stream_uniforms_from_many_threads_match_one_thread():
+    # limb draws take no lock: they share only the read-only jump constants
+    assert _in_limbs(60, 20, 5) and not _jump_table().flags.writeable
+    _draws_from_six_threads_match(60, 20)
