@@ -295,6 +295,17 @@ class PrivacyLedger:
             raise ValueError("per_round must have one entry per alpha")
 
 
+def clip_mode(clip) -> str:
+    """The ledger mode of a run clipped by ``clip``: the eps' route ("pure")
+    under an l1 clip, the Fisher route ("rdp") under an l2 clip."""
+    return "pure" if clip.norm == "l1" else "rdp"
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("pure", "rdp"):
+        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+
+
 def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
                 delta: float = DEFAULT_DELTA, alphas=DEFAULT_ALPHAS) -> PrivacyLedger:
     """Per-round cost of an attached mechanism at sensitivity ``sens``.
@@ -302,8 +313,7 @@ def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
     Pure mode takes the eps' route, (design eps + eps') * sens; rdp mode the
     Fisher route, alpha * M * sens^2 / 2 for each order alpha.
     """
-    if mode not in ("pure", "rdp"):
-        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    _check_mode(mode)
     if mode == "pure" and mech.eps_prime is None:
         raise MissingConstantsError("eps_prime not attached; run attach_accounting first")
     if mode == "rdp" and mech.fisher_m is None:
@@ -391,8 +401,8 @@ def attach_accounting(
     "pure" or "rdp", attaches only the constant that mode's ledger reads:
     eps' or the Fisher constant.
     """
-    if mode not in (None, "pure", "rdp"):
-        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    if mode is not None:
+        _check_mode(mode)
     table = mech.table
     known = report or {}
     ep = known.get("eps_prime")
@@ -433,8 +443,7 @@ def accounting_report(
     l1 distance, which an l2 clip bounds only by beta * sqrt(d), so pure
     mode under an l2 clip needs an explicit ``c_sens``.
     """
-    if mode not in ("pure", "rdp"):
-        raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    _check_mode(mode)
     if mode == "pure" and c_sens is None and mech.clip.norm != "l1":
         raise ValueError(
             "the pure route charges l1 sensitivity, which an l2 clip bounds only by "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import PrivacyLedger, imvu_ledger
+from .accounting import PrivacyLedger, clip_mode, imvu_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, clip
 
 # the clip norm each baseline's noise is calibrated to
@@ -112,8 +112,7 @@ def round_ledger(priv, delta: float, alphas: tuple[float, ...]) -> PrivacyLedger
     C2 costs eps_alpha = alpha / (2 sigma^2); signsgd is post-processing).
     """
     if isinstance(priv, InterpolatedMechanism):
-        mode = "pure" if priv.clip.norm == "l1" else "rdp"
-        return imvu_ledger(priv, mode, priv.beta, delta, alphas)
+        return imvu_ledger(priv, clip_mode(priv.clip), priv.beta, delta, alphas)
     if not isinstance(priv, BaselineConfig):
         return None
     if priv.kind == "laplace":

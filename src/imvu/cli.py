@@ -26,6 +26,7 @@ from .accounting import (
     DEFAULT_DELTA,
     accounting_report,
     attach_accounting,
+    clip_mode,
 )
 from .baselines import KINDS, privatizer
 from .designer import DesignError, DesignSpec, design_mvu, validate_table
@@ -156,9 +157,9 @@ def _cmd_dme(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     mech = None
     if args.mechanism == "imvu":
-        # the round ledger reads eps' under an l1 clip and M under an l2 clip
-        mode = "pure" if args.clip_norm == "l1" else "rdp"
-        mech = attach_accounting(_run_mechanism(args), mode=mode)
+        # certify only the constant the round ledger reads
+        mech = _run_mechanism(args)
+        mech = attach_accounting(mech, mode=clip_mode(mech.clip))
     cfg = FlConfig(
         rounds=args.rounds,
         cohort=args.cohort,

@@ -177,9 +177,21 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def _rows_hold(rows, b_eq, x) -> bool:
+    """Whether ``x`` meets the rows of an LP given by ``_rows`` within
+    ``_LINPROG_CHECK_TOL``, with A x computed here from ``x``: HiGHS can
+    call an LP optimal, its row values meeting every row, while its x
+    misses them (2x128 at eps = 25, where the ratio rows carry e^25)."""
+    start, index, value, m_ub = rows
+    ax = np.bincount(index, value * np.repeat(x, np.diff(start)), minlength=m_ub + b_eq.size)
+    return bool(np.all(ax[:m_ub] <= _LINPROG_CHECK_TOL)
+                and np.all(np.abs(ax[m_ub:] - b_eq) <= _LINPROG_CHECK_TOL))
+
+
 def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
     """HiGHS on one design LP, given by ``_rows``, retried once without
-    presolve if it fails.
+    presolve if it fails; None if that fails too.  A solve whose x misses
+    the rows (``_rows_hold``) fails.
 
     Presolve calls LPs infeasible that sit on the feasibility boundary
     within the solver's tolerances (2x2 at eps = 25, at the largest
@@ -200,9 +212,9 @@ def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
             method="highs",
             options={**_LP_OPTIONS, "presolve": presolve},
         )
-        if res.success:
-            break
-    return res
+        if res.success and _rows_hold(rows, b_eq, res.x):
+            return res
+    return None
 
 
 class _HighsLP:
@@ -223,7 +235,7 @@ class _HighsLP:
         start, index, value, m_ub = rows
         # every row holds a coefficient, the last equality row included
         num_row = int(index.max()) + 1
-        self._core, self._m_ub = core, m_ub
+        self._core, self._rows, self._m_ub = core, rows, m_ub
         self._b_eq = np.zeros(num_row - m_ub)
         self._lb, self._ub = np.broadcast_to(np.asarray(bounds, dtype=float), (cost.size, 2)).T.copy()
         lp = core.HighsLp()
@@ -265,11 +277,10 @@ class _HighsLP:
                     or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
                 continue
             solution, fun = highs.getSolution(), highs.getInfo().objective_function_value
-            x, rows = np.array(solution.col_value), np.array(solution.row_value)
+            x = np.array(solution.col_value)
             if (not np.isnan(fun)
                     and np.all((x >= self._lb - _LINPROG_CHECK_TOL) & (x <= self._ub + _LINPROG_CHECK_TOL))
-                    and np.all(rows[:m] <= _LINPROG_CHECK_TOL)
-                    and np.all(np.abs(b_eq - rows[m:]) <= _LINPROG_CHECK_TOL)):
+                    and _rows_hold(self._rows, b_eq, x)):
                 return fun, x, np.array(solution.row_dual)[m:]
         return None
 
@@ -288,7 +299,7 @@ def _lp_solver(cost, rows, bounds=(PROB_FLOOR, 1.0)):
     except ImportError:
         def solve(b_eq):
             res = _linprog(cost, rows, b_eq, bounds)
-            return (res.fun, res.x, res.eqlin.marginals) if res.success else None
+            return None if res is None else (res.fun, res.x, res.eqlin.marginals)
 
         return solve
     return _HighsLP(core, cost, rows, bounds).solve
@@ -300,7 +311,7 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float) -> float:
     grid = _grid(b_in)
     rows = _rows(b_in, b_out, eps, alphabet)
     res = _linprog(np.tile(alphabet**2, b_in), rows, np.concatenate([np.ones(b_in), grid]))
-    return float(res.fun - np.sum(grid**2)) if res.success else np.inf
+    return np.inf if res is None else float(res.fun - np.sum(grid**2))
 
 
 def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:

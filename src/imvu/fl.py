@@ -49,6 +49,11 @@ class FlConfig:
     def __post_init__(self):
         if min(self.rounds, self.cohort, self.dims, self.client_samples, self.n_train) < 1:
             raise ValueError("counts must be positive")
+        # generate_synthetic draws both classes, and every client holds a sample
+        if self.n_train < 2:
+            raise ValueError("n_train must be at least 2, one sample per class")
+        if self.client_samples > self.n_train:
+            raise ValueError("client_samples must be at most n_train")
         for name in ("lr", "server_lr_scale"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive and finite")

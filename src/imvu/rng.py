@@ -8,21 +8,19 @@ take a whole batch, bit for bit as numpy runs each stream.  Stream states
 stay in this module: callers draw coordinate uniforms through the one walk,
 ``coordinate_blocks``.
 
-A batch goes one of two ways, as ``_in_limbs`` decides: seeding by the
-number of streams, drawing by that and the width of the block.  A few
-streams, and every wide block, go one stream at a time: numpy seeds each
-stream, and ``random_raw`` on the shared ``_DRAW`` draws from it.  Many
-streams run in limbs: each 128-bit value is a pair of uint64 arrays, and
-every stream moves through one pass of array arithmetic.  SeedSequence's
-32-bit hash runs on all rows at once; PCG64's seeding,
+A batch runs in uint64 limbs: each 128-bit value is a pair of uint64
+arrays, and every stream moves through one pass of array arithmetic.
+SeedSequence's 32-bit hash runs on all rows at once; PCG64's seeding,
 state = (initstate + inc) M + inc, is one LCG step from initstate + inc.
 PCG64 is an LCG, so k steps take a state s with increment
 inc to A_k s + C_k inc (mod 2**128), with A_k = M**k and
 C_k = 1 + M + ... + M**(k-1) (Brown, "Random number generation with
 arbitrary strides", 1994).  With A_k and C_k cached for every k up to
-``_JUMPS``, a stream's first output, and every output of a narrow block
-near the start of its stream, is one such jump followed by PCG64's XSL-RR
-output function.
+``_JUMPS``, a stream's first output, and every output of a block that ends
+within ``_JUMPS`` steps of its stream's start, is one such jump followed by
+PCG64's XSL-RR output function.  Only a block that ends past the cached
+jumps leaves limbs: ``random_raw`` on the shared ``_DRAW`` draws it, one
+stream at a time.
 """
 
 from __future__ import annotations
@@ -56,12 +54,12 @@ _SHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# The bit generator of every draw taken one stream at a time: each draw sets
-# the whole state first, so no caller sees another's, and holding the
-# generator's (reentrant) lock over the set-then-draw pair keeps threads
-# apart.  Only this path takes the lock; limb draws share nothing that is
-# written.  Setting one generator's state costs less than building one per
-# stream.
+# The bit generator of every block that ends past the cached jumps (the
+# 4096-wide coordinate blocks of a wide vector): each draw sets the whole
+# state first, so no caller sees another's, and holding the generator's
+# (reentrant) lock over the set-then-draw pair keeps threads apart.  Only
+# this path takes the lock; limb draws share nothing that is written.
+# Setting one generator's state costs less than building one per stream.
 _DRAW = np.random.PCG64(0)
 
 
@@ -185,11 +183,6 @@ def _group_seed_words(words: np.ndarray, wide: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(seeds, dtype="<u4").view("<u8")
 
 
-def _numpy_stream(entropy) -> np.random.PCG64:
-    """numpy's own PCG64 of one entropy tuple: the path of a stream on its own."""
-    return np.random.PCG64(np.random.SeedSequence(entropy))
-
-
 def pcg64_states(columns) -> np.ndarray:
     """``np.random.PCG64(np.random.SeedSequence(entropy)).state`` for n streams at once.
 
@@ -198,18 +191,11 @@ def pcg64_states(columns) -> np.ndarray:
     (n, 4) uint64 array, one row per stream: the high and low 64 bits of its
     state, then of its inc.
     """
-    entropy = _entropy_rows(columns)
-    if _in_limbs(len(entropy), 0):
-        # the seeded state is one step past the pre-seed state
-        states = _pre_seed(_seed_words(entropy))
-        hi, lo = _advance(states, 1, 1)
-        states[:, 0], states[:, 1] = hi[:, 0], lo[:, 0]
-        return states
-    rows = []
-    for e in entropy.tolist():
-        s = _numpy_stream(e).state["state"]
-        rows.append((s["state"] >> 64, s["state"] & _MASK64, s["inc"] >> 64, s["inc"] & _MASK64))
-    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+    # the seeded state is one step past the pre-seed state
+    states = _pre_seed(_seed_words(_entropy_rows(columns)))
+    hi, lo = _advance(states, 1, 1)
+    states[:, 0], states[:, 1] = hi[:, 0], lo[:, 0]
+    return states
 
 
 def substream_seeds(seed: int, *path) -> list[int]:
@@ -223,20 +209,18 @@ def substream_seeds(seed: int, *path) -> list[int]:
     columns = [_NAME_TAG, _as_entropy(seed)]
     columns += [p.astype(np.uint64) if isinstance(p, np.ndarray) else _as_entropy(p)
                 for p in path]
-    entropy = _entropy_rows(columns)
-    if _in_limbs(len(entropy), 0):
-        # the first output's state is two steps past the pre-seed state
-        first = _xsl_rr(*_advance(_pre_seed(_seed_words(entropy)), 2, 1))
-        first >>= np.uint64(2)
-        return first.ravel().tolist()
-    return [int(_numpy_stream(e).random_raw()) >> 2 for e in entropy.tolist()]
+    # the first output's state is two steps past the pre-seed state
+    first = _xsl_rr(*_advance(_pre_seed(_seed_words(_entropy_rows(columns))), 2, 1))
+    first >>= np.uint64(2)
+    return first.ravel().tolist()
 
 
 def stream_uniforms(states: np.ndarray, skip: int, width: int) -> np.ndarray:
     """``Generator.random`` draws ``skip`` to ``skip + width`` of each PCG64
     stream in ``states`` (``pcg64_states`` rows), one row per stream:
-    (raw >> 11) * 2**-53 per output."""
-    if _in_limbs(len(states), width, skip):
+    (raw >> 11) * 2**-53 per output, in limbs unless the block ends past
+    the cached jumps."""
+    if skip + width <= _JUMPS:
         raw = _xsl_rr(*_advance(states, skip + 1, width))
     else:
         raw = np.empty((len(states), width), dtype=np.uint64)
@@ -254,15 +238,8 @@ def stream_uniforms(states: np.ndarray, skip: int, width: int) -> np.ndarray:
 # PCG64 in uint64 limbs
 # ---------------------------------------------------------------------------
 
-# Where limbs pay, from a timeit map of both paths (2-core x86-64, numpy
-# 2.4): a batch in limbs costs about as much as _LIMB_STREAMS streams taken
-# one at a time, and each output in limbs about 1/_LIMB_WIDTH of a stream
-# more than by random_raw.  The two paths tie near 8 streams of 8 outputs,
-# 16 of 48 and 32 of 64; past about 90 outputs random_raw always wins.
-_LIMB_STREAMS = 7.3
-_LIMB_WIDTH = 88
-# Steps the cached jump constants reach: every block limbs take, starting
-# up to 40 outputs into its stream.
+# Steps the cached jump constants reach: the hard limit of a limb draw, which
+# ends at most this many outputs into its stream.
 _JUMPS = 128
 
 _LOW = np.uint64(_MASK32)
@@ -276,19 +253,6 @@ _32 = np.uint64(32)
 # 32-bit half of a low limb.
 _JUMP_ROWS = np.array([4, 5, 4, 6, 5, 7, 6, 7, 1, 0, 3, 2, 1, 3])
 _STATE_ROWS = np.array([4, 5, 6, 4, 7, 5, 6, 7, 0, 1, 2, 3, 1, 3])
-
-
-def _in_limbs(streams: int, width: int, skip: int = 0) -> bool:
-    """The one rule that picks a batch's path: ``streams`` streams, each
-    seeded (``width`` 0) or drawn ``skip`` to ``skip + width``.
-
-    In limbs, every stream of the batch goes through one pass of uint64
-    array arithmetic.  Otherwise each stream goes alone: numpy seeds it, and
-    ``random_raw`` on ``_DRAW`` draws from it.  The jump constants reach
-    ``_JUMPS`` steps.
-    """
-    return (streams * (1 - width / _LIMB_WIDTH) > _LIMB_STREAMS
-            and skip + width <= _JUMPS)
 
 
 def _limbs(pairs: np.ndarray) -> np.ndarray:

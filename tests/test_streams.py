@@ -34,6 +34,7 @@ from imvu import (
     fl,
     train_fl,
 )
+from imvu import rng
 from imvu.dme import privatize_clients
 from imvu.mechanism import _bracket, _sample, clip, privatize_vector, scale_input
 from imvu.rng import (
@@ -42,7 +43,6 @@ from imvu.rng import (
     _PCG_MULT,
     COORD_CHUNK,
     _as_entropy,
-    _in_limbs,
     _jump_table,
     coordinate_uniforms,
     pcg64_states,
@@ -296,16 +296,22 @@ def _as_pairs(states: np.ndarray) -> list[tuple[int, int]]:
     return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in states.tolist()]
 
 
+@st.composite
+def entropy_columns(draw):
+    """Up to 6 columns of up to 64 streams: each column is one part every
+    stream shares, or one part per stream."""
+    n = draw(st.integers(1, 64))
+    return [draw(st.one_of(parts.map(lambda p: [p]), st.lists(parts, min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
 @ORACLE_SETTINGS
-@given(data=st.data())
-def test_pcg64_states_match_numpy(data):
-    n = data.draw(st.integers(1, 64))
-    width = data.draw(st.integers(1, 6))
-    # each column is one part every stream shares, or one part per stream
-    columns = [data.draw(st.one_of(parts.map(lambda p: [p]),
-                                   st.lists(parts, min_size=n, max_size=n)))
-               for _ in range(width)]
-    # a batch of shared parts only is one stream
+@given(columns=entropy_columns())
+@example(columns=[[7]])
+@example(columns=[[_COORD_TAG], [1, 2**40, 2**32 - 1], [0]])
+def test_pcg64_states_match_numpy(columns):
+    # a batch of shared parts only is one stream; the second pin mixes
+    # entries of one 32-bit word and of two in one batch
     n = max(len(col) for col in columns)
     entropy = [[_as_entropy(col[k % len(col)]) for col in columns] for k in range(n)]
     batch = [np.array([_as_entropy(p) for p in col], dtype=np.uint64) if len(col) > 1
@@ -332,6 +338,17 @@ EDGE_STREAMS = [(0,), (3,), (41,)]
 LIMB_BATCH = EDGE_STREAMS + [(k,) for k in range(100, 113)]
 
 
+def _draw_path(states: np.ndarray, skip: int, width: int) -> str:
+    """The path ``stream_uniforms`` takes for this block, seen by whether it
+    runs the limb arithmetic: "limbs", or "raw" for ``random_raw``."""
+    calls = []
+    advance = rng._advance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_advance", lambda *a: calls.append(a) or advance(*a))
+        stream_uniforms(states, skip, width)
+    return "limbs" if calls else "raw"
+
+
 def test_edge_streams_reach_the_limb_edge_cases():
     low = 2**64 - 1
 
@@ -346,12 +363,12 @@ def test_edge_streams_reach_the_limb_edge_cases():
 
     assert [seeding(e) for e in EDGE_STREAMS] == [(True, True, 15), (False, False, 35),
                                                   (False, False, 0)]
-    # the pins below seed and draw in limbs, or one stream at a time
-    assert _in_limbs(len(LIMB_BATCH), 0) and _in_limbs(len(LIMB_BATCH), 8)
-    assert not _in_limbs(len(LIMB_BATCH), 120) and not _in_limbs(len(EDGE_STREAMS), 8)
-    # the last cached jump constant, and one step past it
-    assert _in_limbs(len(LIMB_BATCH), 3, _JUMPS - 3)
-    assert not _in_limbs(len(LIMB_BATCH), 3, _JUMPS - 2)
+    # the pins below draw in limbs, or by random_raw past the cached jumps:
+    # the last cached jump constant, one step past it, and a far block
+    batch = pcg64_states([np.array([e for e, in LIMB_BATCH], dtype=np.uint64)])
+    blocks = [(0, 8), (0, 120), (_JUMPS - 3, 3), (_JUMPS - 2, 3), (COORD_CHUNK - 3, 3)]
+    assert [_draw_path(batch, *b) for b in blocks] == ["limbs"] * 3 + ["raw"] * 2
+    assert _draw_path(batch[:len(EDGE_STREAMS)], 0, 8) == "limbs"
 
 
 def _carry_states() -> list[tuple[int, int]]:
@@ -375,9 +392,9 @@ def test_stream_uniforms_carry_the_lowest_column():
     for s, inc in pairs:
         low = (s % 2**64 & 2**32 - 1) * (_PCG_MULT % 2**64 & 2**32 - 1) % 2**32
         assert low + (inc & 2**32 - 1) >= 2**32
-    assert _in_limbs(len(pairs), 8)
     states = np.array([(s >> 64, s % 2**64, i >> 64, i % 2**64) for s, i in pairs],
                       dtype=np.uint64)
+    assert _draw_path(states, 0, 8) == "limbs"
     expected = []
     for s, inc in pairs:
         bits = np.random.PCG64()
@@ -401,7 +418,7 @@ def test_stream_uniforms_carry_the_lowest_column():
 @example(entropy=EDGE_STREAMS, skip=0, width=8)
 def test_stream_uniforms_match_generator_random(entropy, skip, width):
     # up to 64 streams of up to 120 outputs, often near the start of the
-    # stream: both sides of _in_limbs
+    # stream: both sides of the cached jumps' end
     skip = min(skip, COORD_CHUNK - width)
     entropy = [tuple(_as_entropy(p) for p in e) for e in entropy]
     # one batch: the tuples are of one length
@@ -443,8 +460,9 @@ def test_cohort_rows_sample_the_coordinate_walk_of_their_seed(coord_range):
         assert np.array_equal(got, expected)
 
 
-def _draws_from_six_threads_match(streams: int, width: int) -> None:
+def _draws_from_six_threads_match(streams: int, width: int, path: str) -> None:
     states = pcg64_states([_COORD_TAG, np.arange(2**40, 2**40 + streams, dtype=np.uint64), 0])
+    assert _draw_path(states, 5, width) == path
     expected = stream_uniforms(states, 5, width)
     mismatches = []
 
@@ -470,11 +488,10 @@ def _draws_from_six_threads_match(streams: int, width: int) -> None:
 def test_stream_uniforms_from_many_threads_match_one_thread():
     # the draws share one bit generator; a set-then-draw pair split by a
     # thread switch would hand one thread another's stream
-    assert not _in_limbs(6, 300, 5)
-    _draws_from_six_threads_match(6, 300)
+    _draws_from_six_threads_match(6, 300, "raw")
 
 
 def test_limb_stream_uniforms_from_many_threads_match_one_thread():
     # limb draws take no lock: they share only the read-only jump constants
-    assert _in_limbs(60, 20, 5) and not _jump_table().flags.writeable
-    _draws_from_six_threads_match(60, 20)
+    assert not _jump_table().flags.writeable
+    _draws_from_six_threads_match(60, 20, "limbs")
