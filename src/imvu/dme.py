@@ -89,10 +89,13 @@ def gaussian_inputs(scale: float = 0.1):
 def privatize_clients(priv, u: np.ndarray, rng: np.random.Generator, seeds) -> np.ndarray:
     """The decoded (n, d) messages of the cohort ``u`` under the privatizer ``priv``.
 
-    A baseline draws its noise from ``rng``; imvu samples with the n row
-    seeds that the zero-argument callable ``seeds`` returns, which only imvu
-    calls; identity only clips.  An FL round's server step is one such call
-    on the client gradients.
+    A baseline draws its noise from ``rng``; imvu samples with what the
+    zero-argument callable ``seeds`` returns, which only imvu calls: the n
+    row seeds, or the coordinate states derived from them (see
+    ``privatize_vector``); identity only clips.  An FL round's server step
+    is one such call on the client gradients, with states that ``train_fl``
+    derived ahead; ``dme_mse`` draws each trial's seeds from ``rng`` after
+    the trial's inputs, which is why ``seeds`` is a callable.
     """
     if isinstance(priv, InterpolatedMechanism):
         return privatize_vector(priv, u, seeds())[1]

@@ -19,8 +19,13 @@ from .mechanism import ClipConfig, InterpolatedMechanism
 # attributes here that bench/tracing.py wraps; a round privatizes through
 # ``dme.privatize_vector``
 from .mechanism import clip, privatize_vector  # noqa: F401
-from .rng import substream, substream_seeds
+from .rng import COORD_CHUNK, coordinate_states, substream, substream_seeds
 from .table_io import write_csv
+
+# The (round, client, chunk) coordinate streams whose states an imvu run
+# derives in one batch, 32 B each: blocks of whole rounds, at most 1 MiB of
+# states unless one round alone needs more.
+_BLOCK_STREAMS = 2**15
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,11 @@ class FlConfig:
             raise ValueError("separation must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        # a float seed would be truncated into an integer's streams
+        for name in ("seed", "data_seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) or name == "data_seed" and value is None):
+                raise ValueError(f"{name} must be an integer")
         privatizer(self.mechanism, self.clip, self.mech, self.noise)
 
 
@@ -139,6 +149,28 @@ def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     return (coeff[..., None] * x).mean(axis=-2)
 
 
+def _cohorts(cfg: FlConfig, n_clients: int, imvu: bool):
+    """Each round's chosen clients and, for imvu, their coordinate states.
+
+    Nothing here depends on the model: the cohorts come from a substream of
+    their own, and client c's seed in round t is
+    ``substream(seed, "privatize", t, c).integers(2**62)``.  So a block of
+    rounds is drawn ahead, and its seeds and states are derived in one
+    ``substream_seeds`` and one ``coordinate_states`` call.
+    """
+    cohort_rng = substream(cfg.seed, "cohort")
+    m = min(cfg.cohort, n_clients)
+    block = max(1, _BLOCK_STREAMS // (m * len(range(0, cfg.dims, COORD_CHUNK))))
+    for t0 in range(0, cfg.rounds, block):
+        rounds = np.arange(t0, min(t0 + block, cfg.rounds))
+        chosen = np.stack([cohort_rng.choice(n_clients, size=m, replace=False) for _ in rounds])
+        if imvu:
+            seeds = substream_seeds(cfg.seed, "privatize", np.repeat(rounds, m), chosen.ravel())
+            states = coordinate_states(seeds, 0, cfg.dims)
+        for r in range(rounds.size):
+            yield chosen[r], states[:, r * m:(r + 1) * m] if imvu else None
+
+
 def train_fl(cfg: FlConfig) -> TrainResult:
     """Run the training loop; deterministic under cfg.seed.
 
@@ -162,13 +194,12 @@ def train_fl(cfg: FlConfig) -> TrainResult:
 
     weights = np.zeros(cfg.dims)
     velocity = np.zeros(cfg.dims)
-    cohort_rng = substream(cfg.seed, "cohort")
+    cohorts = _cohorts(cfg, n_clients, isinstance(priv, InterpolatedMechanism))
     noise_rng = substream(cfg.seed, "baseline-noise")
 
     accuracy = np.empty(cfg.rounds)
     spent = np.empty(cfg.rounds)
-    for t in range(cfg.rounds):
-        chosen = cohort_rng.choice(n_clients, size=min(cfg.cohort, n_clients), replace=False)
+    for t, (chosen, states) in enumerate(cohorts):
         # one stacked gradient call per client size, at most two
         chosen_sizes = sizes[chosen]
         grads = np.empty((chosen.size, cfg.dims))
@@ -176,8 +207,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
             group = chosen_sizes == size
             rows = starts[chosen[group], None] + np.arange(size)
             grads[group] = client_update(weights, x[rows], y_signed[rows])
-        messages = privatize_clients(priv, grads, noise_rng,
-                                     lambda: substream_seeds(cfg.seed, "privatize", t, chosen))
+        messages = privatize_clients(priv, grads, noise_rng, lambda: states)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity

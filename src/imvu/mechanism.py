@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # coordinate_uniforms stays an attribute here, where bench/tracing.py wraps it
-from .rng import coordinate_blocks, coordinate_uniforms  # noqa: F401
+from .rng import coordinate_blocks, coordinate_states, coordinate_uniforms  # noqa: F401
 
 # Tolerances of the table invariants, and of the anadromy test.
 ROW_SUM_TOL = 1e-9
@@ -459,8 +459,10 @@ def privatize_vector(
     """Privatize a client vector, or a cohort of them: clip, scale, sample each coordinate.
 
     ``u`` is one vector with an integer ``seed``, or an (n, d) cohort with a
-    sequence of n integer seeds, one per row.  Returns (indices, decoded values) for
-    the coordinates in ``coord_range``, one row per client for a cohort.  The
+    sequence of n integer seeds, one per row, or with the coordinate streams
+    that ``rng.coordinate_states(seeds, lo, hi)`` derived from them for the
+    range [lo, hi) sampled here.  Returns (indices, decoded values) for the
+    coordinates in ``coord_range``, one row per client for a cohort.  The
     indices are the wire form, one ``table.bits``-wide symbol per coordinate.
     Randomness is a pure function of (seed, coordinate), so row k of a cohort
     is bit for bit the vector call on ``u[k]`` with ``seed[k]``, and a worker
@@ -474,22 +476,27 @@ def privatize_vector(
     if u.ndim not in (1, 2) or u.size == 0:
         raise ValueError("u must be a non-empty 1-D vector or (n, d) cohort")
     cohort = u.ndim == 2
-    integer = (int, np.integer)
-    seeds = list(seed) if cohort and not isinstance(seed, integer) else [seed]
-    # a float or string seed would be truncated or hashed into another's stream
-    if cohort == isinstance(seed, integer) or not all(isinstance(s, integer) for s in seeds):
-        raise ValueError("a vector takes one integer seed, a cohort a sequence of integer seeds")
-    d, n = u.shape[-1], len(seeds)
+    # a cohort's streams, derived ahead (a training run derives many rounds' at once)
+    states = seed if cohort and isinstance(seed, np.ndarray) and seed.ndim == 3 else None
+    if states is None:
+        integer = (int, np.integer)
+        seeds = list(seed) if cohort and not isinstance(seed, integer) else [seed]
+        # a float or string seed would be truncated or hashed into another's stream
+        if cohort == isinstance(seed, integer) or not all(isinstance(s, integer) for s in seeds):
+            raise ValueError("a vector takes one integer seed, a cohort a sequence of integer seeds")
+    d, n = u.shape[-1], len(seeds) if states is None else states.shape[1]
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
     clipped = np.atleast_2d(clip(u, mech.clip))  # raises on a non-finite row
     lo, hi = (0, d) if coord_range is None else coord_range
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
+    if states is None:
+        states = coordinate_states(seeds, lo, hi)
     table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
     x = scale_input(clipped[:, lo:hi], clip_c, beta)
     indices = np.empty(x.shape, dtype=np.intp)
-    for c0, c1, uniforms in coordinate_blocks(seeds, lo, hi):
+    for c0, c1, uniforms in coordinate_blocks(states, lo, hi):
         block = x[:, c0 - lo:c1 - lo]
         # clipping checked u, and clipping and scaling keep x finite
         i, t = _bracket(table.b_in, block.ravel())

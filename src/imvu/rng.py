@@ -1,11 +1,14 @@
 """Deterministic random-stream derivation shared by every randomized pipeline.
 
 Every stream is numpy's ``PCG64`` seeded through ``SeedSequence`` from an
-entropy tuple of labels.  ``substream`` builds one such generator by name.
-The per-client and per-coordinate-chunk streams of a federated round come in
-batches, and ``pcg64_states``, ``substream_seeds`` and ``stream_uniforms``
-take a whole batch, bit for bit as numpy runs each stream.  Stream states
-stay in this module: callers draw coordinate uniforms through the one walk,
+entropy tuple of labels, each a str or an integer.  ``substream`` builds one
+such generator by name.  The per-client and per-coordinate-chunk streams of
+a federated round come in batches, and ``pcg64_states``, ``substream_seeds``
+and ``stream_uniforms`` take a whole batch, bit for bit as numpy runs each
+stream; a batch may span many rounds, since no label depends on the model.
+Stream states stay in this module and the arrays it returns:
+``coordinate_states`` derives the states of a batch of coordinate streams,
+and callers draw coordinate uniforms from them through the one walk,
 ``coordinate_blocks``.
 
 A batch runs in uint64 limbs: each 128-bit value is a pair of uint64
@@ -66,7 +69,18 @@ _DRAW = np.random.PCG64(0)
 def _as_entropy(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
+    # a float would be truncated into an integer's stream
+    if not isinstance(part, (int, np.integer)):
+        raise ValueError(f"a stream label is a str or an integer, not {type(part).__name__}")
     return int(part) & _MASK64
+
+
+def _label_column(labels) -> np.ndarray:
+    """The uint64 entropy of a column of labels, one per stream: an integer
+    array as is (modulo 2**64), anything else label by label."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        return labels.astype(np.uint64)
+    return np.array([_as_entropy(p) for p in labels], dtype=np.uint64)
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -198,21 +212,21 @@ def pcg64_states(columns) -> np.ndarray:
     return states
 
 
-def substream_seeds(seed: int, *path) -> list[int]:
-    """``int(substream(seed, *path).integers(2**62))`` for a batch of paths.
+def substream_seeds(seed: int, *path) -> np.ndarray:
+    """``int(substream(seed, *path).integers(2**62))`` for a batch of paths,
+    as a uint64 array.
 
-    Each entry of ``path`` is a label (str or int) or an integer array that
-    gives one label per stream.  ``integers(2**62)`` is the first output
-    shifted right by 2: Lemire's bounded draw never rejects a power-of-two
-    range.
+    Each entry of ``path`` is a label (str or int) or an array that gives
+    one label per stream.  ``integers(2**62)`` is the first output shifted
+    right by 2: Lemire's bounded draw never rejects a power-of-two range.
     """
     columns = [_NAME_TAG, _as_entropy(seed)]
-    columns += [p.astype(np.uint64) if isinstance(p, np.ndarray) else _as_entropy(p)
+    columns += [_label_column(p) if isinstance(p, np.ndarray) else _as_entropy(p)
                 for p in path]
     # the first output's state is two steps past the pre-seed state
     first = _xsl_rr(*_advance(_pre_seed(_seed_words(_entropy_rows(columns))), 2, 1))
     first >>= np.uint64(2)
-    return first.ravel().tolist()
+    return first.ravel()
 
 
 def stream_uniforms(states: np.ndarray, skip: int, width: int) -> np.ndarray:
@@ -335,23 +349,45 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return out
 
 
-def coordinate_blocks(seeds, lo: int, hi: int):
+def _chunk_bases(lo: int, hi: int) -> range:
+    """The first coordinate of each ``COORD_CHUNK`` chunk that [lo, hi) meets."""
+    return range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK) if lo < hi else range(0)
+
+
+def coordinate_states(seeds, lo: int, hi: int) -> np.ndarray:
+    """The states of every (chunk, seed) coordinate stream of [lo, hi), derived
+    in one batch: a (chunks, len(seeds), 4) uint64 array of ``pcg64_states``
+    rows, one plane per ``COORD_CHUNK`` chunk that [lo, hi) meets.
+
+    ``seeds`` are integer labels, or an integer array such as
+    ``substream_seeds`` returns.  Coordinate k of seed s draws from the
+    stream of (s, k's chunk) alone, so the states of many cohorts, or many
+    rounds, can be derived at once and sliced along the seed axis.
+    """
+    seed_col, bases = _label_column(seeds), _chunk_bases(lo, hi)
+    if not bases:
+        return np.empty((0, seed_col.size, 4), dtype=np.uint64)
+    states = pcg64_states([_COORD_TAG, np.tile(seed_col, len(bases)),
+                           np.repeat(np.array(bases, dtype=np.uint64), seed_col.size)])
+    return states.reshape(len(bases), seed_col.size, 4)
+
+
+def coordinate_blocks(states: np.ndarray, lo: int, hi: int):
     """The coordinate walk: for each ``COORD_CHUNK`` block [c0, c1) of [lo, hi)
     in order, yields ``(c0, c1, draws)`` with one row of uniforms per seed.
 
-    Coordinate k of seed s draws from the stream of (s, k's chunk) alone, so
-    any chunk-aligned split of a range reproduces the draws of the whole.  The
-    states of every (seed, chunk) stream are derived in one batch.
+    ``states`` are ``coordinate_states(seeds, lo, hi)``, or a slice of them
+    along the seed axis.  Any chunk-aligned split of a range reproduces the
+    draws of the whole.
     """
-    if lo >= hi:
-        return
-    bases, n = range(lo - lo % COORD_CHUNK, hi, COORD_CHUNK), len(seeds)
-    seed_col = np.array([_as_entropy(s) for s in seeds], dtype=np.uint64)
-    states = pcg64_states([_COORD_TAG, np.tile(seed_col, len(bases)),
-                           np.repeat(np.array(bases, dtype=np.uint64), n)])
-    for k, base in enumerate(bases):
+    bases = _chunk_bases(lo, hi)
+    if not (isinstance(states, np.ndarray) and states.dtype == np.uint64
+            and states.ndim == 3 and states.shape[::2] == (len(bases), 4)):
+        raise ValueError(f"coordinate states of [{lo}, {hi}) are a uint64 array of shape "
+                         f"({len(bases)}, seeds, 4)")
+    for base, plane in zip(bases, states):
         c0, c1 = max(lo, base), min(hi, base + COORD_CHUNK)
-        yield c0, c1, stream_uniforms(states[k * n:(k + 1) * n], c0 - base, c1 - c0)
+        yield c0, c1, stream_uniforms(plane, c0 - base, c1 - c0)
 
 
 def coordinate_uniforms(seed: int, start: int, stop: int, dim: int) -> np.ndarray:
@@ -359,5 +395,6 @@ def coordinate_uniforms(seed: int, start: int, stop: int, dim: int) -> np.ndarra
     ``coordinate_blocks`` for the one seed, concatenated."""
     if not 0 <= start <= stop <= dim:
         raise ValueError(f"coordinate range [{start}, {stop}) out of bounds for dim {dim}")
-    blocks = [draws[0] for _, _, draws in coordinate_blocks([seed], start, stop)]
+    states = coordinate_states([seed], start, stop)
+    blocks = [draws[0] for _, _, draws in coordinate_blocks(states, start, stop)]
     return np.concatenate(blocks) if blocks else np.empty(0)

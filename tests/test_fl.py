@@ -285,3 +285,39 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
 def test_config_names_a_step_or_separation_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         _cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 1.0), ("seed", "1"), ("data_seed", 2.0), ("data_seed", np.float64(3)),
+])
+def test_config_rejects_a_non_integer_seed(field, value):
+    # a float seed was truncated: seed=1.5 replayed the run of seed 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _cfg(**{field: value})
+    assert _cfg(seed=np.int64(1), data_seed=np.uint32(2)).seed == 1
+
+
+@pytest.mark.parametrize("mechanism", ["identity", "laplace", "gaussian", "signsgd", "imvu"])
+def test_train_derives_client_streams_for_imvu_only(mechanism, monkeypatch):
+    # imvu derives a run's seeds and coordinate streams in one block of
+    # rounds; the other kinds draw no seed at all
+    from imvu import fl
+
+    calls = []
+
+    def counted(name):
+        original = getattr(fl, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("substream_seeds", "coordinate_states"):
+        monkeypatch.setattr(fl, name, counted(name))
+    clip = ClipConfig("l1" if mechanism in ("identity", "laplace") else "l2", 1.0)
+    train_fl(_cfg(mechanism=mechanism, clip=clip,
+                  mech=_imvu_mech(norm="l2") if mechanism == "imvu" else None,
+                  noise=None if mechanism in ("identity", "imvu") else 1.0))
+    assert calls == (["substream_seeds", "coordinate_states"] if mechanism == "imvu" else [])

@@ -10,7 +10,15 @@ without changing it.
 import importlib.util
 from pathlib import Path
 
-from imvu import ClipConfig, DesignSpec, InterpolatedMechanism, attach_accounting, design_mvu
+from imvu import (
+    ClipConfig,
+    DesignSpec,
+    FlConfig,
+    InterpolatedMechanism,
+    attach_accounting,
+    design_mvu,
+    fl,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,3 +54,24 @@ def test_tracer_counts_both_certifiers():
     summary = tracer.summary()
     assert summary["fisher_sup"]["calls"] == 1 and summary["fisher_sup"]["evals"] > 0
     assert summary["eps_prime"]["calls"] > 0
+
+
+def test_tracer_sees_every_layer_of_an_imvu_run():
+    # fl-cohort's per-layer metrics read these spans: a run that derives its
+    # streams ahead must still privatize and ask the ledger once per round
+    table = design_mvu(DesignSpec(2, 4, 2.0, symmetrize=True))
+    mech = attach_accounting(InterpolatedMechanism(table, clip=ClipConfig("l2", 1.0)))
+    cfg = FlConfig(rounds=7, cohort=9, dims=5, lr=0.3, clip=ClipConfig("l2", 1.0),
+                   mechanism="imvu", mech=mech, seed=4, n_train=40)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        fl.train_fl(cfg)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["train_fl"]["calls"] == 1
+    assert summary["privatize_vector"]["calls"] == cfg.rounds
+    assert summary["spent_epsilon"]["calls"] == cfg.rounds
+    # the data, the cohorts and the baseline noise
+    assert summary["substream"]["calls"] == 3

@@ -6,6 +6,7 @@ Tables come from the session cache; no LP is solved inside a hypothesis loop.
 """
 
 import hashlib
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,11 +30,13 @@ from imvu import (
     pmf,
     privatize_baseline,
     privatize_vector,
+    spent_epsilon,
     train_fl,
 )
 from imvu import fl
+from imvu.baselines import round_ledger
 from imvu.mechanism import PROB_FLOOR, _bracket, _sample, clip
-from imvu.rng import COORD_CHUNK, substream
+from imvu.rng import COORD_CHUNK, coordinate_states, substream
 
 from conftest import LN3, get_table
 
@@ -188,11 +191,14 @@ def test_cohort_privatize_matches_row_calls(prop_tables, data):
     rows = [privatize_vector(mech, u[k], seeds[k]) for k in range(n)]
     assert np.array_equal(idx, np.stack([r[0] for r in rows]))
     assert np.array_equal(dec, np.stack([r[1] for r in rows]))
-    # chunk-aligned workers reproduce the single call
+    # chunk-aligned workers reproduce the single call, from the seeds or from
+    # the coordinate states derived from them
     cuts = sorted(data.draw(st.sets(st.sampled_from(range(0, d + 1, COORD_CHUNK)))) | {0, d})
-    parts = [privatize_vector(mech, u, seeds, (lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1), idx)
-    assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), dec)
+    for stream in (lambda lo, hi: seeds, lambda lo, hi: coordinate_states(seeds, lo, hi)):
+        parts = [privatize_vector(mech, u, stream(lo, hi), (lo, hi))
+                 for lo, hi in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1), idx)
+        assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), dec)
 
 
 def test_cohort_privatize_needs_one_seed_per_row(prop_tables):
@@ -203,6 +209,24 @@ def test_cohort_privatize_needs_one_seed_per_row(prop_tables):
             privatize_vector(mech, u, seeds)
     with pytest.raises(ValueError, match="seed"):
         privatize_vector(mech, u[0], [1])
+
+
+def test_cohort_privatize_checks_the_states_it_is_given(prop_tables):
+    mech = InterpolatedMechanism(prop_tables[0])
+    d = COORD_CHUNK + 3
+    u = np.zeros((3, d))
+    states = coordinate_states([1, 2, 3], 0, d)
+    assert states.shape == (2, 3, 4)
+    for bad in (states.astype(np.int64), states.astype(float), states[:, :2], states[:1],
+                coordinate_states([1, 2, 3], 0, COORD_CHUNK), states[..., :3]):
+        with pytest.raises(ValueError):
+            privatize_vector(mech, u, bad)
+    # states of one range do not sample another with a different chunk count
+    with pytest.raises(ValueError, match="coordinate states"):
+        privatize_vector(mech, u, states, (0, 5))
+    # a vector takes one integer seed, never states
+    with pytest.raises(ValueError, match="integer seed"):
+        privatize_vector(mech, u[0], states[:, :1])
 
 
 def test_cohort_privatize_takes_only_integer_seeds():
@@ -225,14 +249,17 @@ def test_cohort_privatize_takes_only_integer_seeds():
 
 
 def _train_fl_per_client(cfg, weights_seen):
-    """train_fl's imvu loop with one privatize_vector call per client; records
-    the weights each client's gradient is taken at."""
+    """train_fl's imvu loop, round by round: each round draws its cohort and
+    each client's seed from numpy's own generators, and privatizes with one
+    privatize_vector call per client.  Returns the run's CSV and records the
+    weights each client's gradient is taken at."""
     x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
     y_signed = np.where(y == 0, -1.0, 1.0)
     client_slices = np.array_split(np.arange(cfg.n_train), cfg.n_train // cfg.client_samples)
     weights, velocity = np.zeros(cfg.dims), np.zeros(cfg.dims)
     cohort_rng = substream(cfg.seed, "cohort")
-    accuracy = np.empty(cfg.rounds)
+    ledger = round_ledger(cfg.mech, cfg.delta, cfg.alphas)
+    accuracy, spent = np.empty(cfg.rounds), np.empty(cfg.rounds)
     for t in range(cfg.rounds):
         chosen = cohort_rng.choice(len(client_slices), size=min(cfg.cohort, len(client_slices)),
                                    replace=False)
@@ -246,15 +273,13 @@ def _train_fl_per_client(cfg, weights_seen):
         velocity = cfg.momentum * velocity + messages.mean(axis=0)
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity
         accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
-    return accuracy
+        spent[t] = spent_epsilon(ledger, t + 1)
+    out = io.StringIO()
+    fl.TrainResult(accuracy, spent, float(accuracy[-1]), ledger).to_csv(out)
+    return out.getvalue()
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
-    table = get_table(2, 4, 1.0, symmetrize=True)
-    mech = attach_accounting(InterpolatedMechanism(table, clip=ClipConfig(norm, 1.0)))
-    cfg = FlConfig(rounds=8, cohort=25, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
-                   mechanism="imvu", mech=mech, seed=3, n_train=200)
+def _assert_train_fl_matches_per_client_loop(cfg, monkeypatch):
     expected_weights = []
     expected = _train_fl_per_client(cfg, expected_weights)
 
@@ -267,9 +292,46 @@ def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
         return update(weights, x, y)
 
     monkeypatch.setattr(fl, "client_update", recording)
-    result = train_fl(cfg)
-    assert np.array_equal(result.accuracy, expected)
+    out = io.StringIO()
+    train_fl(cfg).to_csv(out)
+    assert out.getvalue() == expected
     assert np.array_equal(np.array(seen), np.array(expected_weights))
+
+
+def _fl_mech(norm="l2"):
+    table = get_table(2, 4, 1.0, symmetrize=True)
+    return attach_accounting(InterpolatedMechanism(table, clip=ClipConfig(norm, 1.0)))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
+    cfg = FlConfig(rounds=8, cohort=25, dims=12, lr=0.3, clip=ClipConfig(norm, 1.0),
+                   mechanism="imvu", mech=_fl_mech(norm), seed=3, n_train=200)
+    _assert_train_fl_matches_per_client_loop(cfg, monkeypatch)
+
+
+# (rounds, cohort, dims, n_train, client_samples)
+PER_ROUND_CASES = {
+    "cohort-below-clients": (5, 25, 12, 200, 1),
+    "cohort-equals-clients": (5, 30, 12, 30, 1),
+    "client-samples-3": (5, 25, 12, 200, 3),
+    "dims-past-a-chunk": (3, 4, COORD_CHUNK + 5, 40, 1),
+}
+
+
+@pytest.mark.parametrize("rounds_per_block", [None, 1, 2])
+@pytest.mark.parametrize("case", list(PER_ROUND_CASES))
+def test_train_fl_matches_per_round_reference(case, rounds_per_block, monkeypatch):
+    # train_fl derives the seeds and coordinate streams of a block of rounds
+    # at once; a cap of a few streams makes a run cross several blocks
+    rounds, cohort, dims, n_train, client_samples = PER_ROUND_CASES[case]
+    if rounds_per_block is not None:
+        chunks = len(range(0, dims, COORD_CHUNK))
+        monkeypatch.setattr(fl, "_BLOCK_STREAMS", rounds_per_block * cohort * chunks + 1)
+    cfg = FlConfig(rounds=rounds, cohort=cohort, dims=dims, lr=0.3, clip=ClipConfig("l2", 1.0),
+                   mechanism="imvu", mech=_fl_mech(), seed=11, n_train=n_train,
+                   client_samples=client_samples)
+    _assert_train_fl_matches_per_client_loop(cfg, monkeypatch)
 
 
 def test_dme_cohort_call_matches_per_client_loop(table_factory):

@@ -44,6 +44,7 @@ from imvu.rng import (
     COORD_CHUNK,
     _as_entropy,
     _jump_table,
+    coordinate_states,
     coordinate_uniforms,
     pcg64_states,
     stream_uniforms,
@@ -327,7 +328,30 @@ def test_pcg64_states_match_numpy(columns):
 @example(seed=0, label="privatize", path=list(range(-8, 8)))
 def test_substream_seeds_match_generator_integers(seed, label, path):
     expected = [int(substream(seed, label, p).integers(2**62)) for p in path]
-    assert substream_seeds(seed, label, np.array(path, dtype=np.int64)) == expected
+    seeds = substream_seeds(seed, label, np.array(path, dtype=np.int64))
+    assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+
+
+def test_stream_labels_are_str_or_integer():
+    # a float label was truncated: substream(1.9, ...) replayed substream(1, ...)
+    for label in (1.9, 1.0, np.float64(2.0), None, b"x"):
+        with pytest.raises(ValueError, match="str or an integer"):
+            _as_entropy(label)
+        with pytest.raises(ValueError, match="str or an integer"):
+            substream(label, "x")
+        with pytest.raises(ValueError, match="str or an integer"):
+            substream_seeds(7, "x", label)
+    for column in (np.array([1.5, 2.0]), np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="str or an integer"):
+            substream_seeds(7, "x", column)
+        with pytest.raises(ValueError, match="str or an integer"):
+            coordinate_states(column, 0, 5)
+    # integer arrays of every width, and object arrays of Python ints, keep their streams
+    expected = [int(substream(7, "x", k).integers(2**62)) for k in (1, 2, 2**64 - 1)]
+    for column in (np.array([1, 2, -1]), np.array([1, 2, 2**64 - 1], dtype=np.uint64),
+                   np.array([1, 2, 2**64 - 1], dtype=object)):
+        assert substream_seeds(7, "x", column).tolist() == expected
+    assert substream_seeds(7, "x", np.array([1, 2], dtype=np.uint8)).tolist() == expected[:2]
 
 
 # Streams that take the limb arithmetic to its edge cases (checked below):
