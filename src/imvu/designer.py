@@ -7,7 +7,7 @@ metric-DP ratio constraints between adjacent rows, which telescope to every
 pair because the grid is uniform.  The alphabet scale s is searched exactly:
 in r = 1/s the LP's optimal value is convex and piecewise linear, so a few
 LP solves find all of its linear pieces, and the variance on each piece is
-a quadratic in s with a closed-form minimum.  A search keeps its LP in one
+least at an end, which those solves reach.  A search keeps its LP in one
 HiGHS model and re-solves it cold at every scale, moving only the right-hand
 side, with the numbers ``scipy.optimize.linprog`` gives; where scipy lacks
 its bundled HiGHS binding, every solve goes through ``linprog``.
@@ -384,19 +384,22 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     No r is solved twice; the LP after ``_LPS_PER_CELL`` per table cell,
     the free one included, raises ``DesignError`` instead.
 
-    On a piece g = alpha + gamma r the variance is alpha s^2 + gamma s -
-    const, minimized in closed form.  Variances within ``_PIECE_TOL`` of the
-    least tie, and the smallest of their scales wins; a winner inside a
-    piece is solved at its own r, and the best solved scale is returned.
-    ``DesignError`` if no LP solved.
+    On a piece g = alpha + gamma r the variance is V(s) = alpha s^2 +
+    gamma s - const, and V'(s) = alpha s + s g(1/s) >= alpha s as the cost
+    is non-negative: V increases where alpha >= 0 and is concave where
+    alpha < 0, so its least lies at an end of the piece, which the sandwich
+    has solved.  (The exact g is also even, so its slopes are >= 0 on the
+    bracket; HiGHS's need not be, at ratio rows of e^22 or more.)  Variances
+    within ``_PIECE_TOL`` of the least solved one tie, and the smallest of
+    their scales wins.  ``DesignError`` if no LP solved.
 
     Intervals that cannot hold the winner are dropped unsolved, as in Land
     & Doig's branch and bound (Econometrica 28, 1960).  The tangents la, lb
     at the ends of [ra, rb] support the convex g, so g >= max(la, lb) there,
-    and on s in [1/rb, 1/ra] every variance the interval could yield, at a
-    solved point or on a piece, is at least B = min F, F(s) = max(qa(s),
-    qb(s)), with qx(s) = (gx - dx rx) s^2 + dx s - const the quadratic of
-    tangent x (``_least_of_max``).  The interval is dropped when (i) B
+    and on s in [1/rb, 1/ra] every variance the interval could yield at a
+    point it solves is at least B = min F, F(s) = max(qa(s), qb(s)), with
+    qx(s) = (gx - dx rx) s^2 + dx s - const the quadratic of tangent x
+    (``_least_of_max``).  The interval is dropped when (i) B
     exceeds the least solved variance v* by more than the tie margin, so
     nothing inside ties with the final least, which is at most v*; or (ii)
     B is at least the least variance v_b solved at some r >= rb, so a tie
@@ -459,7 +462,6 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     if r_end > r_lo and (end is None or not dropped(r_lo, r_end, [end])):
         if (start := tangent(r_lo)) is not None and end is not None:
             stack.append((start, end))
-    lines = []
     while stack:
         (ra, ga, da, _), (rb, gb, db, _) = a, b = stack.pop()
         if dropped(ra, rb, [a, b]):
@@ -472,34 +474,22 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
             rc = ra
         else:
             rc = (gb - ga + da * ra - db * rb) / (da - db)
-        if rc >= rb * (1.0 - _PIECE_TOL):
-            lines.append((ra, rb, ga - da * ra, da))
-        elif rc <= ra * (1.0 + _PIECE_TOL):
-            lines.append((ra, rb, gb - db * rb, db))
-        elif (c := tangent(rc)) is None:
+        # one piece, a failed LP, or two pieces meeting at rc: nothing to split
+        if (rc >= rb * (1.0 - _PIECE_TOL) or rc <= ra * (1.0 + _PIECE_TOL)
+                or (c := tangent(rc)) is None or c[1] - ga - da * (rc - ra) <= tol):
             continue
-        elif c[1] - ga - da * (rc - ra) <= tol:
-            lines += [(ra, rc, ga - da * ra, da), (rc, rb, gb - db * rb, db)]
-        else:
-            stack += [(a, c), (c, b)]
+        stack += [(a, c), (c, b)]
 
     # The upper end of the scale bracket is always feasible: the two-letter
     # linear table is metric-DP once s >= 1/2 + 1/eps, which hi exceeds.  No
     # solved LP therefore means the solver failed.
     if not any(solved.values()):
         raise DesignError(f"design LP solver failed at every scale in [{lo:.4f}, {hi:.4f}]")
-    minima = [(alpha * s**2 + gamma * s - const, s, None) for ra, rb, alpha, gamma in lines
-              if alpha > 0.0 and 1.0 / rb < (s := -gamma / (2.0 * alpha)) < 1.0 / ra]
-    # a winning interior minimum is solved, and the solved scales compete again
-    for extra in (minima, []):
-        points = filter(None, solved.values())
-        cands = extra + [(g / r**2 - const, 1.0 / r, x) for r, g, _, x in points]
-        least = min(c[0] for c in cands)
-        ties = [c for c in cands if c[0] <= least + _PIECE_TOL * abs(least)]
-        _, scale, probs = min(ties, key=lambda c: c[1])
-        if probs is not None:
-            return scale, probs
-        tangent(1.0 / scale)
+    cands = [(g / r**2 - const, 1.0 / r, x) for r, g, _, x in filter(None, solved.values())]
+    least = min(c[0] for c in cands)
+    ties = [c for c in cands if c[0] <= least + _PIECE_TOL * abs(least)]
+    _, scale, probs = min(ties, key=lambda c: c[1])
+    return scale, probs
 
 
 def design_mvu(spec: DesignSpec) -> MechanismTable:

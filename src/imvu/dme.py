@@ -86,19 +86,20 @@ def gaussian_inputs(scale: float = 0.1):
     return draw
 
 
-def privatize_clients(priv, u: np.ndarray, rng: np.random.Generator, seeds) -> np.ndarray:
+def privatize_clients(priv, u: np.ndarray, rng: np.random.Generator, states=None) -> np.ndarray:
     """The decoded (n, d) messages of the cohort ``u`` under the privatizer ``priv``.
 
-    A baseline draws its noise from ``rng``; imvu samples with what the
-    zero-argument callable ``seeds`` returns, which only imvu calls: the n
-    row seeds, or the coordinate states derived from them (see
-    ``privatize_vector``); identity only clips.  An FL round's server step
-    is one such call on the client gradients, with states that ``train_fl``
-    derived ahead; ``dme_mse`` draws each trial's seeds from ``rng`` after
-    the trial's inputs, which is why ``seeds`` is a callable.
+    A baseline draws its noise from ``rng``; imvu samples with the
+    coordinate ``states`` when given (see ``privatize_vector``), and
+    otherwise with n row seeds it draws from ``rng``; identity only clips.
+    An FL round's server step is one such call on the client gradients,
+    with states that ``train_fl`` derived ahead; a ``dme_mse`` trial passes
+    none, so its seeds are drawn after its inputs.
     """
     if isinstance(priv, InterpolatedMechanism):
-        return privatize_vector(priv, u, seeds())[1]
+        if states is None:
+            states = rng.integers(0, 2**63 - 1, size=len(u))
+        return privatize_vector(priv, u, states)[1]
     if isinstance(priv, BaselineConfig):
         return privatize_baseline(u, priv, rng)
     return clip(u, priv)
@@ -115,6 +116,9 @@ def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
     the per-coordinate MSE averaged over trials and the exact bits per
     coordinate on the wire.
     """
+    for name, count in (("n_clients", n_clients), ("d", d), ("trials", trials)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_clients < 1 or d < 1 or trials < 1:
         raise ValueError("n_clients, d and trials must be at least 1")
     if kind_of(cfg) != mechanism:
@@ -122,8 +126,7 @@ def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
     errors = np.empty(trials)
     for t in range(trials):
         u = input_dist(rng, n_clients, d)
-        decoded = privatize_clients(cfg, u, rng,
-                                    lambda: rng.integers(0, 2**63 - 1, size=n_clients))
+        decoded = privatize_clients(cfg, u, rng)
         err = decoded.mean(axis=0) - u.mean(axis=0)
         errors[t] = float(np.mean(err**2))
     return float(errors.mean()), wire_bits(cfg)

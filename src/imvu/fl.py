@@ -52,6 +52,10 @@ class FlConfig:
                                           # budgets on one dataset
 
     def __post_init__(self):
+        for name in ("rounds", "cohort", "dims", "client_samples", "n_train"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.rounds, self.cohort, self.dims, self.client_samples, self.n_train) < 1:
             raise ValueError("counts must be positive")
         # generate_synthetic draws both classes, and every client holds a sample
@@ -207,7 +211,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
             group = chosen_sizes == size
             rows = starts[chosen[group], None] + np.arange(size)
             grads[group] = client_update(weights, x[rows], y_signed[rows])
-        messages = privatize_clients(priv, grads, noise_rng, lambda: states)
+        messages = privatize_clients(priv, grads, noise_rng, states)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * cfg.server_lr_scale * velocity

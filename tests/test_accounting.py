@@ -506,6 +506,21 @@ def test_every_entry_point_rejects_an_order_that_is_not_finite_above_one(bad):
         rdp_to_dp(np.array([0.1, 0.2]), 1e-5, alphas=[bad, 2.0])
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: PrivacyLedger(np.array([0.1, 0.2]), alphas=(4.0, 2.0)),
+                 "alphas must be ascending", id="ledger-descending"),
+    pytest.param(lambda: PrivacyLedger(np.array([0.1, 0.2]), alphas=(2.0, 2.0)),
+                 "alphas must be ascending", id="ledger-repeated"),
+    pytest.param(lambda: rdp_to_dp(np.array([0.1]), 1e-5, (2.0, 4.0)),
+                 "eps_alphas must align with the alpha grid", id="rdp_to_dp-shape"),
+    pytest.param(lambda: rdp_to_dp(np.array([0.1, 0.2]), 1.0, (2.0, 4.0)),
+                 r"delta must lie in \(0, 1\)", id="rdp_to_dp-delta"),
+])
+def test_ledger_and_conversion_reject_malformed_orders_and_delta(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
 def test_ledger_rejects_a_per_round_cost_that_is_not_finite_and_non_negative(bad):
     with pytest.raises(ValueError, match="per-round costs"):

@@ -18,6 +18,13 @@ def test_config_validation():
         BaselineConfig("staircase", ClipConfig("l2", 1.0), 1.0)
 
 
+@pytest.mark.parametrize("u", [np.zeros((2, 2, 2)), np.float64(0.5)])
+def test_privatize_baseline_rejects_an_input_that_is_not_a_vector_or_cohort(u):
+    cfg = BaselineConfig("laplace", ClipConfig("l1", 1.0), 1.0)
+    with pytest.raises(ValueError, match=r"u must be a 1-D vector or \(n, d\) cohort"):
+        privatize_baseline(u, cfg, np.random.default_rng(0))
+
+
 def test_laplace_high_eps_is_identity_like():
     cfg = BaselineConfig("laplace", ClipConfig("l1", 1.0), 1e12)
     u = np.array([0.2, -0.3, 0.1])

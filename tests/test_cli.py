@@ -124,6 +124,24 @@ def test_validate_corrupted_file_exits_one(tmp_path, capsys):
     assert "invariant" in captured.err or "error" in captured.err
 
 
+def test_validate_names_the_check_that_fails_and_where(tmp_path, capsys):
+    # row 1's mean is off by 3e-7: within the 1e-6 a table is built at,
+    # outside the 1e-8 it is validated at
+    doc = {"format_version": 2, "b_in": 2, "b_out": 2, "metric": "l1", "design_eps": 1.2,
+           "grid": [0.0, 1.0], "alphabet": [-0.5, 1.5 + 4e-7],
+           "log_probs": np.log([[0.75, 0.25], [0.25, 0.75]]).tolist(),
+           "accounting": {"eps_prime": None, "fisher_m": None, "beta": 1.0,
+                          "clip_norm": "l2", "clip_c": 1.0}}
+    mech_path = tmp_path / "m.json"
+    mech_path.write_text(json.dumps(doc))
+    assert run("validate", "--mech", str(mech_path)) == 0
+    capsys.readouterr()
+    assert run("validate", "--mech", str(mech_path), "--tol", "1e-8") == 1
+    captured = capsys.readouterr()
+    assert "unbiasedness: max violation 3.000e-07 [FAIL]" in captured.out
+    assert captured.err == "error: check 'unbiasedness' failed at row 1\n"
+
+
 @pytest.mark.parametrize("b_in, b_out", [(2, 2049), (2049, 2)])
 def test_validate_rejects_a_table_over_the_cell_limit(tmp_path, capsys, b_in, b_out):
     # 4096 cells at most; the file is refused before the all-pairs check

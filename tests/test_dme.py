@@ -75,6 +75,8 @@ def test_sweep_rejects_mismatched_tables():
         sweep_bias_variance([get_table(2, 8, 5.0), get_table(2, 4, 5.0)], eps=5.0)
     with pytest.raises(ValueError):
         sweep_bias_variance([get_table(2, 8, 5.0)], eps=1.0)
+    with pytest.raises(ValueError, match="need at least one table"):
+        sweep_bias_variance([], eps=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,19 @@ def test_dme_imvu_error_shrinks_with_clients(rr_table):
     mse_small, _ = dme_mse(5, 8, gaussian_inputs(0.05), "imvu", mech, rng, trials=60)
     mse_large, _ = dme_mse(500, 8, gaussian_inputs(0.05), "imvu", mech, rng, trials=60)
     assert mse_large < mse_small / 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_clients", 2.5), ("n_clients", True), ("d", 2.5), ("trials", 1.5),
+])
+def test_dme_rejects_a_count_that_is_not_an_integer(field, value):
+    # these failed inside numpy, with a TypeError
+    counts = {"n_clients": 3, "d": 4, "trials": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        dme_mse(counts["n_clients"], counts["d"], gaussian_inputs(), "identity",
+                ClipConfig("l2", 1.0), np.random.default_rng(0), trials=counts["trials"])
+    dme_mse(np.int64(3), np.int32(4), gaussian_inputs(), "identity", ClipConfig("l2", 1.0),
+            np.random.default_rng(0), trials=np.uint8(2))
 
 
 def test_dme_input_validation():

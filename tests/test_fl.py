@@ -249,6 +249,9 @@ def test_train_config_validation():
         _cfg(rounds=0)
     with pytest.raises(ValueError):
         _cfg(momentum=1.0)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)"):
+            _cfg(delta=delta)
     with pytest.raises(ValueError, match="unknown mechanism"):
         _cfg(mechanism="quantum")
     with pytest.raises(ValueError, match="noise"):
@@ -281,6 +284,9 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
     ("server_lr_scale", -1.0), ("server_lr_scale", 0.0), ("server_lr_scale", np.inf),
     ("server_lr_scale", np.nan), ("lr", np.nan), ("lr", np.inf), ("lr", -0.3),
     ("separation", np.nan), ("separation", np.inf), ("n_train", 1), ("client_samples", 121),
+    # counts that are not integers failed only in train_fl, with a TypeError
+    ("rounds", 2.5), ("rounds", True), ("cohort", 2.5), ("dims", 2.5), ("n_train", 20.5),
+    ("client_samples", 1.5),
 ])
 def test_config_names_a_step_or_separation_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -295,6 +301,8 @@ def test_config_rejects_a_non_integer_seed(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         _cfg(**{field: value})
     assert _cfg(seed=np.int64(1), data_seed=np.uint32(2)).seed == 1
+    assert _cfg(rounds=np.int64(2), cohort=np.int32(3), dims=np.uint8(4), n_train=np.int64(9),
+                client_samples=np.int16(2)).rounds == 2
 
 
 @pytest.mark.parametrize("mechanism", ["identity", "laplace", "gaussian", "signsgd", "imvu"])

@@ -25,7 +25,7 @@ from imvu import (
 from imvu.mechanism import MAX_TABLE_CELLS, table_violations
 from imvu.rng import COORD_CHUNK, coordinate_uniforms
 
-from conftest import LN3
+from conftest import LN3, get_table
 
 
 def _mech(table, norm="l2", c=1.0, beta=1.0):
@@ -107,6 +107,39 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
         tracemalloc.stop()
     assert checks["metric_dp"] == (0.0, "")
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda t: ClipConfig("linf", 1.0), "clip norm must be 'l1' or 'l2'", id="clip-norm"),
+    pytest.param(lambda t: ClipConfig("l2", 0.0), "clip_c must be positive", id="clip_c"),
+    pytest.param(lambda t: MechanismTable(t.alphabet, t.log_probs, 0.0), "design_eps must be",
+                 id="design_eps"),
+    pytest.param(lambda t: table_violations(t.alphabet, 1.0, t.log_probs[0]),
+                 r"log_probs must be a \(b_in, b_out\) array", id="log_probs-1d"),
+    pytest.param(lambda t: table_violations(t.alphabet[:1], 1.0, t.log_probs[:, :1]),
+                 r"log_probs must be a \(b_in, b_out\) array", id="log_probs-one-letter"),
+    pytest.param(lambda t: table_violations(t.alphabet[:1], 1.0, t.log_probs),
+                 r"alphabet must have shape \(2,\)", id="alphabet-shape"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta=0.0), "beta must be", id="beta"),
+    pytest.param(lambda t: InterpolatedMechanism(t, eps_prime=np.nan), "eps_prime must be",
+                 id="eps_prime"),
+    pytest.param(lambda t: InterpolatedMechanism(get_table(3, 2, 1.0), fisher_m=1.0),
+                 "fisher_m is only defined for tables with b_in=2", id="fisher_m-three-rows"),
+    pytest.param(lambda t: InterpolatedMechanism(t, fisher_m=np.inf), "fisher_m must be",
+                 id="fisher_m-inf"),
+    pytest.param(lambda t: clip(np.zeros((2, 2, 2)), ClipConfig("l2", 1.0)),
+                 r"u must be a vector or an \(n, d\) array", id="clip-3d"),
+    pytest.param(lambda t: privatize_vector(_mech(t), np.zeros(4), 0, (0, 5)),
+                 r"coordinate range \[0, 5\) out of bounds for dim 4", id="privatize-range"),
+    pytest.param(lambda t: privatize_vector(_mech(t), np.zeros(4), 0, (3, 2)),
+                 r"coordinate range \[3, 2\) out of bounds", id="privatize-reversed-range"),
+    pytest.param(lambda t: coordinate_uniforms(0, 2, 5, 4),
+                 r"coordinate range \[2, 5\) out of bounds for dim 4", id="uniforms-range"),
+])
+def test_rejects_an_argument_out_of_its_domain(rr_table, call, match):
+    with pytest.raises(ValueError, match=match) as err:
+        call(rr_table)
+    assert type(err.value) is ValueError
 
 
 def test_table_arrays_immutable(rr_table):

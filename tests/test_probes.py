@@ -10,6 +10,8 @@ without changing it.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from imvu import (
     ClipConfig,
     DesignSpec,
@@ -17,8 +19,10 @@ from imvu import (
     InterpolatedMechanism,
     attach_accounting,
     design_mvu,
+    dme,
     fl,
 )
+from imvu.rng import COORD_CHUNK
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -75,3 +79,20 @@ def test_tracer_sees_every_layer_of_an_imvu_run():
     assert summary["spent_epsilon"]["calls"] == cfg.rounds
     # the data, the cohorts and the baseline noise
     assert summary["substream"]["calls"] == 3
+
+
+def test_tracer_sees_every_trial_of_a_wide_imvu_dme_run():
+    # dme-wide's per-layer metrics read these spans: each trial privatizes
+    # its cohort through dme.privatize_vector, over more than one chunk
+    table = design_mvu(DesignSpec(2, 4, 2.0))
+    mech = InterpolatedMechanism(table, clip=ClipConfig("l2", 1.0))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        dme.dme_mse(2, COORD_CHUNK + 5, dme.gaussian_inputs(), "imvu", mech,
+                    np.random.default_rng(3), trials=3)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["dme_mse"]["calls"] == 1
+    assert summary["privatize_vector"]["calls"] == 3

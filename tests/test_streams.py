@@ -166,8 +166,7 @@ def _dme_digest(kind: str, norm: str) -> str:
         cfg = BaselineConfig(kind, ClipConfig(norm, 1.0), {"laplace": 8.0}.get(kind, 0.2))
     mse, bits = dme_mse(7, 13, _spread_inputs, kind, cfg, np.random.default_rng(9), trials=3)
     rng = np.random.default_rng(10)
-    decoded = privatize_clients(cfg, _spread_inputs(rng, 7, 13), rng,
-                                lambda: rng.integers(0, 2**63 - 1, size=7))
+    decoded = privatize_clients(cfg, _spread_inputs(rng, 7, 13), rng)
     h = hashlib.sha256(repr((mse, bits)).encode())
     h.update(np.ascontiguousarray(decoded).tobytes())
     return h.hexdigest()

@@ -70,8 +70,9 @@ def test_reject_wrong_version(saved):
     doc = json.loads(path.read_text())
     doc["format_version"] = FORMAT_VERSION + 1
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format_version"):
-        load_mechanism(path)
+    for load in (load_mechanism, load_table):
+        with pytest.raises(ValueError, match="format_version"):
+            load(path)
 
 
 def test_reject_previous_version_asks_for_reattach(saved):
@@ -223,6 +224,23 @@ def test_reject_size_that_is_not_the_shape_of_log_probs(saved, field):
     with pytest.raises(ValueError, match="must have shape") as err:
         mechanism_from_dict(doc)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(lambda doc: doc["grid"].append(1.0), r"grid must have shape \(2,\)", id="grid"),
+    # 1/(b_in - 1) in the grid check would raise ZeroDivisionError here
+    pytest.param(lambda doc: doc.update(b_in=1, grid=[0.0], log_probs=doc["log_probs"][:1]),
+                 "b_in and b_out at least 2", id="one-row"),
+])
+def test_reject_a_grid_or_a_table_of_the_wrong_size(saved, edit, match):
+    path, _ = saved
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    for load in (load_mechanism, load_table):
+        with pytest.raises(ValueError, match=match) as err:
+            load(path)
+        assert type(err.value) is ValueError
 
 
 def test_reject_metric_other_than_l1(saved):
