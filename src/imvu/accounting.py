@@ -11,8 +11,9 @@ two-row table whose natural parameters are anadromic, which the table's
 
 Both constants are *certified upper bounds* from cumulant identities of the
 exponential family exp(eta + t theta), never bare estimates: eps' from
-interval endpoints plus a rounding pad, M from a line search with a
-closed-form curvature pad.  A ``PrivacyLedger`` holds the cost of one round;
+interval endpoints plus a rounding pad, M from Popoviciu's variance bound
+when it already meets I(1/2), else from a line search with a closed-form
+curvature pad.  A ``PrivacyLedger`` holds the cost of one round;
 ``compose(ledger, rounds)`` adds rounds up, with no subsampling amplification,
 and ``spent_epsilon`` converts an RDP total to (eps, delta)-DP once, at the end.
 """
@@ -23,15 +24,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mechanism import (InterpolatedMechanism, MechanismTable, _anadromic_residual,
-                        _finite_inputs, _softmax, _softmax_terms)
+from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable,
+                        _anadromic_residual, _finite_inputs, _pairwise_sum, _softmax,
+                        _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
 
 FISHER_TOL = 1e-9
 VERIFY_TOL = 1e-9
-_TIE_MARGIN = 1e-12
+
+# Halvings of the tail bisection settled by one kernel call on the 2**k - 1
+# midpoints they could visit; the doubling tries as many candidates per call.
+_TAIL_HALVINGS = 4
 
 # Refinement schedule of the certified line search: points per segment, a
 # hard cap on total evaluations before giving up, and segments per evaluation.
@@ -55,7 +60,15 @@ class MissingConstantsError(AccountingError):
 
 @dataclass(frozen=True)
 class FisherDiagnostics:
-    """Trace of one Fisher-supremum run."""
+    """Trace of one Fisher-supremum run.
+
+    ``evaluations`` counts the inputs whose information or tail mass the
+    search used: I(1/2) alone when the early certificate settles the bound,
+    else also every doubling try and bisection midpoint that a one-at-a-time
+    search takes, and every point of the line search.  The tail search's
+    batched calls compute up to 2**_TAIL_HALVINGS - 2 more midpoints per call,
+    which are not counted.  ``rounds`` counts the line search's rounds.
+    """
 
     i_star: float
     x_max: float
@@ -149,28 +162,104 @@ def fisher_info(table: MechanismTable, x) -> float | np.ndarray:
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _group_mass(table: MechanismTable, x: float, group: np.ndarray) -> float:
-    _, z, total = _softmax_terms(table.log_probs, 0, np.array([x]))
-    return float(z[group, 0].sum() / total[0])
+def _group_mass(table: MechanismTable, xs: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Softmax mass of the letters in ``group`` at each input of ``xs``, each
+    input's group summed in the order of numpy's sum over that input alone."""
+    _, z, total = _softmax_terms(table.log_probs, 0, xs)
+    return _pairwise_sum(z[group]) / total
+
+
+def _variance_cap(theta: np.ndarray) -> float:
+    """Popoviciu's bound R^2/4 on Var_x(theta) at every real x, R the range of
+    theta, padded so that the float bounds the exact value.
+
+    Each computed theta_j is within eps/2 |theta_j| of the exact difference of
+    the stored parameters, so the exact range exceeds the computed one by at
+    most eps (range + 2 max|theta|); 4 eps (range + max|theta|) covers that
+    and the rounding of the sum, and the factor 1 + 2 eps the square and the
+    product.
+    """
+    eps = np.finfo(float).eps
+    t_max, t_min = float(theta.max()), float(theta.min())
+    spread = t_max - t_min
+    reach = spread + 4.0 * eps * (spread + max(t_max, -t_min))
+    return reach**2 / 4.0 * (1.0 + 2.0 * eps)
+
+
+def _tail_end(table: MechanismTable, group: np.ndarray, target: float) -> tuple[float, int]:
+    """(x_max, evaluations): where the mass of ``group`` first reaches
+    ``target`` right of x = 1/2, to within 1e-12 or float resolution.
+
+    Doubling from 1/2 brackets the crossing and bisection closes in on it,
+    keeping the right end so the tail certificate holds past x_max.  Each
+    kernel call tries 2**k - 1 doublings, or evaluates the 2**k - 1 midpoints
+    that the next k = ``_TAIL_HALVINGS`` halvings could visit, each as
+    ``0.5 * (lo + hi)`` of the ends that halving would have: x_max and the
+    count are those of a one-at-a-time search, bit for bit.
+    """
+    block = 2**_TAIL_HALVINGS - 1
+    tries = 0.5 * 2.0 ** np.arange(201)   # 1/2 and its doublings, each exact
+    for start in range(0, tries.size, block):
+        xs = tries[start : start + block]
+        reached = np.flatnonzero(_group_mass(table, xs, group) >= target)
+        if reached.size:
+            break
+    else:
+        raise AccountingError("argmax mass never reached the tail threshold")
+    doubled = start + int(reached[0])
+    lo, hi = 0.5, float(tries[doubled])
+    halvings = 0
+    while True:
+        ends = np.array([lo, hi])
+        for _ in range(_TAIL_HALVINGS):
+            grown = np.empty(2 * ends.size - 1)
+            grown[::2], grown[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
+            ends = grown
+        below = (_group_mass(table, ends[1:-1], group) < target).tolist()
+        ends = ends.tolist()
+        a, b = 0, len(ends) - 1
+        while b - a > 1:
+            # 200 halvings reach either the 1e-12 tolerance or float resolution;
+            # stopping early only widens the searched interval, never the bound
+            m = (a + b) // 2
+            if halvings == 200 or ends[b] - ends[a] <= 1e-12 or not ends[a] < ends[m] < ends[b]:
+                return ends[b], 1 + doubled + halvings
+            halvings += 1
+            if below[m - 1]:
+                a = m
+            else:
+                b = m
+        lo, hi = ends[a], ends[b]
 
 
 def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
     """Certified supremum of the Fisher information over the whole real line.
 
     Anadromic parameters make x = 1/2 a stationary point and the information
-    symmetric about it, so only [1/2, x_max] needs searching.  x_max comes
-    from the tail bound I(x) <= 4 theta_max^2 s (1 - s) with s the softmax
-    mass of the argmax-theta letters: once that mass passes the level where
-    the bound drops below I(1/2), no larger value can occur further out.  The
-    mass is strictly increasing in x, so x_max is found by bisection.  As
-    I = Var_x(theta) <= R^2/4, R the range of theta, and |I''| = |kappa_4| <=
-    R^4/4, I on a step of width w is at most min(R^2/4, larger endpoint value
-    + R^4 w^2/32).  The line search refines the steps whose bound beats the
-    best value, until the pad is below FISHER_TOL everywhere.
+    symmetric about it.  Three steps follow, each only if the one before did
+    not settle the bound.
 
-    Ties in the argmax of theta are handled by using the total mass of the
-    tied group, which leaves the tail bound intact and reduces to the single
-    argmax formula when the margin is large.
+    1. The early certificate.  I(x) = Var_x(theta) <= R^2/4 at every x, R the
+       range of theta (Popoviciu's inequality), so when that cap, padded for
+       rounding, is at most I(1/2) + FISHER_TOL, I(1/2) + FISHER_TOL is the
+       bound after one evaluation.
+    2. The tail.  Take G, the letters whose theta lies within ANADROMIC_TOL
+       (the table's own tolerance) of theta_max, t_G their least theta and s
+       their softmax mass.  As |theta| <= theta_max, E theta >= s (t_G +
+       theta_max) - theta_max, and where that is >= 0, I(x) <= theta_max^2 -
+       (s (t_G + theta_max) - theta_max)^2, which is <= I(1/2) once s reaches
+       (theta_max + sqrt(theta_max^2 - I(1/2))) / (t_G + theta_max).  G holds
+       every letter above t_G, so s grows strictly with x, and x_max, where s
+       reaches that level, is found by bisection (``_tail_end``).  Any such G
+       gives a valid bound; one wider than the exact argmax keeps a heavy
+       letter a hair below theta_max from pushing x_max out to where its mass
+       is overtaken.
+    3. The line search on [1/2, x_max].  As |I''| = |kappa_4| <= R^4/4, I on a
+       step of width w is at most min(R^2/4, larger endpoint value +
+       R^4 w^2/32).  The search refines the steps whose bound beats the best
+       value, until the pad is below FISHER_TOL everywhere.
+
+    ``FisherDiagnostics.evaluations`` counts the inputs each step used.
 
     ``AccountingError`` unless the table has two rows, ``AnadromicityError``
     unless they are anadromic.
@@ -183,11 +272,14 @@ def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
             "run enforce_anadromic on the table first, or design it with "
             "`imvu design --symmetrize`"
         )
-    t_max = float(theta.max())
-    group = theta >= t_max - _TIE_MARGIN
-    t_group = float(theta[group].min())
-
     i_star = float(fisher_info(table, 0.5))
+    cap = _variance_cap(theta)
+    if cap <= i_star + FISHER_TOL:
+        return i_star + FISHER_TOL, FisherDiagnostics(i_star, 0.5, 1, 0)
+
+    t_max = float(theta.max())
+    group = theta >= t_max - ANADROMIC_TOL
+    t_group = float(theta[group].min())
     root = float(np.sqrt(max(0.0, t_max**2 - i_star)))
     sigma_target = (t_max + root) / (t_group + t_max)
     if sigma_target >= 1.0 - 1e-12:
@@ -195,35 +287,9 @@ def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
             "tail certificate unattainable: stationary-point information is "
             "negligible relative to the extreme letters"
         )
-
-    # doubling from x = 1/2; the try at 1/2 is counted with I(1/2), as one evaluation
-    hi, step = 0.5, 0.5
-    for tries in range(201):
-        if _group_mass(table, hi, group) >= sigma_target:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise AccountingError("argmax mass never reached the tail threshold")
-    evals = 1 + tries
-    lo = 0.5
-    # 200 halvings reach either the 1e-12 tolerance or float resolution;
-    # stopping early only widens the searched interval, never the bound
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        evals += 1
-        if _group_mass(table, mid, group) < sigma_target:
-            lo = mid
-        else:
-            hi = mid
-    x_max = hi  # right endpoint keeps the tail certificate valid
+    x_max, evals = _tail_end(table, group, sigma_target)
 
     spread = float(theta.max() - theta.min())
-    cap = spread**2 / 4.0
     best = i_star
     segments = np.array([[0.5, x_max]]) if x_max > 0.5 else np.empty((0, 2))
     rounds = 0

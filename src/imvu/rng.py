@@ -119,8 +119,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pair_consts() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per source slot, the hash constants of the all-pairs round laid out by
-    destination slot (0 at the source slot itself, whose result is dropped)."""
+    """Per source slot, the hash constants of the all-pairs round as (4, 1)
+    columns by destination slot (0 at the source slot itself, whose result is
+    dropped)."""
     a = _hash_consts(_INIT_A, _MULT_A, 4 * _POOL).tolist()
     out, k = [], _POOL
     for s in range(_POOL):
@@ -129,7 +130,7 @@ def _pair_consts() -> list[tuple[np.ndarray, np.ndarray]]:
             if d != s:
                 xor[d], mult[d] = a[k], a[k + 1]
                 k += 1
-        out.append((np.array(xor, np.uint32), np.array(mult, np.uint32)))
+        out.append((np.array(xor, np.uint32)[:, None], np.array(mult, np.uint32)[:, None]))
     return out
 
 
@@ -137,28 +138,32 @@ _PAIR_CONSTS = _pair_consts()
 
 
 def _generate_state(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(8)`` for each row of uint32
-    entropy words: one stream per row, all rows of the same word count."""
-    n, w = words.shape
+    """``SeedSequence(entropy).generate_state(8)`` for each column of uint32
+    entropy words, as (8, n) words: one stream per column, all of the same
+    word count.
+
+    The pool is slot-major, (4, n), and each hash constant a (4, 1) column,
+    so every ufunc runs one inner loop over the n streams."""
+    w, n = words.shape
     if w < _POOL:   # a short entropy array hashes like one padded with zeros
-        words = np.concatenate([words, np.zeros((n, _POOL - w), np.uint32)], axis=1)
+        words = np.concatenate([words, np.zeros((_POOL - w, n), np.uint32)])
         w = _POOL
-    a = _hash_consts(_INIT_A, _MULT_A, _POOL * w)   # 4w hashmix steps
-    pool = _hashmix(words[:, :_POOL], a[:_POOL], a[1:_POOL + 1])
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * w)[:, None]   # 4w hashmix steps
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
     # all-pairs round: source slot s mixes into the three others in ascending
     # order; all four slots are computed and slot s is put back
     for s, (xor, mult) in enumerate(_PAIR_CONSTS):
-        mixed = _mix(pool, _hashmix(pool[:, s, None], xor, mult))
-        mixed[:, s] = pool[:, s]
+        mixed = _mix(pool, _hashmix(pool[s], xor, mult))
+        mixed[s] = pool[s]
         pool = mixed
     # each entropy word past the pool mixes into every slot; word j's steps
     # start at 4j, after the 4 initial and 12 all-pairs steps
     for j in range(_POOL, w):
         k = _POOL * j
-        pool = _mix(pool, _hashmix(words[:, j, None], a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        pool = _mix(pool, _hashmix(words[j], a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
     # generate_state(8) cycles through the pool twice
-    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    return _hashmix(np.concatenate((pool, pool), axis=1), b[:-1], b[1:])
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)[:, None]
+    return _hashmix(np.concatenate((pool, pool)), b[:-1], b[1:])
 
 
 def _entropy_rows(columns) -> np.ndarray:
@@ -192,9 +197,9 @@ def _group_seed_words(words: np.ndarray, wide: np.ndarray) -> np.ndarray:
     high word counts."""
     keep = np.ones((wide.size, 2), dtype=bool)
     keep[:, 1] = wide
-    seeds = _generate_state(words[:, keep.ravel()])
+    seeds = _generate_state(words.T[keep.ravel()])
     # 32-bit words pair up little-endian into 64-bit ones
-    return np.ascontiguousarray(seeds, dtype="<u4").view("<u8")
+    return np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8")
 
 
 def pcg64_states(columns) -> np.ndarray:

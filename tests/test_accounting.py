@@ -41,7 +41,9 @@ from imvu import (
     spent_epsilon,
     verify_accounting,
 )
+from imvu.accounting import FISHER_TOL, _group_mass, _tail_end, _variance_cap
 from imvu.cli import main
+from imvu.mechanism import ANADROMIC_TOL, _softmax_terms
 
 from conftest import LN3, get_table
 
@@ -290,8 +292,8 @@ def _fisher_grid(table):
 
 @pytest.mark.parametrize("b_out,eps", [(8, 2.0), (16, 1.0), (16, 10.0)])
 def test_fisher_sup_floor_heavy_tables(b_out, eps):
-    # letters at the probability floor make |theta| large and push the tail
-    # bound's x_max out to about 10^12; the R^2/4 cap still ends the search
+    # letters at the probability floor make |theta| large; the R^2/4 cap
+    # settles the bound at I(1/2) or ends the search
     table = get_table(2, b_out, eps, symmetrize=True)
     m_value, diag = fisher_sup(table)
     assert diag.evaluations <= 10_000
@@ -310,6 +312,16 @@ def _mirrored_table(p, slack):
     return MechanismTable(0.5 - c / (2.0 * (p @ c)), logs, eps)
 
 
+def _random_mirrored_table(b_out, seed):
+    """A ``_mirrored_table`` of a Dirichlet p with its floor letters kept
+    positive, reversed where needed so the alphabet ascends."""
+    p = np.maximum(np.random.default_rng(seed).dirichlet(np.ones(b_out)), 1e-12)
+    p /= p.sum()
+    if p @ np.linspace(-1.0, 1.0, b_out) > 0:
+        p = p[::-1]
+    return _mirrored_table(p, 1e-9)
+
+
 def test_fisher_sup_off_center_peak():
     # an anadromic table whose information peaks near x = 1.19, not at the
     # symmetry point, so the line search itself must find the supremum
@@ -320,28 +332,149 @@ def test_fisher_sup_off_center_peak():
     assert grid <= m_value <= grid * (1.0 + 1e-6)
 
 
-@settings(max_examples=20, deadline=None)
-@given(b_out=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
-def test_fisher_sup_certifies_random_anadromic_tables(b_out, seed):
-    # rows p and p reversed, p from a Dirichlet with its floor letters kept
-    # positive; p is reversed where needed so the alphabet ascends
-    p = np.maximum(np.random.default_rng(seed).dirichlet(np.ones(b_out)), 1e-12)
-    p /= p.sum()
-    if p @ np.linspace(-1.0, 1.0, b_out) > 0:
-        p = p[::-1]
-    table = _mirrored_table(p, 1e-9)
-    assert table.anadromic
+def _check_fisher_sup(table):
+    """The early certificate returns exactly where Popoviciu's cap allows it,
+    and the search runs everywhere else; either way M bounds the grid."""
     try:
         m_value, diag = fisher_sup(table)
     except AccountingError:
         return
+    if _variance_cap(table.log_probs[1] - table.log_probs[0]) <= diag.i_star + FISHER_TOL:
+        assert (m_value, diag.evaluations) == (diag.i_star + FISHER_TOL, 1)
+    else:
+        assert 1 < diag.evaluations <= 100_000
     assert fisher_grid_max(table, (-20.0, 21.0), 10**5) <= m_value
-    assert diag.evaluations <= 100_000
+
+
+@settings(max_examples=20, deadline=None)
+@given(b_out=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_fisher_sup_certifies_random_anadromic_tables(b_out, seed):
+    table = _random_mirrored_table(b_out, seed)
+    assert table.anadromic
+    _check_fisher_sup(table)
 
 
 def test_fisher_sup_unsymmetrized_rr_is_cheap(rr_table):
     _, diag = fisher_sup(rr_table)
     assert diag.evaluations < 1_000
+
+
+def _tail_target(theta, i_star, margin):
+    """The group of letters within ``margin`` of theta_max and the mass at
+    which their tail bound falls to ``i_star``, as ``fisher_sup`` sets them."""
+    t_max = theta.max()
+    group = theta >= t_max - margin
+    return group, (t_max + np.sqrt(t_max**2 - i_star)) / (theta[group].min() + t_max)
+
+
+
+
+@pytest.mark.parametrize("b_out,eps", [(2, LN3), (4, 2.0), (8, 5.0)])
+def test_fisher_sup_certifies_certify_rdp_tables_in_one_evaluation(b_out, eps):
+    # the symmetrized designs of the benchmark's certify-rdp workload
+    m_value, diag = fisher_sup(get_table(2, b_out, eps, symmetrize=True))
+    assert (diag.evaluations, diag.rounds, diag.x_max) == (1, 0, 0.5)
+    assert m_value == diag.i_star + FISHER_TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(b_out=st.integers(2, 64), log_eps=st.floats(np.log(0.1), np.log(20.0)))
+def test_fisher_sup_early_certificate_on_symmetrized_designs(b_out, log_eps):
+    _check_fisher_sup(
+        design_mvu(DesignSpec(2, b_out, float(np.exp(log_eps)), symmetrize=True)))
+
+
+def _one_input_mass(table, group, x):
+    _, z, total = _softmax_terms(table.log_probs, 0, np.array([x]))
+    return float(z[group, 0].sum() / total[0])
+
+
+def _sequential_tail_end(table, group, target):
+    """x_max and its count by the one-input-at-a-time doubling and bisection
+    that ``_tail_end`` runs a block at a time."""
+    def mass(x):
+        return _one_input_mass(table, group, x)
+
+    hi, step = 0.5, 0.5
+    for tries in range(201):
+        if mass(hi) >= target:
+            break
+        hi += step
+        step *= 2.0
+    else:
+        raise AccountingError("argmax mass never reached the tail threshold")
+    lo, evals = 0.5, 1 + tries
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 or not lo < mid < hi:
+            break
+        evals += 1
+        if mass(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, evals
+
+
+def _check_tail_end(table, group, target):
+    try:
+        expected = _sequential_tail_end(table, group, target)
+    except AccountingError:
+        with pytest.raises(AccountingError, match="never reached"):
+            _tail_end(table, group, target)
+        return
+    assert _tail_end(table, group, target) == expected
+
+
+@pytest.mark.parametrize("b_out,eps", [(8, 2.0), (16, 1.0), (16, 10.0)])
+def test_tail_end_matches_sequential_search_on_floor_heavy_tables(b_out, eps):
+    table = get_table(2, b_out, eps, symmetrize=True)
+    theta = table.log_probs[1] - table.log_probs[0]
+    i_star = float(fisher_info(table, 0.5))
+    for margin in (ANADROMIC_TOL, 1e-12):
+        group, target = _tail_target(theta, i_star, margin)
+        for level in (target, 0.75, 1.0 - 1e-9):
+            _check_tail_end(table, group, level)
+
+
+def test_tail_end_matches_sequential_search_off_center():
+    table = _mirrored_table(np.array([0.2, 0.7, 0.0999, 0.0001]), 1e-7)
+    theta = table.log_probs[1] - table.log_probs[0]
+    group, target = _tail_target(theta, float(fisher_info(table, 0.5)), ANADROMIC_TOL)
+    for level in (target, 0.6, 0.999):
+        _check_tail_end(table, group, level)
+
+
+@settings(max_examples=25, deadline=None)
+@given(b_out=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tail_end_matches_sequential_search_on_mirrored_tables(b_out, seed, data):
+    # groups of the top k letters, so the tied sums cover the in-sequence,
+    # eight-way and split orders of numpy's pairwise sum
+    table = _random_mirrored_table(b_out, seed)
+    theta = table.log_probs[1] - table.log_probs[0]
+    k = data.draw(st.integers(1, b_out))
+    group = theta >= np.sort(theta)[-k]
+    xs = np.linspace(0.5, 20.0, 40)
+    assert _group_mass(table, xs, group).tolist() == [
+        _one_input_mass(table, group, x) for x in xs]
+    _check_tail_end(table, group, data.draw(st.floats(0.01, 0.999999)))
+
+
+def test_fisher_sup_ties_a_heavy_letter_a_hair_below_the_argmax():
+    # the shape of the 2x2048 eps = 1 design: the argmax is a floor letter, a
+    # heavy letter lies 5e-11 below it, and mass at theta = 0 holds Popoviciu's
+    # cap 2e-9 above I(1/2), so the search must run.  Tied within 1e-12 alone,
+    # the argmax's mass passes the heavy letter's only past x = 1e11, and the
+    # line search over that reach exceeded its budget
+    p = np.array([np.exp(1.0 - 5e-11), 1e-12 * np.e, 4e-9, 4e-9, 1e-12, 1.0])
+    table = _mirrored_table(p / p.sum(), 1e-9)
+    m_value, diag = fisher_sup(table)
+    assert diag.evaluations > 1 and 0.5 < diag.x_max < 0.51
+    grid = fisher_grid_max(table, (-20.0, 21.0), 1_000_000)
+    assert grid <= m_value <= grid * (1.0 + 1e-6)
+    theta = table.log_probs[1] - table.log_probs[0]
+    x_far, _ = _tail_end(table, *_tail_target(theta, diag.i_star, 1e-12))
+    assert x_far > 1e11
 
 
 @settings(max_examples=10, deadline=None)
@@ -689,7 +822,20 @@ def test_accounting_report_rdp_needs_two_rows():
 
 
 # sha256 of json.dumps(report, sort_keys=True), recorded before the ledger held
-# one round: a pure 4x4 table at l1 and a symmetrized rdp 2x4 table at l2
+# one round: a pure 4x4 table at l1 and a symmetrized rdp 2x4 table at l2.  The
+# rdp digests were recorded when certifying M took 170 evaluations; the early
+# certificate takes 1, which moves each rdp digest to the one below and no
+# other byte: setting the count back to 170 gives the recorded digest again.
+_EARLY_CERTIFICATE_DIGESTS = {
+    "c2c2c726e503936c74923898a62002bf85f3aa2e8edd371b5cdebd41ef5d27a6":
+        "828390de50019bf5d4098d5f21172e79d59cf551394d21802b61da89c2ecc9b4",
+    "8bcef0ebce951dd8f1af71e848aeb433936cefb28b822ac05a9d143aae99d9da":
+        "cfccb2814b271331766cfb5b2ab9c9c44481467162bc0dcd89000fa272173860",
+    "f7813c637f20877c34faa4e47113331c9f8bceee1e246acb7c69990be108c09e":
+        "23cb349ed57a9a560415e39b7323e0505425ec2ead22895fef8fe01da0f6705c",
+}
+
+
 @pytest.mark.parametrize("mode, rounds, digest", [
     ("pure", 0, "5ef78e7db00dd81a702adf231423a4ba3586f379321d90b5a69ff40f986a236e"),
     ("pure", 1, "a8c74c5abd7c224886effe3ba3bfe9715d7775957edb6cc82b9cd56443369873"),
@@ -704,8 +850,15 @@ def test_accounting_report_bytes(mode, rounds, digest):
     else:
         mech = _mech(get_table(2, 4, 2.0, symmetrize=True), norm="l2")
         report = accounting_report("t2x4.json", mech, mode, rounds, c_sens=0.7)
-    text = json.dumps(report, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def sha256():
+        return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+    if mode == "rdp":
+        assert report["certification"]["evaluations"] == 1
+        assert sha256() == _EARLY_CERTIFICATE_DIGESTS[digest]
+        report["certification"]["evaluations"] = 170
+    assert sha256() == digest
 
 
 def test_load_rejects_tampered_file_with_plain_floats(tmp_path, table_2x4):
