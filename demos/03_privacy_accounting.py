@@ -18,7 +18,6 @@ from imvu import (
     attach_accounting,
     compose,
     design_mvu,
-    enforce_anadromic,
     exact_max_divergence,
     exact_renyi,
     fisher_sup,
@@ -28,7 +27,7 @@ from imvu import (
 )
 
 eps = float(np.log(3.0))
-table = enforce_anadromic(design_mvu(DesignSpec(2, 2, eps)))
+table = design_mvu(DesignSpec(2, 2, eps))
 mech = attach_accounting(InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l1", 1.0)))
 
 print(f"design eps = ln 3 = {eps:.5f}")

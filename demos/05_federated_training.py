@@ -14,7 +14,6 @@ from imvu import (
     InterpolatedMechanism,
     attach_accounting,
     design_mvu,
-    enforce_anadromic,
     train_fl,
 )
 
@@ -32,7 +31,7 @@ print(f"non-private reference: final accuracy {baseline.final_accuracy:.3f}\n")
 
 print(f"{'design eps':>10} {'spent eps (40 rounds)':>22} {'median accuracy':>16}")
 for eps in (0.5, 2.0, 8.0):
-    table = enforce_anadromic(design_mvu(DesignSpec(2, 2, eps)))
+    table = design_mvu(DesignSpec(2, 2, eps))
     mech = attach_accounting(
         InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l1", 1.0))
     )
@@ -41,7 +40,7 @@ for eps in (0.5, 2.0, 8.0):
     print(f"{eps:>10.1f} {spent:>22.2f} {np.median(finals):>16.3f}")
 
 print("\none run in detail (eps = 2):")
-table = enforce_anadromic(design_mvu(DesignSpec(2, 2, 2.0)))
+table = design_mvu(DesignSpec(2, 2, 2.0))
 mech = attach_accounting(InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l1", 1.0)))
 result = train_fl(config("imvu", mech))
 for t in range(0, 40, 8):

@@ -50,8 +50,8 @@ class AccountingError(RuntimeError):
 
 
 class AnadromicityError(AccountingError):
-    """The Fisher route needs anadromic parameters; run enforce_anadromic,
-    or design the table with ``imvu design --symmetrize``."""
+    """The Fisher route needs anadromic parameters; run enforce_anadromic
+    on the table (every designed table already is)."""
 
 
 class MissingConstantsError(AccountingError):
@@ -269,8 +269,7 @@ def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:
         resid = _anadromic_residual(table)
         raise AnadromicityError(
             f"natural parameters are not anadromic (residual {resid:.3e}); "
-            "run enforce_anadromic on the table first, or design it with "
-            "`imvu design --symmetrize`"
+            "run enforce_anadromic on the table first"
         )
     i_star = float(fisher_info(table, 0.5))
     cap = _variance_cap(theta)

@@ -68,7 +68,6 @@ def _cmd_design(args, argv) -> int:
         b_in=args.b_in,
         b_out=2**args.bits,
         eps=args.eps,
-        symmetrize=args.symmetrize,
     )
     save_mechanism(args.out, InterpolatedMechanism(design_mvu(spec)))
     _write_manifest(args.out, argv, None, [args.out])
@@ -203,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-in", type=int, required=True, dest="b_in")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--symmetrize", action="store_true")
+    p.add_argument("--symmetrize", action="store_true",
+                   help="does nothing: every design is anadromic (kept so old commands run)")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("validate", help="validate a mechanism file")

@@ -4,14 +4,17 @@ For a fixed affine output alphabet the design problem is a linear program in
 the row probabilities: minimize the summed output variance over the grid
 subject to the row simplex, exact unbiasedness at every grid point, and the
 metric-DP ratio constraints between adjacent rows, which telescope to every
-pair because the grid is uniform.  The alphabet scale s is searched exactly:
-in r = 1/s the LP's optimal value is convex and piecewise linear, so a few
-LP solves find all of its linear pieces, and the variance on each piece is
-least at an end, which those solves reach.  A search keeps its LP in one
-HiGHS model and re-solves it cold at every scale, moving only the right-hand
-side, with the numbers ``scipy.optimize.linprog`` gives; where scipy lacks
-its bundled HiGHS binding, every solve goes through ``linprog``.
-For one-bit tables the design recovers the randomized-response closed form.
+pair because the grid is uniform.  Reversing the rows and the letters
+together leaves it unchanged, so it is solved over mirror-symmetric tables,
+with half the columns and rows, and every design is anadromic.  The alphabet
+scale s is searched exactly: in r = 1/s the LP's optimal value is convex and
+piecewise linear, so a few LP solves find all of its linear pieces, and the
+variance on each piece is least at an end, which those solves reach.  A
+search keeps its LP in one HiGHS model and re-solves it cold at every scale,
+moving only the right-hand side, with the numbers ``scipy.optimize.linprog``
+gives; where scipy lacks its bundled HiGHS binding, every solve goes through
+``linprog``.  For one-bit tables the design recovers the randomized-response
+closed form.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _PIECE_TOL = 1e-9
 _R_MAX_INSET = 1e-10
 # The scale search solves at most this many LPs per table cell.
 _LPS_PER_CELL = 4
+# Relative rounding, against the size g / r^2 of its terms, of a variance
+# g / r^2 - const evaluated on a tangent's quadratic: a few ulps.
+_ROUND_TOL = 4 * np.finfo(float).eps
 
 # linprog's check of a solution HiGHS calls optimal: bounds, inequality and
 # equality rows within 10 sqrt(tol) at its default tol = 1e-9.
@@ -77,6 +83,7 @@ class DesignSpec:
     b_in: int
     b_out: int
     eps: float
+    # accepted and ignored: every design is anadromic
     symmetrize: bool = False
 
     def __post_init__(self):
@@ -141,6 +148,15 @@ def _alphabet(b_out: int, scale: float) -> np.ndarray:
     return 0.5 + scale * _letters(b_out)
 
 
+def _growth(b_in: int, eps: float) -> float:
+    """e^(eps/(b_in-1)), the growth of the design LP's ratio rows, or 0 where
+    they are dropped: from 1/PROB_FLOOR on they are implied by the variable
+    bounds (p <= 1 <= growth * floor) and would overflow the solver's
+    coefficient range."""
+    step = eps / (b_in - 1)
+    return np.exp(step) if step < np.log(1.0 / PROB_FLOOR) else 0.0
+
+
 def _rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
     """The design LP's constraint matrix in the column-wise form HiGHS takes:
     (start, index, value, m_ub), holding no zero coefficient, with the m_ub
@@ -153,20 +169,65 @@ def _rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
     ``letters`` 2m + b_in + i.  Column k's rows are k - b_out, k, m + k -
     b_out, m + k, 2m + i and 2m + b_in + i, in that order, where they exist.
     """
-    n = b_in * b_out
+    n, growth = b_in * b_out, _growth(b_in, eps)
+    m = n - b_out if growth else 0
     k = np.arange(n)
     i, j = np.divmod(k, b_out)
-    # Ratio rows with growth >= 1/PROB_FLOOR are implied by the variable
-    # bounds (p <= 1 <= growth * floor) and would overflow the solver's
-    # coefficient range, so they are dropped.
-    step = eps / (b_in - 1)
-    m = n - b_out if step < np.log(1.0 / PROB_FLOOR) else 0
-    growth = np.exp(step) if m else 0.0
     after, before = (i > 0) & (m > 0), (i < b_in - 1) & (m > 0)
     keep = np.stack([after, before, after, before, np.ones(n, dtype=bool), letters[j] != 0], axis=1)
     index = np.stack([k - b_out, k, m + k - b_out, m + k, 2 * m + i, 2 * m + b_in + i], axis=1)
     value = np.stack(np.broadcast_arrays(-growth, 1.0, 1.0, -growth, 1.0, letters[j]), axis=1)
     return np.append(0, np.cumsum(keep.sum(axis=1))), index[keep], value[keep], 2 * m
+
+
+def _orbits(b_in: int, b_out: int) -> np.ndarray:
+    """The mirror orbit of each cell k = i b_out + j: reversing the rows and
+    the letters together maps k to n - 1 - k, and the orbit is the smaller."""
+    k = np.arange(b_in * b_out)
+    return np.minimum(k, k[::-1])
+
+
+def _mirror_rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
+    """The design LP on its mirror quotient, in ``_rows``' column form.
+
+    Reversing the rows and the letters together leaves the LP unchanged
+    (the grid and ``letters`` are symmetric), so the average of an optimum
+    with its mirror is an optimum, and the LP over mirror-symmetric p has
+    the same value: the standard symmetry reduction of an LP (Boedi, Herr &
+    Joswig, Mathematical Programming 141, 2013).  Substituting p[k] =
+    q[``_orbits``[k]] gives one column per orbit k < n - k, holding the
+    summed coefficients of cells k and n - 1 - k.  Every backward ratio row
+    then repeats a forward one (backward row k is forward row m - 1 - k),
+    and simplex and mean row b_in - 1 - i repeat row i, the mean negated;
+    the middle row of an odd b_in is its own mirror, and its mean row is
+    0 = 0.  Kept are the m forward ratio rows, then the simplex rows
+    i < (b_in + 1) // 2 and the mean rows i < b_in // 2, with right-hand
+    sides 1 and offsets_i r.
+    """
+    n, h, half, growth = b_in * b_out, (b_in + 1) // 2, b_in // 2, _growth(b_in, eps)
+    m = n - b_out if growth else 0
+    k = np.arange((n + 1) // 2)
+    mirror, (i, j) = n - 1 - k, np.divmod(k, b_out)
+    pair = mirror != k
+    # Column k's rows, each where it exists, in row order: forward ratio
+    # rows k - b_out (-growth), then k (1) and below = mirror - b_out
+    # (-growth, its mirror's) in either order, then mirror (1, its
+    # mirror's); then its simplex row, holding both cells in the middle row
+    # of an odd b_in, and its mean row.  k = below (an even b_in and odd
+    # b_out, the middle letter's middle ratio row) is one coefficient,
+    # 1 - growth.  Nothing is sorted or merged at run time.
+    below = mirror - b_out
+    first = k <= below
+    own, down = k < m, pair & (mirror >= b_out) & (m > 0)
+    keep = np.stack([(k >= b_out) & (m > 0), np.where(first, own, down),
+                     np.where(first, down & (k != below), own), pair & (mirror < m),
+                     np.ones(k.size, dtype=bool), (i < half) & (letters[j] != 0)], axis=1)
+    index = np.stack([k - b_out, np.where(first, k, below), np.where(first, below, k), mirror,
+                      m + i, m + h + i], axis=1)
+    value = np.stack(np.broadcast_arrays(
+        -growth, np.where(first, 1.0 - growth * (k == below), -growth),
+        np.where(first, -growth, 1.0), 1.0, 1.0 + (pair & (2 * i == b_in - 1)), letters[j]), axis=1)
+    return np.append(0, np.cumsum(keep.sum(axis=1))), index[keep], value[keep], m
 
 
 def linprog(*args, **kwargs):
@@ -306,7 +367,8 @@ def _lp_solver(cost, rows, bounds=(PROB_FLOOR, 1.0)):
 
 
 def _solve_lp(b_in: int, b_out: int, eps: float, scale: float) -> float:
-    """LP variance at one alphabet scale; inf if no optimum is found."""
+    """LP variance at one alphabet scale, on the full LP (the oracle of the
+    quotient the search solves); inf if no optimum is found."""
     alphabet = _alphabet(b_out, scale)
     grid = _grid(b_in)
     rows = _rows(b_in, b_out, eps, alphabet)
@@ -362,7 +424,7 @@ def _least_of_max(s_lo: float, s_hi: float, quads) -> float:
 
 def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     """Alphabet scale of least LP variance over ``spec.scale_range()`` and
-    the (b_in, b_out) LP solution there.
+    the (b_in, b_out) mirror-symmetric LP solution there.
 
     With a_j = 1/2 + s c_j and r = 1/s, unbiasedness reads
     sum_j p[i, j] c_j = (x_i - 1/2) r, and the variance at scale s is
@@ -404,22 +466,39 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     nothing inside ties with the final least, which is at most v*; or (ii)
     B is at least the least variance v_b solved at some r >= rb, so a tie
     inside is also tied by that smaller scale, which the tie rule prefers.
-    Either way the least, the ties and the winner are those of the full
-    sandwich, and kept intervals are processed as if nothing were dropped,
-    each LP cold, so the winner's scale and LP solution are the same bits.
-    The first interval, [1/hi, r_max (1 - ``_R_MAX_INSET``)], is tested on
-    its right tangent alone before the LP at 1/hi is solved.
+    At s = 1/rb, B is v(rb) itself evaluated on the quadratic, so (ii)
+    allows B to fall short of v_b by its rounding, ``_ROUND_TOL`` of the
+    terms (the quotient's slopes, read from half the mean rows, round
+    differently from the full LP's).  Either way the least, the ties and
+    the winner are those of the full sandwich, and kept intervals are
+    processed as if nothing were dropped, each LP cold.  The first
+    interval, [1/hi, r_max (1 - ``_R_MAX_INSET``)], is tested on its right
+    tangent alone before the LP at 1/hi is solved.
+
+    Every LP but the free one is solved on the mirror quotient
+    (``_mirror_rows``), whose value is g's and whose kept mean rows' duals
+    give its slope; a solution is expanded to one value per cell.  The free
+    LP stays on the full rows: the quotient's puts r_max a few 1e-12
+    further out, where the LP at r_max fails (4x4 at eps = 40), and the
+    variance of a design whose optimum lies at r_max moves with r_max's
+    last bits.  Where the quotient's LP at r_max fails all the same (2x8 at
+    eps = 5), the free LP's own point, feasible there, averaged with its
+    mirror, is its candidate, at no further LP.
     """
     b_in, b_out = spec.b_in, spec.b_out
     letters = _letters(b_out)
     offsets = _grid(b_in) - 0.5
     const = float(offsets @ offsets)
-    ones, n = np.ones(b_in), b_in * b_out
-    cost = np.tile(letters**2, b_in)
-    rows = _rows(b_in, b_out, spec.eps, letters)
+    # the quotient's equality rows: simplex rows i < (b_in + 1) // 2, then the
+    # mean rows i < b_in // 2, whose offsets are all nonzero
+    ones, kept = np.ones((b_in + 1) // 2), offsets[:b_in // 2]
+    orbits = _orbits(b_in, b_out)
+    full = _rows(b_in, b_out, spec.eps, letters)
+    cost = np.bincount(orbits, np.tile(letters**2, b_in))
+    rows = _mirror_rows(b_in, b_out, spec.eps, letters)
     lo, hi = spec.scale_range()
     r_lo, r_hi = 1.0 / hi, 1.0 / lo
-    bound, solved = _LPS_PER_CELL * n, {}
+    bound, solved = _LPS_PER_CELL * b_in * b_out, {}
     solve = _lp_solver(cost, rows)
 
     def tangent(r):
@@ -429,11 +508,11 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
                     f"scale search reached its bound of {bound:g} LP solves "
                     f"for {b_in}x{b_out} at eps={spec.eps:g}"
                 )
-            sol = solve(np.concatenate([ones, offsets * r]))
+            sol = solve(np.concatenate([ones, kept * r]))
             solved[r] = None
             if sol is not None:
                 fun, x, duals = sol
-                solved[r] = r, float(fun), float(duals[b_in:] @ offsets), x.reshape(b_in, b_out)
+                solved[r] = r, float(fun), float(duals[ones.size:] @ kept), x[orbits].reshape(b_in, b_out)
         return solved[r]
 
     def dropped(ra, rb, ends):
@@ -441,22 +520,27 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
         floor = _least_of_max(1.0 / rb, 1.0 / ra, [(g - d * r, d) for r, g, d, _ in ends]) - const
         values = [(r, g / r**2 - const) for r, g, _, _ in filter(None, solved.values())]
         least = min(v for _, v in values)
+        right = min((v for r, v in values if r >= rb), default=np.inf)
         return (floor > least + _PIECE_TOL * abs(least)
-                or floor >= min((v for r, v in values if r >= rb), default=np.inf))
+                or floor >= right - _ROUND_TOL * (const + abs(right)))
 
-    # r is one more variable, -offsets its column in the nonzero mean rows
-    start, index, value, m_ub = rows
-    used = np.flatnonzero(offsets)
+    # r is one more variable of the full LP, -offsets its column in the
+    # nonzero mean rows
+    start, index, value, m_ub = full
+    n, used = b_in * b_out, np.flatnonzero(offsets)
     free = _lp_solver(
         np.append(np.zeros(n), -1.0),
         (np.append(start, start[-1] + used.size), np.concatenate([index, m_ub + b_in + used]),
          np.concatenate([value, -offsets[used]]), m_ub),
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
-    )(np.concatenate([ones, np.zeros(b_in)]))
+    )(np.concatenate([np.ones(b_in), np.zeros(b_in)]))
     r_top = float(free[1][-1]) if free is not None else r_lo
     r_end = max(r_lo, r_top * (1.0 - _R_MAX_INSET))
     end = tangent(r_end)
-    tangent(r_top)
+    if tangent(r_top) is None and free is not None and r_top > r_end:
+        p = free[1][:-1].reshape(b_in, b_out)
+        p = 0.5 * (p + p[::-1, ::-1])
+        solved[r_top] = r_top, float(letters**2 @ p.sum(axis=0)), np.nan, p
     stack = []
     # the first interval is tested on its right tangent before 1/hi is solved
     if r_end > r_lo and (end is None or not dropped(r_lo, r_end, [end])):
@@ -498,9 +582,10 @@ def design_mvu(spec: DesignSpec) -> MechanismTable:
     Takes the least-variance scale over the whole bracket and the LP
     solution there from the exact parametric search (``_best_scale``, which
     solves LPs only in the intervals of the scale that may hold the
-    optimum), repairs that solution in log space, optionally symmetrizes
-    it, and constructs the MechanismTable, whose construction validates
-    every invariant.
+    optimum), repairs that solution in log space and averages it with its
+    mirror (the repair's passes are not mirror-equivariant), and constructs
+    the anadromic MechanismTable, whose construction validates every
+    invariant.
     """
     if spec.b_in * spec.b_out > MAX_TABLE_CELLS:
         raise DesignError(
@@ -508,14 +593,7 @@ def design_mvu(spec: DesignSpec) -> MechanismTable:
             f"the designer is limited to {MAX_TABLE_CELLS}"
         )
     scale, raw_probs = _best_scale(spec)
-    alphabet = _alphabet(spec.b_out, scale)
-    probs = _repair_probs(raw_probs, spec.eps)
-    if spec.symmetrize:
-        return _symmetrized(probs, alphabet, spec.eps)
-    try:
-        return MechanismTable(alphabet, np.log(probs), spec.eps)
-    except TableInvariantError as exc:
-        raise DesignError(f"designed table failed validation: {exc}") from exc
+    return _symmetrized(_repair_probs(raw_probs, spec.eps), _alphabet(spec.b_out, scale), spec.eps)
 
 
 def _symmetrized(probs, alphabet, eps: float) -> MechanismTable:

@@ -279,7 +279,8 @@ def _pairwise_sum(z: np.ndarray) -> np.ndarray:
         tot, tail = z[0].copy(), z[1:]
     else:
         stop = n - n % 8
-        r = z[:8].copy()
+        # below 16 letters nothing accumulates into the 8 sums
+        r = z[:8].copy() if stop > 8 else z[:8]
         for k in range(8, stop, 8):
             r += z[k:k + 8]
         tot = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -504,4 +505,5 @@ def privatize_vector(
         indices[:, c0 - lo:c1 - lo] = sampled.reshape(block.shape)
     if not cohort:
         indices = indices[0]
-    return indices, decode(table.alphabet[indices], clip_c, beta)
+    # each letter decoded once, then gathered: the same bytes as decoding each index
+    return indices, decode(table.alphabet, clip_c, beta)[indices]

@@ -202,6 +202,25 @@ def _group_seed_words(words: np.ndarray, wide: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8")
 
 
+# Streams hashed and advanced together: the temporaries of ``_seed_words``
+# and ``_advance`` (about 290 B a stream) grow with a slice, not a batch.
+_SLICE_STREAMS = 4096
+
+
+def _stepped_states(columns, steps: int) -> np.ndarray:
+    """``pcg64_states`` rows of the streams of ``columns``, each ``steps`` LCG
+    steps past its pre-seed state, hashed and advanced ``_SLICE_STREAMS``
+    streams at a time."""
+    entropy = _entropy_rows(columns)
+    states = np.empty((len(entropy), 4), dtype=np.uint64)
+    for a in range(0, len(entropy), _SLICE_STREAMS):
+        pre = _pre_seed(_seed_words(entropy[a:a + _SLICE_STREAMS]))
+        hi, lo = _advance(pre, steps, 1)
+        pre[:, 0], pre[:, 1] = hi[:, 0], lo[:, 0]
+        states[a:a + _SLICE_STREAMS] = pre
+    return states
+
+
 def pcg64_states(columns) -> np.ndarray:
     """``np.random.PCG64(np.random.SeedSequence(entropy)).state`` for n streams at once.
 
@@ -211,10 +230,7 @@ def pcg64_states(columns) -> np.ndarray:
     state, then of its inc.
     """
     # the seeded state is one step past the pre-seed state
-    states = _pre_seed(_seed_words(_entropy_rows(columns)))
-    hi, lo = _advance(states, 1, 1)
-    states[:, 0], states[:, 1] = hi[:, 0], lo[:, 0]
-    return states
+    return _stepped_states(columns, 1)
 
 
 def substream_seeds(seed: int, *path) -> np.ndarray:
@@ -229,9 +245,10 @@ def substream_seeds(seed: int, *path) -> np.ndarray:
     columns += [_label_column(p) if isinstance(p, np.ndarray) else _as_entropy(p)
                 for p in path]
     # the first output's state is two steps past the pre-seed state
-    first = _xsl_rr(*_advance(_pre_seed(_seed_words(_entropy_rows(columns))), 2, 1))
+    states = _stepped_states(columns, 2)
+    first = _xsl_rr(states[:, 0], states[:, 1])
     first >>= np.uint64(2)
-    return first.ravel()
+    return first
 
 
 def stream_uniforms(states: np.ndarray, skip: int, width: int) -> np.ndarray:

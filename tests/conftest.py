@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imvu import DesignSpec, design_mvu, enforce_anadromic
+from imvu import DesignSpec, MechanismTable, design_mvu, enforce_anadromic
 
 LN3 = float(np.log(3.0))
 
@@ -20,6 +20,14 @@ def get_table(b_in: int, b_out: int, eps: float, symmetrize: bool = False):
             table = enforce_anadromic(table)
         _CACHE[key] = table
     return _CACHE[key]
+
+
+def non_anadromic_table() -> MechanismTable:
+    """A valid two-row table whose rows do not mirror each other (every
+    designed table does): row 1 is row 0 reversed, its middle letter's mass
+    lowered from 0.4 to 0.39 and the end letters moved to keep it unbiased."""
+    return MechanismTable([-1.0, 0.5, 2.0],
+                          np.log([[7 / 15, 0.4, 2 / 15], [0.415 / 3, 0.39, 1.415 / 3]]), 2.0)
 
 
 def resized_document(doc: dict, b_in: int, b_out: int) -> dict:

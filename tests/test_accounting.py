@@ -45,7 +45,7 @@ from imvu.accounting import FISHER_TOL, _group_mass, _tail_end, _variance_cap
 from imvu.cli import main
 from imvu.mechanism import ANADROMIC_TOL, _softmax_terms
 
-from conftest import LN3, get_table
+from conftest import LN3, get_table, non_anadromic_table
 
 RR_EPS_PRIME_EXACT = 0.5493061443340549  # ln 3 / 2, the un-padded supremum
 RR_FISHER_M = 1.2069489608125816         # (ln 3)^2, supremum at x = 1/2
@@ -168,10 +168,10 @@ def test_fisher_sup_dominates_pointwise(table_2x4):
 
 
 def test_fisher_sup_rejects_non_anadromic():
-    # the unsymmetrized design's rows mirror each other only to within 1.4e-2
-    table = get_table(2, 8, 5.0)
+    # its rows mirror each other only to within 3.7e-2
+    table = non_anadromic_table()
     assert not table.anadromic
-    with pytest.raises(AnadromicityError, match=r"residual 1\.411e-02.*enforce_anadromic"):
+    with pytest.raises(AnadromicityError, match=r"residual 3\.681e-02.*enforce_anadromic"):
         fisher_sup(table)
 
 
@@ -227,9 +227,10 @@ def test_fisher_tail_bound_unique_argmax(b_out, eps):
 
 
 def test_fisher_tail_bound_tied_argmax_group():
-    # eps=0.25 designs tie the extreme letters; the bound holds with the
+    # the two upper letters tie at theta = ln 3; the bound holds with the
     # total mass of the tied group
-    table = get_table(2, 4, 0.25, symmetrize=True)
+    table = MechanismTable([-1.0, 0.0, 1.0, 2.0],
+                           np.log([[3 / 8, 3 / 8, 1 / 8, 1 / 8], [1 / 8, 1 / 8, 3 / 8, 3 / 8]]), 1.1)
     eta1, eta2 = table.log_probs
     theta = eta2 - eta1
     group = theta >= theta.max() - 1e-12
@@ -836,6 +837,19 @@ _EARLY_CERTIFICATE_DIGESTS = {
 }
 
 
+# The pure digests a test is named by were recorded on the 4x4 table the full
+# LP designed; the mirror quotient designs an anadromic 4x4 table, whose
+# reports have the digests below.
+_QUOTIENT_DIGESTS = {
+    "5ef78e7db00dd81a702adf231423a4ba3586f379321d90b5a69ff40f986a236e":
+        "1ee33e3c9faba67a8e56fd008bf082a8140e1240028389c0fbc3319ea1e910f2",
+    "a8c74c5abd7c224886effe3ba3bfe9715d7775957edb6cc82b9cd56443369873":
+        "a776bb186f92bbb8803e87afdd979ad5bc715fb9dc551e3aaa29f3d592c7ca73",
+    "424b49ac31f7e1b5eba5b345ef0cfd7211bad6c3aeef1f2d952e72511f83801d":
+        "f1a7116e71292d8f08fcffc86d2a5f6e082b30f8e83937b10bedb81b9488b36e",
+}
+
+
 @pytest.mark.parametrize("mode, rounds, digest", [
     ("pure", 0, "5ef78e7db00dd81a702adf231423a4ba3586f379321d90b5a69ff40f986a236e"),
     ("pure", 1, "a8c74c5abd7c224886effe3ba3bfe9715d7775957edb6cc82b9cd56443369873"),
@@ -854,10 +868,12 @@ def test_accounting_report_bytes(mode, rounds, digest):
     def sha256():
         return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
-    if mode == "rdp":
-        assert report["certification"]["evaluations"] == 1
-        assert sha256() == _EARLY_CERTIFICATE_DIGESTS[digest]
-        report["certification"]["evaluations"] = 170
+    if mode == "pure":
+        assert sha256() == _QUOTIENT_DIGESTS[digest]
+        return
+    assert report["certification"]["evaluations"] == 1
+    assert sha256() == _EARLY_CERTIFICATE_DIGESTS[digest]
+    report["certification"]["evaluations"] = 170
     assert sha256() == digest
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 import scipy
 
-from imvu import ClipConfig, InterpolatedMechanism, accounting, load_mechanism, load_table
+from imvu import (ClipConfig, InterpolatedMechanism, accounting, load_mechanism, load_table,
+                  save_mechanism)
 from imvu.cli import build_parser, main
 from imvu.table_io import FORMAT_VERSION
 
-from conftest import LN3, resized_document
+from conftest import LN3, non_anadromic_table, resized_document
 
 
 def run(*argv):
@@ -85,16 +86,15 @@ def test_account_rdp_requires_two_rows(tmp_path, capsys):
     assert "b_in=2" in captured.err
 
 
-def test_account_rdp_on_asymmetric_table_names_symmetrize(tmp_path, capsys):
+def test_account_rdp_on_asymmetric_table_names_enforce_anadromic(tmp_path, capsys):
     mech_path = str(tmp_path / "t.json")
-    assert run("design", "--bits", "3", "--b-in", "2", "--eps", "5",
-               "--out", mech_path) == 0
+    save_mechanism(mech_path, InterpolatedMechanism(non_anadromic_table()))
     code = run("account", "--mech", mech_path, "--mode", "rdp",
                "--clip-norm", "l2", "--clip-c", "1.0", "--rounds", "5")
     captured = capsys.readouterr()
     assert code == 1
     assert "not anadromic" in captured.err
-    assert "imvu design --symmetrize" in captured.err
+    assert "run enforce_anadromic on the table" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -214,12 +214,49 @@ def test_scale_search_raises_at_lp_bound(monkeypatch):
     assert len(solves) == 4
 
 
+@pytest.mark.parametrize("spec, count", [
+    # design-lp's tables
+    (DesignSpec(2, 2, LN3), 3), (DesignSpec(4, 4, 2.0), 3), (DesignSpec(8, 8, 3.0), 6),
+    (DesignSpec(16, 4, 5.0), 4),
+    # certify-rdp's
+    (DesignSpec(2, 2, LN3, True), 3), (DesignSpec(2, 4, 2.0, True), 4), (DesignSpec(2, 8, 5.0, True), 5),
+])
+def test_scale_search_lp_count_of_benchmark_tables(monkeypatch, spec, count):
+    solves = _count_solves(monkeypatch)
+    design_mvu(spec)
+    assert len(solves) == count
+
+
 def test_scale_search_lp_count_at_32_rows(monkeypatch):
     # the sandwich solved 49 LPs here before it dropped the intervals its
     # end tangents rule out
     solves = _count_solves(monkeypatch)
     design_mvu(DesignSpec(32, 16, 4.0))
     assert len(solves) == 7
+
+
+# The mirror quotient designs every table anadromic, which moved the bytes of
+# the tables below but the 2x2 and the 2x4 (whose symmetrized design the
+# quotient reproduces): each digest a test is named by was recorded on the
+# full LP and maps to the quotient's digest of the same spec.
+_QUOTIENT_DIGESTS = {
+    "b5dd1b38da78084fc8b0e560dc39a5d0ba80b8356b9e40127a520749523d4125":
+        "8e4f85e512bd469701950b639377927d2699e2ce426059d1b94a96f114cf149e",
+    "d933f0cc5e0dc2a51da1752a9387fb1a5784bd9b1135e8368b85fc499e2a3b0b":
+        "cdfb7e0a505c8ef3158a9498a126109406f200a6b256152f2620808af84acb40",
+    "b3b9839783294c2d6fa4dcc655276514e21aad6293319f4fa0a6369e0702c1c7":
+        "1df4f545b2afa885cdea0e9dd1a71a45a4f66fab70c8c35d2ffcd7c0594ad7a8",
+    "2e1ef3a3f22e96b9a0a7b3a4b527ee1fa4450c6cc72490dc184b838a0b90e3bd":
+        "449fb99d994564ecdc983e6c41eb9b9fe19c291cca2735b630b8db98e283431a",
+    "fec2e421c9b04bbf2e675e247b8229f941516dd9d13bc0d099d086a817cf5950":
+        "3569649453e2fe9322eb1a45d7e11f76c5f8e492b70e017982ebe8511132b874",
+    "a407c40c77ed6de38919829a8ecc523f0a98444e91bee51a43880683d1e84ddf":
+        "2f9f999591ab80bdb2ba1927bc4c23980bc8fdcb3a0cab26ff8a93d9561523e6",
+    "a8b79b2f2b2fc43e8d58834938575b47e43cf56d48d52eacc1c66e16ea9b8603":
+        "3c2a4351554ba6d3df9189339a4d518fbd669d1dde65d8c6bd6bce8eed3cd0d9",
+    "6c519e0af3100111e179714520700e044ef9639d1cd9a91f02ea6ae7d019b32b":
+        "b8fe54b3161e1e3ac9012e7cdf5e97f5609bc6f4ae4d4beb59044857be4a73d9",
+}
 
 
 # sha256 of alphabet and log_probs bytes, recorded before the search dropped
@@ -242,8 +279,11 @@ def test_scale_search_lp_count_at_32_rows(monkeypatch):
     ],
 )
 def test_designed_table_bytes(b_in, b_out, eps, symmetrize, digest):
+    # symmetrize does nothing: every design is anadromic
     table = design_mvu(DesignSpec(b_in, b_out, eps, symmetrize))
-    assert hashlib.sha256(table.alphabet.tobytes() + table.log_probs.tobytes()).hexdigest() == digest
+    assert table.log_probs.tobytes() == design_mvu(DesignSpec(b_in, b_out, eps)).log_probs.tobytes()
+    got = hashlib.sha256(table.alphabet.tobytes() + table.log_probs.tobytes()).hexdigest()
+    assert got == _QUOTIENT_DIGESTS.get(digest, digest)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,6 +305,17 @@ def test_least_of_max_is_the_least_of_the_larger_quadratic(quads, s_lo, width):
     # larger quadratic moves by at most its steepest slope times that distance
     slope = max(2.0 * abs(alpha) * s_hi + abs(gamma) for alpha, gamma in quads)
     assert least >= values.min() - slope * (s[1] - s[0]) / 2.0 - margin
+
+
+def _dense_quotient(b_in, b_out, eps, letters):
+    """The quotient's (equality, ratio) rows from the dense ones: the columns
+    of each mirror orbit summed, the mirrored rows dropped."""
+    a_eq, a_ub = _dense_constraints(b_in, b_out, eps, letters)
+    n = b_in * b_out
+    orbit = np.zeros((n, (n + 1) // 2))
+    orbit[np.arange(n), np.minimum(np.arange(n), np.arange(n)[::-1])] = 1.0
+    kept = np.r_[:(b_in + 1) // 2, b_in:b_in + b_in // 2]
+    return a_eq[kept] @ orbit, a_ub[:len(a_ub) // 2] @ orbit
 
 
 def _dense_constraints(b_in, b_out, eps, letters):
@@ -305,9 +356,12 @@ class _PassedMatrices:
 
 @pytest.mark.parametrize("b_in,b_out,eps", [(3, 3, 2.0), (5, 4, 0.5), (4, 5, 10.0), (2, 3, 40.0)])
 def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
-    # odd sizes put a zero in the letters and in the free LP's column, and
-    # 2 rows at eps = 40 drop every ratio row; each model must be passed the
-    # CSC arrays of the dense rows, zeros left out
+    # odd sizes put a zero in the letters and in the free LP's column, a
+    # middle row or a middle letter that is its own mirror (b_in even and
+    # b_out odd: a ratio row whose two cells share an orbit), and 2 rows at
+    # eps = 40 drop every ratio row; the search's model must be passed the
+    # CSC arrays of the dense quotient rows, and the free LP's and the
+    # oracle's those of the dense rows, zeros left out
     import scipy.optimize._highspy._core as core
     from scipy.sparse import csc_array
 
@@ -316,7 +370,8 @@ def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
     free = (np.hstack([a_eq, np.concatenate([np.zeros(b_in), -offsets])[:, None]]),
             np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))]))
     alphabet = _alphabet(b_out, 0.5)  # a zero letter
-    cases = [(a_eq, a_ub), free, _dense_constraints(b_in, b_out, eps, alphabet)]
+    cases = [_dense_quotient(b_in, b_out, eps, letters), free,
+             _dense_constraints(b_in, b_out, eps, alphabet)]
     calls, solver = [], designer._lp_solver
 
     def recording(cost, rows, bounds=(PROB_FLOOR, 1.0)):
@@ -384,10 +439,10 @@ def test_highs_model_matches_linprog(b_in, b_out, log_eps):
     _design_on_both_solvers(DesignSpec(b_in, b_out, float(np.exp(log_eps))))
 
 
-@pytest.mark.parametrize("b_out", [2, 3])
-def test_highs_model_retries_without_presolve_as_linprog(b_out):
-    # presolve calls the LP at r_max infeasible (2x2) or fails at the bracket end (2x3)
-    assert _design_on_both_solvers(DesignSpec(2, b_out, 25.0))
+@pytest.mark.parametrize("b_in", [2, 3])
+def test_highs_model_retries_without_presolve_as_linprog(b_in):
+    # presolve fails one of the search's LPs on 2x4 at eps = 25 and 3x4 at eps = 40
+    assert _design_on_both_solvers(DesignSpec(b_in, 4, {2: 25.0, 3: 40.0}[b_in]))
 
 
 @pytest.mark.parametrize("spec", [DesignSpec(4, 8, 3.0), DesignSpec(2, 3, 25.0, symmetrize=True)])
@@ -567,17 +622,48 @@ def _search_lps(spec):
         mp.setattr(designer, "_lp_solver", recording)
         design_mvu(spec)
     (solve, log), (_, [(_, top)]) = models
-    offsets = np.arange(spec.b_in) / (spec.b_in - 1) - 0.5
-    points = [(b_eq[spec.b_in] / offsets[0], sol[0], float(sol[2][spec.b_in:] @ offsets))
+    # the quotient's equality rows: (b_in + 1) // 2 simplex rows, then the
+    # mean rows of the offsets below 0
+    h, kept = (spec.b_in + 1) // 2, _offsets(spec.b_in)[:spec.b_in // 2]
+    points = [(b_eq[h] / kept[0], sol[0], float(sol[2][h:] @ kept))
               for b_eq, sol in log if sol is not None]
     return solve, float(top[1][-1]), points
 
 
+def _offsets(b_in):
+    return np.arange(b_in) / (b_in - 1) - 0.5
+
+
 def _mirror_value(solve, b_in, r):
-    """The LP's value at -r, or None where it failed."""
-    offsets = np.arange(b_in) / (b_in - 1) - 0.5
-    sol = solve(np.concatenate([np.ones(b_in), -offsets * r]))
+    """The quotient LP's value at -r, or None where it failed."""
+    kept = _offsets(b_in)[:b_in // 2]
+    sol = solve(np.concatenate([np.ones((b_in + 1) // 2), -kept * r]))
     return None if sol is None else sol[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    b_in=st.integers(2, 8),
+    b_out=st.integers(2, 16),
+    log_eps=st.floats(np.log(0.05), np.log(40.0)),
+)
+@example(b_in=3, b_out=16, log_eps=float(np.log(39.1788)))
+@example(b_in=4, b_out=5, log_eps=float(np.log(10.0)))  # a ratio row within one orbit
+@example(b_in=2, b_out=8, log_eps=float(np.log(5.0)))  # the quotient's LP at r_max fails
+def test_quotient_value_is_the_full_lp_value(b_in, b_out, log_eps):
+    # the LP over mirror-symmetric tables has the full LP's value at every r
+    # the search solves; r_max is solved on the feasibility boundary, and
+    # ratio rows of e^22 or more make HiGHS return suboptimal vertices
+    eps = float(np.exp(log_eps))
+    assume(not 22.0 <= eps / (b_in - 1) < np.log(1.0 / PROB_FLOOR))
+    _, top, points = _search_lps(DesignSpec(b_in, b_out, eps))
+    letters = designer._letters(b_out)
+    rows = designer._rows(b_in, b_out, eps, letters)
+    for r, g, _ in points:
+        if r != top:
+            full = designer._linprog(np.tile(letters**2, b_in), rows,
+                                     np.concatenate([np.ones(b_in), _offsets(b_in) * r]))
+            assert full is not None and abs(full.fun - g) <= 1e-9 * abs(g)
 
 
 @settings(max_examples=30, deadline=None)
