@@ -34,10 +34,6 @@ DEFAULT_DELTA = 1e-5
 FISHER_TOL = 1e-9
 VERIFY_TOL = 1e-9
 
-# Halvings of the tail bisection settled by one kernel call on the 2**k - 1
-# midpoints they could visit; the doubling tries as many candidates per call.
-_TAIL_HALVINGS = 4
-
 # Refinement schedule of the certified line search: points per segment, a
 # hard cap on total evaluations before giving up, and segments per evaluation.
 _SEG_POINTS = 129
@@ -64,10 +60,9 @@ class FisherDiagnostics:
 
     ``evaluations`` counts the inputs whose information or tail mass the
     search used: I(1/2) alone when the early certificate settles the bound,
-    else also every doubling try and bisection midpoint that a one-at-a-time
-    search takes, and every point of the line search.  The tail search's
-    batched calls compute up to 2**_TAIL_HALVINGS - 2 more midpoints per call,
-    which are not counted.  ``rounds`` counts the line search's rounds.
+    else also every doubling try and bisection midpoint of the tail search,
+    and every point of the line search.  ``rounds`` counts the line search's
+    rounds.
     """
 
     i_star: float
@@ -191,45 +186,32 @@ def _tail_end(table: MechanismTable, group: np.ndarray, target: float) -> tuple[
     ``target`` right of x = 1/2, to within 1e-12 or float resolution.
 
     Doubling from 1/2 brackets the crossing and bisection closes in on it,
-    keeping the right end so the tail certificate holds past x_max.  Each
-    kernel call tries 2**k - 1 doublings, or evaluates the 2**k - 1 midpoints
-    that the next k = ``_TAIL_HALVINGS`` halvings could visit, each as
-    ``0.5 * (lo + hi)`` of the ends that halving would have: x_max and the
-    count are those of a one-at-a-time search, bit for bit.
+    one mass evaluation a step, keeping the right end so the tail
+    certificate holds past x_max.
     """
-    block = 2**_TAIL_HALVINGS - 1
-    tries = 0.5 * 2.0 ** np.arange(201)   # 1/2 and its doublings, each exact
-    for start in range(0, tries.size, block):
-        xs = tries[start : start + block]
-        reached = np.flatnonzero(_group_mass(table, xs, group) >= target)
-        if reached.size:
+    def reached(x):
+        return _group_mass(table, np.array([x]), group)[0] >= target
+
+    hi = 0.5
+    for tries in range(201):
+        if reached(hi):
             break
+        hi *= 2.0
     else:
         raise AccountingError("argmax mass never reached the tail threshold")
-    doubled = start + int(reached[0])
-    lo, hi = 0.5, float(tries[doubled])
-    halvings = 0
-    while True:
-        ends = np.array([lo, hi])
-        for _ in range(_TAIL_HALVINGS):
-            grown = np.empty(2 * ends.size - 1)
-            grown[::2], grown[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
-            ends = grown
-        below = (_group_mass(table, ends[1:-1], group) < target).tolist()
-        ends = ends.tolist()
-        a, b = 0, len(ends) - 1
-        while b - a > 1:
-            # 200 halvings reach either the 1e-12 tolerance or float resolution;
-            # stopping early only widens the searched interval, never the bound
-            m = (a + b) // 2
-            if halvings == 200 or ends[b] - ends[a] <= 1e-12 or not ends[a] < ends[m] < ends[b]:
-                return ends[b], 1 + doubled + halvings
-            halvings += 1
-            if below[m - 1]:
-                a = m
-            else:
-                b = m
-        lo, hi = ends[a], ends[b]
+    lo, evals = 0.5, 1 + tries
+    # 200 halvings reach either the 1e-12 tolerance or float resolution;
+    # stopping early only widens the searched interval, never the bound
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 or not lo < mid < hi:
+            break
+        evals += 1
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, evals
 
 
 def fisher_sup(table: MechanismTable) -> tuple[float, FisherDiagnostics]:

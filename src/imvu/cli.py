@@ -121,7 +121,8 @@ def _cmd_account(args, argv) -> int:
         sys.stdout.write(text)
     if args.attach:
         save_mechanism(args.mech, attach_accounting(mech, report=report))
-        print(f"constants attached -> {args.mech}")
+        # a report on stdout stays one JSON document
+        print(f"constants attached -> {args.mech}", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -4,12 +4,14 @@ For a fixed affine output alphabet the design problem is a linear program in
 the row probabilities: minimize the summed output variance over the grid
 subject to the row simplex, exact unbiasedness at every grid point, and the
 metric-DP ratio constraints between adjacent rows, which telescope to every
-pair because the grid is uniform.  Reversing the rows and the letters
-together leaves it unchanged, so it is solved over mirror-symmetric tables,
-with half the columns and rows, and every design is anadromic.  The alphabet
-scale s is searched exactly: in r = 1/s the LP's optimal value is convex and
-piecewise linear, so a few LP solves find all of its linear pieces, and the
-variance on each piece is least at an end, which those solves reach.  A
+pair because the grid is uniform.  The LP is stated once, as its nonzero
+entries, and each column-wise form HiGHS is given is derived from them.
+Reversing the rows and the letters together leaves it unchanged, so it is
+solved over mirror-symmetric tables, with half the columns and rows, and
+every design is anadromic.  The alphabet scale s is searched exactly: in
+r = 1/s the LP's optimal value is convex and piecewise linear, so a few LP
+solves find all of its linear pieces, and the variance on each piece is
+least at an end, which those solves reach.  A
 search keeps its LP in one HiGHS model and re-solves it cold at every scale,
 moving only the right-hand side, with the numbers ``scipy.optimize.linprog``
 gives; where scipy lacks its bundled HiGHS binding, every solve goes through
@@ -30,6 +32,7 @@ from .mechanism import (
     MechanismTable,
     TableInvariantError,
     _anadromic_residual,
+    _eps_float,
     _grid,
     table_violations,
 )
@@ -92,8 +95,7 @@ class DesignSpec:
                 raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.b_in < 2 or self.b_out < 2:
             raise ValueError("b_in and b_out must both be at least 2")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ValueError("eps must be positive and finite")
+        object.__setattr__(self, "eps", _eps_float(self.eps, "eps"))
         if not np.isfinite(self.scale_range()[1]):
             raise ValueError(
                 f"eps={self.eps!r} is too small: e^eps rounds to 1, "
@@ -158,26 +160,35 @@ def _growth(b_in: int, eps: float) -> float:
 
 
 def _rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
-    """The design LP's constraint matrix in the column-wise form HiGHS takes:
-    (start, index, value, m_ub), holding no zero coefficient, with the m_ub
-    ratio rows first and then the equality rows, as ``linprog`` orders them.
+    """The design LP's nonzeros as (row, column, value) entries, and m_ub,
+    its number of ratio rows, which come first, as ``linprog`` orders them.
 
     The variables are the row-major probabilities p[i, j], k = i b_out + j.
-    With m = (b_in - 1) b_out, ratio row k is p[i, j] <= e^(eps/(b_in-1))
-    p[i+1, j] (forward) and m + k is p[i+1, j] <= e^(eps/(b_in-1)) p[i, j]
-    (backward); then come the row simplex 2m + i and the row mean over
-    ``letters`` 2m + b_in + i.  Column k's rows are k - b_out, k, m + k -
-    b_out, m + k, 2m + i and 2m + b_in + i, in that order, where they exist.
+    With m = (b_in - 1) b_out, ratio row k < m is p[k] <= e^(eps/(b_in-1))
+    p[k + b_out] (forward) and m + k is p[k + b_out] <= e^(eps/(b_in-1))
+    p[k] (backward); then come the row simplex 2m + i and the row mean over
+    ``letters`` 2m + b_in + i.  ``_columns`` gives the form HiGHS takes.
     """
     n, growth = b_in * b_out, _growth(b_in, eps)
     m = n - b_out if growth else 0
-    k = np.arange(n)
+    k, r = np.arange(n), np.arange(m)
     i, j = np.divmod(k, b_out)
-    after, before = (i > 0) & (m > 0), (i < b_in - 1) & (m > 0)
-    keep = np.stack([after, before, after, before, np.ones(n, dtype=bool), letters[j] != 0], axis=1)
-    index = np.stack([k - b_out, k, m + k - b_out, m + k, 2 * m + i, 2 * m + b_in + i], axis=1)
-    value = np.stack(np.broadcast_arrays(-growth, 1.0, 1.0, -growth, 1.0, letters[j]), axis=1)
-    return np.append(0, np.cumsum(keep.sum(axis=1))), index[keep], value[keep], 2 * m
+    row = np.concatenate([r, r, m + r, m + r, 2 * m + i, 2 * m + b_in + i])
+    col = np.concatenate([r, r + b_out, r, r + b_out, k, k])
+    value = np.concatenate([np.ones(m), np.full(m, -growth), np.full(m, -growth), np.ones(m),
+                            np.ones(n), letters[j]])
+    nonzero = value != 0
+    return row[nonzero], col[nonzero], value[nonzero], 2 * m
+
+
+def _columns(row, col, value, m_ub):
+    """LP entries in the column form HiGHS takes: (start, index, value,
+    m_ub), sorted by column and then row, the entries of one cell summed."""
+    order = np.lexsort((row, col))
+    row, col = row[order], col[order]
+    first = np.flatnonzero(np.append(True, (np.diff(col) != 0) | (np.diff(row) != 0)))
+    start = np.searchsorted(col[first], np.arange(col[-1] + 2))
+    return start, row[first], np.add.reduceat(value[order], first), m_ub
 
 
 def _orbits(b_in: int, b_out: int) -> np.ndarray:
@@ -187,47 +198,27 @@ def _orbits(b_in: int, b_out: int) -> np.ndarray:
     return np.minimum(k, k[::-1])
 
 
-def _mirror_rows(b_in: int, b_out: int, eps: float, letters: np.ndarray):
-    """The design LP on its mirror quotient, in ``_rows``' column form.
+def _quotient(b_in: int, b_out: int, row, col, value, m_ub):
+    """The design LP's entries (``_rows``) on its mirror quotient.
 
     Reversing the rows and the letters together leaves the LP unchanged
-    (the grid and ``letters`` are symmetric), so the average of an optimum
+    (the grid and the letters are symmetric), so the average of an optimum
     with its mirror is an optimum, and the LP over mirror-symmetric p has
     the same value: the standard symmetry reduction of an LP (Boedi, Herr &
     Joswig, Mathematical Programming 141, 2013).  Substituting p[k] =
-    q[``_orbits``[k]] gives one column per orbit k < n - k, holding the
-    summed coefficients of cells k and n - 1 - k.  Every backward ratio row
-    then repeats a forward one (backward row k is forward row m - 1 - k),
-    and simplex and mean row b_in - 1 - i repeat row i, the mean negated;
-    the middle row of an odd b_in is its own mirror, and its mean row is
-    0 = 0.  Kept are the m forward ratio rows, then the simplex rows
-    i < (b_in + 1) // 2 and the mean rows i < b_in // 2, with right-hand
-    sides 1 and offsets_i r.
+    q[``_orbits``[k]] maps each cell's entries to its orbit's column.  Every
+    backward ratio row then repeats a forward one, and simplex and mean row
+    b_in - 1 - i repeat row i, the mean negated; the middle mean row of an
+    odd b_in is 0 = 0.  Kept are the m forward ratio rows, then the simplex
+    rows i < (b_in + 1) // 2 and the mean rows i < b_in // 2.
     """
-    n, h, half, growth = b_in * b_out, (b_in + 1) // 2, b_in // 2, _growth(b_in, eps)
-    m = n - b_out if growth else 0
-    k = np.arange((n + 1) // 2)
-    mirror, (i, j) = n - 1 - k, np.divmod(k, b_out)
-    pair = mirror != k
-    # Column k's rows, each where it exists, in row order: forward ratio
-    # rows k - b_out (-growth), then k (1) and below = mirror - b_out
-    # (-growth, its mirror's) in either order, then mirror (1, its
-    # mirror's); then its simplex row, holding both cells in the middle row
-    # of an odd b_in, and its mean row.  k = below (an even b_in and odd
-    # b_out, the middle letter's middle ratio row) is one coefficient,
-    # 1 - growth.  Nothing is sorted or merged at run time.
-    below = mirror - b_out
-    first = k <= below
-    own, down = k < m, pair & (mirror >= b_out) & (m > 0)
-    keep = np.stack([(k >= b_out) & (m > 0), np.where(first, own, down),
-                     np.where(first, down & (k != below), own), pair & (mirror < m),
-                     np.ones(k.size, dtype=bool), (i < half) & (letters[j] != 0)], axis=1)
-    index = np.stack([k - b_out, np.where(first, k, below), np.where(first, below, k), mirror,
-                      m + i, m + h + i], axis=1)
-    value = np.stack(np.broadcast_arrays(
-        -growth, np.where(first, 1.0 - growth * (k == below), -growth),
-        np.where(first, -growth, 1.0), 1.0, 1.0 + (pair & (2 * i == b_in - 1)), letters[j]), axis=1)
-    return np.append(0, np.cumsum(keep.sum(axis=1))), index[keep], value[keep], m
+    m, h = m_ub // 2, (b_in + 1) // 2
+    kept = np.r_[:m, 2 * m:2 * m + h, 2 * m + b_in:2 * m + b_in + b_in // 2]
+    renumber = np.full(2 * m + 2 * b_in, -1)
+    renumber[kept] = np.arange(kept.size)
+    row = renumber[row]
+    keep = row >= 0
+    return row[keep], _orbits(b_in, b_out)[col[keep]], value[keep], m
 
 
 def linprog(*args, **kwargs):
@@ -239,7 +230,7 @@ def linprog(*args, **kwargs):
 
 
 def _rows_hold(rows, b_eq, x) -> bool:
-    """Whether ``x`` meets the rows of an LP given by ``_rows`` within
+    """Whether ``x`` meets the rows of an LP given by ``_columns`` within
     ``_LINPROG_CHECK_TOL``, with A x computed here from ``x``: HiGHS can
     call an LP optimal, its row values meeting every row, while its x
     misses them (2x128 at eps = 25, where the ratio rows carry e^25)."""
@@ -250,7 +241,7 @@ def _rows_hold(rows, b_eq, x) -> bool:
 
 
 def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
-    """HiGHS on one design LP, given by ``_rows``, retried once without
+    """HiGHS on one design LP, given by ``_columns``, retried once without
     presolve if it fails; None if that fails too.  A solve whose x misses
     the rows (``_rows_hold``) fails.
 
@@ -347,7 +338,7 @@ class _HighsLP:
 
 
 def _lp_solver(cost, rows, bounds=(PROB_FLOOR, 1.0)):
-    """``solve(b_eq)`` for one design LP, given by ``_rows``: (fun, x,
+    """``solve(b_eq)`` for one design LP, given by ``_columns``: (fun, x,
     equality-row duals) at right-hand side ``b_eq``, or None if the solve
     failed.
 
@@ -371,7 +362,7 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float) -> float:
     quotient the search solves); inf if no optimum is found."""
     alphabet = _alphabet(b_out, scale)
     grid = _grid(b_in)
-    rows = _rows(b_in, b_out, eps, alphabet)
+    rows = _columns(*_rows(b_in, b_out, eps, alphabet))
     res = _linprog(np.tile(alphabet**2, b_in), rows, np.concatenate([np.ones(b_in), grid]))
     return np.inf if res is None else float(res.fun - np.sum(grid**2))
 
@@ -475,15 +466,16 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     interval, [1/hi, r_max (1 - ``_R_MAX_INSET``)], is tested on its right
     tangent alone before the LP at 1/hi is solved.
 
-    Every LP but the free one is solved on the mirror quotient
-    (``_mirror_rows``), whose value is g's and whose kept mean rows' duals
-    give its slope; a solution is expanded to one value per cell.  The free
-    LP stays on the full rows: the quotient's puts r_max a few 1e-12
-    further out, where the LP at r_max fails (4x4 at eps = 40), and the
-    variance of a design whose optimum lies at r_max moves with r_max's
-    last bits.  Where the quotient's LP at r_max fails all the same (2x8 at
-    eps = 5), the free LP's own point, feasible there, averaged with its
-    mirror, is its candidate, at no further LP.
+    Both LPs come from ``_rows``' one list of entries, each put in column
+    form by ``_columns``.  Every LP but the free one is solved on the mirror
+    quotient (``_quotient``), whose value is g's and whose kept mean rows'
+    duals give its slope; a solution is expanded to one value per cell.  The
+    free LP, the entries with r as one more column, stays on the full rows:
+    the quotient's puts r_max a few 1e-12 further out, where the LP at r_max
+    fails (4x4 at eps = 40), and the variance of a design whose optimum lies
+    at r_max moves with r_max's last bits.  Where the quotient's LP at r_max
+    fails all the same (2x8 at eps = 5), the free LP's own point, feasible
+    there, averaged with its mirror, is its candidate, at no further LP.
     """
     b_in, b_out = spec.b_in, spec.b_out
     letters = _letters(b_out)
@@ -493,9 +485,9 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
     # mean rows i < b_in // 2, whose offsets are all nonzero
     ones, kept = np.ones((b_in + 1) // 2), offsets[:b_in // 2]
     orbits = _orbits(b_in, b_out)
-    full = _rows(b_in, b_out, spec.eps, letters)
+    entries = _rows(b_in, b_out, spec.eps, letters)
     cost = np.bincount(orbits, np.tile(letters**2, b_in))
-    rows = _mirror_rows(b_in, b_out, spec.eps, letters)
+    rows = _columns(*_quotient(b_in, b_out, *entries))
     lo, hi = spec.scale_range()
     r_lo, r_hi = 1.0 / hi, 1.0 / lo
     bound, solved = _LPS_PER_CELL * b_in * b_out, {}
@@ -526,12 +518,12 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
 
     # r is one more variable of the full LP, -offsets its column in the
     # nonzero mean rows
-    start, index, value, m_ub = full
+    row, col, value, m_ub = entries
     n, used = b_in * b_out, np.flatnonzero(offsets)
     free = _lp_solver(
         np.append(np.zeros(n), -1.0),
-        (np.append(start, start[-1] + used.size), np.concatenate([index, m_ub + b_in + used]),
-         np.concatenate([value, -offsets[used]]), m_ub),
+        _columns(np.append(row, m_ub + b_in + used), np.append(col, np.full(used.size, n)),
+                 np.append(value, -offsets[used]), m_ub),
         bounds=[(PROB_FLOOR, 1.0)] * n + [(r_lo, r_hi)],
     )(np.concatenate([np.ones(b_in), np.zeros(b_in)]))
     r_top = float(free[1][-1]) if free is not None else r_lo

@@ -17,6 +17,7 @@ lerp, ``_interpolate``, also serves ``interpolate_eta`` and dithering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -138,6 +139,15 @@ _CONSTRUCTION_TOLS = {
 }
 
 
+def _eps_float(eps, name: str) -> float:
+    """``eps`` as a Python float, so a numpy scalar computes and saves as the
+    float does; ``ValueError`` unless it is a real number, positive and
+    finite (a bool is not one: a saved table could not be loaded again)."""
+    if isinstance(eps, bool) or not isinstance(eps, Real) or not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"{name} must be positive and finite, got {eps!r}")
+    return float(eps)
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismTable:
     """A designed discrete mechanism: an output alphabet and one row of
@@ -154,8 +164,7 @@ class MechanismTable:
     design_eps: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.design_eps) and self.design_eps > 0):
-            raise ValueError("design_eps must be positive and finite")
+        object.__setattr__(self, "design_eps", _eps_float(self.design_eps, "design_eps"))
         alphabet = np.array(self.alphabet, dtype=float)
         log_probs = np.array(self.log_probs, dtype=float)
         checks = table_violations(alphabet, self.design_eps, log_probs)

@@ -37,30 +37,34 @@ _REQUIRED_ACCOUNTING = ("eps_prime", "fisher_m", "beta", "clip_norm", "clip_c")
 
 
 def mechanism_to_dict(mech: InterpolatedMechanism) -> dict:
-    table = mech.table
+    """The mechanism as a plain document, every number a Python float (the
+    sizes ints), so that any numpy scalar serializes as it would load."""
+    table, ep, fm = mech.table, mech.eps_prime, mech.fisher_m
     return {
         "format_version": FORMAT_VERSION,
         "b_in": table.b_in,
         "b_out": table.b_out,
         "metric": "l1",
-        "design_eps": table.design_eps,
+        "design_eps": float(table.design_eps),
         "grid": [float(v) for v in table.grid],
         "alphabet": [float(v) for v in table.alphabet],
         "log_probs": [[float(v) for v in row] for row in table.log_probs],
         "accounting": {
-            "eps_prime": mech.eps_prime,
-            "fisher_m": mech.fisher_m,
-            "beta": mech.beta,
+            "eps_prime": None if ep is None else float(ep),
+            "fisher_m": None if fm is None else float(fm),
+            "beta": float(mech.beta),
             "clip_norm": mech.clip.norm,
-            "clip_c": mech.clip.clip_c,
+            "clip_c": float(mech.clip.clip_c),
         },
     }
 
 
 def save_mechanism(path, mech: InterpolatedMechanism) -> None:
+    """Write ``mech`` to ``path``, serialized before the file is opened, so
+    a failure leaves no partial file."""
+    text = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
     with open(path, "w") as handle:
-        json.dump(mechanism_to_dict(mech), handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _require(doc, fields, what: str = "mechanism document") -> None:

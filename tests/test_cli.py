@@ -572,6 +572,18 @@ def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_n
         assert reattached.eps_prime == attached.eps_prime
 
 
+@pytest.mark.parametrize("mode, clip_norm", [("rdp", "l2"), ("pure", "l1")])
+def test_account_attach_without_out_prints_one_json_document(tmp_path, capsys, mode, clip_norm):
+    mech_path = str(tmp_path / "m.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", repr(LN3), "--out", mech_path) == 0
+    capsys.readouterr()
+    assert run("account", "--mech", mech_path, "--mode", mode, "--clip-norm", clip_norm,
+               "--clip-c", "1.0", "--rounds", "3", "--attach") == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["mode"] == mode
+    assert err == f"constants attached -> {mech_path}\n"
+
+
 def test_account_reattach_does_not_certify_stored_constants(tmp_path, monkeypatch):
     mech_path = str(tmp_path / "m.json")
     assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",

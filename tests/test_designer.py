@@ -354,12 +354,15 @@ class _PassedMatrices:
         return Highs()
 
 
-@pytest.mark.parametrize("b_in,b_out,eps", [(3, 3, 2.0), (5, 4, 0.5), (4, 5, 10.0), (2, 3, 40.0)])
+@pytest.mark.parametrize("b_in,b_out,eps", [(3, 3, 2.0), (5, 4, 0.5), (4, 5, 10.0), (2, 3, 40.0),
+                                            (3, 4, 60.0), (2, 4, 25.0)])
 def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
     # odd sizes put a zero in the letters and in the free LP's column, a
     # middle row or a middle letter that is its own mirror (b_in even and
     # b_out odd: a ratio row whose two cells share an orbit), and 2 rows at
-    # eps = 40 drop every ratio row; the search's model must be passed the
+    # eps = 40 or 3 at eps = 60 drop every ratio row, the 3 rows' middle
+    # simplex row holding both cells of an orbit; at 2x4 eps = 25 the ratio
+    # rows carry e^25.  The search's model must be passed the
     # CSC arrays of the dense quotient rows, and the free LP's and the
     # oracle's those of the dense rows, zeros left out
     import scipy.optimize._highspy._core as core
@@ -383,7 +386,7 @@ def test_highs_models_are_passed_the_dense_rows(monkeypatch, b_in, b_out, eps):
     passed = _PassedMatrices(core)
     for call in calls:
         designer._HighsLP(passed, *call)
-    rows = designer._rows(b_in, b_out, eps, alphabet)
+    rows = designer._columns(*designer._rows(b_in, b_out, eps, alphabet))
     designer._HighsLP(passed, np.tile(alphabet**2, b_in), rows, (PROB_FLOOR, 1.0))
     assert len(passed.matrices) == len(cases)
     for got, (ref_eq, ref_ub) in zip(passed.matrices, cases):
@@ -504,9 +507,24 @@ def test_spec_rejects_sizes_that_are_not_integers(field, args):
         DesignSpec(*args, 1.0)
 
 
+@pytest.mark.parametrize("eps", [True, "1.0", None, [1.0]])
+def test_spec_rejects_an_eps_that_is_not_a_real_number(eps):
+    # a bool eps designed a table whose saved file could not be loaded
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        DesignSpec(2, 2, eps)
+
+
 def test_spec_takes_numpy_integer_sizes():
     table = design_mvu(DesignSpec(np.int64(2), np.int32(2), LN3))
     assert table.log_probs.tobytes() == design_mvu(DesignSpec(2, 2, LN3)).log_probs.tobytes()
+
+
+def test_spec_takes_a_numpy_float32_eps():
+    # a float32 eps put float32 steps into the repair, and the 4x4 design
+    # then failed its metric-DP check by 6e-8
+    table = design_mvu(DesignSpec(4, 4, np.float32(2.0)))
+    assert type(table.design_eps) is float
+    assert table.log_probs.tobytes() == design_mvu(DesignSpec(4, 4, 2.0)).log_probs.tobytes()
 
 
 def _all_pairs_lp(b_in, b_out, eps, scale):
@@ -658,7 +676,7 @@ def test_quotient_value_is_the_full_lp_value(b_in, b_out, log_eps):
     assume(not 22.0 <= eps / (b_in - 1) < np.log(1.0 / PROB_FLOOR))
     _, top, points = _search_lps(DesignSpec(b_in, b_out, eps))
     letters = designer._letters(b_out)
-    rows = designer._rows(b_in, b_out, eps, letters)
+    rows = designer._columns(*designer._rows(b_in, b_out, eps, letters))
     for r, g, _ in points:
         if r != top:
             full = designer._linprog(np.tile(letters**2, b_in), rows,

@@ -80,6 +80,13 @@ def test_letter_that_is_not_finite_rejected(rr_table, letter):
     assert not checks["alphabet_order"][0] <= 1e-6
 
 
+@pytest.mark.parametrize("eps", [True, "2.0"])
+def test_design_eps_that_is_not_a_real_number_rejected(rr_table, eps):
+    # a bool passed as a positive number, and the saved file was then rejected
+    with pytest.raises(ValueError, match="design_eps must be positive and finite"):
+        MechanismTable(rr_table.alphabet, rr_table.log_probs, eps)
+
+
 @pytest.mark.parametrize("shape", [(2, MAX_TABLE_CELLS // 2 + 1), (MAX_TABLE_CELLS // 2 + 1, 2)])
 def test_table_over_the_cell_limit_rejected_before_the_pair_check(shape):
     # nothing of the table's size is held before the cell limit is checked

@@ -46,6 +46,29 @@ def test_roundtrip_exact(saved):
     assert loaded.clip == mech.clip
 
 
+@pytest.mark.parametrize("field", ["design_eps", "beta"])
+def test_numpy_float32_scalars_save_and_load(tmp_path, rr_table, field):
+    # json cannot write a float32, and the file was left cut off
+    table = MechanismTable(rr_table.alphabet, rr_table.log_probs,
+                           np.float32(2.0) if field == "design_eps" else rr_table.design_eps)
+    mech = attach_accounting(InterpolatedMechanism(
+        table, beta=np.float32(1.0) if field == "beta" else 1.0, clip=ClipConfig("l1", 1.0)))
+    path = tmp_path / "m.json"
+    save_mechanism(path, mech)
+    loaded = load_mechanism(path)
+    assert (loaded.table.design_eps, loaded.beta) == (float(table.design_eps), float(mech.beta))
+
+
+def test_save_that_fails_to_serialize_leaves_no_file(tmp_path, monkeypatch, rr_table):
+    import imvu.table_io as table_io
+
+    monkeypatch.setattr(table_io, "mechanism_to_dict", lambda mech: {"eps": object()})
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError):
+        save_mechanism(path, InterpolatedMechanism(rr_table, 1.0, ClipConfig("l1", 1.0)))
+    assert not path.exists()
+
+
 def test_null_constants_roundtrip(tmp_path, rr_table):
     mech = InterpolatedMechanism(rr_table, beta=2.0, clip=ClipConfig("l2", 0.5))
     path = tmp_path / "bare.json"
