@@ -8,7 +8,6 @@ from .accounting import (
     AccountingError,
     AnadromicityError,
     FisherDiagnostics,
-    MissingConstantsError,
     PrivacyLedger,
     accounting_report,
     attach_accounting,

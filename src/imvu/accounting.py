@@ -33,6 +33,7 @@ DEFAULT_DELTA = 1e-5
 
 FISHER_TOL = 1e-9
 VERIFY_TOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Refinement schedule of the certified line search: points per segment, a
 # hard cap on total evaluations before giving up, and segments per evaluation.
@@ -48,10 +49,6 @@ class AccountingError(RuntimeError):
 class AnadromicityError(AccountingError):
     """The Fisher route needs anadromic parameters; run enforce_anadromic
     on the table (every designed table already is)."""
-
-
-class MissingConstantsError(AccountingError):
-    """An operation needs accounting constants that were never attached."""
 
 
 @dataclass(frozen=True)
@@ -342,42 +339,38 @@ class PrivacyLedger:
             raise ValueError("per_round must have one entry per alpha")
 
 
-def clip_mode(clip) -> str:
-    """The ledger mode of a run clipped by ``clip``: the eps' route ("pure")
-    under an l1 clip, the Fisher route ("rdp") under an l2 clip."""
-    return "pure" if clip.norm == "l1" else "rdp"
-
-
-def _check_mode(mode) -> None:
+def _constant_of(mode) -> str:
+    """The constant a ``mode`` ledger charges: eps' in pure mode, M in rdp."""
     if mode not in ("pure", "rdp"):
         raise ValueError(f"mode must be 'pure' or 'rdp', got {mode!r}")
+    return "eps_prime" if mode == "pure" else "fisher_m"
 
 
 def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
                 delta: float = DEFAULT_DELTA, alphas=DEFAULT_ALPHAS) -> PrivacyLedger:
-    """Per-round cost of an attached mechanism at sensitivity ``sens``.
+    """Per-round cost of ``mech`` at sensitivity ``sens``.
 
     Pure mode takes the eps' route, (design eps + eps') * sens; rdp mode the
-    Fisher route, alpha * M * sens^2 / 2 for each order alpha.
+    Fisher route, alpha * M * sens^2 / 2 for each order alpha.  The mode's
+    constant is the one attached to ``mech``, else one certified here.
     """
-    _check_mode(mode)
-    if mode == "pure" and mech.eps_prime is None:
-        raise MissingConstantsError("eps_prime not attached; run attach_accounting first")
-    if mode == "rdp" and mech.fisher_m is None:
-        raise MissingConstantsError(
-            "fisher_m not attached; run attach_accounting on an anadromic table"
-        )
+    name = _constant_of(mode)
     if not (np.isfinite(sens) and sens >= 0):
         raise ValueError(f"sensitivity must be a non-negative real, got {sens!r}")
+    value = getattr(mech, name)
+    if value is None:
+        value, _ = _certify(mech, name)
     if mode == "pure":
-        return PrivacyLedger((mech.table.design_eps + mech.eps_prime) * sens, delta)
-    return PrivacyLedger(_orders(alphas) * mech.fisher_m * sens**2 / 2.0, delta, tuple(alphas))
+        return PrivacyLedger((mech.table.design_eps + value) * sens, delta)
+    return PrivacyLedger(_orders(alphas) * value * sens**2 / 2.0, delta, tuple(alphas))
 
 
 def compose(ledger: PrivacyLedger, rounds: int):
-    """Total cost of ``rounds`` rounds: the per-round cost times ``rounds``."""
-    if not 0 <= rounds < np.inf or rounds % 1:  # NaN fails the first test
-        raise ValueError("rounds must be non-negative and integral")
+    """Total cost of ``rounds`` rounds, a whole number within float range
+    (not a bool): the per-round cost times ``rounds``."""
+    # NaN fails the range test
+    if isinstance(rounds, (bool, np.bool_)) or not 0 <= rounds <= _FLOAT_MAX or rounds % 1:
+        raise ValueError("rounds must be non-negative and integral, within float range")
     if ledger.alphas is None:
         return rounds * float(ledger.per_round)
     return rounds * np.asarray(ledger.per_round, dtype=float)
@@ -424,8 +417,8 @@ def spent_epsilon(ledger: PrivacyLedger, rounds: int) -> float:
 def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
     """(value, certification record) of ``eps_prime`` or ``fisher_m``.
 
-    The one place a constant is certified, so attached, verified and reported
-    constants agree.  eps' covers the beta-scaled input range; M needs a
+    The one place a constant is certified, so attached, charged, verified and
+    reported constants agree.  eps' covers the beta-scaled input range; M needs a
     two-row anadromic table.  The record holds the number of evaluations and
     the pad added to the largest evaluated value.
     """
@@ -437,26 +430,21 @@ def _certify(mech: InterpolatedMechanism, name: str) -> tuple[float, dict]:
     return value, {"evaluations": diag.evaluations, "pad": FISHER_TOL}
 
 
-def attach_accounting(
-    mech: InterpolatedMechanism, report: dict | None = None, mode: str | None = None
-) -> InterpolatedMechanism:
-    """Return a copy of ``mech`` with certified constants attached.
+def attach_accounting(mech: InterpolatedMechanism,
+                      report: dict | None = None) -> InterpolatedMechanism:
+    """Return a copy of ``mech`` with certified constants attached, as a
+    mechanism file stores them (``imvu_ledger`` certifies what is not).
 
     The Fisher constant is attached only for two-row anadromic tables.
     ``report``, an ``accounting_report`` of this ``mech``, supplies the
-    constant it certified, which is then not computed again.  ``mode``,
-    "pure" or "rdp", attaches only the constant that mode's ledger reads:
-    eps' or the Fisher constant.
+    constant it certified, which is then not computed again.
     """
-    if mode is not None:
-        _check_mode(mode)
-    table = mech.table
     known = report or {}
     ep = known.get("eps_prime")
-    if ep is None and mode != "rdp":
+    if ep is None:
         ep, _ = _certify(mech, "eps_prime")
     fm = known.get("fisher_m")
-    if fm is None and table.anadromic and mode != "pure":
+    if fm is None and mech.table.anadromic:
         fm, _ = _certify(mech, "fisher_m")
     return replace(mech, eps_prime=ep, fisher_m=fm)
 
@@ -490,14 +478,13 @@ def accounting_report(
     l1 distance, which an l2 clip bounds only by beta * sqrt(d), so pure
     mode under an l2 clip needs an explicit ``c_sens``.
     """
-    _check_mode(mode)
+    name = _constant_of(mode)
     if mode == "pure" and c_sens is None and mech.clip.norm != "l1":
         raise ValueError(
             "the pure route charges l1 sensitivity, which an l2 clip bounds only by "
             "beta * sqrt(d); give it with --c-sens (c_sens)"
         )
     sens = mech.beta if c_sens is None else float(c_sens)
-    name = "eps_prime" if mode == "pure" else "fisher_m"
     value, certification = _certify(mech, name)
     ledger = imvu_ledger(replace(mech, **{name: value}), mode, sens, delta, alphas)
     composed = compose(ledger, rounds)

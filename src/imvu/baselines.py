@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import PrivacyLedger, clip_mode, imvu_ledger
+from .accounting import PrivacyLedger, imvu_ledger
 from .mechanism import ClipConfig, InterpolatedMechanism, clip
 
 # the clip norm each baseline's noise is calibrated to
@@ -106,13 +106,15 @@ def round_ledger(priv, delta: float, alphas: tuple[float, ...]) -> PrivacyLedger
     """Privacy cost of one round; None for identity.
 
     imvu is charged at sensitivity beta through eps' under an l1 clip and
-    the Fisher constant under an l2 clip.  A baseline's ``noise`` is the
+    the Fisher constant under an l2 clip; ``imvu_ledger`` certifies the one
+    a bare mechanism lacks.  A baseline's ``noise`` is the
     laplace epsilon (scale C1/eps at l1 sensitivity C1 costs pure eps) or the
     gaussian/signsgd noise multiplier sigma (std sigma * C2 at l2 sensitivity
     C2 costs eps_alpha = alpha / (2 sigma^2); signsgd is post-processing).
     """
     if isinstance(priv, InterpolatedMechanism):
-        return imvu_ledger(priv, clip_mode(priv.clip), priv.beta, delta, alphas)
+        mode = "pure" if priv.clip.norm == "l1" else "rdp"
+        return imvu_ledger(priv, mode, priv.beta, delta, alphas)
     if not isinstance(priv, BaselineConfig):
         return None
     if priv.kind == "laplace":

@@ -26,7 +26,6 @@ from .accounting import (
     DEFAULT_DELTA,
     accounting_report,
     attach_accounting,
-    clip_mode,
 )
 from .baselines import KINDS, privatizer
 from .designer import DesignError, DesignSpec, design_mvu, validate_table
@@ -102,7 +101,6 @@ def _run_mechanism(args) -> InterpolatedMechanism:
 
 def _cmd_account(args, argv) -> int:
     mech = _run_mechanism(args)
-    alphas = tuple(float(a) for a in args.alphas.split(",")) if args.alphas else DEFAULT_ALPHAS
     report = accounting_report(
         mechanism_file=args.mech,
         mech=mech,
@@ -110,7 +108,7 @@ def _cmd_account(args, argv) -> int:
         rounds=args.rounds,
         delta=args.delta,
         c_sens=args.c_sens,
-        alphas=alphas,
+        alphas=args.alphas,
     )
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
@@ -127,15 +125,14 @@ def _cmd_account(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
-    b_in_list = [int(v) for v in args.b_in_list.split(",")]
     tables = [
         design_mvu(DesignSpec(b_in=b_in, b_out=2**args.bits, eps=args.eps))
-        for b_in in b_in_list
+        for b_in in args.b_in_list
     ]
     report = sweep_bias_variance(tables, eps=args.eps)
     report.to_csv(args.out)
     _write_manifest(args.out, argv, None, [args.out])
-    print(f"sweep over b_in {b_in_list} (b={args.bits}, eps={args.eps}) -> {args.out}")
+    print(f"sweep over b_in {args.b_in_list} (b={args.bits}, eps={args.eps}) -> {args.out}")
     return 0
 
 
@@ -155,11 +152,7 @@ def _cmd_dme(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
-    mech = None
-    if args.mechanism == "imvu":
-        # certify only the constant the round ledger reads
-        mech = _run_mechanism(args)
-        mech = attach_accounting(mech, mode=clip_mode(mech.clip))
+    mech = _run_mechanism(args) if args.mechanism == "imvu" else None
     cfg = FlConfig(
         rounds=args.rounds,
         cohort=args.cohort,
@@ -188,6 +181,15 @@ def _cmd_train(args, argv) -> int:
     print(f"train {args.mechanism}: final accuracy {summary['final_accuracy']:.4f}, "
           f"spent eps {summary['final_eps']:.4g} -> {args.out}")
     return 0
+
+
+def _list_of(convert):
+    """An argparse type for a comma-separated list of ``convert`` values, so
+    that a malformed or empty list is a usage error."""
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {convert.__name__}"  # argparse's message names it
+    return parse
 
 
 @functools.cache
@@ -221,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--c-sens", type=float, default=None, dest="c_sens")
-    p.add_argument("--alphas", default=None, help="comma-separated RDP orders")
+    p.add_argument("--alphas", type=_list_of(float), default=DEFAULT_ALPHAS,
+                   help="comma-separated RDP orders")
     p.add_argument("--out", default=None)
     p.add_argument("--attach", action="store_true",
                    help="write the constants back into the mechanism file")
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="bias/variance sweep over b_in")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--b-in-list", default="2,4,8", dest="b_in_list")
+    p.add_argument("--b-in-list", type=_list_of(int), default=[2, 4, 8], dest="b_in_list")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -358,10 +358,11 @@ def pmf(table: MechanismTable, x) -> np.ndarray:
 
 
 def _moments(probs_of, table: MechanismTable, x):
-    """Mean and variance at x of the output whose probabilities ``probs_of`` gives."""
+    """Mean and variance at x of the output whose probabilities ``probs_of``
+    gives, the variance as sum p (a - mean)^2: E[a^2] - mean^2 cancels digits."""
     p = np.atleast_2d(probs_of(table, np.atleast_1d(np.asarray(x, dtype=float))))
     mean = p @ table.alphabet
-    var = np.maximum(p @ (table.alphabet**2) - mean**2, 0.0)
+    var = np.sum(p * (table.alphabet - mean[:, None]) ** 2, axis=1)
     if np.ndim(x) == 0:
         return float(mean[0]), float(var[0])
     return mean, var

@@ -209,6 +209,33 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps", "1", "--bits", "1", "--b-in-list", "2,x"],
+    ["sweep", "--eps", "1", "--bits", "1", "--b-in-list", ""],
+    ["account", "--mode", "rdp", "--clip-norm", "l2", "--clip-c", "1", "--rounds", "1",
+     "--alphas", "2,x"],
+    ["account", "--mode", "rdp", "--clip-norm", "l2", "--clip-c", "1", "--rounds", "1",
+     "--alphas", ""],
+], ids=["b-in-list 2,x", "b-in-list empty", "alphas 2,x", "alphas empty"])
+def test_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
+    # an empty --alphas used the default orders; the other lists exited 1
+    out = tmp_path / "out"
+    mech = ["--mech", str(tmp_path / "m.json")] if argv[0] == "account" else []
+    assert run(*argv, *mech, "--out", str(out)) == 2
+    assert f"argument {argv[-2]}: invalid comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_account_rounds_beyond_float_range_exit_one_without_a_traceback(tmp_path):
+    mech_path = str(tmp_path / "rr.json")
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--out", mech_path) == 0
+    done = _python("-m", "imvu.cli", "account", "--mech", mech_path, "--mode", "pure",
+                   "--clip-norm", "l1", "--clip-c", "1.0", "--rounds", "1" + "0" * 400)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: rounds must be non-negative and integral")
+    assert "Traceback" not in done.stderr
+
+
 def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     assert build_parser() is build_parser()
     mech_path = str(tmp_path / "m.json")
@@ -400,6 +427,25 @@ def test_train_imvu_certifies_only_the_constant_its_ledger_reads(tmp_path, monke
                    "--clip-norm", norm, "--rounds", "3", "--cohort", "10", "--d", "4",
                    "--n", "40")
     assert calls == {read: 1, unread: 0}
+
+
+@pytest.mark.parametrize("table, named", [("4x4", "b_in=2"), ("non-anadromic", "not anadromic")])
+def test_train_imvu_l2_without_a_fisher_route_exits_one_naming_why(tmp_path, capsys,
+                                                                  table, named):
+    # the message named attach_accounting, which a CLI user never calls
+    mech_path = str(tmp_path / "m.json")
+    if table == "4x4":
+        assert run("design", "--bits", "2", "--b-in", "4", "--eps", "2.0",
+                   "--out", mech_path) == 0
+    else:
+        save_mechanism(mech_path, InterpolatedMechanism(non_anadromic_table()))
+    out = tmp_path / "train.csv"
+    assert run("train", "--mechanism", "imvu", "--mech", mech_path, "--clip-norm", "l2",
+               "--rounds", "2", "--cohort", "5", "--d", "4", "--n", "40",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_train_imvu_takes_beta_and_clip_from_its_flags(tmp_path):

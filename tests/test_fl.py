@@ -1,5 +1,7 @@
 """Federated training harness: data, gradients, loop determinism, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from imvu import (
     ClipConfig,
     FlConfig,
     InterpolatedMechanism,
-    MissingConstantsError,
     attach_accounting,
     client_update,
     generate_synthetic,
@@ -145,11 +146,17 @@ def test_train_imvu_pure_budget_trajectory():
     np.testing.assert_array_equal(result.spent_eps, per_round * np.arange(1, 8))
 
 
-def test_train_imvu_requires_constants():
-    table = get_table(2, 2, 2.0)
-    bare = InterpolatedMechanism(table, beta=1.0, clip=ClipConfig("l1", 1.0))
-    with pytest.raises(MissingConstantsError):
-        train_fl(_cfg(mechanism="imvu", mech=bare))
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_train_imvu_on_a_bare_mechanism_matches_the_attached_run(norm):
+    # the ledger certifies the constant a bare mechanism lacks, to the same bits
+    attached = _imvu_mech(norm=norm)
+    bare = replace(attached, eps_prime=None, fisher_m=None)
+    bare_run, attached_run = (train_fl(_cfg(mechanism="imvu", mech=mech,
+                                            clip=ClipConfig(norm, 1.0)))
+                              for mech in (bare, attached))
+    np.testing.assert_array_equal(bare_run.ledger.per_round, attached_run.ledger.per_round)
+    np.testing.assert_array_equal(bare_run.spent_eps, attached_run.spent_eps)
+    np.testing.assert_array_equal(bare_run.accuracy, attached_run.accuracy)
 
 
 def test_train_imvu_l2_uses_fisher_route():

@@ -1,5 +1,6 @@
 """Core sampler contracts: interpolation, dithering, clipping, privatization."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,17 @@ def test_moments_unbiased_at_grid(table_factory):
 def test_variance_nonnegative_everywhere(table_2x4):
     _, var = moments(table_2x4, np.linspace(-3, 4, 301))
     assert np.all(var >= 0.0)
+
+
+def test_variance_is_the_sum_of_squared_deviations():
+    # the rows' means reach 1 against a variance near 1e-11, where
+    # E[a^2] - mean^2 lost about 2e-5 relative
+    table = get_table(2, 16, 40.0)
+    _, var = moments(table, table.grid)
+    for p, v in zip(pmf(table, table.grid), var):
+        mean = math.fsum(p * table.alphabet)
+        exact = math.fsum(p * (table.alphabet - mean) ** 2)
+        assert abs(v - exact) <= 4 * np.spacing(exact)
 
 
 # ---------------------------------------------------------------------------
