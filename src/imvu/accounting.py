@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable,
-                        _anadromic_residual, _finite_inputs, _pairwise_sum, _softmax,
+                        _anadromic_residual, _finite_inputs, _pairwise_sum, _real, _softmax,
                         _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
@@ -100,8 +100,6 @@ def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple
     room for the lerp and the shift, is finite.
     """
     logs = table.log_probs
-    if not np.all(np.isfinite(logs)):
-        raise ValueError("natural parameters must be finite")
     bounds = np.asarray(domain, dtype=float)
     if bounds.shape != (2,) or not (np.all(np.isfinite(bounds)) and bounds[0] <= bounds[1]):
         raise ValueError(f"domain must be two finite numbers lo <= hi, got {domain!r}")
@@ -355,8 +353,7 @@ def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
     constant is the one attached to ``mech``, else one certified here.
     """
     name = _constant_of(mode)
-    if not (np.isfinite(sens) and sens >= 0):
-        raise ValueError(f"sensitivity must be a non-negative real, got {sens!r}")
+    _real(sens, "sensitivity", nonnegative=True)
     value = getattr(mech, name)
     if value is None:
         value, _ = _certify(mech, name)
@@ -484,7 +481,7 @@ def accounting_report(
             "the pure route charges l1 sensitivity, which an l2 clip bounds only by "
             "beta * sqrt(d); give it with --c-sens (c_sens)"
         )
-    sens = mech.beta if c_sens is None else float(c_sens)
+    sens = mech.beta if c_sens is None else _real(c_sens, "c_sens", nonnegative=True)
     value, certification = _certify(mech, name)
     ledger = imvu_ledger(replace(mech, **{name: value}), mode, sens, delta, alphas)
     composed = compose(ledger, rounds)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import PrivacyLedger, imvu_ledger
-from .mechanism import ClipConfig, InterpolatedMechanism, clip
+from .mechanism import ClipConfig, InterpolatedMechanism, _real, clip
 
 # the clip norm each baseline's noise is calibrated to
 _BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
@@ -34,8 +34,9 @@ class BaselineConfig:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.clip.norm != norm:
             raise ValueError(f"{self.kind} requires an {norm} clip")
-        if self.noise is None or not (np.isfinite(self.noise) and self.noise > 0):
+        if self.noise is None:
             raise ValueError(f"{self.kind} needs a positive, finite noise parameter")
+        _real(self.noise, "noise")
 
 
 def privatizer(kind: str, clip: ClipConfig, mech: InterpolatedMechanism | None = None,

@@ -34,7 +34,7 @@ from .fl import FlConfig, train_fl
 from .mechanism import ClipConfig, InterpolatedMechanism
 from .table_io import load_mechanism, load_table, save_mechanism, write_csv
 
-_FAILURE_TYPES = (DesignError, AccountingError, ValueError, OSError)
+_FAILURE_TYPES = (DesignError, AccountingError, ValueError, OSError, MemoryError)
 
 
 @functools.cache

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineConfig, kind_of, privatize_baseline, wire_bits
-from .mechanism import InterpolatedMechanism, clip, moments, mvu_dither_moments, privatize_vector
+from .mechanism import (InterpolatedMechanism, _integer, clip, moments, mvu_dither_moments,
+                        privatize_vector)
 from .table_io import write_csv
 
 SWEEP_POINTS = 201
@@ -117,10 +118,7 @@ def dme_mse(n_clients: int, d: int, input_dist, mechanism: str, cfg,
     coordinate on the wire.
     """
     for name, count in (("n_clients", n_clients), ("d", d), ("trials", trials)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if n_clients < 1 or d < 1 or trials < 1:
-        raise ValueError("n_clients, d and trials must be at least 1")
+        _integer(count, name, least=1)
     if kind_of(cfg) != mechanism:
         raise ValueError(f"kind {mechanism!r} does not match the privatizer's {kind_of(cfg)!r}")
     errors = np.empty(trials)

@@ -15,7 +15,7 @@ import numpy as np
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
 from .baselines import privatizer, round_ledger
 from .dme import privatize_clients
-from .mechanism import ClipConfig, InterpolatedMechanism
+from .mechanism import ClipConfig, InterpolatedMechanism, _integer, _real
 # attributes here that bench/tracing.py wraps; a round privatizes through
 # ``dme.privatize_vector``
 from .mechanism import clip, privatize_vector  # noqa: F401
@@ -30,7 +30,8 @@ _BLOCK_STREAMS = 2**15
 
 @dataclass(frozen=True)
 class FlConfig:
-    """Training-run parameters; every randomized step derives from ``seed``."""
+    """Training-run parameters; every randomized step derives from ``seed``.
+    Counts and seeds are integers and the steps and momentum reals, never bools."""
 
     rounds: int
     cohort: int
@@ -52,31 +53,24 @@ class FlConfig:
                                           # budgets on one dataset
 
     def __post_init__(self):
-        for name in ("rounds", "cohort", "dims", "client_samples", "n_train"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.rounds, self.cohort, self.dims, self.client_samples, self.n_train) < 1:
-            raise ValueError("counts must be positive")
+        for name in ("rounds", "cohort", "dims", "client_samples"):
+            _integer(getattr(self, name), name, least=1)
         # generate_synthetic draws both classes, and every client holds a sample
-        if self.n_train < 2:
-            raise ValueError("n_train must be at least 2, one sample per class")
+        _integer(self.n_train, "n_train", least=2)
         if self.client_samples > self.n_train:
             raise ValueError("client_samples must be at most n_train")
         for name in ("lr", "server_lr_scale"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (0.0 <= self.momentum < 1.0):
+            _real(getattr(self, name), name)
+        if not _real(self.momentum, "momentum", nonnegative=True) < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not np.isfinite(self.separation):
             raise ValueError("separation must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        # a float seed would be truncated into an integer's streams
-        for name in ("seed", "data_seed"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) or name == "data_seed" and value is None):
-                raise ValueError(f"{name} must be an integer")
+        # a float or bool seed would be truncated or read as 0 or 1 into another's streams
+        _integer(self.seed, "seed")
+        if self.data_seed is not None:
+            _integer(self.data_seed, "data_seed")
         privatizer(self.mechanism, self.clip, self.mech, self.noise)
 
 
@@ -183,6 +177,10 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     momentum SGD step.  The server update is exactly the mean message times
     the learning rate (times the SignSGD scale) plus the momentum term.
     """
+    try:
+        accuracy, spent = np.empty(cfg.rounds), np.empty(cfg.rounds)
+    except (ValueError, MemoryError) as exc:  # numpy's size limit, or memory
+        raise ValueError(f"rounds={cfg.rounds} is too many to record: {exc}") from exc
     priv = privatizer(cfg.mechanism, cfg.clip, cfg.mech, cfg.noise)
     ledger = round_ledger(priv, cfg.delta, cfg.alphas)
 
@@ -201,8 +199,6 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     cohorts = _cohorts(cfg, n_clients, isinstance(priv, InterpolatedMechanism))
     noise_rng = substream(cfg.seed, "baseline-noise")
 
-    accuracy = np.empty(cfg.rounds)
-    spent = np.empty(cfg.rounds)
     for t, (chosen, states) in enumerate(cohorts):
         # one stacked gradient call per client size, at most two
         chosen_sizes = sizes[chosen]

@@ -36,6 +36,30 @@ PROB_FLOOR = 1e-12
 MAX_TABLE_CELLS = 4096
 
 
+def _integer(value, name: str, least: int | None = None):
+    """``value``; ``ValueError`` unless it is a Python or numpy integer (a bool,
+    which would count or seed as 0 or 1, is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
+def _real(value, name: str, nonnegative: bool = False) -> float:
+    """``value`` as a Python float, which a numpy scalar then computes and saves
+    as; ``ValueError`` unless it is a real number (a bool is not one) whose
+    float is finite and positive, or non-negative if ``nonnegative``."""
+    try:
+        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) else np.nan
+    except OverflowError:  # an int beyond float range
+        number = np.nan
+    if not (np.isfinite(number) and (number >= 0 if nonnegative else number > 0)):
+        form = "a non-negative real" if nonnegative else "positive and finite"
+        raise ValueError(f"{name} must be {form}, got {value!r}")
+    return number
+
+
 class TableInvariantError(ValueError):
     """A mechanism table violates one of its construction invariants."""
 
@@ -60,8 +84,7 @@ class ClipConfig:
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"clip norm must be 'l1' or 'l2', got {self.norm!r}")
-        if not (np.isfinite(self.clip_c) and self.clip_c > 0):
-            raise ValueError("clip_c must be positive and finite")
+        _real(self.clip_c, "clip_c")
 
 
 def _grid(b_in: int) -> np.ndarray:
@@ -139,15 +162,6 @@ _CONSTRUCTION_TOLS = {
 }
 
 
-def _eps_float(eps, name: str) -> float:
-    """``eps`` as a Python float, so a numpy scalar computes and saves as the
-    float does; ``ValueError`` unless it is a real number, positive and
-    finite (a bool is not one: a saved table could not be loaded again)."""
-    if isinstance(eps, bool) or not isinstance(eps, Real) or not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"{name} must be positive and finite, got {eps!r}")
-    return float(eps)
-
-
 @dataclass(frozen=True, eq=False)
 class MechanismTable:
     """A designed discrete mechanism: an output alphabet and one row of
@@ -164,7 +178,7 @@ class MechanismTable:
     design_eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "design_eps", _eps_float(self.design_eps, "design_eps"))
+        object.__setattr__(self, "design_eps", _real(self.design_eps, "design_eps"))
         alphabet = np.array(self.alphabet, dtype=float)
         log_probs = np.array(self.log_probs, dtype=float)
         checks = table_violations(alphabet, self.design_eps, log_probs)
@@ -223,15 +237,13 @@ class InterpolatedMechanism:
     fisher_m: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be positive and finite")
-        if self.eps_prime is not None and not (np.isfinite(self.eps_prime) and self.eps_prime >= 0):
-            raise ValueError("eps_prime must be a non-negative real")
+        _real(self.beta, "beta")
+        if self.eps_prime is not None:
+            _real(self.eps_prime, "eps_prime", nonnegative=True)
         if self.fisher_m is not None:
             if self.table.b_in != 2:
                 raise ValueError("fisher_m is only defined for tables with b_in=2")
-            if not (np.isfinite(self.fisher_m) and self.fisher_m >= 0):
-                raise ValueError("fisher_m must be a non-negative real")
+            _real(self.fisher_m, "fisher_m", nonnegative=True)
 
 
 def _anadromic_residual(table: MechanismTable) -> float:
@@ -470,7 +482,8 @@ def privatize_vector(
     """Privatize a client vector, or a cohort of them: clip, scale, sample each coordinate.
 
     ``u`` is one vector with an integer ``seed``, or an (n, d) cohort with a
-    sequence of n integer seeds, one per row, or with the coordinate streams
+    sequence of n integer seeds, one per row (a bool is not an integer seed:
+    it would draw seed 0's or 1's indices), or with the coordinate streams
     that ``rng.coordinate_states(seeds, lo, hi)`` derived from them for the
     range [lo, hi) sampled here.  Returns (indices, decoded values) for the
     coordinates in ``coord_range``, one row per client for a cohort.  The
@@ -490,11 +503,12 @@ def privatize_vector(
     # a cohort's streams, derived ahead (a training run derives many rounds' at once)
     states = seed if cohort and isinstance(seed, np.ndarray) and seed.ndim == 3 else None
     if states is None:
-        integer = (int, np.integer)
-        seeds = list(seed) if cohort and not isinstance(seed, integer) else [seed]
-        # a float or string seed would be truncated or hashed into another's stream
-        if cohort == isinstance(seed, integer) or not all(isinstance(s, integer) for s in seeds):
-            raise ValueError("a vector takes one integer seed, a cohort a sequence of integer seeds")
+        try:
+            # a float, str or bool seed would be truncated, hashed or read as 0 or 1
+            seeds = [_integer(s, "seed") for s in (seed if cohort else [seed])]
+        except (TypeError, ValueError):
+            raise ValueError("a vector takes one integer seed, a cohort a sequence of "
+                             "integer seeds") from None
     d, n = u.shape[-1], len(seeds) if states is None else states.shape[1]
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")

@@ -69,8 +69,8 @@ _DRAW = np.random.PCG64(0)
 def _as_entropy(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    # a float would be truncated into an integer's stream
-    if not isinstance(part, (int, np.integer)):
+    # a float would be truncated into an integer's stream, and a bool read as 0 or 1
+    if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
         raise ValueError(f"a stream label is a str or an integer, not {type(part).__name__}")
     return int(part) & _MASK64
 

@@ -40,6 +40,7 @@ from imvu import (
     spent_epsilon,
     verify_accounting,
 )
+from imvu import accounting
 from imvu.accounting import FISHER_TOL, _group_mass, _tail_end, _variance_cap
 from imvu.cli import main
 from imvu.mechanism import _softmax_terms
@@ -178,6 +179,33 @@ def test_fisher_constant_requires_two_rows():
     table = get_table(4, 4, 1.0)
     assert not table.anadromic
     with pytest.raises(AccountingError, match="b_in=2"):
+        fisher_sup(table)
+
+
+def test_fisher_sup_fails_cleanly_where_the_tail_certificate_is_unattainable(tmp_path, capsys):
+    # a valid anadromic table whose middle letter holds all but 3e-12 of each
+    # row's mass, so I(1/2) is negligible against the extreme letters
+    p, r = 2e-12, 1e-12
+    half = 1.0 / (2.0 * (p - r))
+    table = MechanismTable([0.5 - half, 0.5, 0.5 + half],
+                           np.log([[p, 1.0 - p - r, r], [r, 1.0 - p - r, p]]), 1.0)
+    assert table.anadromic
+    with pytest.raises(AccountingError, match="tail certificate unattainable"):
+        fisher_sup(table)
+    path = str(tmp_path / "mech.json")
+    save_mechanism(path, InterpolatedMechanism(table))
+    assert main(["account", "--mech", path, "--mode", "rdp", "--clip-norm", "l2",
+                 "--clip-c", "1", "--rounds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tail certificate unattainable") and "Traceback" not in err
+
+
+def test_fisher_sup_fails_cleanly_past_its_evaluation_budget(monkeypatch):
+    # the 2x3 eps = 40 design takes 299 evaluations
+    table = design_mvu(DesignSpec(2, 3, 40.0))
+    assert fisher_sup(table)[1].evaluations == 299
+    monkeypatch.setattr(accounting, "_MAX_EVALS", 200)
+    with pytest.raises(AccountingError, match="line search exceeded its evaluation budget"):
         fisher_sup(table)
 
 
@@ -473,6 +501,13 @@ def test_l1_round_eps_spot(rr_table):
     assert imvu_ledger(mech, "pure", 2.0).per_round == pytest.approx(2 * value)
 
 
+@pytest.mark.parametrize("c_sens", [True, "1", -0.5, np.nan])
+def test_accounting_report_rejects_a_c_sens_that_is_not_a_non_negative_real(rr_table, c_sens):
+    # a bool c_sens was charged as sensitivity 1
+    with pytest.raises(ValueError, match="c_sens must be a non-negative real"):
+        accounting_report("rr.json", _mech(rr_table), "pure", 1, c_sens=c_sens)
+
+
 @pytest.mark.parametrize("mode", ["pure", "rdp"])
 def test_ledger_of_a_bare_mechanism_certifies_the_attached_constant(rr_table, mode):
     # the constant a mechanism lacks is certified, to the attached one's bits
@@ -505,7 +540,7 @@ def test_imvu_ledger_rejects_an_unknown_mode(rr_table, mode):
         imvu_ledger(mech, mode, 1.0)
 
 
-@pytest.mark.parametrize("sens", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("sens", [np.nan, np.inf, -0.5, True, "1"])
 def test_imvu_ledger_rejects_a_sensitivity_that_is_not_a_non_negative_real(rr_table, sens):
     mech = attach_accounting(_mech(rr_table))
     for mode in ("pure", "rdp"):

@@ -116,7 +116,7 @@ def test_round_ledger_gaussian_family_rdp(kind):
 
 def test_round_ledger_rejects_non_positive_noise():
     for kind, norm in (("laplace", "l1"), ("gaussian", "l2"), ("signsgd", "l2")):
-        for noise in (None, 0.0, -1.0):
+        for noise in (None, 0.0, -1.0, True, "1.0"):
             with pytest.raises(ValueError, match="noise"):
                 round_ledger(privatizer(kind, ClipConfig(norm, 1.0), noise=noise),
                              1e-5, DEFAULT_ALPHAS)

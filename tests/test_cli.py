@@ -289,7 +289,7 @@ def test_dme_command_rejects_zero_width(tmp_path, capsys, mechanism):
     out = tmp_path / "dme.csv"
     assert run("dme", "--mechanism", mechanism, "--clip-norm", "l1", "--n-clients", "5",
                "--d", "0", "--noise", "1.0", "--out", str(out)) == 1
-    assert "d and trials must be at least 1" in capsys.readouterr().err
+    assert "d must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -368,6 +368,21 @@ def test_train_rejects_a_negative_server_step(tmp_path, capsys):
     assert run("train", "--mechanism", "identity", "--rounds", "2", "--cohort", "5",
                "--d", "4", "--n", "40", "--server-lr-scale", "-1", "--out", str(out)) == 1
     assert "server_lr_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    # 8e17 bytes per array: more than any 64-bit address space maps, so the
+    # allocation fails at once whatever the machine's overcommit setting
+    (["train", "--rounds", str(10**17)], "rounds"),
+    (["dme", "--d", str(10**15)], None),
+], ids=["train-rounds", "dme-d"])
+def test_run_too_large_to_allocate_exits_one_without_a_traceback(tmp_path, capsys, argv, named):
+    out = tmp_path / "run.csv"
+    assert run(*argv, "--mechanism", "identity", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named is None or named in err
     assert not out.exists()
 
 

@@ -836,7 +836,7 @@ def test_validate_flags_metric_dp_break(rr_table):
     assert not checks["metric_dp"][0] <= 1e-6
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf, True, "1e-6"])
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(rr_table, tol):
     with pytest.raises(ValueError, match="tol"):
         validate_table(rr_table, tol=tol)

@@ -150,7 +150,8 @@ def test_dme_imvu_error_shrinks_with_clients(rr_table):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_clients", 2.5), ("n_clients", True), ("d", 2.5), ("trials", 1.5),
+    ("n_clients", 2.5), ("n_clients", True), ("d", 2.5), ("d", "4"), ("trials", 1.5),
+    ("trials", True),
 ])
 def test_dme_rejects_a_count_that_is_not_an_integer(field, value):
     # these failed inside numpy, with a TypeError
@@ -164,12 +165,14 @@ def test_dme_rejects_a_count_that_is_not_an_integer(field, value):
 
 def test_dme_input_validation():
     clip = ClipConfig("l2", 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_clients must be at least 1, got 0$"):
         dme_mse(0, 4, gaussian_inputs(), "identity", clip, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+        dme_mse(5, 4, gaussian_inputs(), "identity", clip, np.random.default_rng(0), trials=0)
     # an empty vector has no mean to estimate
     laplace = BaselineConfig("laplace", ClipConfig("l1", 1.0), 1.0)
     for kind, priv in (("identity", clip), ("laplace", laplace)):
-        with pytest.raises(ValueError, match="d and trials must be at least 1"):
+        with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
             dme_mse(5, 0, gaussian_inputs(), kind, priv, np.random.default_rng(0))
     with pytest.raises(ValueError):
         dme_mse(5, 4, gaussian_inputs(), "imvu", None, np.random.default_rng(0))

@@ -294,6 +294,9 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
     # counts that are not integers failed only in train_fl, with a TypeError
     ("rounds", 2.5), ("rounds", True), ("cohort", 2.5), ("dims", 2.5), ("n_train", 20.5),
     ("client_samples", 1.5),
+    # a bool was read as 1 or 0, and a string failed inside numpy with a TypeError
+    ("lr", True), ("lr", "0.3"), ("server_lr_scale", True), ("momentum", False),
+    ("momentum", "0.5"),
 ])
 def test_config_names_a_step_or_separation_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -302,9 +305,10 @@ def test_config_names_a_step_or_separation_out_of_range(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("seed", 1.0), ("seed", "1"), ("data_seed", 2.0), ("data_seed", np.float64(3)),
+    ("seed", True), ("data_seed", False),
 ])
 def test_config_rejects_a_non_integer_seed(field, value):
-    # a float seed was truncated: seed=1.5 replayed the run of seed 1
+    # a float seed was truncated: seed=1.5 replayed the run of seed 1, as seed=True did
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         _cfg(**{field: value})
     assert _cfg(seed=np.int64(1), data_seed=np.uint32(2)).seed == 1

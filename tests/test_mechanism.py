@@ -120,6 +120,8 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda t: ClipConfig("linf", 1.0), "clip norm must be 'l1' or 'l2'", id="clip-norm"),
     pytest.param(lambda t: ClipConfig("l2", 0.0), "clip_c must be positive", id="clip_c"),
+    pytest.param(lambda t: ClipConfig("l2", True), "clip_c must be positive", id="clip_c-bool"),
+    pytest.param(lambda t: ClipConfig("l2", "1"), "clip_c must be positive", id="clip_c-str"),
     pytest.param(lambda t: MechanismTable(t.alphabet, t.log_probs, 0.0), "design_eps must be",
                  id="design_eps"),
     pytest.param(lambda t: table_violations(t.alphabet, 1.0, t.log_probs[0]),
@@ -129,14 +131,29 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
     pytest.param(lambda t: table_violations(t.alphabet[:1], 1.0, t.log_probs),
                  r"alphabet must have shape \(2,\)", id="alphabet-shape"),
     pytest.param(lambda t: InterpolatedMechanism(t, beta=0.0), "beta must be", id="beta"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta=True), "beta must be", id="beta-bool"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta="1"), "beta must be", id="beta-str"),
     pytest.param(lambda t: InterpolatedMechanism(t, eps_prime=np.nan), "eps_prime must be",
                  id="eps_prime"),
+    pytest.param(lambda t: InterpolatedMechanism(t, eps_prime=False), "eps_prime must be",
+                 id="eps_prime-bool"),
+    pytest.param(lambda t: InterpolatedMechanism(t, eps_prime="0"), "eps_prime must be",
+                 id="eps_prime-str"),
     pytest.param(lambda t: InterpolatedMechanism(get_table(3, 2, 1.0), fisher_m=1.0),
                  "fisher_m is only defined for tables with b_in=2", id="fisher_m-three-rows"),
     pytest.param(lambda t: InterpolatedMechanism(t, fisher_m=np.inf), "fisher_m must be",
                  id="fisher_m-inf"),
+    pytest.param(lambda t: InterpolatedMechanism(t, fisher_m=True), "fisher_m must be",
+                 id="fisher_m-bool"),
+    pytest.param(lambda t: InterpolatedMechanism(t, fisher_m="1"), "fisher_m must be",
+                 id="fisher_m-str"),
     pytest.param(lambda t: clip(np.zeros((2, 2, 2)), ClipConfig("l2", 1.0)),
                  r"u must be a vector or an \(n, d\) array", id="clip-3d"),
+    # a bool seed would draw seed 1's (or 0's) indices
+    pytest.param(lambda t: privatize_vector(_mech(t), np.zeros(4), True), "integer seed",
+                 id="privatize-bool-seed"),
+    pytest.param(lambda t: privatize_vector(_mech(t), np.zeros((2, 4)), [0, True]),
+                 "integer seeds", id="privatize-bool-seeds"),
     pytest.param(lambda t: privatize_vector(_mech(t), np.zeros(4), 0, (0, 5)),
                  r"coordinate range \[0, 5\) out of bounds for dim 4", id="privatize-range"),
     pytest.param(lambda t: privatize_vector(_mech(t), np.zeros(4), 0, (3, 2)),

@@ -332,8 +332,9 @@ def test_substream_seeds_match_generator_integers(seed, label, path):
 
 
 def test_stream_labels_are_str_or_integer():
-    # a float label was truncated: substream(1.9, ...) replayed substream(1, ...)
-    for label in (1.9, 1.0, np.float64(2.0), None, b"x"):
+    # a float label was truncated: substream(1.9, ...) replayed substream(1, ...),
+    # and substream(True, ...) did so as well
+    for label in (1.9, 1.0, np.float64(2.0), None, b"x", True, False):
         with pytest.raises(ValueError, match="str or an integer"):
             _as_entropy(label)
         with pytest.raises(ValueError, match="str or an integer"):
