@@ -13,7 +13,7 @@ from imvu import DesignSpec, design_mvu, sweep_bias_variance
 
 EPS = 5.0
 tables = [design_mvu(DesignSpec(b_in=b_in, b_out=8, eps=EPS)) for b_in in (2, 4, 8)]
-report = sweep_bias_variance(tables, eps=EPS)
+report = sweep_bias_variance(tables)
 
 print(f"three output bits, design eps = {EPS}; Laplace reference variance "
       f"2/eps^2 = {report.laplace_variance:.4f}\n")

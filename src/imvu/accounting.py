@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mechanism import (ANADROMIC_TOL, InterpolatedMechanism, MechanismTable,
-                        _anadromic_residual, _finite_inputs, _pairwise_sum, _real, _softmax,
-                        _softmax_terms)
+                        _anadromic_residual, _as_real, _finite_inputs, _pairwise_sum, _real,
+                        _softmax, _softmax_terms)
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_DELTA = 1e-5
@@ -321,7 +321,7 @@ class PrivacyLedger:
         return "pure" if self.alphas is None else "rdp"
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
+        if not 0.0 < _as_real(self.delta) < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         costs = np.asarray(self.per_round, dtype=float)
         if not np.all(np.isfinite(costs) & (costs >= 0)):

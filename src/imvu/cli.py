@@ -129,7 +129,7 @@ def _cmd_sweep(args, argv) -> int:
         design_mvu(DesignSpec(b_in=b_in, b_out=2**args.bits, eps=args.eps))
         for b_in in args.b_in_list
     ]
-    report = sweep_bias_variance(tables, eps=args.eps)
+    report = sweep_bias_variance(tables)
     report.to_csv(args.out)
     _write_manifest(args.out, argv, None, [args.out])
     print(f"sweep over b_in {args.b_in_list} (b={args.bits}, eps={args.eps}) -> {args.out}")

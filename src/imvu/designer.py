@@ -237,9 +237,9 @@ def _rows_hold(rows, b_eq, x) -> bool:
 
 
 def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
-    """HiGHS on one design LP, given by ``_columns``, retried once without
-    presolve if it fails; None if that fails too.  A solve whose x misses
-    the rows (``_rows_hold``) fails.
+    """HiGHS on one design LP, given by ``_columns``: (fun, x, equality-row
+    duals), retried once without presolve if the solve fails; None if that
+    fails too.  A solve whose x misses the rows (``_rows_hold``) fails.
 
     Presolve calls LPs infeasible that sit on the feasibility boundary
     within the solver's tolerances (2x2 at eps = 25, at the largest
@@ -261,7 +261,7 @@ def _linprog(cost, rows, b_eq, bounds=(PROB_FLOOR, 1.0)):
             options={**_LP_OPTIONS, "presolve": presolve},
         )
         if res.success and _rows_hold(rows, b_eq, res.x):
-            return res
+            return res.fun, res.x, res.eqlin.marginals
     return None
 
 
@@ -311,9 +311,8 @@ class _HighsLP:
         self._highs.passModel(lp)
 
     def solve(self, b_eq):
-        """(fun, x, equality-row duals) at right-hand side ``b_eq``, equal to
-        ``_linprog``'s ``res.fun``, ``res.x`` and ``res.eqlin.marginals``;
-        None where ``_linprog`` fails."""
+        """``_linprog``'s (fun, x, equality-row duals) at right-hand side
+        ``b_eq``, bit for bit; None where ``_linprog`` fails."""
         core, highs, m = self._core, self._highs, self._m_ub
         for k in np.flatnonzero(b_eq != self._b_eq).tolist():
             highs.changeRowBounds(m + k, b_eq[k], b_eq[k])
@@ -334,22 +333,18 @@ class _HighsLP:
 
 
 def _lp_solver(cost, rows, bounds=(PROB_FLOOR, 1.0)):
-    """``solve(b_eq)`` for one design LP, given by ``_columns``: (fun, x,
-    equality-row duals) at right-hand side ``b_eq``, or None if the solve
-    failed.
+    """``solve(b_eq)`` for one design LP, given by ``_columns``: ``_linprog``'s
+    (fun, x, equality-row duals) at right-hand side ``b_eq``, or None if the
+    solve failed.
 
     Where scipy bundles its HiGHS binding, every right-hand side is solved on
-    one ``_HighsLP`` model; scipy releases without it solve each one through
-    ``_linprog``.  Either way the numbers are ``_linprog``'s.
+    one ``_HighsLP`` model, which returns the same tuple bit for bit; scipy
+    releases without it solve each one through ``_linprog`` itself.
     """
     try:
         import scipy.optimize._highspy._core as core
     except ImportError:
-        def solve(b_eq):
-            res = _linprog(cost, rows, b_eq, bounds)
-            return None if res is None else (res.fun, res.x, res.eqlin.marginals)
-
-        return solve
+        return lambda b_eq: _linprog(cost, rows, b_eq, bounds)
     return _HighsLP(core, cost, rows, bounds).solve
 
 
@@ -359,8 +354,8 @@ def _solve_lp(b_in: int, b_out: int, eps: float, scale: float) -> float:
     alphabet = _alphabet(b_out, scale)
     grid = _grid(b_in)
     rows = _columns(*_rows(b_in, b_out, eps, alphabet))
-    res = _linprog(np.tile(alphabet**2, b_in), rows, np.concatenate([np.ones(b_in), grid]))
-    return np.inf if res is None else float(res.fun - np.sum(grid**2))
+    sol = _linprog(np.tile(alphabet**2, b_in), rows, np.concatenate([np.ones(b_in), grid]))
+    return np.inf if sol is None else float(sol[0] - np.sum(grid**2))
 
 
 def _repair_probs(probs: np.ndarray, eps: float) -> np.ndarray:

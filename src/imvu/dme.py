@@ -49,32 +49,25 @@ class SweepReport:
         )
 
 
-def sweep_bias_variance(tables, eps: float) -> SweepReport:
+def sweep_bias_variance(tables) -> SweepReport:
     """Closed-form moment sweep of the dithered and interpolated samplers.
 
-    All tables must share the output width and the design epsilon so the
-    comparison across b_in is apples to apples.  The Laplace reference
-    variance at equal epsilon is 2/eps^2.  Deterministic: no sampling.
+    All tables must share the output width and the design epsilon, which
+    the sweep reads off them, so the comparison across b_in is apples to
+    apples.  The Laplace reference variance at that epsilon is 2/eps^2.
+    Deterministic: no sampling.
     """
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one table")
-    b_out = tables[0].b_out
-    for t in tables:
-        if t.b_out != b_out or abs(t.design_eps - eps) > 1e-12:
-            raise ValueError("tables must share b_out and the design epsilon")
+    b_out, eps = tables[0].b_out, tables[0].design_eps
+    if any((t.b_out, t.design_eps) != (b_out, eps) for t in tables):
+        raise ValueError("tables must share b_out and the design epsilon")
     xs = np.linspace(0.0, 1.0, SWEEP_POINTS)
-
-    rows: list[SweepRow] = []
-    for table in tables:
-        mean_i, var_i = moments(table, xs)
-        mean_m, var_m = mvu_dither_moments(table, xs)
-        for k, x in enumerate(xs):
-            rows.append(SweepRow("imvu", table.b_in, float(x), float(mean_i[k]),
-                                 float(mean_i[k] - x), float(var_i[k])))
-        for k, x in enumerate(xs):
-            rows.append(SweepRow("mvu", table.b_in, float(x), float(mean_m[k]),
-                                 float(mean_m[k] - x), float(var_m[k])))
+    rows = [SweepRow(name, table.b_in, float(x), float(m), float(m - x), float(v))
+            for table in tables
+            for name, sampler in (("imvu", moments), ("mvu", mvu_dither_moments))
+            for x, m, v in zip(xs, *sampler(table, xs))]
     return SweepReport(rows=tuple(rows), laplace_variance=2.0 / eps**2)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
 from .baselines import privatizer, round_ledger
 from .dme import privatize_clients
-from .mechanism import ClipConfig, InterpolatedMechanism, _integer, _real
+from .mechanism import ClipConfig, InterpolatedMechanism, _as_real, _integer, _real
 # attributes here that bench/tracing.py wraps; a round privatizes through
 # ``dme.privatize_vector``
 from .mechanism import clip, privatize_vector  # noqa: F401
@@ -63,9 +63,10 @@ class FlConfig:
             _real(getattr(self, name), name)
         if not _real(self.momentum, "momentum", nonnegative=True) < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not np.isfinite(self.separation):
-            raise ValueError("separation must be finite")
-        if not (0.0 < self.delta < 1.0):
+        # any finite real: 0 and negative separations are accepted
+        if not np.isfinite(_as_real(self.separation)):
+            raise ValueError(f"separation must be a finite real, got {self.separation!r}")
+        if not 0.0 < _as_real(self.delta) < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         # a float or bool seed would be truncated or read as 0 or 1 into another's streams
         _integer(self.seed, "seed")

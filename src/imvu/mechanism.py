@@ -22,7 +22,7 @@ from numbers import Real
 import numpy as np
 
 # coordinate_uniforms stays an attribute here, where bench/tracing.py wraps it
-from .rng import coordinate_blocks, coordinate_states, coordinate_uniforms  # noqa: F401
+from .rng import _is_integer, coordinate_blocks, coordinate_states, coordinate_uniforms  # noqa: F401
 
 # Tolerances of the table invariants, and of the anadromy test.
 ROW_SUM_TOL = 1e-9
@@ -39,21 +39,27 @@ MAX_TABLE_CELLS = 4096
 def _integer(value, name: str, least: int | None = None):
     """``value``; ``ValueError`` unless it is a Python or numpy integer (a bool,
     which would count or seed as 0 or 1, is not one) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return value
 
 
+def _as_real(value) -> float:
+    """``value`` as a Python float, or NaN unless it is a real number (a bool,
+    which would read as 0 or 1, is not one) within float range."""
+    try:
+        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else np.nan
+    except OverflowError:  # an int beyond float range
+        return np.nan
+
+
 def _real(value, name: str, nonnegative: bool = False) -> float:
     """``value`` as a Python float, which a numpy scalar then computes and saves
-    as; ``ValueError`` unless it is a real number (a bool is not one) whose
-    float is finite and positive, or non-negative if ``nonnegative``."""
-    try:
-        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) else np.nan
-    except OverflowError:  # an int beyond float range
-        number = np.nan
+    as; ``ValueError`` unless ``_as_real`` reads it as a float that is finite
+    and positive, or non-negative if ``nonnegative``."""
+    number = _as_real(value)
     if not (np.isfinite(number) and (number >= 0 if nonnegative else number > 0)):
         form = "a non-negative real" if nonnegative else "positive and finite"
         raise ValueError(f"{name} must be {form}, got {value!r}")
@@ -513,7 +519,8 @@ def privatize_vector(
     if cohort and n != len(u):
         raise ValueError(f"need one seed per row: got {n} seeds for {len(u)} rows")
     clipped = np.atleast_2d(clip(u, mech.clip))  # raises on a non-finite row
-    lo, hi = (0, d) if coord_range is None else coord_range
+    lo, hi = (0, d) if coord_range is None else (
+        _integer(c, "coordinate range endpoint") for c in coord_range)
     if not 0 <= lo <= hi <= d:
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
     if states is None:

@@ -66,11 +66,16 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _DRAW = np.random.PCG64(0)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer: a float would be
+    truncated into an integer's stream or range, and a bool read as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_entropy(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    # a float would be truncated into an integer's stream, and a bool read as 0 or 1
-    if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
+    if not _is_integer(part):
         raise ValueError(f"a stream label is a str or an integer, not {type(part).__name__}")
     return int(part) & _MASK64
 
@@ -415,6 +420,9 @@ def coordinate_blocks(states: np.ndarray, lo: int, hi: int):
 def coordinate_uniforms(seed: int, start: int, stop: int, dim: int) -> np.ndarray:
     """Uniform draws for coordinates [start, stop) of a dim-length vector:
     ``coordinate_blocks`` for the one seed, concatenated."""
+    if not all(_is_integer(v) for v in (start, stop, dim)):
+        raise ValueError(f"coordinate range [{start!r}, {stop!r}) and dim {dim!r} "
+                         "must be integers")
     if not 0 <= start <= stop <= dim:
         raise ValueError(f"coordinate range [{start}, {stop}) out of bounds for dim {dim}")
     states = coordinate_states([seed], start, stop)

@@ -183,7 +183,7 @@ def test_c06_bias_variance_reproduction():
     """Interpolation bias shrinks with the grid; variance near Laplace."""
     start = time.perf_counter()
     tables = [design_mvu(DesignSpec(b_in=b_in, b_out=8, eps=5.0)) for b_in in B_IN_GRID]
-    report = sweep_bias_variance(tables, eps=5.0)
+    report = sweep_bias_variance(tables)
     biases = [report.max_abs_bias("imvu", b_in) for b_in in B_IN_GRID]
     assert biases[0] > biases[1] > biases[2], f"bias not decreasing: {biases}"
     for b_in in B_IN_GRID:

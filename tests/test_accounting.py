@@ -647,6 +647,9 @@ def test_every_entry_point_rejects_an_order_that_is_not_finite_above_one(bad):
                  "eps_alphas must align with the alpha grid", id="rdp_to_dp-shape"),
     pytest.param(lambda: rdp_to_dp(np.array([0.1, 0.2]), 1.0, (2.0, 4.0)),
                  r"delta must lie in \(0, 1\)", id="rdp_to_dp-delta"),
+    # a str delta failed the range comparison with a TypeError
+    pytest.param(lambda: PrivacyLedger(1.0, "0.1"), r"^delta must lie in \(0, 1\)",
+                 id="ledger-str-delta"),
 ])
 def test_ledger_and_conversion_reject_malformed_orders_and_delta(call, match):
     with pytest.raises(ValueError, match=match):

@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, exit codes, manifests, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -275,6 +276,16 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 201
 
 
+def test_readme_sweep_bytes(tmp_path):
+    """The README's sweep writes the CSV whose sha256 was recorded before
+    ``sweep_bias_variance`` read eps off its tables."""
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--eps", "5.0", "--bits", "3", "--b-in-list", "2,4,8",
+               "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9b2df379aec6f7732c4927f6c294c3ae5c67cb75b178bb6c198c69026d7df1fa")
+
+
 def test_dme_command(tmp_path):
     out = str(tmp_path / "dme.csv")
     assert run("dme", "--mechanism", "gaussian", "--n-clients", "20", "--d", "4",
@@ -304,12 +315,13 @@ def test_dme_baseline_without_noise_exits_one(tmp_path, capsys, mechanism, clip_
 
 
 def test_cold_start_skips_scipy_optimize(tmp_path):
-    """``import imvu.cli`` leaves scipy.optimize and importlib.metadata
+    """``import imvu.cli`` leaves every scipy module and importlib.metadata
     unimported; a design imports scipy.optimize on its first LP, and the
     manifest still records scipy's version."""
     script = ("import sys\n"
               "import imvu.cli\n"
-              "assert 'scipy.optimize' not in sys.modules\n"
+              "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+              "assert not loaded, loaded\n"
               "assert 'importlib.metadata' not in sys.modules\n"
               "sys.exit(imvu.cli.main(sys.argv[1:]))\n")
     done = _python("-c", script, "design", "--bits", "1", "--b-in", "2",

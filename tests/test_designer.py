@@ -416,9 +416,8 @@ def _design_on_both_solvers(spec):
             ref = designer._linprog(cost, rows, b_eq, bounds)
             assert (got is None) == (ref is None)
             if got is not None:
-                assert np.array_equal(got[0], ref.fun)
-                assert np.array_equal(got[1], ref.x)
-                assert np.array_equal(got[2], ref.eqlin.marginals)
+                assert len(got) == len(ref) == 3
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             return got
 
         return solve
@@ -681,7 +680,7 @@ def test_quotient_value_is_the_full_lp_value(b_in, b_out, log_eps):
         if r != top:
             full = designer._linprog(np.tile(letters**2, b_in), rows,
                                      np.concatenate([np.ones(b_in), _offsets(b_in) * r]))
-            assert full is not None and abs(full.fun - g) <= 1e-9 * abs(g)
+            assert full is not None and abs(full[0] - g) <= 1e-9 * abs(g)
 
 
 @settings(max_examples=30, deadline=None)

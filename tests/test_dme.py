@@ -24,30 +24,30 @@ def fig2_tables():
 
 
 def test_sweep_mvu_unbiased(fig2_tables):
-    report = sweep_bias_variance(fig2_tables, eps=5.0)
+    report = sweep_bias_variance(fig2_tables)
     for b_in in (2, 4, 8):
         assert report.max_abs_bias("mvu", b_in) <= 1e-6
 
 
 def test_sweep_imvu_bias_shrinks_with_grid(fig2_tables):
-    report = sweep_bias_variance(fig2_tables, eps=5.0)
+    report = sweep_bias_variance(fig2_tables)
     biases = [report.max_abs_bias("imvu", b_in) for b_in in (2, 4, 8)]
     assert biases[0] > biases[1] > biases[2]
 
 
 def test_sweep_laplace_reference(fig2_tables):
-    report = sweep_bias_variance(fig2_tables, eps=5.0)
+    report = sweep_bias_variance(fig2_tables)
     assert report.laplace_variance == pytest.approx(0.08)
 
 
 def test_sweep_variance_comparable_to_laplace(fig2_tables):
-    report = sweep_bias_variance(fig2_tables, eps=5.0)
+    report = sweep_bias_variance(fig2_tables)
     assert report.variances("imvu", 8).max() <= 2.0 * report.laplace_variance
 
 
 def test_sweep_deterministic_and_complete(fig2_tables):
-    r1 = sweep_bias_variance(fig2_tables, eps=5.0)
-    r2 = sweep_bias_variance(fig2_tables, eps=5.0)
+    r1 = sweep_bias_variance(fig2_tables)
+    r2 = sweep_bias_variance(fig2_tables)
     assert r1.rows == r2.rows
     assert len(r1.rows) == 3 * 2 * 201  # tables x mechanisms x grid points
     xs = sorted({row.x for row in r1.rows})
@@ -55,13 +55,13 @@ def test_sweep_deterministic_and_complete(fig2_tables):
 
 
 def test_sweep_bias_definition(fig2_tables):
-    report = sweep_bias_variance(fig2_tables, eps=5.0)
+    report = sweep_bias_variance(fig2_tables)
     for row in report.rows[:50]:
         assert row.bias == row.mean - row.x
 
 
 def test_sweep_csv_format(fig2_tables):
-    report = sweep_bias_variance(fig2_tables[:1], eps=5.0)
+    report = sweep_bias_variance(fig2_tables[:1])
     buf = io.StringIO()
     report.to_csv(buf)
     text = buf.getvalue()
@@ -72,11 +72,11 @@ def test_sweep_csv_format(fig2_tables):
 
 def test_sweep_rejects_mismatched_tables():
     with pytest.raises(ValueError):
-        sweep_bias_variance([get_table(2, 8, 5.0), get_table(2, 4, 5.0)], eps=5.0)
+        sweep_bias_variance([get_table(2, 8, 5.0), get_table(2, 4, 5.0)])
     with pytest.raises(ValueError):
-        sweep_bias_variance([get_table(2, 8, 5.0)], eps=1.0)
+        sweep_bias_variance([get_table(2, 8, 5.0), get_table(4, 8, 1.0)])
     with pytest.raises(ValueError, match="need at least one table"):
-        sweep_bias_variance([], eps=1.0)
+        sweep_bias_variance([])
 
 
 # ---------------------------------------------------------------------------

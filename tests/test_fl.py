@@ -256,7 +256,8 @@ def test_train_config_validation():
         _cfg(rounds=0)
     with pytest.raises(ValueError):
         _cfg(momentum=1.0)
-    for delta in (0.0, 1.0):
+    # a str delta failed its range comparison with a TypeError
+    for delta in (0.0, 1.0, "0.1", True, np.nan):
         with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)"):
             _cfg(delta=delta)
     with pytest.raises(ValueError, match="unknown mechanism"):
@@ -297,6 +298,8 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
     # a bool was read as 1 or 0, and a string failed inside numpy with a TypeError
     ("lr", True), ("lr", "0.3"), ("server_lr_scale", True), ("momentum", False),
     ("momentum", "0.5"),
+    # separation=True trained the run of 1.0, and a str failed inside numpy with a TypeError
+    ("separation", True), ("separation", "4"), ("separation", 10**400),
 ])
 def test_config_names_a_step_or_separation_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -167,6 +167,27 @@ def test_rejects_an_argument_out_of_its_domain(rr_table, call, match):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("start, stop", [(True, 4), (0, True), (0.0, 4), (1, 4.0), ("1", 4)])
+def test_coordinate_range_endpoints_are_integers(rr_table, start, stop):
+    # a bool endpoint read as 0 or 1 and sampled another range's coordinates,
+    # and a float one failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match="coordinate range") as err:
+        privatize_vector(_mech(rr_table), np.zeros(7), 7, (start, stop))
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="coordinate range") as err:
+        coordinate_uniforms(7, start, stop, 10)
+    assert type(err.value) is ValueError
+
+
+def test_coordinate_range_takes_numpy_integers(rr_table):
+    u = np.linspace(-0.1, 0.1, 7)
+    got = privatize_vector(_mech(rr_table), u, 7, (np.int64(1), np.int32(4)))
+    want = privatize_vector(_mech(rr_table), u, 7, (1, 4))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(coordinate_uniforms(7, np.int64(1), np.uint8(3), np.int32(10)),
+                          coordinate_uniforms(7, 1, 3, 10))
+
+
 def test_table_arrays_immutable(rr_table):
     with pytest.raises(ValueError):
         rr_table.log_probs[0, 0] = 1.0
