@@ -5,6 +5,8 @@ designs it numerically, compares, then designs a wider table and saves it in
 the mechanism file format.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from imvu import (
@@ -37,5 +39,5 @@ print("  means at grid points:", np.round(mean, 6))
 print("  variances at grid points:", np.round(var, 4))
 
 mech = InterpolatedMechanism(wide, beta=1.0, clip=ClipConfig("l1", 1.0))
-save_mechanism("designed_4x8.json", mech)
+save_mechanism(Path(__file__).with_name("designed_4x8.json"), mech)
 print("\nsaved mechanism file -> designed_4x8.json")

@@ -7,6 +7,8 @@ input grid grows.  This reproduces the qualitative bias/variance picture for
 three grid sizes at a shared three-bit budget.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from imvu import DesignSpec, design_mvu, sweep_bias_variance
@@ -31,5 +33,5 @@ rows = [r for r in report.rows if r.mechanism == "imvu" and r.b_in == 8]
 for r in rows[::50]:
     print(f"  x={r.x:.2f}  mean={r.mean:+.4f}  bias={r.bias:+.5f}  var={r.variance:.4f}")
 
-report.to_csv("bias_variance_sweep.csv")
+report.to_csv(Path(__file__).with_name("bias_variance_sweep.csv"))
 print("\nfull sweep written -> bias_variance_sweep.csv")

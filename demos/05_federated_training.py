@@ -5,6 +5,8 @@ mechanism, averages the decoded messages, and takes a momentum step; the
 accountant converts the composed cost to a spent epsilon after every round.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from imvu import (
@@ -46,5 +48,5 @@ result = train_fl(config("imvu", mech))
 for t in range(0, 40, 8):
     print(f"  round {t + 1:>2}: accuracy {result.accuracy[t]:.3f}, "
           f"spent eps {result.spent_eps[t]:7.2f}")
-result.to_csv("training_run.csv")
+result.to_csv(Path(__file__).with_name("training_run.csv"))
 print("per-round trajectory written -> training_run.csv")

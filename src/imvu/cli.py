@@ -167,7 +167,6 @@ def _cmd_train(args, argv) -> int:
         delta=args.delta,
         n_train=args.n,
         separation=args.separation,
-        server_lr_scale=args.server_lr_scale,
     )
     result = train_fl(cfg)
     result.to_csv(args.out)
@@ -237,24 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("dme", help="distributed mean estimation experiment")
-    p.add_argument("--mechanism", required=True, choices=KINDS)
-    p.add_argument("--mech", default=None, help="mechanism file (imvu)")
+    # the run flags of dme and train
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--mechanism", required=True, choices=KINDS)
+    run.add_argument("--mech", default=None, help="mechanism file (imvu)")
+    run.add_argument("--noise", type=float, default=None)
+    run.add_argument("--clip-c", type=float, default=1.0, dest="clip_c")
+    run.add_argument("--beta", type=float, default=1.0)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", required=True)
+
+    p = sub.add_parser("dme", parents=[run], help="distributed mean estimation experiment")
     p.add_argument("--n-clients", type=int, default=100, dest="n_clients")
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--clip-norm", choices=["l1", "l2"], default="l2", dest="clip_norm")
-    p.add_argument("--clip-c", type=float, default=1.0, dest="clip_c")
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--input-scale", type=float, default=0.1, dest="input_scale")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dme, usage_error=p.error)
 
-    p = sub.add_parser("train", help="federated training on synthetic data")
-    p.add_argument("--mechanism", required=True, choices=KINDS)
-    p.add_argument("--mech", default=None, help="mechanism file (imvu)")
+    p = sub.add_parser("train", parents=[run], help="federated training on synthetic data")
     p.add_argument("--rounds", type=int, default=40)
     p.add_argument("--cohort", type=int, default=60)
     p.add_argument("--d", type=int, default=20)
@@ -262,14 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.3)
     p.add_argument("--momentum", type=float, default=0.5)
     p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--clip-norm", choices=["l1", "l2"], default="l1", dest="clip_norm")
-    p.add_argument("--clip-c", type=float, default=1.0, dest="clip_c")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--server-lr-scale", type=float, default=1.0, dest="server_lr_scale")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train, usage_error=p.error)
     return parser
 

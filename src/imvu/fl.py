@@ -48,7 +48,6 @@ class FlConfig:
     n_train: int = 600
     separation: float = 4.0
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    server_lr_scale: float = 1.0          # signsgd runs with a reduced scale
     data_seed: int | None = None          # defaults to seed; fix it to compare
                                           # budgets on one dataset
 
@@ -59,8 +58,7 @@ class FlConfig:
         _integer(self.n_train, "n_train", least=2)
         if self.client_samples > self.n_train:
             raise ValueError("client_samples must be at most n_train")
-        for name in ("lr", "server_lr_scale"):
-            _real(getattr(self, name), name)
+        _real(self.lr, "lr")
         if not _real(self.momentum, "momentum", nonnegative=True) < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         # any finite real: 0 and negative separations are accepted
@@ -176,7 +174,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     Per round: sample a cohort, compute one local gradient per client,
     privatize, average the decoded messages on the server, and apply a
     momentum SGD step.  The server update is exactly the mean message times
-    the learning rate (times the SignSGD scale) plus the momentum term.
+    the learning rate plus the momentum term.
     """
     try:
         accuracy, spent = np.empty(cfg.rounds), np.empty(cfg.rounds)
@@ -211,7 +209,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
         messages = privatize_clients(priv, grads, noise_rng, states)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
-        weights = weights - cfg.lr * cfg.server_lr_scale * velocity
+        weights = weights - cfg.lr * velocity
 
         accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
         spent[t] = spent_epsilon(ledger, t + 1) if ledger is not None else np.inf

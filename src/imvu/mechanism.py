@@ -461,22 +461,19 @@ def clip(u: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     return (rows * scale[:, None]).reshape(u.shape)
 
 
-def scale_input(u, clip_c: float, beta: float):
-    """Map a clipped value u in [-C, C] to x = 1/2 + beta*u/(2C).
+def scale_input(u, mech: InterpolatedMechanism):
+    """Map a clipped value u in [-C, C] to x = 1/2 + beta*u/(2C), with the C
+    and beta of ``mech``, which its constructors checked.
 
     Applied coordinate-wise to vectors.  beta=1 lands in [0, 1]; larger beta
     spreads concentrated inputs over (and beyond) the design range.
     """
-    if not (0 < clip_c < np.inf and 0 < beta < np.inf):
-        raise ValueError("clip_c and beta must be positive and finite")
-    return 0.5 + beta * np.asarray(u, dtype=float) / (2.0 * clip_c)
+    return 0.5 + mech.beta * np.asarray(u, dtype=float) / (2.0 * mech.clip.clip_c)
 
 
-def decode(a, clip_c: float, beta: float):
+def decode(a, mech: InterpolatedMechanism):
     """Server-side inverse of scale_input: (2C/beta) * (a - 1/2)."""
-    if not (0 < clip_c < np.inf and 0 < beta < np.inf):
-        raise ValueError("clip_c and beta must be positive and finite")
-    return (2.0 * clip_c / beta) * (np.asarray(a, dtype=float) - 0.5)
+    return (2.0 * mech.clip.clip_c / mech.beta) * (np.asarray(a, dtype=float) - 0.5)
 
 
 def privatize_vector(
@@ -525,8 +522,8 @@ def privatize_vector(
         raise ValueError(f"coordinate range [{lo}, {hi}) out of bounds for dim {d}")
     if states is None:
         states = coordinate_states(seeds, lo, hi)
-    table, clip_c, beta = mech.table, mech.clip.clip_c, mech.beta
-    x = scale_input(clipped[:, lo:hi], clip_c, beta)
+    table = mech.table
+    x = scale_input(clipped[:, lo:hi], mech)
     indices = np.empty(x.shape, dtype=np.intp)
     for c0, c1, uniforms in coordinate_blocks(states, lo, hi):
         block = x[:, c0 - lo:c1 - lo]
@@ -537,4 +534,4 @@ def privatize_vector(
     if not cohort:
         indices = indices[0]
     # each letter decoded once, then gathered: the same bytes as decoding each index
-    return indices, decode(table.alphabet, clip_c, beta)[indices]
+    return indices, decode(table.alphabet, mech)[indices]

@@ -122,7 +122,7 @@ def mechanism_from_dict(doc: dict) -> InterpolatedMechanism:
     if _number(doc, "format_version", integer=True) != FORMAT_VERSION:
         raise ValueError(
             f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}: "
-            "write the table again with `imvu design` and re-run `imvu account --attach`"
+            "re-run `imvu account --attach`, which rewrites the file as version 2"
         )
     acct = doc["accounting"]
     _require(acct, _REQUIRED_ACCOUNTING, "the 'accounting' block")

@@ -378,8 +378,12 @@ def test_train_command_and_replay(tmp_path):
 def test_train_rejects_a_negative_server_step(tmp_path, capsys):
     out = tmp_path / "train.csv"
     assert run("train", "--mechanism", "identity", "--rounds", "2", "--cohort", "5",
-               "--d", "4", "--n", "40", "--server-lr-scale", "-1", "--out", str(out)) == 1
-    assert "server_lr_scale" in capsys.readouterr().err
+               "--d", "4", "--n", "40", "--lr", "-1", "--out", str(out)) == 1
+    assert "lr must be" in capsys.readouterr().err
+    assert not out.exists()
+    # the server step is --lr alone
+    assert run("train", "--mechanism", "identity", "--server-lr-scale", "0.1",
+               "--out", str(out)) == 2
     assert not out.exists()
 
 
@@ -632,7 +636,8 @@ def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_n
                              fisher_m=attached.fisher_m + 0.01)
     mech_path.write_text(json.dumps(doc))
     assert run("validate", "--mech", str(mech_path)) == 1
-    assert "format_version" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "format_version" in err and "imvu design" not in err
 
     assert run("account", "--mech", str(mech_path), "--mode", mode, "--clip-norm", clip_norm,
                "--clip-c", "1.0", "--rounds", "3", "--attach",

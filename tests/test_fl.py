@@ -177,8 +177,7 @@ def test_train_baseline_modes():
 def test_signsgd_ledger_equals_gaussian():
     # post-processing invariance: identical sigma means identical cost
     cfg_g = _cfg(mechanism="gaussian", clip=ClipConfig("l2", 1.0), noise=1.5)
-    cfg_s = _cfg(mechanism="signsgd", clip=ClipConfig("l2", 1.0), noise=1.5,
-                 server_lr_scale=0.01)
+    cfg_s = _cfg(mechanism="signsgd", clip=ClipConfig("l2", 1.0), noise=1.5)
     ledger_g, ledger_s = (
         round_ledger(privatizer(c.mechanism, c.clip, noise=c.noise), c.delta, c.alphas)
         for c in (cfg_g, cfg_s))
@@ -289,14 +288,13 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("server_lr_scale", -1.0), ("server_lr_scale", 0.0), ("server_lr_scale", np.inf),
-    ("server_lr_scale", np.nan), ("lr", np.nan), ("lr", np.inf), ("lr", -0.3),
+    ("lr", 0.0), ("lr", np.nan), ("lr", np.inf), ("lr", -0.3),
     ("separation", np.nan), ("separation", np.inf), ("n_train", 1), ("client_samples", 121),
     # counts that are not integers failed only in train_fl, with a TypeError
     ("rounds", 2.5), ("rounds", True), ("cohort", 2.5), ("dims", 2.5), ("n_train", 20.5),
     ("client_samples", 1.5),
     # a bool was read as 1 or 0, and a string failed inside numpy with a TypeError
-    ("lr", True), ("lr", "0.3"), ("server_lr_scale", True), ("momentum", False),
+    ("lr", True), ("lr", "0.3"), ("momentum", False),
     ("momentum", "0.5"),
     # separation=True trained the run of 1.0, and a str failed inside numpy with a TypeError
     ("separation", True), ("separation", "4"), ("separation", 10**400),

@@ -120,6 +120,12 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda t: ClipConfig("linf", 1.0), "clip norm must be 'l1' or 'l2'", id="clip-norm"),
     pytest.param(lambda t: ClipConfig("l2", 0.0), "clip_c must be positive", id="clip_c"),
+    # scale_input and decode read C and beta from here, unchecked: a NaN
+    # would pass a ``v <= 0`` test, and an infinite clip maps every input to 1/2
+    pytest.param(lambda t: ClipConfig("l2", np.nan), "clip_c must be positive", id="clip_c-nan"),
+    pytest.param(lambda t: ClipConfig("l2", np.inf), "clip_c must be positive", id="clip_c-inf"),
+    pytest.param(lambda t: ClipConfig("l2", -1.0), "clip_c must be positive",
+                 id="clip_c-negative"),
     pytest.param(lambda t: ClipConfig("l2", True), "clip_c must be positive", id="clip_c-bool"),
     pytest.param(lambda t: ClipConfig("l2", "1"), "clip_c must be positive", id="clip_c-str"),
     pytest.param(lambda t: MechanismTable(t.alphabet, t.log_probs, 0.0), "design_eps must be",
@@ -131,6 +137,10 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
     pytest.param(lambda t: table_violations(t.alphabet[:1], 1.0, t.log_probs),
                  r"alphabet must have shape \(2,\)", id="alphabet-shape"),
     pytest.param(lambda t: InterpolatedMechanism(t, beta=0.0), "beta must be", id="beta"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta=np.nan), "beta must be", id="beta-nan"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta=np.inf), "beta must be", id="beta-inf"),
+    pytest.param(lambda t: InterpolatedMechanism(t, beta=-1.0), "beta must be",
+                 id="beta-negative"),
     pytest.param(lambda t: InterpolatedMechanism(t, beta=True), "beta must be", id="beta-bool"),
     pytest.param(lambda t: InterpolatedMechanism(t, beta="1"), "beta must be", id="beta-str"),
     pytest.param(lambda t: InterpolatedMechanism(t, eps_prime=np.nan), "eps_prime must be",
@@ -400,34 +410,25 @@ def test_clip_huge_finite_input_keeps_direction(norm, u):
                                    rtol=1e-12, atol=0.0)
 
 
-def test_scale_input_values():
-    assert scale_input(0.0, 1.0, 1.0) == 0.5
-    assert scale_input(1.0, 1.0, 1.0) == 1.0
-    assert scale_input(-1.0, 1.0, 8.0) == -3.5
+def test_scale_input_values(rr_table):
+    assert scale_input(0.0, _mech(rr_table)) == 0.5
+    assert scale_input(1.0, _mech(rr_table)) == 1.0
+    assert scale_input(-1.0, _mech(rr_table, beta=8.0)) == -3.5
 
 
-def test_decode_values():
-    assert decode(0.5, 1.0, 1.0) == 0.0
-    assert decode(1.0, 1.0, 1.0) == 1.0
+def test_decode_values(rr_table):
+    assert decode(0.5, _mech(rr_table)) == 0.0
+    assert decode(1.0, _mech(rr_table)) == 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-def test_scale_input_and_decode_reject_a_scale_that_is_not_positive_and_finite(bad):
-    # NaN passes ``v <= 0``, and an infinite clip maps every input to 1/2
-    for args in ((bad, 1.0), (1.0, bad)):
-        with pytest.raises(ValueError, match="clip_c and beta must be positive and finite"):
-            scale_input(0.3, *args)
-        with pytest.raises(ValueError, match="clip_c and beta must be positive and finite"):
-            decode(0.3, *args)
-
-
-def test_scale_decode_roundtrip():
+def test_scale_decode_roundtrip(rr_table):
     rng = np.random.default_rng(1)
     for _ in range(100):
         c = rng.uniform(0.1, 9.0)
         beta = rng.uniform(0.2, 16.0)
         u = rng.uniform(-c, c)
-        assert abs(decode(scale_input(u, c, beta), c, beta) - u) <= 1e-12 * c
+        mech = _mech(rr_table, c=c, beta=beta)
+        assert abs(decode(scale_input(u, mech), mech) - u) <= 1e-12 * c
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +476,19 @@ def test_privatize_zero_vector_samples_at_half(rr_table):
     cdf = np.cumsum(pmf(mech.table, 0.5))
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), 1)
     assert np.array_equal(idx, expected)
-    np.testing.assert_allclose(dec, decode(rr_table.alphabet[idx], 1.0, 1.0))
+    np.testing.assert_allclose(dec, decode(rr_table.alphabet[idx], mech))
 
 
 def test_privatize_single_coordinate_matches_scalar_path(rr_table):
     mech = _mech(rr_table, norm="l1", c=2.0, beta=1.0)
     u = np.array([0.4])
     idx, dec = privatize_vector(mech, u, seed=77)
-    x = scale_input(clip(u, mech.clip), 2.0, 1.0)[0]
+    x = scale_input(clip(u, mech.clip), mech)[0]
     uni = coordinate_uniforms(77, 0, 1, 1)[0]
     cdf = np.cumsum(pmf(mech.table, x))
     j = int(np.searchsorted(cdf, uni, side="right"))
     assert idx[0] == j
-    assert dec[0] == pytest.approx(decode(rr_table.alphabet[j], 2.0, 1.0))
+    assert dec[0] == pytest.approx(decode(rr_table.alphabet[j], mech))
 
 
 def test_privatize_worker_count_invariance(table_2x4):
@@ -521,7 +522,7 @@ def test_privatize_deterministic_and_seed_sensitive(rr_table):
 def test_privatize_marginals_match_pmf(table_2x4):
     mech = _mech(table_2x4, norm="l2", c=1.0, beta=1.0)
     u = np.array([0.5, -0.3, 0.0, 0.2, -0.45])
-    x = scale_input(clip(u, mech.clip), 1.0, 1.0)
+    x = scale_input(clip(u, mech.clip), mech)
     probs = pmf(mech.table, x)
     n = 20_000
     counts = np.zeros((u.size, table_2x4.b_out))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from imvu import (
+    design_variance_grid_min,
+    eps_prime_grid_max,
     exact_max_divergence,
     exact_renyi,
     fisher_grid_max,
@@ -96,6 +98,8 @@ def test_renyi_input_errors():
         exact_renyi([0.5, 0.5], [0.5, 0.5], 1.0)
     with pytest.raises(ValueError):
         exact_renyi([0.6, 0.6], [0.5, 0.5], 2.0)  # not normalized
+    with pytest.raises(ValueError, match="equal-length"):
+        exact_renyi([0.5, 0.5], [0.2, 0.3, 0.5], 2.0)
 
 
 def test_renyi_nonnegative():
@@ -159,6 +163,8 @@ def test_joint_max_divergence_subadditive(rr_table):
 
 
 def test_joint_size_guards(rr_table, table_factory):
+    with pytest.raises(ValueError, match="equal-length"):
+        joint_divergence_bruteforce(rr_table, [0.1, 0.2], [0.2], 2.0)
     with pytest.raises(ValueError, match="dimension"):
         joint_divergence_bruteforce(rr_table, [0.1] * 4, [0.2] * 4, 2.0)
     wide = table_factory(2, 8, 1.0)
@@ -185,3 +191,8 @@ def test_fisher_grid_max_below_certified_sup(table_2x4):
 def test_fisher_grid_max_rejects_small_n(rr_table):
     with pytest.raises(ValueError):
         fisher_grid_max(rr_table, (0, 1), 100)
+    # the other grid oracles guard their sizes the same way
+    with pytest.raises(ValueError, match="at least 10"):
+        eps_prime_grid_max(rr_table, (0, 1), 9_999)
+    with pytest.raises(ValueError, match="at least 2 scales"):
+        design_variance_grid_min(2, 2, 1.0, 1)

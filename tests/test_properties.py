@@ -271,7 +271,7 @@ def _train_fl_per_client(cfg, weights_seen):
             seed = int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
             _, messages[slot] = privatize_vector(cfg.mech, grad, seed)
         velocity = cfg.momentum * velocity + messages.mean(axis=0)
-        weights = weights - cfg.lr * cfg.server_lr_scale * velocity
+        weights = weights - cfg.lr * velocity
         accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
         spent[t] = spent_epsilon(ledger, t + 1)
     out = io.StringIO()

@@ -116,10 +116,10 @@ BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
 
 def _baseline_cfg(kind: str, seed: int) -> FlConfig:
     norm = BASELINE_NORM[kind]
-    return FlConfig(rounds=6, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, RADIUS[norm]),
-                    mechanism=kind, noise={"laplace": 20.0}.get(kind, 0.3), seed=seed,
-                    client_samples=3, n_train=125, separation=1.0,
-                    server_lr_scale=0.1 if kind == "signsgd" else 1.0)
+    return FlConfig(rounds=6, cohort=30, dims=9, lr=0.3 * (0.1 if kind == "signsgd" else 1.0),
+                    clip=ClipConfig(norm, RADIUS[norm]), mechanism=kind,
+                    noise={"laplace": 20.0}.get(kind, 0.3), seed=seed,
+                    client_samples=3, n_train=125, separation=1.0)
 
 
 def _weights_cfg(kind: str, seed: int, norm: str) -> FlConfig:
@@ -477,7 +477,7 @@ def test_cohort_rows_sample_the_coordinate_walk_of_their_seed(coord_range):
     u = np.random.default_rng(5).normal(scale=0.02, size=(3, d))
     seeds = [9, 2**40 + 1, -4]
     indices, _ = privatize_vector(mech, u, seeds, coord_range=coord_range)
-    x = scale_input(clip(u, mech.clip)[:, lo:hi], mech.clip.clip_c, mech.beta)
+    x = scale_input(clip(u, mech.clip)[:, lo:hi], mech)
     for row, seed, got in zip(x, seeds, indices):
         i, t = _bracket(mech.table.b_in, row)
         expected = _sample(mech.table.log_probs, i, t, coordinate_uniforms(seed, lo, hi, d))
