@@ -44,20 +44,17 @@ class FlConfig:
     momentum: float = 0.5
     seed: int = 0
     delta: float = DEFAULT_DELTA
-    client_samples: int = 1
-    n_train: int = 600
+    n_train: int = 600                   # one client per training sample
     separation: float = 4.0
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     data_seed: int | None = None          # defaults to seed; fix it to compare
                                           # budgets on one dataset
 
     def __post_init__(self):
-        for name in ("rounds", "cohort", "dims", "client_samples"):
+        for name in ("rounds", "cohort", "dims"):
             _integer(getattr(self, name), name, least=1)
-        # generate_synthetic draws both classes, and every client holds a sample
+        # generate_synthetic draws both classes
         _integer(self.n_train, "n_train", least=2)
-        if self.client_samples > self.n_train:
-            raise ValueError("client_samples must be at most n_train")
         _real(self.lr, "lr")
         if not _real(self.momentum, "momentum", nonnegative=True) < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
@@ -146,7 +143,7 @@ def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     return (coeff[..., None] * x).mean(axis=-2)
 
 
-def _cohorts(cfg: FlConfig, n_clients: int, imvu: bool):
+def _cohorts(cfg: FlConfig, imvu: bool):
     """Each round's chosen clients and, for imvu, their coordinate states.
 
     Nothing here depends on the model: the cohorts come from a substream of
@@ -156,11 +153,11 @@ def _cohorts(cfg: FlConfig, n_clients: int, imvu: bool):
     ``substream_seeds`` and one ``coordinate_states`` call.
     """
     cohort_rng = substream(cfg.seed, "cohort")
-    m = min(cfg.cohort, n_clients)
+    m = min(cfg.cohort, cfg.n_train)
     block = max(1, _BLOCK_STREAMS // (m * len(range(0, cfg.dims, COORD_CHUNK))))
     for t0 in range(0, cfg.rounds, block):
         rounds = np.arange(t0, min(t0 + block, cfg.rounds))
-        chosen = np.stack([cohort_rng.choice(n_clients, size=m, replace=False) for _ in rounds])
+        chosen = np.stack([cohort_rng.choice(cfg.n_train, size=m, replace=False) for _ in rounds])
         if imvu:
             seeds = substream_seeds(cfg.seed, "privatize", np.repeat(rounds, m), chosen.ravel())
             states = coordinate_states(seeds, 0, cfg.dims)
@@ -187,25 +184,15 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     # the linear training head is binary
     x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, data_seed)
     y_signed = _signed_labels(y)
-    # np.array_split's clients: the first n_train % n_clients hold one sample more
-    n_clients = cfg.n_train // cfg.client_samples
-    sizes = np.full(n_clients, cfg.n_train // n_clients)
-    sizes[:cfg.n_train % n_clients] += 1
-    starts = np.cumsum(sizes) - sizes
 
     weights = np.zeros(cfg.dims)
     velocity = np.zeros(cfg.dims)
-    cohorts = _cohorts(cfg, n_clients, isinstance(priv, InterpolatedMechanism))
+    cohorts = _cohorts(cfg, isinstance(priv, InterpolatedMechanism))
     noise_rng = substream(cfg.seed, "baseline-noise")
 
     for t, (chosen, states) in enumerate(cohorts):
-        # one stacked gradient call per client size, at most two
-        chosen_sizes = sizes[chosen]
-        grads = np.empty((chosen.size, cfg.dims))
-        for size in np.unique(chosen_sizes):
-            group = chosen_sizes == size
-            rows = starts[chosen[group], None] + np.arange(size)
-            grads[group] = client_update(weights, x[rows], y_signed[rows])
+        # client c holds training sample c: one stack of one-sample clients
+        grads = client_update(weights, x[chosen, None], y_signed[chosen, None])
         messages = privatize_clients(priv, grads, noise_rng, states)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message

@@ -107,7 +107,8 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
     metric_dp covers every pair of rows, not just adjacent ones, so the
     per-pair tolerance cannot add up along the grid; it reports the first
     pair, then letter, holding the maximum, and holds one row's pairs at a
-    time.  ``ValueError`` for a table of more than ``MAX_TABLE_CELLS`` cells.
+    time; it is inf for a ``design_eps`` that ``_real`` rejects.  ``ValueError``
+    for a table of more than ``MAX_TABLE_CELLS`` cells.
     """
     alphabet = np.asarray(alphabet, dtype=float)
     log_probs = np.asarray(log_probs, dtype=float)
@@ -143,12 +144,15 @@ def table_violations(alphabet, design_eps: float, log_probs) -> dict[str, tuple[
     out["unbiasedness"] = (float(np.max(np.abs(means - grid))), f"row {i}")
 
     dp_viol, where = 0.0, ""
-    if np.all(np.isfinite(log_probs)):
+    eps = _as_real(design_eps)
+    if not (np.isfinite(eps) and eps > 0):  # as _real; a NaN eps made every gap NaN
+        dp_viol, where = np.inf, f"design_eps {design_eps!r} is not positive and finite"
+    elif np.all(np.isfinite(log_probs)):
         # row i against the later rows: argmax finds the first row, then
         # letter, holding their maximum, and the strict > keeps the first i's
         for i in range(b_in - 1):
             gap = np.abs(log_probs[i] - log_probs[i + 1:])
-            gap -= (design_eps * np.abs(grid[i] - grid[i + 1:]))[:, None]
+            gap -= (eps * np.abs(grid[i] - grid[i + 1:]))[:, None]
             k, j = divmod(int(np.argmax(gap)), b_out)
             if gap[k, j] > dp_viol:
                 dp_viol = float(gap[k, j])

@@ -16,6 +16,9 @@ from .mechanism import MechanismTable, log_pmf
 
 _PAIR_SUM_TOL = 1e-12
 MAX_JOINT_OUTCOMES = 4096
+# The grid oracles evaluate at most this many (input, letter) cells per call,
+# 8 MiB per array, or 4096 inputs where a table is wider than 256 letters.
+_CHUNK_CELLS = 1 << 20
 
 
 def _check_pair(p: np.ndarray, q: np.ndarray):
@@ -87,6 +90,11 @@ def joint_divergence_bruteforce(table: MechanismTable, xvec, xvec_prime, alpha: 
     return _renyi_from_logs(lp_joint, lq_joint, alpha)
 
 
+def _chunks(xs: np.ndarray, b_out: int):
+    step = max(4096, _CHUNK_CELLS // b_out)
+    return (xs[start:start + step] for start in range(0, xs.size, step))
+
+
 def fisher_grid_max(table: MechanismTable, x_range: tuple[float, float], n: int) -> float:
     """Dense-grid maximum of a two-row table's Fisher information over x_range.
 
@@ -97,14 +105,9 @@ def fisher_grid_max(table: MechanismTable, x_range: tuple[float, float], n: int)
 
     if n < 10_000:
         raise ValueError("fisher_grid_max needs at least 10^4 grid points")
-    lo, hi = float(x_range[0]), float(x_range[1])
-    best = 0.0
-    chunk = 1 << 20
-    edges = np.linspace(lo, hi, n)
-    for start in range(0, n, chunk):
-        vals = fisher_info(table, edges[start : start + chunk])
-        best = max(best, float(np.max(vals)))
-    return best
+    edges = np.linspace(float(x_range[0]), float(x_range[1]), n)
+    return max(float(np.max(fisher_info(table, xs)))
+               for xs in _chunks(edges, table.b_out))
 
 
 def eps_prime_grid_max(table, domain: tuple[float, float], n: int) -> float:
@@ -116,8 +119,9 @@ def eps_prime_grid_max(table, domain: tuple[float, float], n: int) -> float:
     edges = np.linspace(0.0, 1.0, nseg + 1)
     edges[0], edges[-1] = min(0.0, domain[0]), max(1.0, domain[1])
     theta = np.diff(table.log_probs, axis=0)
-    probs = (np.exp(log_pmf(table, np.linspace(edges[i], edges[i + 1], n))) for i in range(nseg))
-    return nseg * max(float(np.max(np.abs(p @ th))) for p, th in zip(probs, theta))
+    return nseg * max(float(np.max(np.abs(np.exp(log_pmf(table, xs)) @ theta[i])))
+                      for i in range(nseg)
+                      for xs in _chunks(np.linspace(edges[i], edges[i + 1], n), table.b_out))
 
 
 def design_variance_grid_min(b_in: int, b_out: int, eps: float, n: int) -> float:

@@ -409,7 +409,7 @@ def test_fisher_sup_certifies_certify_rdp_tables_in_one_evaluation(b_out, eps):
 @given(b_out=st.integers(2, 64), log_eps=st.floats(np.log(0.1), np.log(20.0)))
 def test_fisher_sup_early_certificate_on_symmetrized_designs(b_out, log_eps):
     _check_fisher_sup(
-        design_mvu(DesignSpec(2, b_out, float(np.exp(log_eps)), symmetrize=True)))
+        design_mvu(DesignSpec(2, b_out, float(np.exp(log_eps)))))
 
 
 @pytest.mark.parametrize("b_out,eps,m_value,x_max,evaluations,rounds", [
@@ -475,8 +475,7 @@ def test_fisher_certifies_designed_two_row_files(bits, log_eps):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         assert main(["design", "--bits", str(bits), "--b-in", "2",
-                     "--eps", repr(float(np.exp(log_eps))), "--symmetrize",
-                     "--out", path]) == 0
+                     "--eps", repr(float(np.exp(log_eps))), "--out", path]) == 0
         assert main(["account", "--mech", path, "--mode", "rdp", "--clip-norm", "l2",
                      "--clip-c", "1.0", "--rounds", "1", "--attach",
                      "--out", os.path.join(tmp, "r.json")]) == 0

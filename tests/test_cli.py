@@ -101,7 +101,7 @@ def test_account_rdp_on_asymmetric_table_names_enforce_anadromic(tmp_path, capsy
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_account_rdp_rejects_an_order_that_is_not_finite(tmp_path, capsys, bad):
     mech_path = str(tmp_path / "sym.json")
-    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+    assert run("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
                "--out", mech_path) == 0
     report = tmp_path / "report.json"
     code = run("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
@@ -241,7 +241,7 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
     assert build_parser() is build_parser()
     mech_path = str(tmp_path / "m.json")
     calls = [
-        ("design", "--bits", "1", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+        ("design", "--bits", "1", "--b-in", "2", "--eps", "1.0",
          "--out", mech_path),
         ("design", "--bits", "1", "--no-such-flag"),
         ("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
@@ -359,6 +359,15 @@ def test_design_prints_only_its_own_line(tmp_path):
     assert done.stdout == f"designed 4x4 table (eps=2.0) -> {mech_path}\n"
 
 
+def test_design_symmetrize_writes_the_plain_design(tmp_path):
+    # the flag does nothing (every design is anadromic); old commands still run
+    plain, sym = tmp_path / "plain.json", tmp_path / "sym.json"
+    for path, extra in ((plain, ()), (sym, ("--symmetrize",))):
+        assert run("design", "--bits", "3", "--b-in", "3", "--eps", "2.0", *extra,
+                   "--out", str(path)) == 0
+    assert sym.read_bytes() == plain.read_bytes()
+
+
 def test_train_command_and_replay(tmp_path):
     out = str(tmp_path / "train.csv")
     argv = ["train", "--mechanism", "identity", "--rounds", "4", "--cohort", "20",
@@ -428,7 +437,7 @@ def _train_outputs(tmp_path, name, *argv):
 def test_train_imvu_on_a_design_only_file_matches_the_attached_run(tmp_path):
     # train certifies its own constants, so attaching them first changes nothing
     mech_path = str(tmp_path / "m.json")
-    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0", "--symmetrize",
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0",
                "--out", mech_path) == 0
     argv = ["--mechanism", "imvu", "--mech", mech_path, "--clip-norm", "l2",
             "--rounds", "30", "--cohort", "10", "--d", "4", "--n", "40", "--seed", "3"]
@@ -446,7 +455,7 @@ def test_train_imvu_certifies_only_the_constant_its_ledger_reads(tmp_path, monke
     # eps' under an l1 clip, M under an l2 clip: the other is never computed,
     # so its certification cannot fail the run
     mech_path = str(tmp_path / "m.json")
-    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0", "--symmetrize",
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "2.0",
                "--out", mech_path) == 0
     calls = {read: 0, unread: 0}
     for name in calls:
@@ -509,7 +518,7 @@ def test_train_imvu_reads_a_version_1_file(tmp_path):
 
 def test_only_validate_reads_a_file_stored_configuration(tmp_path, capsys):
     mech_path = _edited_design(tmp_path, lambda doc: None,
-                               "--bits", "2", "--eps", "2.0", "--symmetrize")
+                               "--bits", "2", "--eps", "2.0")
     assert run("account", "--mech", mech_path, "--mode", "pure", "--clip-norm", "l1",
                "--clip-c", "1.0", "--rounds", "1", "--attach") == 0
     runs = {
@@ -556,7 +565,7 @@ def test_design_takes_no_configuration_flags(tmp_path, capsys):
 @pytest.mark.parametrize("mode, certifier", [("rdp", "fisher_sup"), ("pure", "_eps_prime_impl")])
 def test_account_attach_certifies_each_constant_once(tmp_path, monkeypatch, mode, certifier):
     mech_path = str(tmp_path / "m.json")
-    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0",
                "--out", mech_path) == 0
     fresh = accounting.attach_accounting(load_mechanism(mech_path))
     calls = []
@@ -626,7 +635,7 @@ def test_validate_missing_file_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("mode, clip_norm", [("rdp", "l2"), ("pure", "l1")])
 def test_account_attaches_version_1_file_in_place(tmp_path, capsys, mode, clip_norm):
     mech_path = tmp_path / "m.json"
-    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0",
                "--out", str(mech_path)) == 0
     attached = accounting.attach_accounting(load_mechanism(mech_path))
     doc = json.loads(mech_path.read_text())
@@ -664,7 +673,7 @@ def test_account_attach_without_out_prints_one_json_document(tmp_path, capsys, m
 
 def test_account_reattach_does_not_certify_stored_constants(tmp_path, monkeypatch):
     mech_path = str(tmp_path / "m.json")
-    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0", "--symmetrize",
+    assert run("design", "--bits", "2", "--b-in", "2", "--eps", "1.0",
                "--out", mech_path) == 0
     argv = ["account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
             "--clip-c", "1.0", "--rounds", "3", "--attach", "--out", str(tmp_path / "r.json")]
@@ -734,7 +743,7 @@ def test_mistyped_field_exits_one_naming_it(tmp_path, command, field, value):
 def test_dme_certifies_no_stored_constant(tmp_path, monkeypatch):
     # the run's beta and clip replace the file's, so its constants go unused
     mech_path = _edited_design(tmp_path, lambda doc: None,
-                               "--bits", "4", "--eps", "2.0", "--symmetrize")
+                               "--bits", "4", "--eps", "2.0")
     assert run("account", "--mech", mech_path, "--mode", "rdp", "--clip-norm", "l2",
                "--clip-c", "1.0", "--rounds", "1", "--attach") == 0
     stored = json.loads(Path(mech_path).read_text())["accounting"]

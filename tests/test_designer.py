@@ -1,6 +1,7 @@
 """Designer contracts: closed forms, LP properties, symmetrization, validation."""
 
 import hashlib
+import itertools
 import sys
 from dataclasses import replace
 
@@ -137,15 +138,14 @@ def test_wide_two_row_design_takes_no_lp_value_on_trust(b_out, eps):
     assert validate_table(table).passed
 
 
-@pytest.mark.parametrize("symmetrize", [False, True])
 @pytest.mark.parametrize("eps", [0.1, 1.0, 5.0, 10.0])
 @pytest.mark.parametrize("b_out", [2, 8, 64, 256])
-def test_two_row_design_is_randomized_response(b_out, eps, symmetrize):
+def test_two_row_design_is_randomized_response(b_out, eps):
     # A two-row design puts its mass on the end letters, as randomized
     # response does, and every other letter at or near the floor; up to
     # eps = 10 the floor mass moves the summed variance by under 2e-6
     # relative.  This oracle solves no LP, so it reaches 2x256.
-    table = design_mvu(DesignSpec(2, b_out, eps, symmetrize=symmetrize))
+    table = design_mvu(DesignSpec(2, b_out, eps))
     rr = 2.0 * np.exp(eps) / np.expm1(eps) ** 2
     assert abs(table_variance(table) - rr) <= 1e-5 * rr
 
@@ -447,7 +447,7 @@ def test_highs_model_retries_without_presolve_as_linprog(b_in):
     assert _design_on_both_solvers(DesignSpec(b_in, 4, {2: 25.0, 3: 40.0}[b_in]))
 
 
-@pytest.mark.parametrize("spec", [DesignSpec(4, 8, 3.0), DesignSpec(2, 3, 25.0, symmetrize=True)])
+@pytest.mark.parametrize("spec", [DesignSpec(4, 8, 3.0), DesignSpec(2, 3, 25.0)])
 def test_design_falls_back_to_linprog_without_the_highs_binding(monkeypatch, spec):
     calls = []
 
@@ -758,12 +758,32 @@ def test_anadromic_average_formula():
     np.testing.assert_allclose(table.probs, [[0.775, 0.225], [0.225, 0.775]], atol=1e-15)
 
 
-@pytest.mark.parametrize("b_out", [2, 4, 8])
-def test_symmetrize_spec_agrees_with_enforce_anadromic(b_out):
-    designed = design_mvu(DesignSpec(2, b_out, 1.0, symmetrize=True))
-    enforced = enforce_anadromic(get_table(2, b_out, 1.0))
-    np.testing.assert_array_equal(designed.alphabet, enforced.alphabet)
-    np.testing.assert_allclose(designed.probs, enforced.probs, rtol=0, atol=1e-12)
+ANADROMIC_SWEEP_EPS = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("b_out", [2, 3, 4, 5, 8, 16])
+def test_enforce_anadromic_passes_two_row_designs_bit_for_bit(b_out):
+    for eps in ANADROMIC_SWEEP_EPS:
+        designed = design_mvu(DesignSpec(2, b_out, eps))
+        enforced = enforce_anadromic(designed)
+        assert enforced.alphabet.tobytes() == designed.alphabet.tobytes()
+        assert enforced.log_probs.tobytes() == designed.log_probs.tobytes()
+
+
+@pytest.mark.parametrize("b_in", [3, 4, 5, 8])
+def test_enforce_anadromic_moves_wider_designs_by_a_few_ulp(b_in):
+    # the renormalisation sums a row and its mirror in different orders, so
+    # beyond two rows the averaging is a fixed point only up to rounding;
+    # each of these row counts has designs that move
+    moved = 0
+    for b_out, eps in itertools.product((2, 3, 4, 5, 8, 16), ANADROMIC_SWEEP_EPS):
+        designed = design_mvu(DesignSpec(b_in, b_out, eps))
+        enforced = enforce_anadromic(designed)
+        assert enforced.alphabet.tobytes() == designed.alphabet.tobytes()
+        shift = np.max(np.abs(enforced.log_probs - designed.log_probs))
+        assert shift <= 4 * np.finfo(float).eps, (b_out, eps, shift)
+        moved += bool(shift)
+    assert moved > 0
 
 
 def test_enforce_anadromic_rejects_asymmetric_alphabet():
@@ -833,6 +853,21 @@ def test_validate_flags_metric_dp_break(rr_table):
     logs[0, 0] += 0.5
     checks = table_violations(rr_table.alphabet, rr_table.design_eps, logs)
     assert not checks["metric_dp"][0] <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.5, True, "0.5"])
+def test_validate_flags_a_design_eps_that_is_not_positive_and_finite(eps):
+    # a NaN eps made every metric-DP gap NaN, which never exceeded the
+    # running maximum, so the check read (0.0, "") and a report passed
+    alphabet, logs = [0.0, 1.0], np.log([[0.9, 0.1], [0.1, 0.9]])
+    violation, where = table_violations(alphabet, eps, logs)["metric_dp"]
+    assert violation == np.inf
+    assert where.startswith(f"design_eps {eps!r} ")
+    report = ValidationReport(checks={"metric_dp": violation}, where={}, tol=1e-6)
+    assert report.failures == ["metric_dp"]
+    # a valid eps keeps its value: the 2x2 table above is ln 9-private
+    assert table_violations(alphabet, 0.5, logs)["metric_dp"][0] == pytest.approx(np.log(9) - 0.5)
+    assert table_violations(alphabet, np.float32(5.0), logs)["metric_dp"] == (0.0, "")
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, -np.inf, True, "1e-6"])

@@ -206,6 +206,41 @@ def test_train_asks_the_ledger_once_per_round(monkeypatch, kind):
     np.testing.assert_array_equal([v for _, _, v in calls], result.spent_eps)
 
 
+@pytest.mark.parametrize("kind", ["imvu", "identity", "laplace", "gaussian", "signsgd"])
+def test_train_takes_a_round_of_gradients_in_one_call(monkeypatch, kind):
+    # client c holds training sample c, and a round's cohort is one stack of
+    # one-sample clients, asked for before the round's ledger entry
+    from imvu import fl
+    from imvu.rng import substream
+
+    calls, update, spent = [], fl.client_update, fl.spent_epsilon
+
+    def recorded_update(weights, x, y):
+        calls.append(("client_update", x.copy(), y.copy()))
+        return update(weights, x, y)
+
+    def recorded_spent(ledger, t):
+        calls.append(("spent_epsilon", t))
+        return spent(ledger, t)
+
+    monkeypatch.setattr(fl, "client_update", recorded_update)
+    monkeypatch.setattr(fl, "spent_epsilon", recorded_spent)
+    mech = _imvu_mech(norm="l2") if kind == "imvu" else None
+    noise = None if kind in ("imvu", "identity") else 1.0
+    clip = ClipConfig("l1" if kind == "laplace" else "l2", 1.0)
+    cfg = _cfg(mechanism=kind, mech=mech, noise=noise, clip=clip, rounds=4, n_train=50)
+    train_fl(cfg)
+    names = [c[0] for c in calls]
+    per_round = ["client_update"] + (["spent_epsilon"] if kind != "identity" else [])
+    assert names == per_round * cfg.rounds
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
+    cohort_rng = substream(cfg.seed, "cohort")
+    for _, xs, ys in (c for c in calls if c[0] == "client_update"):
+        chosen = cohort_rng.choice(cfg.n_train, size=cfg.cohort, replace=False)
+        np.testing.assert_array_equal(xs, x[chosen, None])
+        np.testing.assert_array_equal(ys, np.where(y[chosen, None] == 0, -1.0, 1.0))
+
+
 def test_server_update_is_mean_message_times_lr():
     # reconstruct round one by hand: velocity starts at zero, so the first
     # step must be exactly lr * mean(clipped client gradients)
@@ -289,10 +324,9 @@ def test_train_imvu_rejects_a_clip_other_than_its_mechanism():
 
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", np.nan), ("lr", np.inf), ("lr", -0.3),
-    ("separation", np.nan), ("separation", np.inf), ("n_train", 1), ("client_samples", 121),
+    ("separation", np.nan), ("separation", np.inf), ("n_train", 1),
     # counts that are not integers failed only in train_fl, with a TypeError
     ("rounds", 2.5), ("rounds", True), ("cohort", 2.5), ("dims", 2.5), ("n_train", 20.5),
-    ("client_samples", 1.5),
     # a bool was read as 1 or 0, and a string failed inside numpy with a TypeError
     ("lr", True), ("lr", "0.3"), ("momentum", False),
     ("momentum", "0.5"),
@@ -313,8 +347,8 @@ def test_config_rejects_a_non_integer_seed(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         _cfg(**{field: value})
     assert _cfg(seed=np.int64(1), data_seed=np.uint32(2)).seed == 1
-    assert _cfg(rounds=np.int64(2), cohort=np.int32(3), dims=np.uint8(4), n_train=np.int64(9),
-                client_samples=np.int16(2)).rounds == 2
+    assert _cfg(rounds=np.int64(2), cohort=np.int32(3), dims=np.uint8(4),
+                n_train=np.int64(9)).rounds == 2
 
 
 @pytest.mark.parametrize("mechanism", ["identity", "laplace", "gaussian", "signsgd", "imvu"])

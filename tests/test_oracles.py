@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imvu import (
+    MechanismTable,
     design_variance_grid_min,
     eps_prime_grid_max,
     exact_max_divergence,
@@ -12,6 +13,7 @@ from imvu import (
     fisher_sup,
     joint_divergence_bruteforce,
 )
+from imvu import accounting, oracles
 
 from conftest import LN3, get_table
 
@@ -186,6 +188,41 @@ def test_fisher_grid_max_below_certified_sup(table_2x4):
     m_value, _ = fisher_sup(table_2x4)
     grid = fisher_grid_max(table_2x4, (-20.0, 21.0), 100_000)
     assert grid <= m_value
+
+
+def _wide_two_row_table(b_out: int, eps: float = 1.0) -> MechanismTable:
+    """An anadromic 2 x b_out table built without the designer: row 0 decays
+    geometrically by e^-eps across the letters, row 1 is its mirror, and the
+    alphabet, symmetric about 1/2, is stretched until row 0 has mean 0."""
+    p0 = np.exp(-eps * np.arange(b_out) / (b_out - 1))
+    p0 /= p0.sum()
+    m = p0 @ np.linspace(0.0, 1.0, b_out)
+    s = m / (1.0 - 2.0 * m)
+    return MechanismTable(np.linspace(-s, 1.0 + s, b_out), np.log([p0, p0[::-1]]), eps)
+
+
+@pytest.mark.parametrize("b_out, n", [(64, 40_000), (1024, 10_000)])
+def test_grid_oracles_evaluate_a_bounded_block_per_call(monkeypatch, b_out, n):
+    # fisher_grid_max evaluated 2^20 inputs per call at any b_out (16 GiB at
+    # 2 x 2048), and eps_prime_grid_max all n points of an interval at once
+    table = _wide_two_row_table(b_out)
+    cells = []
+
+    def recording(fn):
+        def recorded(t, xs):
+            cells.append(np.size(xs) * t.b_out)
+            return fn(t, xs)
+        return recorded
+
+    monkeypatch.setattr(accounting, "fisher_info", recording(accounting.fisher_info))
+    monkeypatch.setattr(oracles, "log_pmf", recording(oracles.log_pmf))
+    bound = max(2**20, 4096 * b_out)  # 8 MiB of floats, or 4096 inputs
+    for oracle, args in ((fisher_grid_max, (table, (-20.0, 21.0), n)),
+                         (eps_prime_grid_max, (table, (-1.0, 2.0), n))):
+        cells.clear()
+        oracle(*args)
+        assert sum(cells) == n * b_out
+        assert len(cells) > 1 and max(cells) <= bound
 
 
 def test_fisher_grid_max_rejects_small_n(rr_table):

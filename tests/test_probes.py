@@ -47,8 +47,8 @@ def test_every_probed_attribute_resolves_and_is_restored():
 
 
 def test_tracer_counts_both_certifiers():
-    # fl-cohort's set-up: constants attached to the symmetrized 2x4 table
-    table = design_mvu(DesignSpec(2, 4, 2.0, symmetrize=True))
+    # fl-cohort's set-up: constants attached to the (anadromic) 2x4 table
+    table = design_mvu(DesignSpec(2, 4, 2.0))
     tracer = _tracing().Tracer()
     tracer.install()
     try:
@@ -63,7 +63,7 @@ def test_tracer_counts_both_certifiers():
 def test_tracer_sees_every_layer_of_an_imvu_run():
     # fl-cohort's per-layer metrics read these spans: a run that derives its
     # streams ahead must still privatize and ask the ledger once per round
-    table = design_mvu(DesignSpec(2, 4, 2.0, symmetrize=True))
+    table = design_mvu(DesignSpec(2, 4, 2.0))
     mech = attach_accounting(InterpolatedMechanism(table, clip=ClipConfig("l2", 1.0)))
     cfg = FlConfig(rounds=7, cohort=9, dims=5, lr=0.3, clip=ClipConfig("l2", 1.0),
                    mechanism="imvu", mech=mech, seed=4, n_train=40)

@@ -255,17 +255,15 @@ def _train_fl_per_client(cfg, weights_seen):
     weights each client's gradient is taken at."""
     x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
     y_signed = np.where(y == 0, -1.0, 1.0)
-    client_slices = np.array_split(np.arange(cfg.n_train), cfg.n_train // cfg.client_samples)
     weights, velocity = np.zeros(cfg.dims), np.zeros(cfg.dims)
     cohort_rng = substream(cfg.seed, "cohort")
     ledger = round_ledger(cfg.mech, cfg.delta, cfg.alphas)
     accuracy, spent = np.empty(cfg.rounds), np.empty(cfg.rounds)
     for t in range(cfg.rounds):
-        chosen = cohort_rng.choice(len(client_slices), size=min(cfg.cohort, len(client_slices)),
-                                   replace=False)
+        chosen = cohort_rng.choice(cfg.n_train, size=min(cfg.cohort, cfg.n_train), replace=False)
         messages = np.empty((chosen.size, cfg.dims))
         for slot, ci in enumerate(chosen):
-            rows = client_slices[ci]
+            rows = [ci]  # client ci holds training sample ci
             weights_seen.append(weights.copy())
             grad = fl.client_update(weights, x[rows], y_signed[rows])
             seed = int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
@@ -310,12 +308,11 @@ def test_train_fl_cohort_call_matches_per_client_loop(norm, monkeypatch):
     _assert_train_fl_matches_per_client_loop(cfg, monkeypatch)
 
 
-# (rounds, cohort, dims, n_train, client_samples)
+# (rounds, cohort, dims, n_train)
 PER_ROUND_CASES = {
-    "cohort-below-clients": (5, 25, 12, 200, 1),
-    "cohort-equals-clients": (5, 30, 12, 30, 1),
-    "client-samples-3": (5, 25, 12, 200, 3),
-    "dims-past-a-chunk": (3, 4, COORD_CHUNK + 5, 40, 1),
+    "cohort-below-clients": (5, 25, 12, 200),
+    "cohort-equals-clients": (5, 30, 12, 30),
+    "dims-past-a-chunk": (3, 4, COORD_CHUNK + 5, 40),
 }
 
 
@@ -324,13 +321,12 @@ PER_ROUND_CASES = {
 def test_train_fl_matches_per_round_reference(case, rounds_per_block, monkeypatch):
     # train_fl derives the seeds and coordinate streams of a block of rounds
     # at once; a cap of a few streams makes a run cross several blocks
-    rounds, cohort, dims, n_train, client_samples = PER_ROUND_CASES[case]
+    rounds, cohort, dims, n_train = PER_ROUND_CASES[case]
     if rounds_per_block is not None:
         chunks = len(range(0, dims, COORD_CHUNK))
         monkeypatch.setattr(fl, "_BLOCK_STREAMS", rounds_per_block * cohort * chunks + 1)
     cfg = FlConfig(rounds=rounds, cohort=cohort, dims=dims, lr=0.3, clip=ClipConfig("l2", 1.0),
-                   mechanism="imvu", mech=_fl_mech(), seed=11, n_train=n_train,
-                   client_samples=client_samples)
+                   mechanism="imvu", mech=_fl_mech(), seed=11, n_train=n_train)
     _assert_train_fl_matches_per_client_loop(cfg, monkeypatch)
 
 

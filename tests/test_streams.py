@@ -3,13 +3,14 @@
 The golden digests were recorded from the per-stream numpy implementation
 (one ``SeedSequence`` and ``Generator`` per client message and per
 ``COORD_CHUNK`` block).  Any change to how streams are derived must leave
-them unchanged.  The cohort goldens (``SLICED_GOLDEN``, ``IDENTITY_GOLDEN``)
-were recorded from the per-client gradient and per-row clip loops; batching
-either must leave them unchanged too.  ``WEIGHTS_GOLDEN`` and ``DME_GOLDEN``
-were recorded from the per-client baseline loops and pin message bytes: the
+them unchanged.  ``WEIGHTS_GOLDEN`` and ``DME_GOLDEN`` pin message bytes: the
 weights ``train_fl`` hands to ``client_update`` in every round (a CSV of
 accuracies misses a last-bit change), and the decoded cohort of every
-mechanism kind.  The identity ``DME_GOLDEN`` entries were recorded with the
+mechanism kind.  ``IDENTITY_GOLDEN`` and the identity and baseline
+``WEIGHTS_GOLDEN`` entries were first recorded from the per-client gradient,
+clip and baseline loops on clients of three samples; since every client
+holds one sample, they are what the batched code that passed those gives for
+one-sample clients.  The identity ``DME_GOLDEN`` entries were recorded with the
 kind-string dispatch that ``privatize_clients`` replaced.  The table is built
 by hand so the digests do not depend on the designer or the certifiers.
 """
@@ -93,22 +94,14 @@ def _train_cfg(seed: int, norm: str) -> FlConfig:
                     mechanism="imvu", mech=_hand_mech(norm), seed=seed, n_train=120)
 
 
-def _sliced_cfg(seed: int, norm: str) -> FlConfig:
-    # 125 samples in 41 clients: two hold 4 samples, the rest 3
-    return FlConfig(rounds=5, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, 1.0),
-                    mechanism="imvu", mech=_hand_mech(norm), seed=seed,
-                    client_samples=3, n_train=125)
-
-
-# radii at which some gradients are clipped and some pass
-RADIUS = {"l1": 2.0, "l2": 0.5}
+# radii at which some one-sample gradients are clipped and some pass
+RADIUS = {"l1": 2.0, "l2": 1.5}
 
 
 def _identity_cfg(norm: str) -> FlConfig:
     # (the CSV holds accuracies only; close classes make them move round by round)
     return FlConfig(rounds=12, cohort=30, dims=9, lr=0.3, clip=ClipConfig(norm, RADIUS[norm]),
-                    mechanism="identity", seed=5, client_samples=3, n_train=125,
-                    separation=1.0)
+                    mechanism="identity", seed=5, n_train=125, separation=1.0)
 
 
 BASELINE_NORM = {"laplace": "l1", "gaussian": "l2", "signsgd": "l2"}
@@ -119,14 +112,12 @@ def _baseline_cfg(kind: str, seed: int) -> FlConfig:
     return FlConfig(rounds=6, cohort=30, dims=9, lr=0.3 * (0.1 if kind == "signsgd" else 1.0),
                     clip=ClipConfig(norm, RADIUS[norm]), mechanism=kind,
                     noise={"laplace": 20.0}.get(kind, 0.3), seed=seed,
-                    client_samples=3, n_train=125, separation=1.0)
+                    n_train=125, separation=1.0)
 
 
 def _weights_cfg(kind: str, seed: int, norm: str) -> FlConfig:
     if kind == "imvu":
         return _train_cfg(seed, norm)
-    if kind == "imvu-sliced":
-        return _sliced_cfg(seed, norm)
     if kind == "identity":
         return _identity_cfg(norm)
     return _baseline_cfg(kind, seed)
@@ -189,18 +180,9 @@ TRAIN_GOLDEN = {
     (-3, "l2"): "7f383eaca46b4c60325d232973dcc912b5db9ce3853a0e33fb2f5d9b0a8947b4",
 }
 
-SLICED_GOLDEN = {
-    (0, "l1"): "f3c5339b9fd0d3effd434370485c0918e81bce077db6d48890c2b47814b36d2f",
-    (0, "l2"): "c9bebed19b18e7357b543ffe0522a19454f34d55adc0cf2d35bfeef2f7291800",
-    (2**32, "l1"): "8ead5f714f35cd8c340783c24256547ae7111a07ffc007d4fda06a9b59ae4d4a",
-    (2**32, "l2"): "1a772cfa35ab5eb23f8a3744cf6f4ff2d4453a536c9f0f74caf0c27edc978ad1",
-    (-3, "l1"): "ccc2b8edeaf88a9b3950c4c7214386d9b2989bbc16b26971fa6eea9177faab0f",
-    (-3, "l2"): "aee71d13d5e789c68bcd8f0baa619cef7234c7c314b9b935cc61769556e39a17",
-}
-
 IDENTITY_GOLDEN = {
-    "l1": "eb4567b2bad01e06fd373ebab056c55b63d42e3935b0c5f47dd7002f31cbaff2",
-    "l2": "705f9a89c17e2e3cd9fe10c96b767ca23b128d0bcf0f68c297ad5720a6d882e7",
+    "l1": "188bc06c2ac54653e5ae06cd22fa00db0a6980ef24a90fb74f38f4af7152660b",
+    "l2": "843d04aebc433b288d09572e4fbfcad1ece7941f299d0c7d792d8c49efa545c5",
 }
 
 
@@ -211,20 +193,14 @@ WEIGHTS_GOLDEN = {
     ("imvu", 2**32, "l2"): "767dc30a916f92505209517c3fd8a10d8020f0126af0cffaa7e9b22eb25c1c81",
     ("imvu", -3, "l1"): "6ee2ec36d384fcd283dccfa09575af1bb3b6a610fa3437a296d2c762c93eda2b",
     ("imvu", -3, "l2"): "41d7561bf8ecb5e7df35fce1295e73aed4e58480651bb774cca97dc364a34d05",
-    ("imvu-sliced", 0, "l1"): "eb01dc93a0d65f5fac02ea44a5993bcbb56284d20e3173bc8bfa28f2054c3760",
-    ("imvu-sliced", 0, "l2"): "6f0a8bc1851edd8629d7721736d27feb29cf459438b78e6406730b8467590364",
-    ("imvu-sliced", 2**32, "l1"): "eaf20538cc3dd30dbca528c54e1eb56fb1c3ec373e82981285cc92ccc6cf59eb",
-    ("imvu-sliced", 2**32, "l2"): "c35ba0a71b9e2258d15f67652beeb12caca2ee156a928881142f25ca702ba927",
-    ("imvu-sliced", -3, "l1"): "593a8fac7ce82f24ee24abcdf50935ae55fa6c10e11ac51db57a1893b53b7aee",
-    ("imvu-sliced", -3, "l2"): "21fc137549cb28c3186adb27530a134d97c5bc2ca889f3658fe92d2b3594b926",
-    ("identity", 5, "l1"): "43ad5f91f314bfaab97e1b05a4a7511892f7c3f02f1dd39a209c3276c9ecefd0",
-    ("identity", 5, "l2"): "aef76a4fddd68036a082417e1441fbfeefc5f9e76e223718e1af36b0ece2648e",
-    ("laplace", 0, "l1"): "9f7c3a107df6422dbf4bad9c8664831b3bf7575b01cfa4d247a6f4a7d01b2ead",
-    ("laplace", -3, "l1"): "85d7468f920e0c95f7b2ce256e072bdf560b15c783229c78e471b7c0cd402c75",
-    ("gaussian", 0, "l2"): "6af5e6224bce9fdba7bc38cb7a7a022fe197a16190c2c2de4b7fd33364b58fad",
-    ("gaussian", -3, "l2"): "20b1cf1726a56493c8277c57339bae62f97ffb64d943d3f53fe388c14cff255e",
-    ("signsgd", 0, "l2"): "4cdbdb2185d1bd4e64d7053944422475caf8cf90f5e11e13b8a946ad035305d4",
-    ("signsgd", -3, "l2"): "773fc878a6f42086659395c36be81b0900e7a10437cc878b6f3f77c210a2e013",
+    ("identity", 5, "l1"): "e9eed47f6994f77b1fea3068f989ef17fb2b881375e358739a5caeccf51c723f",
+    ("identity", 5, "l2"): "90c8f87400ee87ab296224d0eb19002c2f245ae9694097f158877c3645281398",
+    ("laplace", 0, "l1"): "a274a014a64365a5465f7888a1107cb7db9aba53cc96ddc530375208297f5a7b",
+    ("laplace", -3, "l1"): "fe13e359a19b1e35f501d53b69b9430e5c18a64f6afb069072324110cb742479",
+    ("gaussian", 0, "l2"): "a0a200dd3253c1244f36cee57db60b53e24490d6aa41f1830b51a27fe529bd51",
+    ("gaussian", -3, "l2"): "63d4249a0bed74f119c1413ca6be041debc1f5d4c629c5b2b4c45ff94d6c2fed",
+    ("signsgd", 0, "l2"): "1583f02d30d98cf90f6f6eae74f615fe4b2594f79f8bb715fc9f819a4d411ab8",
+    ("signsgd", -3, "l2"): "9d320642356c73dacfd93117c08027c9b71ab6f5777028b3319daa3681a05bf7",
 }
 
 DME_GOLDEN = {
@@ -246,11 +222,6 @@ def test_privatize_indices_golden(seed):
 @pytest.mark.parametrize("seed,norm", sorted(TRAIN_GOLDEN))
 def test_train_fl_csv_golden(seed, norm):
     assert _csv_digest(_train_cfg(seed, norm)) == TRAIN_GOLDEN[(seed, norm)]
-
-
-@pytest.mark.parametrize("seed,norm", sorted(SLICED_GOLDEN))
-def test_train_fl_uneven_client_slices_golden(seed, norm):
-    assert _csv_digest(_sliced_cfg(seed, norm)) == SLICED_GOLDEN[(seed, norm)]
 
 
 @pytest.mark.parametrize("norm", sorted(IDENTITY_GOLDEN))
