@@ -100,14 +100,15 @@ def _eps_prime_impl(table: MechanismTable, domain: tuple[float, float]) -> tuple
     room for the lerp and the shift, is finite.
     """
     logs = table.log_probs
-    bounds = np.asarray(domain, dtype=float)
-    if bounds.shape != (2,) or not (np.all(np.isfinite(bounds)) and bounds[0] <= bounds[1]):
+    ends = np.array(domain, dtype=object)  # a bool or string end stays itself
+    lo, hi = map(_as_real, ends) if ends.shape == (2,) else (np.nan, np.nan)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError(f"domain must be two finite numbers lo <= hi, got {domain!r}")
     nseg = table.b_in - 1
     i = np.repeat(np.arange(nseg), 2)
     t = np.tile([0.0, 1.0], nseg)
-    t[0] = min(0.0, nseg * float(bounds[0]))
-    t[-1] = max(1.0, nseg * float(bounds[1]) - (nseg - 1))
+    t[0] = min(0.0, nseg * lo)
+    t[-1] = max(1.0, nseg * hi - (nseg - 1))
     with np.errstate(over="ignore"):
         size = (np.abs(1.0 - t) + np.abs(t)) * np.max(np.abs(logs))
         if not np.all(np.isfinite(4.0 * size)):
@@ -365,8 +366,8 @@ def imvu_ledger(mech: InterpolatedMechanism, mode: str, sens: float,
 def compose(ledger: PrivacyLedger, rounds: int):
     """Total cost of ``rounds`` rounds, a whole number within float range
     (not a bool): the per-round cost times ``rounds``."""
-    # NaN fails the range test
-    if isinstance(rounds, (bool, np.bool_)) or not 0 <= rounds <= _FLOAT_MAX or rounds % 1:
+    # a bool, a string and an int past float range read as NaN, failing the range test
+    if not 0 <= _as_real(rounds) <= _FLOAT_MAX or rounds % 1:
         raise ValueError("rounds must be non-negative and integral, within float range")
     if ledger.alphas is None:
         return rounds * float(ledger.per_round)

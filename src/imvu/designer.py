@@ -534,14 +534,11 @@ def _best_scale(spec: DesignSpec) -> tuple[float, np.ndarray]:
         if dropped(ra, rb, [a, b]):
             continue
         tol = _PIECE_TOL * max(1.0, abs(ga), abs(gb))
-        # where the end tangents meet; rb (ra) if a's (b's) tangent passes through it
-        if gb - ga - da * (rb - ra) <= tol:
-            rc = rb
-        elif ga - gb - db * (ra - rb) <= tol:
-            rc = ra
-        else:
-            rc = (gb - ga + da * ra - db * rb) / (da - db)
-        # one piece, a failed LP, or two pieces meeting at rc: nothing to split
+        # one piece: a's (b's) tangent passes through b's (a's) end
+        if gb - ga - da * (rb - ra) <= tol or ga - gb - db * (ra - rb) <= tol:
+            continue
+        # where the end tangents meet; at an end, a failed LP, or two pieces: no split
+        rc = (gb - ga + da * ra - db * rb) / (da - db)
         if (rc >= rb * (1.0 - _PIECE_TOL) or rc <= ra * (1.0 + _PIECE_TOL)
                 or (c := tangent(rc)) is None or c[1] - ga - da * (rc - ra) <= tol):
             continue

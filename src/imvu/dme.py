@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineConfig, kind_of, privatize_baseline, wire_bits
-from .mechanism import (InterpolatedMechanism, _integer, clip, moments, mvu_dither_moments,
-                        privatize_vector)
+from .mechanism import (InterpolatedMechanism, _integer, _real, clip, moments,
+                        mvu_dither_moments, privatize_vector)
 from .table_io import write_csv
 
 SWEEP_POINTS = 201
@@ -72,7 +72,8 @@ def sweep_bias_variance(tables) -> SweepReport:
 
 
 def gaussian_inputs(scale: float = 0.1):
-    """Client vectors with iid N(0, scale^2) coordinates."""
+    """Client vectors with iid N(0, scale^2) coordinates, scale a non-negative real."""
+    scale = _real(scale, "scale", nonnegative=True)
 
     def draw(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         return rng.normal(0.0, scale, size=(n, d))

@@ -15,7 +15,7 @@ import numpy as np
 from .accounting import DEFAULT_ALPHAS, DEFAULT_DELTA, PrivacyLedger, spent_epsilon
 from .baselines import privatizer, round_ledger
 from .dme import privatize_clients
-from .mechanism import ClipConfig, InterpolatedMechanism, _as_real, _integer, _real
+from .mechanism import ClipConfig, InterpolatedMechanism, _as_real, _finite, _integer, _real
 # attributes here that bench/tracing.py wraps; a round privatizes through
 # ``dme.privatize_vector``
 from .mechanism import clip, privatize_vector  # noqa: F401
@@ -59,8 +59,7 @@ class FlConfig:
         if not _real(self.momentum, "momentum", nonnegative=True) < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         # any finite real: 0 and negative separations are accepted
-        if not np.isfinite(_as_real(self.separation)):
-            raise ValueError(f"separation must be a finite real, got {self.separation!r}")
+        _finite(self.separation, "separation")
         if not 0.0 < _as_real(self.delta) < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         # a float or bool seed would be truncated or read as 0 or 1 into another's streams
@@ -93,34 +92,28 @@ class TrainResult:
         }
 
 
-def generate_synthetic(n: int, d: int, n_classes: int, separation: float, seed: int):
-    """Balanced Gaussian class clusters with controlled separation.
+def generate_synthetic(n: int, d: int, separation: float, seed: int):
+    """Two balanced Gaussian classes, labelled -1.0 and +1.0, with controlled
+    separation.
 
-    Cluster centers sit ``separation`` apart (pairwise, in expectation for
-    k > 2) on top of unit isotropic noise; separation 0 makes the classes
-    indistinguishable.  Deterministic under the seed.
+    The class centers sit ``separation`` apart on top of unit isotropic noise;
+    separation 0 makes the classes indistinguishable.  Class -1 holds
+    ``n - n // 2`` samples and class +1 ``n // 2``.  Deterministic under the
+    seed.
     """
-    if n_classes < 2 or n < n_classes:
-        raise ValueError("need n >= n_classes >= 2")
+    _integer(n, "n", least=2)
+    _integer(d, "d", least=1)
+    separation = _finite(separation, "separation")
     rng = substream(seed, "synthetic-data")
-    centers = rng.normal(size=(n_classes, d))
+    centers = rng.normal(size=(2, d))
     centers -= centers.mean(axis=0)
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     centers = np.where(norms > 0, centers / norms, centers) * (separation / 2.0)
-    per_class = n // n_classes
-    counts = [per_class + (1 if c < n % n_classes else 0) for c in range(n_classes)]
-    xs, ys = [], []
-    for c, cnt in enumerate(counts):
-        xs.append(rng.normal(size=(cnt, d)) + centers[c])
-        ys.append(np.full(cnt, c))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    x = np.concatenate([rng.normal(size=(n - n // 2, d)) + centers[0],
+                        rng.normal(size=(n // 2, d)) + centers[1]])
+    y = np.repeat([-1.0, 1.0], [n - n // 2, n // 2])
     order = rng.permutation(n)
     return x[order], y[order]
-
-
-def _signed_labels(y: np.ndarray) -> np.ndarray:
-    return np.where(y == 0, -1.0, 1.0)
 
 
 def client_update(weights: np.ndarray, x: np.ndarray, y) -> np.ndarray:
@@ -181,9 +174,7 @@ def train_fl(cfg: FlConfig) -> TrainResult:
     ledger = round_ledger(priv, cfg.delta, cfg.alphas)
 
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
-    # the linear training head is binary
-    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, data_seed)
-    y_signed = _signed_labels(y)
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, cfg.separation, data_seed)
 
     weights = np.zeros(cfg.dims)
     velocity = np.zeros(cfg.dims)
@@ -192,13 +183,13 @@ def train_fl(cfg: FlConfig) -> TrainResult:
 
     for t, (chosen, states) in enumerate(cohorts):
         # client c holds training sample c: one stack of one-sample clients
-        grads = client_update(weights, x[chosen, None], y_signed[chosen, None])
+        grads = client_update(weights, x[chosen, None], y[chosen, None])
         messages = privatize_clients(priv, grads, noise_rng, states)
         mean_message = messages.mean(axis=0)
         velocity = cfg.momentum * velocity + mean_message
         weights = weights - cfg.lr * velocity
 
-        accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
+        accuracy[t] = float(np.mean((x @ weights) * y > 0))
         spent[t] = spent_epsilon(ledger, t + 1) if ledger is not None else np.inf
 
     return TrainResult(

@@ -55,6 +55,14 @@ def _as_real(value) -> float:
         return np.nan
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a Python float; ``ValueError`` unless ``_as_real`` reads it finite."""
+    number = _as_real(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return number
+
+
 def _real(value, name: str, nonnegative: bool = False) -> float:
     """``value`` as a Python float, which a numpy scalar then computes and saves
     as; ``ValueError`` unless ``_as_real`` reads it as a float that is finite
@@ -426,8 +434,8 @@ def _sample(rows: np.ndarray, i: np.ndarray, t: np.ndarray, uniforms: np.ndarray
 
 
 def sample_batch(table: MechanismTable, x: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n independent output indices at a fixed x."""
-    xs = np.broadcast_to(_finite_inputs(float(x)), n)
+    """Draw n independent output indices at a fixed x, a finite real."""
+    xs = np.broadcast_to(_finite(x, "x"), _integer(n, "n", least=0))
     return _sample(table.log_probs, *_bracket(table.b_in, xs), rng.random(n))
 
 

@@ -95,11 +95,19 @@ def test_eps_prime_multi_interval_table():
 
 
 @pytest.mark.parametrize("domain", [(np.nan, 1.0), (0.0, np.nan), (2.0, -1.0), (-np.inf, 1.0),
-                                    (0.0, np.inf), (0.0,), (0.0, 0.5, 1.0)])
+                                    (0.0, np.inf), (0.0,), (0.0, 0.5, 1.0), 0.5, None,
+                                    (0, True), (True, 1.0), (0, "1"), ("0", 1.0), ((0.0,), 1.0)])
 def test_eps_prime_rejects_a_domain_that_is_not_an_interval(domain):
-    # min and max read a NaN end or a reversed pair as [0, 1]; an infinite end gives NaN
+    # min and max read a NaN end or a reversed pair as [0, 1]; an infinite end
+    # gives NaN; a bool or numeric-string end certified the domain (0, 1)
     with pytest.raises(ValueError, match="domain must be two finite numbers"):
         eps_prime(get_table(4, 4, 2.0), domain)
+
+
+def test_eps_prime_takes_numpy_and_integer_domain_ends():
+    table = get_table(4, 4, 2.0)
+    assert eps_prime(table, (np.int64(0), np.float32(1.0))) == eps_prime(table)
+    assert eps_prime(table, np.array([-3.5, 4.5])) == eps_prime(table, domain_for_beta(8.0))
 
 
 def test_eps_prime_at_a_point_domain_is_the_unit_value():
@@ -360,9 +368,9 @@ def test_fisher_sup_off_center_peak():
     assert grid <= m_value <= grid * (1.0 + 1e-6)
 
 
-def _check_fisher_sup(table):
+def _check_fisher_sup(table, n=10**5):
     """The early certificate returns exactly where Popoviciu's cap allows it,
-    and the search runs everywhere else; either way M bounds the grid."""
+    and the search runs everywhere else; either way M bounds the n-point grid."""
     try:
         m_value, diag = fisher_sup(table)
     except AccountingError:
@@ -371,7 +379,7 @@ def _check_fisher_sup(table):
         assert (m_value, diag.evaluations) == (diag.i_star + FISHER_TOL, 1)
     else:
         assert 1 < diag.evaluations <= 100_000
-    assert fisher_grid_max(table, (-20.0, 21.0), 10**5) <= m_value
+    assert fisher_grid_max(table, (-20.0, 21.0), n) <= m_value
 
 
 @settings(max_examples=20, deadline=None)
@@ -380,6 +388,19 @@ def test_fisher_sup_certifies_random_anadromic_tables(b_out, seed):
     table = _random_mirrored_table(b_out, seed)
     assert table.anadromic
     _check_fisher_sup(table)
+
+
+@pytest.mark.parametrize("b_out,seed,n", [
+    (64, 1, 10**5), (64, 2, 10**5), (256, 1, 10**5), (256, 2, 10**5),
+    (1024, 1, 10**4), (1024, 2, 10**4), (2048, 1, 10**4), (2048, 2, 10**4),
+])
+def test_fisher_sup_certifies_wide_random_anadromic_tables(b_out, seed, n):
+    # up to the designer's widest two-row shape; the grid bounds M from below
+    # at any n, and a coarse one keeps 2x2048 near half a second.  2x1024 at
+    # seed 0 is left out: its line search takes about 50 s
+    table = _random_mirrored_table(b_out, seed)
+    assert table.anadromic
+    _check_fisher_sup(table, n)
 
 
 def test_fisher_sup_unsymmetrized_rr_is_cheap(rr_table):
@@ -728,10 +749,12 @@ def test_spent_epsilon_rejects_negative_rounds(ledger):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, -1, pytest.param(10**400, id="10**400"),
-                                 True, pytest.param(np.True_, id="np.True_")])
+                                 True, pytest.param(np.True_, id="np.True_"), "3", None,
+                                 pytest.param([3], id="list")])
 def test_ledger_and_spent_epsilon_reject_rounds_that_are_not_a_count(bad):
     # NaN passes ``rounds < 0``: the ledger composed to 1.25 over 2.5 rounds;
-    # 10**400 overflowed the product, and True composed one round
+    # 10**400 overflowed the product, True composed one round, and a string,
+    # None or a list raised a TypeError
     ledger = PrivacyLedger(0.5)
     with pytest.raises(ValueError, match="rounds must be non-negative and integral"):
         compose(ledger, bad)
@@ -739,6 +762,7 @@ def test_ledger_and_spent_epsilon_reject_rounds_that_are_not_a_count(bad):
         spent_epsilon(ledger, bad)
     assert spent_epsilon(ledger, np.int64(3)) == 1.5
     assert spent_epsilon(ledger, 2.0) == 1.0
+    assert compose(ledger, 10**300) == 0.5 * 10**300
 
 
 def test_spent_trajectory_rdp_non_decreasing():

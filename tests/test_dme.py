@@ -163,6 +163,21 @@ def test_dme_rejects_a_count_that_is_not_an_integer(field, value):
             np.random.default_rng(0), trials=np.uint8(2))
 
 
+@pytest.mark.parametrize("scale", [True, np.nan, np.inf, -0.1, "0.1", None])
+def test_gaussian_inputs_names_a_scale_that_is_not_a_non_negative_real(scale):
+    # True drew at scale 1, NaN drew NaN inputs, and the others failed in numpy
+    with pytest.raises(ValueError, match="^scale must be a non-negative real") as err:
+        gaussian_inputs(scale)
+    assert type(err.value) is ValueError
+
+
+def test_gaussian_inputs_keeps_its_draws():
+    draw = gaussian_inputs(np.float64(0.1))
+    want = np.random.default_rng(3).normal(0.0, 0.1, size=(4, 5))
+    assert np.array_equal(draw(np.random.default_rng(3), 4, 5), want)
+    assert not gaussian_inputs(0)(np.random.default_rng(3), 2, 3).any()
+
+
 def test_dme_input_validation():
     clip = ClipConfig("l2", 1.0)
     with pytest.raises(ValueError, match="^n_clients must be at least 1, got 0$"):

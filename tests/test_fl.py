@@ -1,5 +1,6 @@
 """Federated training harness: data, gradients, loop determinism, accounting."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -48,18 +49,20 @@ def _cfg(**kw):
 
 
 def test_synthetic_deterministic():
-    a = generate_synthetic(100, 6, 2, 3.0, seed=42)
-    b = generate_synthetic(100, 6, 2, 3.0, seed=42)
+    a = generate_synthetic(100, 6, 3.0, seed=42)
+    b = generate_synthetic(100, 6, 3.0, seed=42)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    c = generate_synthetic(100, 6, 2, 3.0, seed=43)
+    c = generate_synthetic(100, 6, 3.0, seed=43)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_synthetic_balanced_classes():
-    _, y = generate_synthetic(90, 4, 3, 2.0, seed=1)
-    counts = np.bincount(y.astype(int))
-    assert counts.tolist() == [30, 30, 30]
+    # two classes labelled -1.0 and +1.0; class -1 takes the odd sample
+    for n in (2, 3, 90, 91):
+        _, y = generate_synthetic(n, 4, 2.0, seed=1)
+        assert y.dtype == float and set(y.tolist()) == {-1.0, 1.0}
+        assert [int(np.sum(y == -1.0)), int(np.sum(y == 1.0))] == [n - n // 2, n // 2]
 
 
 def test_synthetic_zero_separation_near_chance():
@@ -72,9 +75,31 @@ def test_synthetic_large_separation_separable():
     assert result.final_accuracy >= 0.95
 
 
+@pytest.mark.parametrize("n,d,separation,seed,digest", [
+    (3, 1, -1.0, 2, "2d0c20af971dddaaf66991016940e2fe45680c60f7983d0b76402536597c6712"),
+    (600, 20, 4.0, 0, "13df5230e7d63fa9d7930691151929f13e2dc4285a1b68186f7e599eb6c45296"),
+])
+def test_synthetic_bytes(n, d, separation, seed, digest):
+    # the x and the signed labels of the k-class generator at k = 2, whose
+    # draw order (centers, class -1, class +1, permutation) this one keeps
+    x, y = generate_synthetic(n, d, separation, seed)
+    assert hashlib.sha256(x.astype("<f8").tobytes() + y.astype("<f8").tobytes()).hexdigest() == digest
+
+
 def test_synthetic_input_validation():
     with pytest.raises(ValueError):
-        generate_synthetic(1, 4, 2, 1.0, seed=0)
+        generate_synthetic(1, 4, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("n,d,separation,name", [
+    (True, 4, 1.0, "n"), (10.0, 4, 1.0, "n"), (10, 0, 1.0, "d"), (10, 2.0, 1.0, "d"),
+    (10, 2, np.nan, "separation"), (10, 2, np.inf, "separation"),
+    (10, 2, True, "separation"), (10, 2, "4", "separation"),
+])
+def test_synthetic_names_an_input_that_is_not_its_number(n, d, separation, name):
+    # NaN used to draw NaN inputs, and a bool to draw at separation 1.0
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        generate_synthetic(n, d, separation, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +258,32 @@ def test_train_takes_a_round_of_gradients_in_one_call(monkeypatch, kind):
     names = [c[0] for c in calls]
     per_round = ["client_update"] + (["spent_epsilon"] if kind != "identity" else [])
     assert names == per_round * cfg.rounds
-    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, cfg.separation, cfg.seed)
     cohort_rng = substream(cfg.seed, "cohort")
     for _, xs, ys in (c for c in calls if c[0] == "client_update"):
         chosen = cohort_rng.choice(cfg.n_train, size=cfg.cohort, replace=False)
         np.testing.assert_array_equal(xs, x[chosen, None])
-        np.testing.assert_array_equal(ys, np.where(y[chosen, None] == 0, -1.0, 1.0))
+        np.testing.assert_array_equal(ys, y[chosen, None])
 
 
 def test_server_update_is_mean_message_times_lr():
     # reconstruct round one by hand: velocity starts at zero, so the first
     # step must be exactly lr * mean(clipped client gradients)
-    from imvu.fl import _signed_labels
     from imvu.mechanism import clip as clip_fn
     from imvu.rng import substream
 
     cfg = _cfg(rounds=1, lr=0.25)
     result = train_fl(cfg)
 
-    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
-    y_signed = _signed_labels(y)
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, cfg.separation, cfg.seed)
     cohort_rng = substream(cfg.seed, "cohort")
     chosen = cohort_rng.choice(cfg.n_train, size=cfg.cohort, replace=False)
     w0 = np.zeros(cfg.dims)
     messages = [
-        clip_fn(client_update(w0, x[c], y_signed[c]), cfg.clip) for c in chosen
+        clip_fn(client_update(w0, x[c], y[c]), cfg.clip) for c in chosen
     ]
     w1 = -cfg.lr * np.mean(messages, axis=0)
-    accuracy = float(np.mean((x @ w1) * y_signed > 0))
+    accuracy = float(np.mean((x @ w1) * y > 0))
     assert result.accuracy[0] == accuracy
 
 

@@ -170,6 +170,18 @@ def test_metric_dp_check_holds_one_row_of_pairs_at_a_time():
                  r"coordinate range \[3, 2\) out of bounds", id="privatize-reversed-range"),
     pytest.param(lambda t: coordinate_uniforms(0, 2, 5, 4),
                  r"coordinate range \[2, 5\) out of bounds for dim 4", id="uniforms-range"),
+    # a bool or numeric-string x drew at x = 1.0 or 0.3, and a bool n failed
+    # inside numpy with a TypeError
+    pytest.param(lambda t: sample_batch(t, True, 5, np.random.default_rng(0)),
+                 "^x must be a finite real", id="sample-bool-x"),
+    pytest.param(lambda t: sample_batch(t, "0.3", 5, np.random.default_rng(0)),
+                 "^x must be a finite real", id="sample-str-x"),
+    pytest.param(lambda t: sample_batch(t, np.nan, 5, np.random.default_rng(0)),
+                 "^x must be a finite real", id="sample-nan-x"),
+    pytest.param(lambda t: sample_batch(t, 0.3, True, np.random.default_rng(0)),
+                 "^n must be an integer", id="sample-bool-n"),
+    pytest.param(lambda t: sample_batch(t, 0.3, 5.0, np.random.default_rng(0)),
+                 "^n must be an integer", id="sample-float-n"),
 ])
 def test_rejects_an_argument_out_of_its_domain(rr_table, call, match):
     with pytest.raises(ValueError, match=match) as err:
@@ -441,6 +453,13 @@ def test_sample_deterministic_under_seed(rr_table):
     seq1 = sample_batch(mech.table, 0.3, 1000, np.random.default_rng(9))
     seq2 = sample_batch(mech.table, 0.3, 1000, np.random.default_rng(9))
     assert np.array_equal(seq1, seq2)
+
+
+def test_sample_batch_takes_numpy_numbers(table_2x4):
+    want = sample_batch(table_2x4, 0.3, 50, np.random.default_rng(9))
+    got = sample_batch(table_2x4, np.float64(0.3), np.int64(50), np.random.default_rng(9))
+    assert np.array_equal(got, want)
+    assert sample_batch(table_2x4, -2, 0, np.random.default_rng(9)).shape == (0,)
 
 
 def test_sample_degenerate_pmf(table_2x4):

@@ -253,8 +253,7 @@ def _train_fl_per_client(cfg, weights_seen):
     each client's seed from numpy's own generators, and privatizes with one
     privatize_vector call per client.  Returns the run's CSV and records the
     weights each client's gradient is taken at."""
-    x, y = generate_synthetic(cfg.n_train, cfg.dims, 2, cfg.separation, cfg.seed)
-    y_signed = np.where(y == 0, -1.0, 1.0)
+    x, y = generate_synthetic(cfg.n_train, cfg.dims, cfg.separation, cfg.seed)
     weights, velocity = np.zeros(cfg.dims), np.zeros(cfg.dims)
     cohort_rng = substream(cfg.seed, "cohort")
     ledger = round_ledger(cfg.mech, cfg.delta, cfg.alphas)
@@ -265,12 +264,12 @@ def _train_fl_per_client(cfg, weights_seen):
         for slot, ci in enumerate(chosen):
             rows = [ci]  # client ci holds training sample ci
             weights_seen.append(weights.copy())
-            grad = fl.client_update(weights, x[rows], y_signed[rows])
+            grad = fl.client_update(weights, x[rows], y[rows])
             seed = int(substream(cfg.seed, "privatize", t, int(ci)).integers(2**62))
             _, messages[slot] = privatize_vector(cfg.mech, grad, seed)
         velocity = cfg.momentum * velocity + messages.mean(axis=0)
         weights = weights - cfg.lr * velocity
-        accuracy[t] = float(np.mean((x @ weights) * y_signed > 0))
+        accuracy[t] = float(np.mean((x @ weights) * y > 0))
         spent[t] = spent_epsilon(ledger, t + 1)
     out = io.StringIO()
     fl.TrainResult(accuracy, spent, float(accuracy[-1]), ledger).to_csv(out)
